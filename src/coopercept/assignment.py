@@ -8,11 +8,6 @@ from scipy.optimize import linear_sum_assignment
 _BIG = 1e12
 
 
-def min_cost_assignment(cost: np.ndarray):
-    """Plain rectangular min-cost assignment: (row_idx, col_idx)."""
-    return linear_sum_assignment(np.asarray(cost, dtype=float))
-
-
 def gated_assignment(cost: np.ndarray, gate: float):
     """Assignment where pairs with cost > gate (or inf) are infeasible.
 

@@ -155,9 +155,8 @@ def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
     an exact distance test; the azimuth seam is a segment boundary.
     """
     n = len(points)
-    labels = np.full(n, NOISE, dtype=int)
     if n == 0:
-        return labels
+        return np.zeros(0, dtype=int)
 
     # Window half-width around point i, sized so that every unordered pair
     # with d <= max(r_i, r_j) lies in the lower point's right-hand window:
@@ -189,9 +188,25 @@ def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
 
     le_fwd = d_sq <= radii[src] ** 2  # dst is in src's neighborhood
     le_bwd = d_sq <= radii[dst] ** 2  # src is in dst's neighborhood
+    return _dbscan_labels(n, src, dst, le_fwd, le_bwd, n_min, lambda k: d_sq[k])
+
+
+def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarray,
+                   reach_bwd: np.ndarray, n_min: int, border_key) -> np.ndarray:
+    """DBSCAN labels of ``n`` points from their candidate neighbor pairs.
+
+    Each unordered pair ``(src[k], dst[k])`` appears once and at least one
+    of its points reaches the other: ``reach_fwd[k]`` says dst lies in
+    src's neighborhood, ``reach_bwd[k]`` the reverse. A point is core when
+    its neighborhood, itself included, holds at least ``n_min`` points.
+    Cores in a common pair share a cluster. A border point joins the core
+    reaching it whose pair has the smallest ``border_key(pair_indices)``,
+    ties going to the lower core index.
+    """
+    labels = np.full(n, NOISE, dtype=int)
     counts = np.ones(n, dtype=int)  # each point sees itself
-    counts += np.bincount(src[le_fwd], minlength=n)
-    counts += np.bincount(dst[le_bwd], minlength=n)
+    counts += np.bincount(src[reach_fwd], minlength=n)
+    counts += np.bincount(dst[reach_bwd], minlength=n)
     core = counts >= n_min
     if not core.any():
         return labels
@@ -207,21 +222,15 @@ def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
     _, comp = connected_components(graph, directed=False)
     labels[core_idx] = comp
 
-    # Border points: nearest core whose adaptive radius reaches them.
-    fwd = core[src] & ~core[dst] & le_fwd
-    bwd = core[dst] & ~core[src] & le_bwd
+    fwd = np.flatnonzero(core[src] & ~core[dst] & reach_fwd)
+    bwd = np.flatnonzero(core[dst] & ~core[src] & reach_bwd)
     anchor = np.concatenate([src[fwd], dst[bwd]])
     border = np.concatenate([dst[fwd], src[bwd]])
     if len(border):
-        dist = np.concatenate([d_sq[fwd], d_sq[bwd]])
-        order = np.lexsort((anchor, dist))
-        seen: dict[int, int] = {}
-        for k in order:
-            b = int(border[k])
-            if b not in seen:
-                seen[b] = int(anchor[k])
-        for b, a in seen.items():
-            labels[b] = labels[a]
+        order = np.lexsort((anchor, border_key(np.concatenate([fwd, bwd]))))
+        border, anchor = border[order], anchor[order]
+        _, first = np.unique(border, return_index=True)  # nearest core per border
+        labels[border[first]] = labels[anchor[first]]
     return labels
 
 
@@ -234,57 +243,17 @@ def segment_distance(a: Segment, b: Segment, params: ClusterParams) -> float:
     distance is the centroid separation scaled by the local inter-ring
     spacing, plus one minus the azimuth-interval overlap fraction.
     """
-    if abs(a.ring_index - b.ring_index) > params.ring_gap:
-        return math.inf
-    dx = a.centroid[0] - b.centroid[0]
-    dy = a.centroid[1] - b.centroid[1]
-    dz = a.centroid[2] - b.centroid[2]
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d > params.max_centroid_distance:
-        return math.inf
-
-    d_norm = d / (min(a.mean_range, b.mean_range) * params.dtheta)
-
-    width_a = max(a.azimuth_interval[1] - a.azimuth_interval[0], params.dphi)
-    width_b = max(b.azimuth_interval[1] - b.azimuth_interval[0], params.dphi)
-    phi_cap = _circular_overlap(a.azimuth_interval, b.azimuth_interval)
-    phi_norm = 1.0 - phi_cap / min(width_a, width_b)
-    return d_norm + phi_norm
+    return float(_segment_distances([a, b], params)[0, 1])
 
 
-def _circular_overlap(ia: tuple[float, float], ib: tuple[float, float]) -> float:
-    """Overlap length of two azimuth intervals on the circle.
+def _segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray:
+    """The :func:`segment_distance` of every pair, as an (n, n) array.
 
-    Intervals never span the +/-pi seam at generation time, so a plain
-    intersection with the +/-2pi shifted copies of one interval covers the
-    wrapped cases.
+    Azimuth intervals never span the +/-pi seam at generation time, so
+    intersecting each interval with the +/-2pi shifted copies of the other
+    covers the wrapped cases.
     """
-    sa, ea = ia
-    best = 0.0
-    for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-        sb, eb = ib[0] + shift, ib[1] + shift
-        best = max(best, min(ea, eb) - max(sa, sb))
-    return max(best, 0.0)
-
-
-def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Cluster]:
-    """Second stage: single-linkage grouping of segments.
-
-    Connected components under ``segment_distance < epsilon_custom``; the
-    pairwise metric is evaluated on dense arrays (segment counts are small
-    compared to point counts, which is where the speed of the two-stage
-    scheme comes from). Segments are sorted canonically first so the
-    output does not depend on input order.
-    """
-    if not segments:
-        return []
-    order = sorted(
-        range(len(segments)),
-        key=lambda i: (segments[i].ring_index, segments[i].azimuth_interval[0]),
-    )
-    segs = [segments[i] for i in order]
     n = len(segs)
-
     ring = np.array([s.ring_index for s in segs])
     centroid = np.array([s.centroid for s in segs])
     mean_range = np.array([s.mean_range for s in segs])
@@ -308,8 +277,27 @@ def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Clu
         overlap = np.maximum(overlap, cand)
     overlap = np.maximum(overlap, 0.0)
     phi_norm = 1.0 - overlap / np.minimum(width[:, None], width[None, :])
+    return np.where(feasible, d_norm + phi_norm, np.inf)
 
-    linked = feasible & (d_norm + phi_norm < params.epsilon_custom)
+
+def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Cluster]:
+    """Second stage: single-linkage grouping of segments.
+
+    Connected components under ``segment_distance < epsilon_custom``; the
+    pairwise metric is evaluated on dense arrays (segment counts are small
+    compared to point counts, which is where the speed of the two-stage
+    scheme comes from). Segments are sorted canonically first so the
+    output does not depend on input order.
+    """
+    if not segments:
+        return []
+    order = sorted(
+        range(len(segments)),
+        key=lambda i: (segments[i].ring_index, segments[i].azimuth_interval[0]),
+    )
+    segs = [segments[i] for i in order]
+    n = len(segs)
+    linked = _segment_distances(segs, params) < params.epsilon_custom
 
     parent = list(range(n))
 
@@ -352,52 +340,12 @@ def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=int)
-
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(eps, output_type="ndarray")
-    counts = np.ones(n, dtype=int)  # every point is its own neighbor
-    if len(pairs):
-        counts += np.bincount(pairs.ravel(), minlength=n)
-    core = counts >= n_min
-    labels = np.full(n, NOISE, dtype=int)
-    if not core.any():
-        return labels
-
-    if len(pairs):
-        cc_mask = core[pairs[:, 0]] & core[pairs[:, 1]]
-        cc = pairs[cc_mask]
-    else:
-        cc = np.zeros((0, 2), dtype=int)
-    core_idx = np.flatnonzero(core)
-    remap = np.full(n, -1, dtype=int)
-    remap[core_idx] = np.arange(len(core_idx))
-    graph = sparse.coo_matrix(
-        (np.ones(len(cc)), (remap[cc[:, 0]], remap[cc[:, 1]])),
-        shape=(len(core_idx), len(core_idx)),
-    )
-    _, comp = connected_components(graph, directed=False)
-    labels[core_idx] = comp
-
-    # Border points: nearest adjacent core.
-    if len(pairs):
-        bc_mask = core[pairs[:, 0]] ^ core[pairs[:, 1]]
-        bc = pairs[bc_mask]
-        if len(bc):
-            border = np.where(core[bc[:, 0]], bc[:, 1], bc[:, 0])
-            anchor = np.where(core[bc[:, 0]], bc[:, 0], bc[:, 1])
-            dist = np.linalg.norm(points[border] - points[anchor], axis=1)
-            order = np.lexsort((anchor, dist))
-            seen: dict[int, int] = {}
-            for k in order:
-                b = int(border[k])
-                if b not in seen:
-                    seen[b] = int(anchor[k])
-            for b, a in seen.items():
-                labels[b] = labels[a]
-    return labels
+    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
+    src, dst = pairs[:, 0], pairs[:, 1]
+    mutual = np.ones(len(pairs), dtype=bool)  # a fixed radius reaches both ways
+    return _dbscan_labels(
+        len(points), src, dst, mutual, mutual, n_min,
+        lambda k: np.linalg.norm(points[dst[k]] - points[src[k]], axis=1))
 
 
 def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> list[Cluster]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import gated_assignment
 from .motion import ctrv_step, wrap_angle
-from .tracking import StampedObjectList, TrackedObject
+from .tracking import StampedObjectList, TrackedObject, class_compatible
 
 log = logging.getLogger(__name__)
 
@@ -143,12 +143,6 @@ def compensate_delay(message: StampedObjectList, now: float,
     return out
 
 
-def _class_compatible(a: str, b: str) -> bool:
-    if a == "unknown" or b == "unknown":
-        return True
-    return a == b
-
-
 def _associate_across_nodes(per_node: list[list[CompensatedObject]],
                             params: FusionParams) -> list[list[CompensatedObject]]:
     """Fold node lists into groups of co-observed objects.
@@ -168,7 +162,7 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
             gx = np.mean([m.x for m in group])
             gy = np.mean([m.y for m in group])
             for j, obj in enumerate(objs):
-                if not all(_class_compatible(m.class_label, obj.class_label)
+                if not all(class_compatible(m.class_label, obj.class_label)
                            for m in group):
                     continue
                 gate = max(params.gate_for(obj.class_label),
@@ -229,7 +223,7 @@ def _fuse_groups(groups: list[list[CompensatedObject]], now: float,
     for track in sorted(tracks, key=lambda t: t.contributors):
         best, best_d = None, params.continuity_gate
         for prev in available:
-            if not _class_compatible(prev.class_label, track.class_label):
+            if not class_compatible(prev.class_label, track.class_label):
                 continue
             d = math.hypot(prev.x - track.x, prev.y - track.y)
             if d < best_d:

@@ -199,38 +199,23 @@ def replay_fusion(messages_by_node: dict[int, list[StampedObjectList]],
     """Push recorded node streams through the simulated network and run
     one fusion cycle per frame time.
 
-    Returns ``[(t, [GlobalTrack])]`` for every cycle. A non-positive mean
-    delay short-circuits the channel: frames still pass through the wire
-    codec but arrive exactly at their send time.
+    Returns ``[(t, [GlobalTrack])]`` for every cycle. A zero mean delay
+    with zero jitter is the ideal channel: frames still pass through the
+    wire codec but arrive exactly at their send time.
     """
     center = CenterNode(config.fusion, delay_aware=delay_aware)
-    arrivals = []
-    if mean_delay_ms > 0.0:
-        net = SimulatedNetwork(LatencyModel(mean_ms=mean_delay_ms, std_ms=std_ms),
-                               seed=net_seed)
-        for node_id in sorted(messages_by_node):
-            for msg in messages_by_node[node_id]:
-                env = Envelope(node_id=node_id, send_timestamp=msg.capture_timestamp,
-                               payload=msg)
-                net.send(env, now=msg.capture_timestamp)
-    else:
-        net = None
-        from .transport import decode, encode  # codec still applies
-        for node_id in sorted(messages_by_node):
-            for msg in messages_by_node[node_id]:
-                arrivals.append((msg.capture_timestamp, node_id, decode(encode(msg))))
-        arrivals.sort(key=lambda a: (a[0], a[1]))
+    net = SimulatedNetwork(LatencyModel(mean_ms=mean_delay_ms, std_ms=std_ms),
+                           seed=net_seed)
+    for node_id in sorted(messages_by_node):
+        for msg in messages_by_node[node_id]:
+            env = Envelope(node_id=node_id, send_timestamp=msg.capture_timestamp,
+                           payload=msg)
+            net.send(env, now=msg.capture_timestamp)
 
     cycles = []
-    idx = 0
     for t in frame_times:
-        if net is not None:
-            for env in net.deliveries_until(t):
-                center.receive(env.payload)
-        else:
-            while idx < len(arrivals) and arrivals[idx][0] <= t:
-                center.receive(arrivals[idx][2])
-                idx += 1
+        for env in net.deliveries_until(t):
+            center.receive(env.payload)
         cycles.append((t, center.fuse_cycle(t)))
     return cycles
 
@@ -361,15 +346,3 @@ def write_tracks_jsonl(path, cycles) -> None:
                 ],
             }
             f.write(json.dumps(record) + "\n")
-
-
-def load_object_list_jsonl(path):
-    """Stub loader for externally recorded object-list files.
-
-    The published dataset's on-disk layout is not documented, so nothing
-    is parsed here; plug a converter producing ground-truth JSONL records
-    (see :func:`write_ground_truth_jsonl`) into this seam.
-    """
-    raise NotImplementedError(
-        "external dataset format unpublished; convert to the ground-truth "
-        "JSONL layout and load that instead")

@@ -8,10 +8,12 @@ and save to YAML and hash deterministically for reproducibility stamps.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 import yaml
@@ -99,148 +101,11 @@ class ScenarioConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "room": {"polygon": [list(v) for v in self.room.polygon],
-                     "wall_height": self.room.wall_height},
-            "objects": [
-                {
-                    "id": o.id, "class": o.class_label,
-                    "x": o.x, "y": o.y, "yaw": o.yaw,
-                    "speed": o.speed, "yaw_rate": o.yaw_rate,
-                    "footprint": list(o.footprint), "height": o.height,
-                    "waypoints": [list(w) for w in o.waypoints],
-                }
-                for o in self.objects
-            ],
-            "nodes": [
-                {
-                    "node_id": n.node_id,
-                    "lidar": {
-                        "position": list(n.lidar.position),
-                        "ring_elevations": list(n.lidar.ring_elevations),
-                        "horizontal_resolution": n.lidar.horizontal_resolution,
-                        "vertical_resolution": n.lidar.vertical_resolution,
-                        "max_range": n.lidar.max_range,
-                    },
-                    "cameras": [
-                        {
-                            "position": list(c.position),
-                            "yaw_deg": c.yaw_deg, "pitch_deg": c.pitch_deg,
-                            "focal": c.focal, "image_size": list(c.image_size),
-                        }
-                        for c in n.cameras
-                    ],
-                    "clock": {"offset_ms": n.clock.offset_ms,
-                              "drift_ppm": n.clock.drift_ppm},
-                }
-                for n in self.nodes
-            ],
-            "detector": {
-                "miss_rate": self.detector.miss_rate,
-                "false_positive_rate": self.detector.false_positive_rate,
-                "pixel_noise_sigma": self.detector.pixel_noise_sigma,
-                "foot_detection_rate": self.detector.foot_detection_rate,
-            },
-            "clustering": {
-                "n_min": self.cluster_params.n_min,
-                "dphi": self.cluster_params.dphi,
-                "dtheta": self.cluster_params.dtheta,
-                "epsilon_custom": self.cluster_params.epsilon_custom,
-                "ring_gap": self.cluster_params.ring_gap,
-                "max_centroid_distance": self.cluster_params.max_centroid_distance,
-            },
-            "latency": {"mean_ms": self.latency.mean_ms, "std_ms": self.latency.std_ms},
-            "delay_grid_ms": list(self.delay_grid_ms),
-            "frame_rate_hz": self.frame_rate_hz,
-            "duration_s": self.duration_s,
-            "roi": {"cell_size": self.roi_cell_size, "margin": self.roi_margin},
-            "z_band": list(self.z_band),
-            "match_gate": self.match_gate,
-            "bed_match_gate": self.bed_match_gate,
-            "settle_s": self.settle_s,
-            "track_camera_only": self.track_camera_only,
-            "observation_merge_radius": self.observation_merge_radius,
-        }
+        return _to_data(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        try:
-            room = Room(polygon=tuple(tuple(v) for v in data["room"]["polygon"]),
-                        wall_height=float(data["room"].get("wall_height", 3.0)))
-            objects = [
-                WorldObject(
-                    id=int(o["id"]), class_label=o["class"],
-                    x=float(o["x"]), y=float(o["y"]), yaw=float(o.get("yaw", 0.0)),
-                    speed=float(o.get("speed", 0.0)),
-                    yaw_rate=float(o.get("yaw_rate", 0.0)),
-                    footprint=tuple(o["footprint"]), height=float(o["height"]),
-                    waypoints=tuple(tuple(w) for w in o.get("waypoints", [])),
-                )
-                for o in data["objects"]
-            ]
-            nodes = []
-            for n in data["nodes"]:
-                ld = n["lidar"]
-                lidar = LidarModel(
-                    position=tuple(ld["position"]),
-                    ring_elevations=tuple(float(e) for e in ld["ring_elevations"]),
-                    horizontal_resolution=float(ld["horizontal_resolution"]),
-                    vertical_resolution=float(ld["vertical_resolution"]),
-                    max_range=float(ld.get("max_range", 30.0)),
-                )
-                cameras = tuple(
-                    CameraMount(position=tuple(c["position"]),
-                                yaw_deg=float(c["yaw_deg"]),
-                                pitch_deg=float(c["pitch_deg"]),
-                                focal=float(c.get("focal", 500.0)),
-                                image_size=tuple(c.get("image_size", (1280, 720))))
-                    for c in n["cameras"]
-                )
-                clock = ClockModel(offset_ms=float(n.get("clock", {}).get("offset_ms", 0.0)),
-                                   drift_ppm=float(n.get("clock", {}).get("drift_ppm", 0.0)))
-                nodes.append(NodePlacement(node_id=int(n["node_id"]), lidar=lidar,
-                                           cameras=cameras, clock=clock))
-            det = data.get("detector", {})
-            cl = data.get("clustering", {})
-            lat = data.get("latency", {})
-            return cls(
-                name=str(data["name"]),
-                seed=int(data["seed"]),
-                room=room,
-                objects=objects,
-                nodes=nodes,
-                detector=DetectorProfile(
-                    miss_rate=float(det.get("miss_rate", 0.05)),
-                    false_positive_rate=float(det.get("false_positive_rate", 0.2)),
-                    pixel_noise_sigma=float(det.get("pixel_noise_sigma", 1.0)),
-                    foot_detection_rate=float(det.get("foot_detection_rate", 0.8))),
-                cluster_params=ClusterParams(
-                    n_min=int(cl.get("n_min", 4)),
-                    dphi=float(cl.get("dphi", math.radians(0.2))),
-                    dtheta=float(cl.get("dtheta", math.radians(2.0))),
-                    epsilon_custom=float(cl.get("epsilon_custom", 1.5)),
-                    ring_gap=int(cl.get("ring_gap", 3)),
-                    max_centroid_distance=float(cl.get("max_centroid_distance", 1.0))),
-                latency=LatencyModel(mean_ms=float(lat.get("mean_ms", 50.0)),
-                                     std_ms=float(lat.get("std_ms", 8.0))),
-                delay_grid_ms=tuple(float(d) for d in data.get("delay_grid_ms",
-                                                               (50.0, 100.0, 150.0))),
-                frame_rate_hz=float(data.get("frame_rate_hz", 10.0)),
-                duration_s=float(data.get("duration_s", 60.0)),
-                roi_cell_size=float(data.get("roi", {}).get("cell_size", 0.1)),
-                roi_margin=float(data.get("roi", {}).get("margin", 0.35)),
-                z_band=tuple(data.get("z_band", DEFAULT_Z_BAND)),
-                match_gate=float(data.get("match_gate", 0.5)),
-                bed_match_gate=float(data.get("bed_match_gate", 1.2)),
-                settle_s=float(data.get("settle_s", 1.0)),
-                track_camera_only=bool(data.get("track_camera_only", False)),
-                observation_merge_radius=float(
-                    data.get("observation_merge_radius", 0.45)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"invalid scenario config: {exc}") from exc
+        return _from_data(cls, data, "scenario")
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -249,14 +114,69 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as f:
-            data = yaml.safe_load(f)
-        if not isinstance(data, dict):
-            raise ValueError(f"scenario file {path} does not hold a mapping")
-        return cls.from_dict(data)
+            try:
+                data = yaml.safe_load(f)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        return _from_data(cls, data, str(path))
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+_SCALAR_KINDS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+
+
+def _to_data(value):
+    """Plain YAML/JSON data: a dataclass becomes a mapping of its init
+    fields, a tuple or list becomes a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_data(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.init}
+    if isinstance(value, (tuple, list)):
+        return [_to_data(v) for v in value]
+    return value
+
+
+def _from_data(tp, data, where: str):
+    """Inverse of :func:`_to_data`, driven by the field type ``tp``.
+
+    Missing keys take the dataclass default. Unknown keys, wrong sequence
+    lengths and values of the wrong kind raise ValueError naming the path.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(data, dict):
+            raise ValueError(f"{where}: expected a mapping, got {type(data).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {unknown}")
+        missing = [name for name, f in fields.items() if name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"{where}: missing keys {missing}")
+        hints = typing.get_type_hints(tp)
+        return tp(**{k: _from_data(hints[k], v, f"{where}.{k}") for k, v in data.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (tuple, list):
+        if not isinstance(data, list):
+            raise ValueError(f"{where}: expected a list, got {type(data).__name__}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(data) != len(args):
+                raise ValueError(f"{where}: expected {len(args)} items, got {len(data)}")
+            item_types = args
+        else:
+            item_types = (args[0],) * len(data)
+        return origin(_from_data(t, v, f"{where}[{i}]")
+                      for i, (t, v) in enumerate(zip(item_types, data)))
+    kinds = _SCALAR_KINDS.get(tp)
+    if kinds is None:
+        raise TypeError(f"{where}: unsupported field type {tp!r}")
+    # bool is a subclass of int; accept it only where a bool is expected
+    if not isinstance(data, kinds) or (isinstance(data, bool) and tp is not bool):
+        raise ValueError(f"{where}: expected {tp.__name__}, got {data!r}")
+    return tp(data)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ class Tracker:
         cost = np.full((len(self.tracks), len(observations)), np.inf)
         for i, track in enumerate(self.tracks):
             for j, obs in enumerate(observations):
-                if not _class_compatible(track.class_label, obs.class_label):
+                if not class_compatible(track.class_label, obs.class_label):
                     continue
                 cost[i, j] = float(np.linalg.norm(track.position - obs.position))
         pairs, un_tracks, un_obs = gated_assignment(cost, self.config.association_gate)
@@ -241,14 +241,6 @@ class Tracker:
                                  capture_timestamp=timestamp, objects=objects)
 
 
-def update_tracks(tracker: Tracker, observations: list[LabeledObject],
-                  timestamp: float) -> tuple[list[TrackState], StampedObjectList]:
-    """Functional wrapper over :meth:`Tracker.update`."""
-    message = tracker.update(observations, timestamp)
-    return tracker.tracks, message
-
-
-def _class_compatible(track_class: str, obs_class: str) -> bool:
-    if track_class == CLASS_UNKNOWN or obs_class == CLASS_UNKNOWN:
-        return True
-    return track_class == obs_class
+def class_compatible(a: str, b: str) -> bool:
+    """Symmetric class gate: labels must agree unless either is unknown."""
+    return a == CLASS_UNKNOWN or b == CLASS_UNKNOWN or a == b

@@ -3,16 +3,13 @@
 Defines the framed binary wire format for stamped object lists, a
 truncated-Gaussian latency model fitted to measured 5G round trips, a
 deterministic discrete-event simulated network (messages may reorder;
-the channel is lossless by default), per-node clock skew, and an optional
-TCP stream transport reusing the same frames for live demos.
+the channel is lossless by default), and per-node clock skew.
 """
 
 from __future__ import annotations
 
 import heapq
-import socket
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,75 +199,3 @@ class SimulatedNetwork:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-
-# ---------------------------------------------------------------------------
-# Optional stream-socket transport (live demos; not used by evaluations)
-# ---------------------------------------------------------------------------
-
-class FrameStreamReader:
-    """Incremental reader of length-prefixed frames from a byte stream."""
-
-    def __init__(self):
-        self._buffer = b""
-
-    def feed(self, data: bytes) -> list[StampedObjectList]:
-        self._buffer += data
-        out = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return out
-            (length,) = _LENGTH.unpack_from(self._buffer, 0)
-            end = _LENGTH.size + length
-            if len(self._buffer) < end:
-                return out
-            frame, self._buffer = self._buffer[:end], self._buffer[end:]
-            out.append(decode(frame))
-
-
-class SocketReceiver:
-    """TCP server collecting frames from any number of node connections."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = socket.create_server((host, port))
-        self.port = self._server.getsockname()[1]
-        self.messages: list[StampedObjectList] = []
-        self._lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-        self._accepting = threading.Thread(target=self._accept_loop, daemon=True)
-        self._running = True
-        self._accepting.start()
-
-    def _accept_loop(self):
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _read_loop(self, conn: socket.socket):
-        reader = FrameStreamReader()
-        with conn:
-            while True:
-                data = conn.recv(65536)
-                if not data:
-                    return
-                decoded = reader.feed(data)
-                with self._lock:
-                    self.messages.extend(decoded)
-
-    def close(self):
-        self._running = False
-        self._server.close()
-        for t in self._threads:
-            t.join(timeout=1.0)
-
-
-def send_over_socket(host: str, port: int, messages: list[StampedObjectList]) -> None:
-    """Stream frames over one TCP connection (one stream per node)."""
-    with socket.create_connection((host, port)) as conn:
-        for message in messages:
-            conn.sendall(encode(message))

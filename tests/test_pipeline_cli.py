@@ -8,7 +8,10 @@ import pytest
 
 from coopercept import pipeline
 from coopercept.cli import main
+from coopercept.global_fusion import FusionParams
 from coopercept.scenarios import ScenarioConfig, bed_and_three, nine_pedestrians
+from coopercept.tracking import TrackerConfig
+from coopercept.transport import LatencyModel
 
 
 def small(build=nine_pedestrians, **kw):
@@ -94,20 +97,55 @@ def test_local_eval_rows():
 
 
 def test_config_yaml_round_trip(tmp_path):
-    config = nine_pedestrians()
-    path = tmp_path / "scenario.yaml"
-    config.save(path)
-    loaded = ScenarioConfig.load(path)
-    assert loaded.config_hash() == config.config_hash()
-    assert loaded.name == config.name
-    assert len(loaded.objects) == len(config.objects)
-    assert loaded.nodes[0].lidar.ring_elevations == config.nodes[0].lidar.ring_elevations
+    tuned = replace(nine_pedestrians(), tracker=TrackerConfig(n_confirm=5),
+                    fusion=FusionParams(distance_gate=3.0))
+    for config in (nine_pedestrians(), bed_and_three(), tuned):
+        path = tmp_path / "scenario.yaml"
+        config.save(path)
+        loaded = ScenarioConfig.load(path)
+        assert loaded == config
+        assert loaded.config_hash() == config.config_hash()
+        assert loaded.name == config.name
+        assert len(loaded.objects) == len(config.objects)
+        assert loaded.nodes[0].lidar.ring_elevations == config.nodes[0].lidar.ring_elevations
 
 
 def test_config_hash_changes_with_content():
     a = nine_pedestrians()
-    b = replace(nine_pedestrians(), seed=99)
-    assert a.config_hash() != b.config_hash()
+    for change in ({"seed": 99}, {"tracker": TrackerConfig(n_confirm=5)},
+                   {"fusion": FusionParams(distance_gate=3.0)},
+                   {"latency": LatencyModel(mean_ms=20.0)}):
+        b = replace(nine_pedestrians(), **change)
+        assert a.config_hash() != b.config_hash(), change
+
+
+def test_config_rejects_bad_input():
+    edits = [
+        lambda d: d.update(bogus=1),  # unknown key
+        lambda d: d["latency"].update(mean=20.0),  # unknown nested key
+        lambda d: d.update(z_band=[0.1]),  # wrong fixed-tuple length
+        lambda d: d["nodes"][0]["cameras"][0].update(image_size=[1280, 720, 3]),
+        lambda d: d.update(room=[[0.0, 0.0]]),  # list where a mapping is expected
+        lambda d: d.update(track_camera_only="false"),  # string for a bool
+        lambda d: d.update(seed=True),  # bool for an int
+        lambda d: d.update(frame_rate_hz="10"),  # string for a float
+        lambda d: d.pop("room"),  # missing required key
+        lambda d: d.update(duration_s=-1.0),  # rejected by __post_init__
+    ]
+    for k, edit in enumerate(edits):
+        data = nine_pedestrians().to_dict()
+        edit(data)
+        with pytest.raises(ValueError):
+            ScenarioConfig.from_dict(data)
+            pytest.fail(f"edit {k} was accepted")
+
+
+def test_config_missing_keys_take_dataclass_defaults():
+    data = nine_pedestrians().to_dict()
+    for key in ("tracker", "fusion", "latency", "detector", "delay_grid_ms"):
+        del data[key]
+    del data["nodes"][0]["clock"]
+    assert ScenarioConfig.from_dict(data) == nine_pedestrians()
 
 
 def test_ground_truth_jsonl(tmp_path):
@@ -120,11 +158,6 @@ def test_ground_truth_jsonl(tmp_path):
     record = json.loads(lines[0])
     assert set(record) == {"t", "objects"}
     assert set(record["objects"][0]) == {"id", "class", "x", "y", "yaw", "v", "omega"}
-
-
-def test_external_loader_stub():
-    with pytest.raises(NotImplementedError):
-        pipeline.load_object_list_jsonl("anything.jsonl")
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -152,9 +185,11 @@ def test_cli_missing_config(tmp_path):
 
 def test_cli_malformed_config(tmp_path):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\nseed: 1\n")  # missing required sections
-    rc = main(["local-eval", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc != 0
+    for text in ("name: x\nseed: 1\n",  # missing required sections
+                 "name: [unclosed\n"):  # not YAML
+        bad.write_text(text)
+        rc = main(["local-eval", "--config", str(bad), "--out", str(tmp_path)])
+        assert rc != 0
 
 
 def test_cli_bench_writes_csv(tmp_path):
