@@ -68,9 +68,11 @@ class Segment:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         self.azimuths = np.asarray(self.azimuths, dtype=float).reshape(-1)
         self.ranges = np.asarray(self.ranges, dtype=float).reshape(-1)
-        self.centroid = self.points.mean(axis=0)
+        # add.reduce over the count is what mean() computes, without its
+        # wrapper's overhead; scans build dozens of segments
+        self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)
         self.azimuth_interval = (float(self.azimuths.min()), float(self.azimuths.max()))
-        self.mean_range = float(self.ranges.mean())
+        self.mean_range = float(np.add.reduce(self.ranges) / len(self.ranges))
 
 
 @dataclass
@@ -84,7 +86,7 @@ class Cluster:
 
     def __post_init__(self):
         self.points = np.vstack([s.points for s in self.segments])
-        self.centroid = self.points.mean(axis=0)
+        self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)  # mean()
         x, y = self.points[:, 0], self.points[:, 1]
         self.bbox_xy = (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
 
@@ -108,67 +110,80 @@ def cluster_ring(
     Neighbors of a point at range s are the ring points within
     ``adaptive_epsilon(s)`` (Euclidean, 3D). Points not density-reachable
     from any core point are dropped as noise. Input must be sorted by
-    azimuth (strictly increasing).
+    azimuth (strictly increasing). Segments come out by azimuth.
     """
-    azimuths = np.asarray(azimuths, dtype=float).reshape(-1)
-    ranges = np.asarray(ranges, dtype=float).reshape(-1)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(points)
-    if n == 0:
+    return _ring_segments([(ring_index, azimuths, ranges, points)], params)
+
+
+def _ring_segments(rings, params: ClusterParams) -> list[Segment]:
+    """:func:`cluster_ring` over every ring at once, in one labelling.
+
+    The rings are concatenated and labelled as one point set whose
+    candidate neighbors never leave their own ring, so the result equals
+    clustering each ring alone. Segments come out by ring, then azimuth.
+    """
+    ring_ids, az_parts, range_parts, point_parts = [], [], [], []
+    for ring_index, azimuths, ranges, points in rings:
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if len(points) == 0:
+            continue
+        ring_ids.append(ring_index)
+        az_parts.append(np.asarray(azimuths, dtype=float).reshape(-1))
+        range_parts.append(np.asarray(ranges, dtype=float).reshape(-1))
+        point_parts.append(points)
+    if not ring_ids:
         return []
-    if np.any(np.diff(azimuths) <= 0.0):
+    bounds = np.concatenate(([0], np.cumsum([len(p) for p in point_parts])))
+    azimuths = np.concatenate(az_parts)
+    ranges = np.concatenate(range_parts)
+    points = np.concatenate(point_parts)
+    unsorted = np.diff(azimuths) <= 0.0
+    unsorted[bounds[1:-1] - 1] = False  # steps from one ring to the next
+    if unsorted.any():
         raise ValueError("ring points must be sorted by strictly increasing azimuth")
 
     radii = params.n_min * params.dphi * ranges
-    labels = _adaptive_dbscan_labels(azimuths, ranges, points, radii, params.n_min)
-
-    segments = []
-    for cid in range(labels.max() + 1 if labels.size else 0):
-        idx = np.flatnonzero(labels == cid)
-        if len(idx) == 0:
-            continue
-        segments.append(
-            Segment(
-                ring_index=ring_index,
-                points=points[idx],
-                azimuths=azimuths[idx],
-                ranges=ranges[idx],
-            )
-        )
-    # Canonical order: by azimuth interval start.
-    segments.sort(key=lambda s: s.azimuth_interval[0])
-    return segments
+    labels = _adaptive_dbscan_labels(azimuths, ranges, points, radii, params.n_min, bounds)
+    groups = _label_groups(labels)
+    ring_of = np.searchsorted(bounds, [g[0] for g in groups], side="right") - 1
+    return [Segment(ring_index=ring_ids[r], points=points[g], azimuths=azimuths[g],
+                    ranges=ranges[g])
+            for r, g in zip(ring_of, groups)]
 
 
 def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
                             points: np.ndarray, radii: np.ndarray,
-                            n_min: int) -> np.ndarray:
+                            n_min: int, bounds: np.ndarray) -> np.ndarray:
     """DBSCAN with a per-point radius: j neighbors i when d(i, j) <= r_i.
 
     A point is core when its (asymmetric) neighborhood, itself included,
     holds at least ``n_min`` points. Two cores share a cluster when either
     reaches the other; borders attach to their nearest reaching core.
 
-    Candidate neighbors come from an azimuth window around each point
-    (3D distance between ring points grows at least like the chord at the
-    ring's closest range, so the window provably covers the radius), then
-    an exact distance test; the azimuth seam is a segment boundary.
+    Points form rings ``bounds[k]:bounds[k + 1]``, each sorted by azimuth;
+    only points of one ring are neighbors. Candidate neighbors come from
+    an azimuth window around each point (3D distance between ring points
+    grows at least like the chord at the ring's closest range, so the
+    window provably covers the radius), then an exact distance test; the
+    azimuth seam is a segment boundary.
     """
     n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=int)
+    starts, lengths = bounds[:-1], np.diff(bounds)
 
     # Window half-width around point i, sized so that every unordered pair
     # with d <= max(r_i, r_j) lies in the lower point's right-hand window:
-    # the partner's radius is at most r_i / (1 - k) with k the radius/range
-    # slope, the partner's range is within that of s_i, and
+    # the partner's radius is at most r_i / (1 - k) with k the ring's
+    # radius/range slope, the partner's range is within that of s_i, and
     # d >= 2*min_range*cos(elev)*sin(daz/2) with cos(elev) >= 0.5 for any
     # |elevation| < 60 deg (covers indoor mounting).
-    slope = min(float(radii.max() / max(ranges.max(), 1e-9)), 0.5)
-    r_sym = radii / (1.0 - slope)
+    slope = np.minimum(np.maximum.reduceat(radii, starts)
+                       / np.maximum(np.maximum.reduceat(ranges, starts), 1e-9), 0.5)
+    r_sym = radii / (1.0 - np.repeat(slope, lengths))
     floor = np.maximum(ranges - r_sym, 1e-6)
-    half = 2.0 * np.arcsin(np.minimum(1.0, r_sym / floor))
-    hi = np.searchsorted(azimuths, azimuths + half, side="right")
+    reach = azimuths + 2.0 * np.arcsin(np.minimum(1.0, r_sym / floor))
+    hi = np.empty(n, dtype=np.intp)
+    for a, b in zip(starts, bounds[1:]):  # the window ends with its ring
+        hi[a:b] = a + np.searchsorted(azimuths[a:b], reach[a:b], side="right")
     width = hi - np.arange(n) - 1  # right-hand neighbors only
 
     # Ragged (i, i+1 .. hi_i) ranges flattened into (src, dst) pairs.
@@ -215,12 +230,7 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
     core_idx = np.flatnonzero(core)
     remap = np.full(n, -1, dtype=int)
     remap[core_idx] = np.arange(len(core_idx))
-    graph = sparse.coo_matrix(
-        (np.ones(cc_mask.sum()), (remap[src[cc_mask]], remap[dst[cc_mask]])),
-        shape=(len(core_idx), len(core_idx)),
-    )
-    _, comp = connected_components(graph, directed=False)
-    labels[core_idx] = comp
+    labels[core_idx] = _components(len(core_idx), remap[src[cc_mask]], remap[dst[cc_mask]])
 
     fwd = np.flatnonzero(core[src] & ~core[dst] & reach_fwd)
     bwd = np.flatnonzero(core[dst] & ~core[src] & reach_bwd)
@@ -296,26 +306,9 @@ def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Clu
         key=lambda i: (segments[i].ring_index, segments[i].azimuth_interval[0]),
     )
     segs = [segments[i] for i in order]
-    n = len(segs)
     linked = _segment_distances(segs, params) < params.epsilon_custom
-
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(*np.nonzero(np.triu(linked, k=1))):
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[Segment]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(segs[i])
-    return [Cluster(segments=groups[r]) for r in sorted(groups)]
+    groups = connected_groups(len(segs), *np.nonzero(np.triu(linked, k=1)))
+    return [Cluster(segments=[segs[k] for k in g]) for g in groups]
 
 
 def cluster_scan(rings, params: ClusterParams) -> list[Cluster]:
@@ -323,10 +316,36 @@ def cluster_scan(rings, params: ClusterParams) -> list[Cluster]:
 
     ``rings`` yields ``(ring_index, azimuths, ranges, points)`` tuples.
     """
-    segments: list[Segment] = []
-    for ring_index, azimuths, ranges, points in rings:
-        segments.extend(cluster_ring(azimuths, ranges, points, ring_index, params))
-    return cluster_segments(segments, params)
+    return cluster_segments(_ring_segments(rings, params), params)
+
+
+def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Indices of each label >= 0, ascending; groups in order of their
+    lowest index."""
+    members = np.flatnonzero(labels >= 0)
+    if len(members) == 0:
+        return []
+    members = members[np.argsort(labels[members], kind="stable")]
+    groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def connected_groups(n: int, src, dst) -> list[np.ndarray]:
+    """Connected components of ``n`` nodes under the undirected edges
+    ``(src[k], dst[k])``, as :func:`_label_groups` orders them."""
+    if n == 0:
+        return []
+    return _label_groups(_components(n, np.asarray(src, dtype=int), np.asarray(dst, dtype=int)))
+
+
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label per node under the undirected edges (src, dst);
+    labels number components in order of their lowest node."""
+    order = np.argsort(src, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    graph = sparse.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .camera import (
     vanishing_point_z,
     associate_foot_to_parent,
 )
-from .clustering import Cluster
+from .clustering import Cluster, connected_groups
 from .scene import RingPoints, RingScan, Room
 
 CLASS_UNKNOWN = "unknown"
@@ -293,33 +293,19 @@ def merge_camera_views(per_camera: list[list[LabeledObject]],
     clustered = [o for o in flat if o.cluster is not None]
     camera_only = [o for o in flat if o.cluster is None]
 
-    parent = list(range(len(clustered)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     seg_owner: dict[int, int] = {}
+    shared = []  # (object, earlier object) pairs holding a common segment
     for idx, obj in enumerate(clustered):
         for seg in obj.cluster.segments:
-            key = id(seg)
-            if key in seg_owner:
-                ri, rj = find(idx), find(seg_owner[key])
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            else:
-                seg_owner[key] = idx
-
-    groups: dict[int, list[LabeledObject]] = {}
-    for idx in range(len(clustered)):
-        groups.setdefault(find(idx), []).append(clustered[idx])
+            owner = seg_owner.setdefault(id(seg), idx)
+            if owner != idx:
+                shared.append((idx, owner))
+    src, dst = np.array(shared, dtype=int).reshape(-1, 2).T
 
     rank = {SOURCE_FUSED: 0, SOURCE_LIDAR_ONLY: 1}
     kept: list[LabeledObject] = []
-    for root in sorted(groups):
-        members = groups[root]
+    for group in connected_groups(len(clustered), src, dst):
+        members = [clustered[k] for k in group]
         best = min(members, key=lambda o: (rank.get(o.source, 2), -o.confidence))
         segments, seen = [], set()
         for obj in members:

@@ -9,6 +9,7 @@ and save to YAML and hash deterministically for reproducibility stamps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -128,14 +129,29 @@ class ScenarioConfig:
 _SCALAR_KINDS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
-def _to_data(value):
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _item_types(tp, n: int) -> tuple:
+    """Types of the ``n`` items of a ``tuple[...]`` or ``list[X]`` type."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args[-1] is not Ellipsis:
+        return args
+    return (args[0],) * n
+
+
+def _to_data(value, tp=None):
     """Plain YAML/JSON data: a dataclass becomes a mapping of its init
-    fields, a tuple or list becomes a list."""
+    fields, a tuple or list becomes a list, and an int held where the
+    field type ``tp`` says float becomes that float."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _to_data(getattr(value, f.name))
+        hints = _field_types(type(value))
+        return {f.name: _to_data(getattr(value, f.name), hints[f.name])
                 for f in dataclasses.fields(value) if f.init}
     if isinstance(value, (tuple, list)):
-        return [_to_data(v) for v in value]
+        return [_to_data(v, t) for v, t in zip(value, _item_types(tp, len(value)))]
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
     return value
 
 
@@ -156,18 +172,15 @@ def _from_data(tp, data, where: str):
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ValueError(f"{where}: missing keys {missing}")
-        hints = typing.get_type_hints(tp)
+        hints = _field_types(tp)
         return tp(**{k: _from_data(hints[k], v, f"{where}.{k}") for k, v in data.items()})
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    origin = typing.get_origin(tp)
     if origin in (tuple, list):
         if not isinstance(data, list):
             raise ValueError(f"{where}: expected a list, got {type(data).__name__}")
-        if origin is tuple and args[-1] is not Ellipsis:
-            if len(data) != len(args):
-                raise ValueError(f"{where}: expected {len(args)} items, got {len(data)}")
-            item_types = args
-        else:
-            item_types = (args[0],) * len(data)
+        item_types = _item_types(tp, len(data))
+        if len(item_types) != len(data):
+            raise ValueError(f"{where}: expected {len(item_types)} items, got {len(data)}")
         return origin(_from_data(t, v, f"{where}[{i}]")
                       for i, (t, v) in enumerate(zip(item_types, data)))
     kinds = _SCALAR_KINDS.get(tp)

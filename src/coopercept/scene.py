@@ -12,9 +12,10 @@ can be generated from multiple threads with separate RNG streams.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -279,11 +280,12 @@ def _reflect_heading(room: Room, x: float, y: float, yaw: float) -> float:
 # LiDAR ray casting
 # ---------------------------------------------------------------------------
 
-def _ray_ellipse_cylinder(origin, dirs, cx, cy, yaw, a, b, height):
+def _ray_ellipse_cylinder(origin, dirs, cx, cy, c, s, a, b, height):
     """Ray parameter of the nearest hit on a vertical elliptical cylinder
-    (side surface plus top cap); inf where the ray misses."""
+    (side surface plus top cap); inf where the ray misses. ``c, s`` are
+    the cosine and sine of the yaw; the shape parameters are scalars or
+    one value per ray."""
     ox, oy, oz = origin
-    c, s = math.cos(yaw), math.sin(yaw)
     rx, ry = ox - cx, oy - cy
     u0 = (rx * c + ry * s) / a
     u1 = (-rx * s + ry * c) / b
@@ -317,11 +319,11 @@ def _ray_ellipse_cylinder(origin, dirs, cx, cy, yaw, a, b, height):
     return np.minimum(t, np.where(cap_ok, t_cap, np.inf))
 
 
-def _ray_box(origin, dirs, cx, cy, yaw, hx, hy, height):
+def _ray_box(origin, dirs, cx, cy, c, s, hx, hy, height):
     """Slab-method ray parameter for a yawed box footprint extruded to
-    z in [0, height]; inf where the ray misses."""
+    z in [0, height]; inf where the ray misses. Parameters as for
+    :func:`_ray_ellipse_cylinder`."""
     ox, oy, oz = origin
-    c, s = math.cos(yaw), math.sin(yaw)
     u = np.empty((len(dirs), 3))
     w = np.empty_like(u)
     rx, ry = ox - cx, oy - cy
@@ -332,8 +334,8 @@ def _ray_box(origin, dirs, cx, cy, yaw, hx, hy, height):
     w[:, 1] = -dirs[:, 0] * s + dirs[:, 1] * c
     w[:, 2] = dirs[:, 2]
 
-    lo = np.array([-hx, -hy, 0.0])
-    hi = np.array([hx, hy, height])
+    lo = np.stack(np.broadcast_arrays(-hx, -hy, 0.0), axis=-1)
+    hi = np.stack(np.broadcast_arrays(hx, hy, height), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - u) / w
         t2 = (hi - u) / w
@@ -387,6 +389,58 @@ def _object_ray_window(origin, obj: WorldObject, n_az: int, n_rings: int,
     return (np.arange(n_rings)[:, None] * n_az + cols[None, :]).ravel()
 
 
+@dataclass(frozen=True)
+class _StaticRays:
+    """What every revolution of one sensor in one static map shares.
+
+    Rays are ring-major: ray ``k`` is ring ``k // n_az`` at azimuth
+    ``az[k % n_az]``. ``t_static`` is the nearest wall or floor hit per ray,
+    inf without a map or on a miss. Arrays are read-only.
+    """
+
+    az: np.ndarray
+    cos_az: np.ndarray
+    sin_az: np.ndarray
+    cos_e: np.ndarray
+    sin_e: np.ndarray
+    t_static: np.ndarray
+
+    @property
+    def n_az(self) -> int:
+        return len(self.az)
+
+    def directions(self, rays: np.ndarray | None = None) -> np.ndarray:
+        """Unit directions of the given rays (all rays for None)."""
+        if rays is None:
+            rays = np.arange(len(self.t_static))
+        ring, col = np.divmod(rays, self.n_az)
+        dirs = np.empty((len(rays), 3))
+        dirs[:, 0] = self.cos_e[ring] * self.cos_az[col]
+        dirs[:, 1] = self.cos_e[ring] * self.sin_az[col]
+        dirs[:, 2] = self.sin_e[ring]
+        return dirs
+
+
+@functools.lru_cache(maxsize=8)
+def _static_rays(model: LidarModel, room: Room | None) -> _StaticRays:
+    n_az = int(round(2.0 * math.pi / model.horizontal_resolution))
+    az = -math.pi + np.arange(n_az) * model.horizontal_resolution
+    elev = np.asarray(model.ring_elevations)
+    rays = _StaticRays(az=az, cos_az=np.cos(az), sin_az=np.sin(az),
+                       cos_e=np.cos(elev), sin_e=np.sin(elev),
+                       t_static=np.full(model.n_rings * n_az, np.inf))
+    if room is not None:
+        origin = np.asarray(model.position, dtype=float)
+        dirs = rays.directions()
+        t = rays.t_static
+        for a, b in room.edges:
+            t = np.minimum(t, _ray_wall(origin, dirs, a, b, room.wall_height))
+        rays = replace(rays, t_static=np.minimum(t, _ray_floor(origin, dirs, room)))
+    for f in fields(rays):
+        getattr(rays, f.name).flags.writeable = False
+    return rays
+
+
 def scan_lidar(model: LidarModel, world: list[WorldObject],
                static_map: Room | None = None, timestamp: float = 0.0) -> RingScan:
     """Cast one full revolution and return the nearest hit per ray.
@@ -395,56 +449,48 @@ def scan_lidar(model: LidarModel, world: list[WorldObject],
     physical object spanning the +/-pi seam therefore produces split
     segments, which the segment-level clustering may re-merge. Rays with
     no surface within max_range produce no point.
+
+    The static map is cast once per (model, map) and cached. Each frame
+    casts only the rays that can graze an object and keeps the nearer hit,
+    which is exact.
     """
     origin = np.asarray(model.position, dtype=float)
-    dphi = model.horizontal_resolution
-    n_az = int(round(2.0 * math.pi / dphi))
-    az = -math.pi + np.arange(n_az) * dphi
-    elev = np.asarray(model.ring_elevations)
+    rays = _static_rays(model, static_map)
+    n_az = rays.n_az
 
-    # All rays of the revolution at once: ring-major layout.
-    cos_e = np.cos(elev)[:, None]
-    sin_e = np.sin(elev)[:, None]
-    dirs = np.empty((model.n_rings * n_az, 3))
-    dirs[:, 0] = (cos_e * np.cos(az)[None, :]).ravel()
-    dirs[:, 1] = (cos_e * np.sin(az)[None, :]).ravel()
-    dirs[:, 2] = np.broadcast_to(sin_e, (model.n_rings, n_az)).ravel()
+    t = rays.t_static.copy()
+    for label, cast in ((CLASS_PERSON, _ray_ellipse_cylinder), (CLASS_BED, _ray_box)):
+        objs = [obj for obj in world if obj.class_label == label]
+        if not objs:
+            continue
+        # One cast for every object of the class, each over its own window.
+        windows = [_object_ray_window(origin, obj, n_az, model.n_rings,
+                                      model.horizontal_resolution) for obj in objs]
+        windows = [np.arange(len(t)) if w is None else w for w in windows]
+        shapes = np.array([(obj.x, obj.y, math.cos(obj.yaw), math.sin(obj.yaw),
+                            obj.footprint[0] * 0.5, obj.footprint[1] * 0.5, obj.height)
+                           for obj in objs])
+        cand = np.concatenate(windows)
+        per_ray = np.repeat(shapes, [len(w) for w in windows], axis=0)
+        t_obj = cast(origin, rays.directions(cand), *per_ray.T)
+        np.minimum.at(t, cand, t_obj)  # windows of different objects overlap
 
-    t = np.full(len(dirs), np.inf)
-    for obj in world:
-        window = _object_ray_window(origin, obj, n_az, model.n_rings, dphi)
-        cand = dirs if window is None else dirs[window]
-        if obj.class_label == CLASS_PERSON:
-            t_obj = _ray_ellipse_cylinder(
-                origin, cand, obj.x, obj.y, obj.yaw,
-                obj.footprint[0] * 0.5, obj.footprint[1] * 0.5, obj.height)
-        else:
-            t_obj = _ray_box(
-                origin, cand, obj.x, obj.y, obj.yaw,
-                obj.footprint[0] * 0.5, obj.footprint[1] * 0.5, obj.height)
-        if window is None:
-            t = np.minimum(t, t_obj)
-        else:
-            t[window] = np.minimum(t[window], t_obj)
-    if static_map is not None:
-        for a, b in static_map.edges:
-            t = np.minimum(t, _ray_wall(origin, dirs, a, b, static_map.wall_height))
-        t = np.minimum(t, _ray_floor(origin, dirs, static_map))
+    # Ring-major (n_rings, n_az) grids; the direction products match
+    # _StaticRays.directions element for element.
+    t = t.reshape(model.n_rings, n_az)
+    valid = t <= model.max_range
+    cos_e = rays.cos_e[:, None]
+    with np.errstate(invalid="ignore"):  # inf * 0 on rays that hit nothing
+        points = np.stack([(origin[0] + t * (cos_e * rays.cos_az))[valid],
+                           (origin[1] + t * (cos_e * rays.sin_az))[valid],
+                           (origin[2] + t * rays.sin_e[:, None])[valid]], axis=1)
+    ranges = t[valid]
+    azimuths = np.broadcast_to(rays.az, t.shape)[valid]
 
-    valid = np.isfinite(t) & (t <= model.max_range)
-    points = np.zeros((len(dirs), 3))
-    points[valid] = origin[None, :] + t[valid, None] * dirs[valid]
-
-    rings = []
-    for r in range(model.n_rings):
-        sl = slice(r * n_az, (r + 1) * n_az)
-        mask = valid[sl]
-        rings.append(RingPoints(
-            ring_index=r,
-            azimuths=az[mask],
-            ranges=t[sl][mask],
-            points=points[sl][mask],
-        ))
+    bounds = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    rings = [RingPoints(ring_index=r, azimuths=azimuths[a:b], ranges=ranges[a:b],
+                        points=points[a:b])
+             for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
     return RingScan(timestamp=timestamp, rings=rings)
 
 

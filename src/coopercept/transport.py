@@ -9,6 +9,7 @@ the channel is lossless by default), and per-node clock skew.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ MIN_LATENCY_MS = 0.1
 
 
 class FrameError(ValueError):
-    """Malformed wire frame (bad magic/version or truncated data)."""
+    """Malformed wire frame: bad magic/version, truncated data or a
+    non-finite field."""
 
 
 def encode(message: StampedObjectList) -> bytes:
@@ -84,6 +86,8 @@ def decode_payload(payload: bytes) -> StampedObjectList:
         name = _CLASS_NAMES.get(code)
         if name is None:
             raise FrameError(f"unknown class code {code}")
+        if not all(map(math.isfinite, (x, y, yaw, v, omega, pxx, pxy, pyy))):
+            raise FrameError(f"track {track_id}: non-finite state or covariance")
         objects.append(TrackedObject(track_id=track_id, class_label=name,
                                      x=x, y=y, yaw=yaw, v_x=v, omega_z=omega,
                                      cov_xx=pxx, cov_xy=pxy, cov_yy=pyy))

@@ -149,3 +149,205 @@ def scalar_ctrv_iterate(x, y, yaw, v, omega, dt, steps=1):
         if not -math.pi < yaw <= math.pi:
             yaw = -((math.pi - yaw) % (2.0 * math.pi) - math.pi)
     return x, y, yaw, v, omega
+
+
+# -- LiDAR ray casting ---------------------------------------------------------
+
+T_MIN = 0.05  # hits nearer than this to the sensor do not count
+
+
+def _ieee_div(a, b):
+    """a / b with IEEE results for a zero divisor instead of an exception."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _t_ellipse(o, d, obj):
+    """Elliptical cylinder (side plus top cap) of a person."""
+    ox, oy, oz = o
+    dx, dy, dz = d
+    a, b = obj.footprint[0] * 0.5, obj.footprint[1] * 0.5
+    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+    rx, ry = ox - obj.x, oy - obj.y
+    u0 = (rx * c + ry * s) / a
+    u1 = (-rx * s + ry * c) / b
+    w0 = (dx * c + dy * s) / a
+    w1 = (-dx * s + dy * c) / b
+    big_a = w0 * w0 + w1 * w1
+    big_b = u0 * w0 + u1 * w1
+    big_c = u0 * u0 + u1 * u1 - 1.0
+    disc = big_b * big_b - big_a * big_c
+    t = math.inf
+    if disc > 0.0 and big_a > 0.0:
+        sq = math.sqrt(disc)
+        cand = (-big_b - sq) / big_a
+        if not cand > T_MIN:
+            cand = (-big_b + sq) / big_a
+        z = oz + cand * dz
+        if math.isfinite(cand) and cand > T_MIN and 0.0 <= z <= obj.height:
+            t = cand
+    if abs(dz) > 1e-15:
+        t_cap = (obj.height - oz) / dz
+        px = ox + t_cap * dx - obj.x
+        py = oy + t_cap * dy - obj.y
+        q0 = (px * c + py * s) / a
+        q1 = (-px * s + py * c) / b
+        if t_cap > T_MIN and math.isfinite(t_cap) and q0 * q0 + q1 * q1 <= 1.0:
+            t = min(t, t_cap)
+    return t
+
+
+def _t_box(o, d, obj):
+    """Slab test against a yawed box extruded from the floor (a bed)."""
+    ox, oy, oz = o
+    dx, dy, dz = d
+    hx, hy = obj.footprint[0] * 0.5, obj.footprint[1] * 0.5
+    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+    rx, ry = ox - obj.x, oy - obj.y
+    u = (rx * c + ry * s, -rx * s + ry * c, oz)
+    w = (dx * c + dy * s, -dx * s + dy * c, dz)
+    lo, hi = (-hx, -hy, 0.0), (hx, hy, obj.height)
+    enters, exits = [], []
+    for k in range(3):
+        t1 = _ieee_div(lo[k] - u[k], w[k])
+        t2 = _ieee_div(hi[k] - u[k], w[k])
+        if math.isnan(t1) or math.isnan(t2):
+            continue  # an undefined slab constrains nothing
+        enters.append(min(t1, t2))
+        exits.append(max(t1, t2))
+    if not enters:
+        return math.inf
+    t_enter, t_exit = max(enters), min(exits)
+    if t_enter <= t_exit and t_exit > T_MIN and t_enter > T_MIN:
+        return t_enter
+    return math.inf
+
+
+def _t_wall(o, d, a, b, wall_height):
+    ox, oy, oz = o
+    dx, dy, dz = d
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    denom = dx * ey - dy * ex
+    if not abs(denom) > 1e-15:
+        return math.inf
+    t = ((a[0] - ox) * ey - (a[1] - oy) * ex) / denom
+    u = ((a[0] - ox) * dy - (a[1] - oy) * dx) / denom
+    z = oz + t * dz
+    if t > T_MIN and 0.0 <= u <= 1.0 and 0.0 <= z <= wall_height:
+        return t
+    return math.inf
+
+
+def _inside(polygon, x, y):
+    """Even-odd point-in-polygon."""
+    inside = False
+    j = len(polygon) - 1
+    for i in range(len(polygon)):
+        xi, yi = polygon[i]
+        xj, yj = polygon[j]
+        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+            inside = not inside
+        j = i
+    return inside
+
+
+def _t_floor(o, d, polygon):
+    ox, oy, oz = o
+    dx, dy, dz = d
+    if not dz < -1e-15:
+        return math.inf
+    t = -oz / dz
+    if t > T_MIN and _inside(polygon, ox + t * dx, oy + t * dy):
+        return t
+    return math.inf
+
+
+def brute_force_scan(model, world, room=None):
+    """Nearest hit of every ray against every wall, the floor and every
+    object, ray by ray: no candidate windows and nothing cached.
+
+    The ray geometry is the sensor's definition (azimuth -pi + k * dphi,
+    directions from numpy's cos/sin of the azimuth and elevation arrays);
+    the surfaces repeat the package's arithmetic operation for operation,
+    so hits compare bitwise. Returns per-ring ``(azimuths, ranges,
+    points)`` arrays in azimuth order.
+    """
+    dphi = model.horizontal_resolution
+    n_az = int(round(2.0 * math.pi / dphi))
+    az = -math.pi + np.arange(n_az) * dphi
+    cos_az, sin_az = np.cos(az).tolist(), np.sin(az).tolist()
+    elev = np.asarray(model.ring_elevations)
+    cos_e, sin_e = np.cos(elev).tolist(), np.sin(elev).tolist()
+    o = model.position
+    walls = []
+    if room is not None:
+        poly = room.polygon
+        walls = [(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
+
+    rings = []
+    for r in range(model.n_rings):
+        hits = []
+        for k in range(n_az):
+            d = (cos_e[r] * cos_az[k], cos_e[r] * sin_az[k], sin_e[r])
+            t = math.inf
+            for obj in world:
+                hit = _t_ellipse if obj.class_label == "person" else _t_box
+                t = min(t, hit(o, d, obj))
+            for a, b in walls:
+                t = min(t, _t_wall(o, d, a, b, room.wall_height))
+            if room is not None:
+                t = min(t, _t_floor(o, d, room.polygon))
+            if t <= model.max_range:
+                hits.append((float(az[k]), t, (o[0] + t * d[0], o[1] + t * d[1],
+                                               o[2] + t * d[2])))
+        rings.append((np.array([h[0] for h in hits]),
+                      np.array([h[1] for h in hits]),
+                      np.array([h[2] for h in hits]).reshape(-1, 3)))
+    return rings
+
+
+# -- per-ring adaptive-radius DBSCAN -------------------------------------------
+
+def brute_force_ring_dbscan(azimuths, ranges, points, n_min, dphi):
+    """O(n^2) DBSCAN of one ring with the per-point radius n_min*dphi*s,
+    from the dense distance matrix.
+
+    j lies in i's neighborhood when d(i, j) <= r_i and the pair does not
+    straddle the +/-pi azimuth seam (the seam is a segment boundary).
+    Cores hold at least n_min neighbors, themselves included; two cores
+    share a cluster when either reaches the other; a border point joins
+    the nearest core reaching it, ties going to the lower index.
+    """
+    az = np.asarray(azimuths, dtype=float)
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(p)
+    radius = n_min * dphi * np.asarray(ranges, dtype=float)
+    diff = p[:, None, :] - p[None, :, :]
+    d_sq = (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+            + diff[..., 2] * diff[..., 2])
+    reach = (d_sq <= (radius * radius)[:, None]) & \
+        (np.abs(az[:, None] - az[None, :]) <= math.pi)  # reach[i, j]: j near i
+    core = reach.sum(axis=1) >= n_min
+
+    labels = np.full(n, -1, dtype=int)
+    cluster = 0
+    for seed in range(n):
+        if not core[seed] or labels[seed] != -1:
+            continue
+        labels[seed] = cluster
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            for j in np.flatnonzero(core & (labels == -1) & (reach[i] | reach[:, i])):
+                labels[j] = cluster
+                stack.append(j)
+        cluster += 1
+
+    for j in np.flatnonzero(~core):
+        cores = np.flatnonzero(core & reach[:, j])
+        if len(cores):
+            labels[j] = labels[cores[np.argmin(d_sq[cores, j])]]  # first minimum
+    return labels

@@ -12,13 +12,19 @@ from coopercept.clustering import (
     cluster_scan,
     cluster_segments,
     clusters_from_labels,
+    connected_groups,
     dbscan_baseline,
     segment_distance,
 )
 from coopercept.scenarios import flanking_scene
 from coopercept.scene import scan_lidar
 
-from oracles import brute_force_dbscan, labelings_equal, scalar_segment_distance
+from oracles import (
+    brute_force_dbscan,
+    brute_force_ring_dbscan,
+    labelings_equal,
+    scalar_segment_distance,
+)
 
 PARAMS = ClusterParams()
 
@@ -193,6 +199,72 @@ def test_segment_distance_matches_scalar_oracle():
             assert got == pytest.approx(expected, abs=1e-12)
 
 
+# -- one labelling per scan against per-ring brute force ---------------------
+
+def oracle_segments(rings, params):
+    """(ring, azimuth bytes) of every brute-force cluster of every ring."""
+    out = []
+    for ring_index, az, ranges, pts in rings:
+        labels = brute_force_ring_dbscan(az, ranges, pts, params.n_min, params.dphi)
+        out.extend((ring_index, az[labels == cid].tobytes())
+                   for cid in range(labels.max() + 1 if len(labels) else 0))
+    return sorted(out)
+
+
+def scan_segments(clusters):
+    return sorted((s.ring_index, s.azimuths.tobytes())
+                  for c in clusters for s in c.segments)
+
+
+def test_cluster_scan_segments_match_per_ring_brute_force():
+    from coopercept.local_fusion import RoiGrid, filter_roi
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import bed_and_three, nine_pedestrians
+
+    checked = 0
+    for config in (nine_pedestrians(), bed_and_three()):
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        frames = simulate_world(config)[::15][:2]
+        for node in config.nodes:
+            for t, world in frames:
+                scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
+                                  grid, config.z_band)
+                rings = list(scan.iter_rings())
+                for params in (config.cluster_params, ClusterParams(n_min=8)):
+                    got = scan_segments(cluster_scan(rings, params))
+                    assert got == oracle_segments(rings, params)
+                    checked += len(got)
+    assert checked > 100
+
+
+def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
+    from coopercept.scene import LidarModel, make_person
+
+    # a person straddling the +/-pi seam, split into two segments per ring
+    lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
+                               elevation_min=math.radians(-15.0))
+    scan = scan_lidar(lidar, [make_person(1, -4.0, 0.0), make_person(2, 3.0, 1.0)])
+    rings = list(scan.iter_rings())
+    # rings with fewer than n_min points are all noise
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    for k in range(1, PARAMS.n_min):
+        rings.append((16 + k, az[:k], ranges[:k], pts[:k]))
+    rings.append((20, az[:0], ranges[:0], pts[:0]))
+
+    got = scan_segments(cluster_scan(rings, PARAMS))
+    assert got == oracle_segments(rings, PARAMS)
+    starts = [np.frombuffer(a)[0] for _, a in got]
+    ends = [np.frombuffer(a)[-1] for _, a in got]
+    assert min(starts) < -math.pi + 0.1 and max(ends) > math.pi - 0.1
+    assert all(ring < 16 for ring, _ in got)
+    for ring_index, az_r, ranges_r, pts_r in rings:
+        expected = oracle_segments([(ring_index, az_r, ranges_r, pts_r)], PARAMS)
+        segments = cluster_ring(az_r, ranges_r, pts_r, ring_index, PARAMS)
+        assert sorted((s.ring_index, s.azimuths.tobytes()) for s in segments) == expected
+        assert [s.azimuth_interval[0] for s in segments] == \
+            sorted(s.azimuth_interval[0] for s in segments)
+
+
 # -- segment grouping --------------------------------------------------------
 
 def test_single_segment_single_cluster():
@@ -210,6 +282,25 @@ def test_mutually_inf_segments_stay_apart():
                                  pts + np.array([0.0, 0.0, 3.0 * ring])))
     clusters = cluster_segments(segs, PARAMS)
     assert len(clusters) == 3
+
+
+def test_connected_groups_order():
+    # groups by lowest member, members ascending, singletons kept
+    groups = connected_groups(6, [4, 5, 3], [1, 0, 4])
+    assert [g.tolist() for g in groups] == [[0, 5], [1, 3, 4], [2]]
+    assert connected_groups(0, [], []) == []
+
+
+def test_cluster_segments_group_and_member_order():
+    def seg(ring, start, dz=0.0):
+        az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, PARAMS.dphi)
+        return make_segment(ring, az, ranges, pts + np.array([0.0, 0.0, dz]))
+
+    # canonical order (ring, start): a=0, b=1, c=2, d=3, e=4; links a-c, b-e
+    a, b, c, d, e = seg(0, 0.0), seg(0, 1.0), seg(1, 0.0, 0.1), seg(1, 2.0), seg(2, 1.0, 0.2)
+    clusters = cluster_segments([e, d, c, b, a], PARAMS)
+    assert [[id(s) for s in cl.segments] for cl in clusters] == \
+        [[id(a), id(c)], [id(b), id(e)], [id(d)]]
 
 
 def test_cluster_order_independent_of_input_order():

@@ -257,3 +257,21 @@ def test_merge_drops_camera_only_duplicates():
     merged = merge_camera_views([[fused, dup], [far]])
     sources = sorted(o.source for o in merged)
     assert sources == [SOURCE_CAMERA_ONLY, SOURCE_FUSED]
+
+
+def test_merge_groups_by_lowest_object_and_keeps_segment_order():
+    from coopercept.clustering import Cluster
+    from coopercept.local_fusion import LabeledObject
+
+    s1, s2, s3 = (fake_cluster(x, 0.0).segments[0] for x in (2.0, 4.0, 6.0))
+
+    def lidar_only(*segments):
+        cluster = Cluster(segments=list(segments))
+        return LabeledObject(CLASS_UNKNOWN, cluster.centroid[:2], cluster,
+                             SOURCE_LIDAR_ONLY)
+
+    # objects 0, 2 and 3 share segments through object 3; object 1 stands alone
+    merged = merge_camera_views([[lidar_only(s1), lidar_only(s2), lidar_only(s3)],
+                                 [lidar_only(s3, s1)]])
+    assert [[id(s) for s in o.cluster.segments] for o in merged] == \
+        [[id(s1), id(s3)], [id(s2)]]

@@ -119,6 +119,23 @@ def test_config_hash_changes_with_content():
         assert a.config_hash() != b.config_hash(), change
 
 
+def test_config_hash_int_in_float_field_hashes_as_float(tmp_path):
+    from coopercept.scene import make_person
+
+    as_int = replace(nine_pedestrians(), duration_s=3)
+    as_float = replace(nine_pedestrians(), duration_s=3.0)
+    assert as_int.config_hash() == as_float.config_hash() == "f93cfc3a5d23"
+    nested = replace(nine_pedestrians(), objects=[make_person(1, 2, -1, speed=1)])
+    nested_float = replace(nine_pedestrians(), objects=[make_person(1, 2.0, -1.0, speed=1.0)])
+    assert nested.config_hash() == nested_float.config_hash()
+    path = tmp_path / "scenario.yaml"
+    as_int.save(path)
+    loaded = ScenarioConfig.load(path)
+    assert loaded == as_int
+    assert loaded.config_hash() == as_int.config_hash()
+    assert nine_pedestrians().config_hash() == "3a520e6f2145"  # built-ins keep their stamp
+
+
 def test_config_rejects_bad_input():
     edits = [
         lambda d: d.update(bogus=1),  # unknown key

@@ -17,7 +17,7 @@ from coopercept.scene import (
     simulate_step,
 )
 
-from oracles import scalar_ctrv_iterate
+from oracles import brute_force_scan, scalar_ctrv_iterate
 
 
 def overhead_camera():
@@ -205,6 +205,71 @@ def test_benchmark_scan_size_control():
     scan = make_benchmark_scan(20000, seed=1)
     assert abs(scan.n_points - 20000) / 20000 < 0.05
     assert make_benchmark_scan(0).n_points == 0
+
+
+def coarse_lidar(position, n_rings=6, elevation_min=-25.0, step=6.0, dphi=0.75):
+    return LidarModel.uniform(position, n_rings=n_rings,
+                              elevation_min=math.radians(elevation_min),
+                              vertical_resolution=math.radians(step),
+                              horizontal_resolution=math.radians(dphi))
+
+
+def assert_scan_bitwise(scan, expected):
+    assert len(scan.rings) == len(expected)
+    for ring, (az, ranges, pts) in zip(scan.rings, expected):
+        assert ring.azimuths.tobytes() == az.tobytes()
+        assert ring.ranges.tobytes() == ranges.tobytes()
+        assert ring.points.tobytes() == pts.tobytes()
+
+
+def test_scan_matches_brute_force_over_walk():
+    # two sensors share one room; their static hits are cached per sensor
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import bed_and_three
+
+    config = bed_and_three()
+    frames = simulate_world(config)[::7][:5]
+    sensors = [coarse_lidar(node.lidar.position) for node in config.nodes]
+    for _, world in frames:
+        for lidar in sensors:
+            scan = scan_lidar(lidar, world, config.room)
+            assert_scan_bitwise(scan, brute_force_scan(lidar, world, config.room))
+
+
+def test_scan_matches_brute_force_with_sensor_inside_object():
+    # the person's circumradius holds the sensor, so every ray is a
+    # candidate; the upward rings miss the walls and hit only the person
+    room = Room.rectangle(-6.0, -5.0, 6.0, 5.0)
+    lidar = coarse_lidar((0.0, 0.0, 1.0), elevation_min=-20.0, step=8.0)
+    world = [make_person(1, 0.15, 0.1, yaw=0.3, height=1.8),
+             make_bed(2, 2.5, -1.0, yaw=0.7), make_person(3, -3.0, 2.0)]
+    for step in range(3):
+        scan = scan_lidar(lidar, world, room)
+        assert_scan_bitwise(scan, brute_force_scan(lidar, world, room))
+        world = simulate_step(world, 0.1, room)
+
+
+def test_scan_without_static_map_matches_brute_force():
+    lidar = coarse_lidar((0.0, 0.0, 1.5), n_rings=8, elevation_min=-15.0, step=4.0)
+    world = [make_person(1, 3.0, 0.0), make_person(2, -4.0, 0.05, yaw=1.0),
+             make_bed(3, 0.5, 5.0, yaw=0.2)]
+    scan = scan_lidar(lidar, world)
+    assert scan.n_points > 0
+    assert_scan_bitwise(scan, brute_force_scan(lidar, world))
+
+
+def test_writing_to_a_scan_leaves_the_next_scan_unchanged():
+    lidar = coarse_lidar((0.0, 0.0, 2.0))
+    room = Room.rectangle(-5.0, -5.0, 5.0, 5.0)
+    world = [make_person(1, 2.0, 1.0)]
+    expected = brute_force_scan(lidar, world, room)
+    for _ in range(2):
+        scan = scan_lidar(lidar, world, room)
+        assert_scan_bitwise(scan, expected)
+        for ring in scan.rings:
+            ring.azimuths[:] = 0.0
+            ring.ranges[:] = -1.0
+            ring.points[:] = np.nan
 
 
 # -- simulated detector ------------------------------------------------------

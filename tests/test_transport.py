@@ -39,6 +39,36 @@ def random_message(rng, node_id=None, n_objects=None) -> StampedObjectList:
     return StampedObjectList(node_id=node_id, capture_timestamp=ts, objects=objects)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x", math.nan), ("y", math.inf), ("yaw", -math.inf), ("v_x", math.nan),
+    ("omega_z", math.inf), ("cov_xx", math.nan), ("cov_xy", math.inf),
+    ("cov_yy", -math.inf),
+])
+def test_decode_rejects_non_finite_fields(field, value):
+    from dataclasses import replace
+
+    msg = random_message(np.random.default_rng(3), n_objects=3)
+    bad = replace(msg, objects=(msg.objects[0], replace(msg.objects[1], **{field: value}),
+                                msg.objects[2]))
+    with pytest.raises(FrameError):
+        decode(encode(bad))
+
+
+def test_decode_rejects_nan_position_with_bad_covariance():
+    obj = TrackedObject(track_id=1, class_label="person", x=math.nan, y=0.0, yaw=0.0,
+                        v_x=0.0, omega_z=0.0, cov_xx=-1.0, cov_xy=0.0, cov_yy=math.inf)
+    frame = encode(StampedObjectList(node_id=1, capture_timestamp=1.0, objects=(obj,)))
+    with pytest.raises(FrameError):
+        decode(frame)
+
+
+def test_decode_accepts_extreme_finite_values():
+    obj = TrackedObject(track_id=1, class_label="bed", x=1.7e308, y=-2.0, yaw=0.5,
+                        v_x=0.0, omega_z=-5e-324, cov_xx=0.0, cov_xy=-0.0, cov_yy=1e300)
+    msg = StampedObjectList(node_id=2, capture_timestamp=1.5, objects=(obj,))
+    assert decode(encode(msg)) == msg
+
+
 # -- latency model -------------------------------------------------------------
 
 def test_degenerate_model_returns_exact_mean():
