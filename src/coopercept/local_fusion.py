@@ -117,22 +117,20 @@ class RoiGrid:
 
 def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND) -> RingScan:
     """Keep points whose ground cell is marked and whose z is in the band;
-    per-ring azimuth ordering is preserved."""
+    per-ring azimuth ordering is preserved.
+
+    The rings are tested together, with one grid lookup per scan, and the
+    mask is split back at the ring boundaries.
+    """
     z_min, z_max = z_band
-    rings = []
-    for ring in scan.rings:
-        if len(ring) == 0:
-            rings.append(RingPoints(ring.ring_index, ring.azimuths.copy(),
-                                    ring.ranges.copy(), ring.points.copy()))
-            continue
-        keep = grid.keep(ring.points[:, :2])
-        keep &= (ring.points[:, 2] >= z_min) & (ring.points[:, 2] <= z_max)
-        rings.append(RingPoints(
-            ring_index=ring.ring_index,
-            azimuths=ring.azimuths[keep],
-            ranges=ring.ranges[keep],
-            points=ring.points[keep],
-        ))
+    # The empty seed keeps the concatenation defined for a scan without rings.
+    points = np.concatenate([np.zeros((0, 3))] + [r.points for r in scan.rings])
+    keep = grid.keep(points[:, :2])
+    keep &= (points[:, 2] >= z_min) & (points[:, 2] <= z_max)
+    bounds = np.cumsum([len(r) for r in scan.rings])[:-1]
+    rings = [RingPoints(ring_index=ring.ring_index, azimuths=ring.azimuths[k],
+                        ranges=ring.ranges[k], points=ring.points[k])
+             for ring, k in zip(scan.rings, np.split(keep, bounds))]
     return RingScan(timestamp=scan.timestamp, rings=rings)
 
 

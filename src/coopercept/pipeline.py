@@ -6,7 +6,10 @@ streams through the simulated network at each delay setting, executes
 center-node fusion cycles, and scores everything against interpolated
 ground truth. Local perception is independent of transport delay, so each
 scenario's node pipelines run once and their output streams are reused
-across the delay grid.
+across the delay grid. Within a node-frame, sensing (scan, ROI filter,
+detection, ground localization) is shared by every clustering method
+compared; only the first method's labels feed the tracker and the
+published message stream.
 """
 
 from __future__ import annotations
@@ -87,11 +90,16 @@ def interpolate_gt(frames, t: float):
 
 @dataclass
 class NodeRun:
-    """One node's per-frame outputs over a scenario."""
+    """One node's per-frame outputs over a scenario.
+
+    ``messages`` is the tracker stream of the first method run;
+    ``predictions[method]`` holds, per frame, that method's labeled objects
+    as the ``(class, x, y)`` tuples :func:`match_frame` scores.
+    """
 
     node_id: int
     messages: list[StampedObjectList]
-    labeled_frames: list[tuple[float, list[LabeledObject]]]
+    predictions: dict[str, list[list[tuple]]]
 
 
 def _dedup_observations(labeled: list[LabeledObject], radius: float,
@@ -124,45 +132,57 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float,
     return kept
 
 
+def _cluster(scan, method: str, config: ScenarioConfig):
+    spec = LOCAL_METHODS[method]
+    if spec[0] == "dbscan":
+        points = scan.all_points()
+        labels = dbscan_baseline(points, eps=spec[1], n_min=spec[2])
+        return clusters_from_labels(points, labels)
+    return cluster_scan(scan.iter_rings(), config.cluster_params)
+
+
 def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
-             method: str = METHOD_HIERARCHICAL) -> NodeRun:
+             methods: tuple[str, ...] = (METHOD_HIERARCHICAL,)) -> NodeRun:
     """Run one sensor node's full local pipeline over all frames.
 
-    Detector RNG streams are derived from (seed, node, camera) only, so
-    different clustering methods see byte-identical camera detections.
+    Each frame is scanned, ROI-filtered, detected and ground-located once;
+    every method in ``methods`` then clusters that one scan and labels its
+    clusters from the same boxes. Deduplication and the tracker run once
+    per frame on the labels of ``methods[0]``, so ``messages`` is that
+    method's stream. Detector RNG streams are derived from (seed, node,
+    camera) only, so the detections do not depend on the methods asked for.
+    Raises ``ValueError`` for a bare string, no methods or an unknown name.
     """
-    spec = LOCAL_METHODS[method]
+    if isinstance(methods, str) or not methods or \
+            any(m not in LOCAL_METHODS for m in methods):
+        raise ValueError(f"methods must be a non-empty tuple of {sorted(LOCAL_METHODS)}, "
+                         f"got {methods!r}")
     cameras = [m.build() for m in node.cameras]
     grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
     tracker = Tracker(node.node_id, config.tracker)
     det_rngs = [np.random.default_rng([config.seed, node.node_id, i])
                 for i in range(len(cameras))]
 
-    messages, labeled_frames = [], []
+    messages = []
+    predictions = {method: [] for method in methods}
     for t, world in world_frames:
         scan = scan_lidar(node.lidar, world, config.room, timestamp=t)
         scan = filter_roi(scan, grid, config.z_band)
-        if spec[0] == "dbscan":
-            points = scan.all_points()
-            labels = dbscan_baseline(points, eps=spec[1], n_min=spec[2])
-            clusters = clusters_from_labels(points, labels)
-        else:
-            clusters = cluster_scan(scan.iter_rings(), config.cluster_params)
+        boxes = [locate_boxes(detect_camera(cam, world, config.detector, rng), cam)
+                 for cam, rng in zip(cameras, det_rngs)]
 
-        views = []
-        for cam, rng in zip(cameras, det_rngs):
-            detections = detect_camera(cam, world, config.detector, rng)
-            boxes = locate_boxes(detections, cam)
-            views.append(associate_boxes_clusters(boxes, clusters, cam))
-        labeled = merge_camera_views(views)
-
-        tracked = labeled if config.track_camera_only else \
-            [o for o in labeled if o.source != "camera_only"]
-        tracked = _dedup_observations(tracked, config.observation_merge_radius)
-        message = tracker.update(tracked, node.clock.node_time(t))
-        messages.append(message)
-        labeled_frames.append((t, labeled))
-    return NodeRun(node_id=node.node_id, messages=messages, labeled_frames=labeled_frames)
+        for i, method in enumerate(methods):
+            clusters = _cluster(scan, method, config)
+            labeled = merge_camera_views([associate_boxes_clusters(b, clusters, cam)
+                                          for b, cam in zip(boxes, cameras)])
+            predictions[method].append([(o.class_label, o.position[0], o.position[1])
+                                        for o in labeled])
+            if i == 0:
+                tracked = labeled if config.track_camera_only else \
+                    [o for o in labeled if o.source != "camera_only"]
+                tracked = _dedup_observations(tracked, config.observation_merge_radius)
+                messages.append(tracker.update(tracked, node.clock.node_time(t)))
+    return NodeRun(node_id=node.node_id, messages=messages, predictions=predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +192,23 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
 def run_local_eval(config: ScenarioConfig):
     """Per-node comparison of the clustering methods on identical frames.
 
-    Returns metric rows (dicts in METRIC_COLUMNS order).
+    One ``run_node`` call per node runs all three methods over one scan
+    and one detection pass per frame; hierarchical clustering, the
+    paper's method, drives the tracker.
+
+    Returns metric rows (dicts in METRIC_COLUMNS order): per node,
+    dbscan1, dbscan2, then hierarchical.
     """
     world_frames = simulate_world(config)
+    gts = [[(o.class_label, o.x, o.y) for o in world] for _, world in world_frames]
     rows = []
     for node in config.nodes:
+        run = run_node(config, node, world_frames,
+                       (METHOD_HIERARCHICAL, METHOD_DBSCAN1, METHOD_DBSCAN2))
         for method in (METHOD_DBSCAN1, METHOD_DBSCAN2, METHOD_HIERARCHICAL):
-            run = run_node(config, node, world_frames, method)
-            scores = []
-            for (t, labeled), (_, world) in zip(run.labeled_frames, world_frames):
-                predictions = [(o.class_label, o.position[0], o.position[1])
-                               for o in labeled]
-                gt = [(o.class_label, o.x, o.y) for o in world]
-                scores.append(match_frame(predictions, gt, config.match_gate,
-                                          class_gates={"bed": config.bed_match_gate}))
+            scores = [match_frame(predictions, gt, config.match_gate,
+                                  class_gates={"bed": config.bed_match_gate})
+                      for predictions, gt in zip(run.predictions[method], gts)]
             precision, recall, avg_de = aggregate(scores)
             rows.append(_metric_row(config, node=str(node.node_id), method=method,
                                     delay_ms="", precision=precision, recall=recall,
@@ -245,8 +268,7 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
     frame_times = [t for t, _ in world_frames]
     messages_by_node = {}
     for node in config.nodes:
-        run = run_node(config, node, world_frames, METHOD_HIERARCHICAL)
-        messages_by_node[node.node_id] = run.messages
+        messages_by_node[node.node_id] = run_node(config, node, world_frames).messages
 
     rows = []
     for delay_ms in config.delay_grid_ms:

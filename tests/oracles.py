@@ -351,3 +351,24 @@ def brute_force_ring_dbscan(azimuths, ranges, points, n_min, dphi):
         if len(cores):
             labels[j] = labels[cores[np.argmin(d_sq[cores, j])]]  # first minimum
     return labels
+
+
+# -- ROI filter, ring by ring and point by point -------------------------------
+
+def brute_force_filter_roi(scan, grid, z_band):
+    """Per ring, ``(ring_index, kept)`` with ``kept`` the indices of the
+    points whose floor cell is marked in ``grid.mask`` and whose z lies in
+    ``[z_min, z_max]``; a cell outside the grid's extent drops the point."""
+    rows, cols = grid.mask.shape
+    z_min, z_max = z_band
+    out = []
+    for ring in scan.rings:
+        kept = []
+        for k, (x, y, z) in enumerate(ring.points.tolist()):
+            col = math.floor((x - grid.origin[0]) / grid.cell_size)
+            row = math.floor((y - grid.origin[1]) / grid.cell_size)
+            if (0 <= row < rows and 0 <= col < cols and grid.mask[row, col]
+                    and z_min <= z <= z_max):
+                kept.append(k)
+        out.append((ring.ring_index, kept))
+    return out

@@ -16,10 +16,10 @@ from coopercept.local_fusion import (
     filter_roi,
     merge_camera_views,
 )
-from coopercept.scene import LidarModel, Room, make_person, scan_lidar
+from coopercept.scene import LidarModel, RingPoints, RingScan, Room, make_person, scan_lidar
 from coopercept.assignment import gated_assignment
 
-from oracles import brute_force_gated_matching
+from oracles import brute_force_filter_roi, brute_force_gated_matching
 
 
 def all_true_grid(extent=10.0, cell=0.5):
@@ -96,6 +96,50 @@ def test_filter_roi_idempotent():
     assert once.n_points == twice.n_points
     for a, b in zip(once.rings, twice.rings):
         assert np.array_equal(a.points, b.points)
+
+
+def assert_filter_matches_oracle(scan, grid, z_band):
+    out = filter_roi(scan, grid, z_band)
+    expected = brute_force_filter_roi(scan, grid, z_band)
+    assert out.timestamp == scan.timestamp
+    assert [r.ring_index for r in out.rings] == [ring for ring, _ in expected]
+    for ring_in, ring_out, (_, kept) in zip(scan.rings, out.rings, expected):
+        kept = np.asarray(kept, dtype=int)
+        assert ring_out.azimuths.tobytes() == ring_in.azimuths[kept].tobytes()
+        assert ring_out.ranges.tobytes() == ring_in.ranges[kept].tobytes()
+        assert ring_out.points.shape == (len(kept), 3)
+        assert ring_out.points.tobytes() == ring_in.points[kept].tobytes()
+    return out
+
+
+def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import bed_and_three, nine_pedestrians
+
+    kept = 0
+    for config in (nine_pedestrians(), bed_and_three()):
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        t, world = simulate_world(config)[15]
+        for node in config.nodes:
+            scan = scan_lidar(node.lidar, world, config.room, t)
+            kept += assert_filter_matches_oracle(scan, grid, config.z_band).n_points
+    assert kept > 0
+
+
+def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
+    scan, room = room_scan()
+    grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
+    empty = RingPoints(ring_index=20, azimuths=np.zeros(0), ranges=np.zeros(0),
+                       points=np.zeros((0, 3)))
+    source = max(scan.rings, key=len)
+    dropped = RingPoints(ring_index=21, azimuths=source.azimuths, ranges=source.ranges,
+                         points=source.points + np.array([0.0, 0.0, 10.0]))
+    mixed = RingScan(timestamp=1.5, rings=[empty, *scan.rings, dropped, empty])
+    out = assert_filter_matches_oracle(mixed, grid, (0.1, 2.2))
+    assert out.n_points > 0 and len(dropped) > 0
+    assert len(out.rings[0]) == len(out.rings[-2]) == len(out.rings[-1]) == 0
+    assert assert_filter_matches_oracle(RingScan(2.0, [empty]), grid, (0.1, 2.2)).n_points == 0
+    assert filter_roi(RingScan(3.0, []), grid).rings == []
 
 
 def test_points_outside_grid_extent_dropped():

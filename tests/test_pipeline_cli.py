@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,8 +11,8 @@ from coopercept import pipeline
 from coopercept.cli import main
 from coopercept.global_fusion import FusionParams
 from coopercept.scenarios import ScenarioConfig, bed_and_three, nine_pedestrians
-from coopercept.tracking import TrackerConfig
-from coopercept.transport import LatencyModel
+from coopercept.tracking import Tracker, TrackerConfig
+from coopercept.transport import LatencyModel, encode
 
 
 def small(build=nine_pedestrians, **kw):
@@ -51,14 +52,68 @@ def test_run_node_streams_are_stamped_and_ordered():
     assert len(run.messages[-1].objects) >= 5  # most walkers confirmed
 
 
+ALL_METHODS = (pipeline.METHOD_HIERARCHICAL, pipeline.METHOD_DBSCAN1,
+               pipeline.METHOD_DBSCAN2)
+
+
 def test_detections_identical_across_methods():
     config = small(duration_s=2.0)
     frames = pipeline.simulate_world(config)
-    runs = {m: pipeline.run_node(config, config.nodes[0], frames, m)
-            for m in pipeline.LOCAL_METHODS}
-    # camera-only objects depend only on the detector stream, not clustering
-    for m, run in runs.items():
-        assert len(run.labeled_frames) == len(frames)
+    node = config.nodes[0]
+    shared = pipeline.run_node(config, node, frames, ALL_METHODS)
+    for m in ALL_METHODS:
+        assert len(shared.predictions[m]) == len(frames)
+        assert shared.predictions[m] == pipeline.run_node(config, node, frames, (m,)).predictions[m]
+    default = pipeline.run_node(config, node, frames)
+    assert [encode(m) for m in shared.messages] == [encode(m) for m in default.messages]
+
+    # With the ROI dropping every LiDAR point, every object is camera-only
+    # and depends on the detector stream alone, not on the clustering.
+    blind = replace(config, z_band=(50.0, 51.0))
+    camera_only = pipeline.run_node(blind, node, frames, ALL_METHODS).predictions
+    assert sum(map(len, camera_only[ALL_METHODS[0]])) > 0
+    for m in ALL_METHODS:
+        assert camera_only[m] == camera_only[ALL_METHODS[0]]
+
+
+def test_run_node_rejects_bad_methods_before_any_frame(monkeypatch):
+    config = small(duration_s=1.0)
+    frames = pipeline.simulate_world(config)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a frame ran")
+
+    monkeypatch.setattr(pipeline, "scan_lidar", no_scan)
+    for methods, named in ((pipeline.METHOD_HIERARCHICAL, "'hierarchical'"),
+                           ((), r"got \(\)"),
+                           ((pipeline.METHOD_DBSCAN1, "optics"), "'optics'")):
+        with pytest.raises(ValueError, match=named):
+            pipeline.run_node(config, config.nodes[0], frames, methods)
+
+
+def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("scan_lidar", "detect_camera", "cluster_scan", "dbscan_baseline"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    monkeypatch.setattr(Tracker, "update", counted("Tracker.update", Tracker.update))
+    config = small(duration_s=2.0)
+    rows = pipeline.run_local_eval(config)
+    node_frames = len(config.nodes) * 20
+    assert len(rows) == len(config.nodes) * len(ALL_METHODS)
+    assert counts == {
+        "scan_lidar": node_frames,
+        "Tracker.update": node_frames,
+        "detect_camera": sum(len(n.cameras) for n in config.nodes) * 20,
+        "cluster_scan": node_frames,
+        "dbscan_baseline": 2 * node_frames,
+    }
 
 
 def test_zero_latency_methods_tie_end_to_end():
