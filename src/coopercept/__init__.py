@@ -33,8 +33,6 @@ from .global_fusion import (
     FusionParams,
     GlobalTrack,
     compensate_delay,
-    fuse,
-    fuse_baseline,
 )
 from .local_fusion import (
     LabeledObject,
@@ -61,7 +59,6 @@ from .scenarios import BUILTIN_SCENARIOS, ScenarioConfig, flanking_scene
 from .tracking import StampedObjectList, TrackedObject, Tracker, TrackerConfig, ctrv_predict
 from .transport import (
     ClockModel,
-    Envelope,
     FrameError,
     LatencyModel,
     SimulatedNetwork,

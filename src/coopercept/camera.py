@@ -31,8 +31,7 @@ class CameraModel:
     """Calibrated pinhole camera: projection matrix plus image size.
 
     ``K``, ``R``, ``t`` are kept when the model was built from an explicit
-    intrinsic/extrinsic decomposition; a model loaded from a calibration
-    file carries only ``H``.
+    intrinsic/extrinsic decomposition.
     """
 
     H: np.ndarray
@@ -79,23 +78,6 @@ class CameraModel:
         C = np.asarray(position, dtype=float).reshape(3)
         t = -R @ C
         return cls.from_krt(K, R, t, image_size)
-
-    def save(self, path) -> None:
-        """Plain-text calibration: 3 rows of H, then one row 'width height'."""
-        with open(path, "w", encoding="utf-8") as f:
-            for row in self.H:
-                f.write(" ".join(repr(float(v)) for v in row) + "\n")
-            f.write(f"{self.image_size[0]} {self.image_size[1]}\n")
-
-    @classmethod
-    def load(cls, path) -> "CameraModel":
-        with open(path, "r", encoding="utf-8") as f:
-            rows = [line.split() for line in f if line.strip()]
-        if len(rows) != 4 or any(len(r) != 4 for r in rows[:3]) or len(rows[3]) != 2:
-            raise ValueError(f"malformed camera calibration file: {path}")
-        H = np.array([[float(v) for v in r] for r in rows[:3]])
-        width, height = (int(v) for v in rows[3])
-        return cls(H=H, image_size=(width, height))
 
 
 @dataclass

@@ -4,8 +4,9 @@ Each received object list carries its capture timestamp; comparing it
 with the center clock gives the transmission-plus-processing delay. Every
 object is forward-predicted over that delay with the class-conditioned
 CTRV model before lists from different nodes are associated and combined.
-Fresher contributions carry more weight because position covariance is
-inflated by the process noise accumulated over the compensated interval.
+Fresher contributions carry more weight because each contributor's scalar
+weighting variance grows with the compensated interval at its class's
+process-noise rate.
 A delay-ignorant uniform-weight variant serves as the comparison baseline.
 """
 
@@ -66,14 +67,9 @@ class CompensatedObject:
     yaw: float
     v_x: float
     omega_z: float
-    covariance: np.ndarray  # (2, 2), delay-inflated
     fusion_var: float  # scalar weighting variance (base + rate * dt)
     delay_ms: float
     stale: bool
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
     @property
     def class_label(self) -> str:
@@ -95,10 +91,6 @@ class GlobalTrack:
     fusion_timestamp: float
     staleness_ms: float
     weights: tuple[float, ...] = ()
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def compensate_delay(message: StampedObjectList, now: float,
@@ -126,16 +118,12 @@ def compensate_delay(message: StampedObjectList, now: float,
     for obj in message.objects:
         state = np.array([obj.x, obj.y, obj.yaw, obj.v_x, obj.omega_z])
         state = ctrv_step(state, dt)
-        cov = obj.position_covariance()
         rate = params.process_rate(obj.class_label)
-        if enabled:
-            cov = cov + np.eye(2) * rate * dt
         out.append(CompensatedObject(
             node_id=message.node_id,
             source=obj,
             x=float(state[0]), y=float(state[1]), yaw=float(state[2]),
             v_x=float(state[3]), omega_z=float(state[4]),
-            covariance=cov,
             fusion_var=params.base_position_var + rate * dt,
             delay_ms=delay * 1e3,
             stale=stale,
@@ -269,22 +257,3 @@ class CenterNode:
             previous=self.previous, params=self.params, next_gid=self._next_gid)
         self.previous = tracks
         return tracks
-
-
-def fuse(messages: list[StampedObjectList], now: float,
-         params: FusionParams = FusionParams()) -> list[GlobalTrack]:
-    """One delay-aware fusion cycle over the latest message per node."""
-    center = CenterNode(params=params, delay_aware=True)
-    for m in messages:
-        center.receive(m)
-    return center.fuse_cycle(now)
-
-
-def fuse_baseline(messages: list[StampedObjectList], now: float,
-                  params: FusionParams = FusionParams()) -> list[GlobalTrack]:
-    """Delay-ignorant counterpart of :func:`fuse`: no forward prediction,
-    uniform contributor weights."""
-    center = CenterNode(params=params, delay_aware=False)
-    for m in messages:
-        center.receive(m)
-    return center.fuse_cycle(now)

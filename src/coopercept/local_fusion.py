@@ -90,30 +90,6 @@ class RoiGrid:
         out[ok] = self.mask[row[ok], col[ok]]
         return out
 
-    def save(self, path) -> None:
-        rows, cols = self.mask.shape
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"{self.origin[0]!r} {self.origin[1]!r} {self.cell_size!r} "
-                    f"{cols} {rows}\n")
-            for row in self.mask:
-                f.write(" ".join("1" if v else "0" for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RoiGrid":
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().split()
-            if len(header) != 5:
-                raise ValueError(f"malformed ROI grid header in {path}")
-            ox, oy, cell = float(header[0]), float(header[1]), float(header[2])
-            cols, rows = int(header[3]), int(header[4])
-            mask = np.zeros((rows, cols), dtype=bool)
-            for r in range(rows):
-                vals = f.readline().split()
-                if len(vals) != cols:
-                    raise ValueError(f"ROI grid row {r} has {len(vals)} cells, expected {cols}")
-                mask[r] = [v == "1" for v in vals]
-        return cls(origin=(ox, oy), cell_size=cell, mask=mask)
-
 
 def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND) -> RingScan:
     """Keep points whose ground cell is marked and whose z is in the band;

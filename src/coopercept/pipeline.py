@@ -34,7 +34,7 @@ from .local_fusion import (
 from .scene import WorldObject, detect_camera, scan_lidar, simulate_step
 from .scenarios import NodePlacement, ScenarioConfig
 from .tracking import StampedObjectList, Tracker
-from .transport import Envelope, LatencyModel, SimulatedNetwork
+from .transport import LatencyModel, SimulatedNetwork
 
 METHOD_HIERARCHICAL = "hierarchical"
 METHOD_DBSCAN1 = "dbscan1"
@@ -231,14 +231,12 @@ def replay_fusion(messages_by_node: dict[int, list[StampedObjectList]],
                            seed=net_seed)
     for node_id in sorted(messages_by_node):
         for msg in messages_by_node[node_id]:
-            env = Envelope(node_id=node_id, send_timestamp=msg.capture_timestamp,
-                           payload=msg)
-            net.send(env, now=msg.capture_timestamp)
+            net.send(msg, now=msg.capture_timestamp)
 
     cycles = []
     for t in frame_times:
-        for env in net.deliveries_until(t):
-            center.receive(env.payload)
+        for _, msg in net.deliveries_until(t):
+            center.receive(msg)
         cycles.append((t, center.fuse_cycle(t)))
     return cycles
 

@@ -86,12 +86,6 @@ class TrackedObject:
     yaw: float
     v_x: float
     omega_z: float
-    cov_xx: float
-    cov_xy: float
-    cov_yy: float
-
-    def position_covariance(self) -> np.ndarray:
-        return np.array([[self.cov_xx, self.cov_xy], [self.cov_xy, self.cov_yy]])
 
 
 @dataclass(frozen=True)
@@ -231,9 +225,6 @@ class Tracker:
                 yaw=float(t.mean[2]),
                 v_x=float(t.mean[3]),
                 omega_z=float(t.mean[4]),
-                cov_xx=float(t.covariance[0, 0]),
-                cov_xy=float(t.covariance[0, 1]),
-                cov_yy=float(t.covariance[1, 1]),
             )
             for t in self.tracks if t.confirmed
         )

@@ -18,10 +18,10 @@ import numpy as np
 from .tracking import StampedObjectList, TrackedObject
 
 MAGIC = b"SOL1"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sHHqI")  # magic, version, node_id, timestamp_us, count
-_RECORD = struct.Struct("<IB8d")  # id, class, x, y, yaw, v, omega, pxx, pxy, pyy
+_RECORD = struct.Struct("<IB5d")  # id, class, x, y, yaw, v, omega
 _LENGTH = struct.Struct("<I")
 
 _CLASS_CODES = {"person": 0, "bed": 1, "unknown": 2}
@@ -49,8 +49,7 @@ def encode(message: StampedObjectList) -> bytes:
         if code is None:
             raise FrameError(f"class {obj.class_label!r} not encodable")
         body.append(_RECORD.pack(obj.track_id, code, obj.x, obj.y, obj.yaw,
-                                 obj.v_x, obj.omega_z,
-                                 obj.cov_xx, obj.cov_xy, obj.cov_yy))
+                                 obj.v_x, obj.omega_z))
     payload = b"".join(body)
     return _LENGTH.pack(len(payload)) + payload
 
@@ -63,10 +62,6 @@ def decode(frame: bytes) -> StampedObjectList:
     payload = frame[_LENGTH.size:]
     if len(payload) != length:
         raise FrameError(f"frame length {len(payload)} != declared {length}")
-    return decode_payload(payload)
-
-
-def decode_payload(payload: bytes) -> StampedObjectList:
     if len(payload) < _HEADER.size:
         raise FrameError("payload shorter than header")
     magic, version, node_id, ts_us, count = _HEADER.unpack_from(payload, 0)
@@ -81,16 +76,15 @@ def decode_payload(payload: bytes) -> StampedObjectList:
     objects = []
     offset = _HEADER.size
     for _ in range(count):
-        track_id, code, x, y, yaw, v, omega, pxx, pxy, pyy = _RECORD.unpack_from(payload, offset)
+        track_id, code, x, y, yaw, v, omega = _RECORD.unpack_from(payload, offset)
         offset += _RECORD.size
         name = _CLASS_NAMES.get(code)
         if name is None:
             raise FrameError(f"unknown class code {code}")
-        if not all(map(math.isfinite, (x, y, yaw, v, omega, pxx, pxy, pyy))):
-            raise FrameError(f"track {track_id}: non-finite state or covariance")
+        if not all(map(math.isfinite, (x, y, yaw, v, omega))):
+            raise FrameError(f"track {track_id}: non-finite state")
         objects.append(TrackedObject(track_id=track_id, class_label=name,
-                                     x=x, y=y, yaw=yaw, v_x=v, omega_z=omega,
-                                     cov_xx=pxx, cov_xy=pxy, cov_yy=pyy))
+                                     x=x, y=y, yaw=yaw, v_x=v, omega_z=omega))
     return StampedObjectList(node_id=node_id, capture_timestamp=ts_us / 1e6,
                              objects=tuple(objects))
 
@@ -142,16 +136,6 @@ class ClockModel:
         return global_time + self.offset_ms * 1e-3 + self.drift_ppm * 1e-6 * global_time
 
 
-@dataclass
-class Envelope:
-    """One message in flight from a sensor node to the center."""
-
-    node_id: int
-    send_timestamp: float  # sender clock
-    payload: StampedObjectList
-    arrival_timestamp: float | None = None
-
-
 class SimulatedNetwork:
     """Deterministic discrete-event channel.
 
@@ -167,12 +151,12 @@ class SimulatedNetwork:
         self.latency = latency
         self.rng = np.random.default_rng(seed)
         self.drop_probability = drop_probability
-        self._queue: list[tuple[float, int, int, Envelope]] = []
+        self._queue: list[tuple[float, int, int, StampedObjectList]] = []
         self._seq = 0
         self.dropped = 0
 
-    def send(self, envelope: Envelope, now: float) -> float | None:
-        """Schedule delivery of an envelope sent at global time ``now``.
+    def send(self, message: StampedObjectList, now: float) -> float | None:
+        """Schedule delivery of a message sent at global time ``now``.
 
         Returns the scheduled arrival time, or None when the message was
         dropped. The wire codec runs on every send so transported bytes
@@ -182,24 +166,16 @@ class SimulatedNetwork:
         if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
             self.dropped += 1
             return None
-        frame = encode(envelope.payload)
-        envelope = Envelope(node_id=envelope.node_id,
-                            send_timestamp=envelope.send_timestamp,
-                            payload=decode(frame))
         arrival = now + delay_ms * 1e-3
-        heapq.heappush(self._queue, (arrival, envelope.node_id, self._seq, envelope))
+        heapq.heappush(self._queue, (arrival, message.node_id, self._seq,
+                                     decode(encode(message))))
         self._seq += 1
         return arrival
 
-    def deliveries_until(self, time: float) -> list[Envelope]:
-        """Pop every envelope whose arrival time is <= ``time``."""
+    def deliveries_until(self, time: float) -> list[tuple[float, StampedObjectList]]:
+        """Pop every ``(arrival time, message)`` whose arrival is <= ``time``."""
         out = []
         while self._queue and self._queue[0][0] <= time:
-            arrival, _, _, env = heapq.heappop(self._queue)
-            env.arrival_timestamp = arrival
-            out.append(env)
+            arrival, _, _, message = heapq.heappop(self._queue)
+            out.append((arrival, message))
         return out
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)

@@ -228,13 +228,3 @@ def test_rotation_validation():
     bad = np.eye(3) * 1.1
     with pytest.raises(ValueError):
         CameraModel.from_krt(K, bad, np.zeros(3), (10, 10))
-
-
-def test_calibration_file_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    cam = random_camera(rng)
-    path = tmp_path / "camera.txt"
-    cam.save(path)
-    loaded = CameraModel.load(path)
-    assert np.array_equal(loaded.H, cam.H)
-    assert loaded.image_size == cam.image_size

@@ -7,23 +7,28 @@ from coopercept.global_fusion import (
     CenterNode,
     FusionParams,
     compensate_delay,
-    fuse,
-    fuse_baseline,
 )
 from coopercept.tracking import StampedObjectList, TrackedObject
 
 from oracles import scalar_ctrv_iterate
 
 
-def tracked(track_id=1, label="person", x=0.0, y=0.0, yaw=0.0, v=0.0, omega=0.0,
-            var=0.01):
+def tracked(track_id=1, label="person", x=0.0, y=0.0, yaw=0.0, v=0.0, omega=0.0):
     return TrackedObject(track_id=track_id, class_label=label, x=x, y=y, yaw=yaw,
-                         v_x=v, omega_z=omega, cov_xx=var, cov_xy=0.0, cov_yy=var)
+                         v_x=v, omega_z=omega)
 
 
 def message(node_id, ts, objects):
     return StampedObjectList(node_id=node_id, capture_timestamp=ts,
                              objects=tuple(objects))
+
+
+def fuse(messages, now, params=FusionParams(), delay_aware=True):
+    """One fusion cycle of a fresh center over the given messages."""
+    center = CenterNode(params, delay_aware=delay_aware)
+    for m in messages:
+        center.receive(m)
+    return center.fuse_cycle(now)
 
 
 # -- delay compensation --------------------------------------------------------
@@ -74,7 +79,8 @@ def test_covariance_inflation_by_class():
     now = 0.2
     person = compensate_delay(message(1, 0.0, [tracked(label="person")]), now, params)
     bed = compensate_delay(message(1, 0.0, [tracked(label="bed")]), now, params)
-    assert np.trace(person[0].covariance) > np.trace(bed[0].covariance)
+    # the same delay inflates a pedestrian's weighting variance more
+    assert person[0].fusion_var > bed[0].fusion_var
 
 
 # -- fusion ----------------------------------------------------------------------
@@ -123,8 +129,7 @@ def test_weights_sum_to_one_random():
         msgs = []
         for node in (1, 2, 3):
             objs = [tracked(track_id=node * 10, x=float(rng.normal(0, 0.05)),
-                            y=float(rng.normal(0, 0.05)),
-                            var=float(rng.uniform(0.005, 0.1)))]
+                            y=float(rng.normal(0, 0.05)))]
             msgs.append(message(node, rng.uniform(0.0, 0.2), objs))
         tracks = fuse(msgs, now=0.3)
         for tr in tracks:
@@ -160,7 +165,7 @@ def test_zero_latency_methods_tie():
     a = message(1, 1.0, [tracked(track_id=1, x=1.0, y=0.5, v=1.3)])
     b = message(2, 1.0, [tracked(track_id=2, x=1.05, y=0.5, v=1.3)])
     aware = fuse([a, b], now=1.0)
-    base = fuse_baseline([a, b], now=1.0)
+    base = fuse([a, b], now=1.0, delay_aware=False)
     assert len(aware) == len(base) == 1
     assert aware[0].x == pytest.approx(base[0].x, abs=1e-9)
     assert aware[0].y == pytest.approx(base[0].y, abs=1e-9)
@@ -170,7 +175,7 @@ def test_baseline_lags_moving_pedestrian():
     # 1 m/s, 150 ms old message: baseline sits 0.15 m behind along motion
     msg = message(1, 0.0, [tracked(track_id=1, v=1.0)])
     aware = fuse([msg], now=0.15)
-    base = fuse_baseline([msg], now=0.15)
+    base = fuse([msg], now=0.15, delay_aware=False)
     assert aware[0].x - base[0].x == pytest.approx(0.15, abs=1e-12)
 
 
@@ -178,7 +183,7 @@ def test_static_scene_methods_agree_under_any_delay():
     msg = message(1, 0.0, [tracked(track_id=1, x=2.0, y=-1.0, v=0.0)])
     for delay in (0.05, 0.2, 0.4):
         aware = fuse([msg], now=delay)
-        base = fuse_baseline([msg], now=delay)
+        base = fuse([msg], now=delay, delay_aware=False)
         assert aware[0].x == pytest.approx(base[0].x, abs=1e-12)
         assert aware[0].y == pytest.approx(base[0].y, abs=1e-12)
 

@@ -148,24 +148,6 @@ def test_points_outside_grid_extent_dropped():
     assert list(keep) == [True, False, False]
 
 
-def test_roi_grid_file_round_trip(tmp_path):
-    room = Room.rectangle(-2.0, -1.0, 2.0, 1.0)
-    grid = RoiGrid.from_polygon(room, cell_size=0.25, margin=0.3)
-    path = tmp_path / "roi.txt"
-    grid.save(path)
-    loaded = RoiGrid.load(path)
-    assert loaded.origin == grid.origin
-    assert loaded.cell_size == grid.cell_size
-    assert np.array_equal(loaded.mask, grid.mask)
-
-
-def test_roi_grid_file_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 0 0.5 3 2\n1 0 1\n1 1\n")
-    with pytest.raises(ValueError):
-        RoiGrid.load(path)
-
-
 # -- box-to-cluster association ---------------------------------------------
 
 def box_over(cluster, camera, label="person"):

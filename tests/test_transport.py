@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from coopercept.tracking import StampedObjectList, TrackedObject
 from coopercept.transport import (
     ClockModel,
-    Envelope,
     FrameError,
     LatencyModel,
     SimulatedNetwork,
@@ -28,9 +28,6 @@ def random_message(rng, node_id=None, n_objects=None) -> StampedObjectList:
             yaw=float(rng.uniform(-math.pi, math.pi)),
             v_x=float(rng.normal(0.0, 2.0)),
             omega_z=float(rng.normal(0.0, 1.0)),
-            cov_xx=float(rng.uniform(0.0, 1.0)),
-            cov_xy=float(rng.normal(0.0, 0.1)),
-            cov_yy=float(rng.uniform(0.0, 1.0)),
         )
         for _ in range(n)
     )
@@ -41,8 +38,7 @@ def random_message(rng, node_id=None, n_objects=None) -> StampedObjectList:
 
 @pytest.mark.parametrize("field, value", [
     ("x", math.nan), ("y", math.inf), ("yaw", -math.inf), ("v_x", math.nan),
-    ("omega_z", math.inf), ("cov_xx", math.nan), ("cov_xy", math.inf),
-    ("cov_yy", -math.inf),
+    ("omega_z", math.inf),
 ])
 def test_decode_rejects_non_finite_fields(field, value):
     from dataclasses import replace
@@ -54,17 +50,9 @@ def test_decode_rejects_non_finite_fields(field, value):
         decode(encode(bad))
 
 
-def test_decode_rejects_nan_position_with_bad_covariance():
-    obj = TrackedObject(track_id=1, class_label="person", x=math.nan, y=0.0, yaw=0.0,
-                        v_x=0.0, omega_z=0.0, cov_xx=-1.0, cov_xy=0.0, cov_yy=math.inf)
-    frame = encode(StampedObjectList(node_id=1, capture_timestamp=1.0, objects=(obj,)))
-    with pytest.raises(FrameError):
-        decode(frame)
-
-
 def test_decode_accepts_extreme_finite_values():
     obj = TrackedObject(track_id=1, class_label="bed", x=1.7e308, y=-2.0, yaw=0.5,
-                        v_x=0.0, omega_z=-5e-324, cov_xx=0.0, cov_xy=-0.0, cov_yy=1e300)
+                        v_x=0.0, omega_z=-5e-324)
     msg = StampedObjectList(node_id=2, capture_timestamp=1.5, objects=(obj,))
     assert decode(encode(msg)) == msg
 
@@ -137,6 +125,12 @@ def test_bad_magic_and_version():
     frame[8] ^= 0xFF  # corrupt version
     with pytest.raises(FrameError):
         decode(bytes(frame))
+    # a well-formed version-1 frame: 69-byte records that also carried the
+    # 2x2 position covariance
+    payload = (struct.pack("<4sHHqI", b"SOL1", 1, 3, 1_250_000, 1)
+               + struct.pack("<IB8d", 7, 0, 1.0, 2.0, 0.1, 0.5, 0.0, 0.01, 0.0, 0.01))
+    with pytest.raises(FrameError):
+        decode(struct.pack("<I", len(payload)) + payload)
 
 
 def test_garbage_never_raises_anything_but_frame_error():
@@ -157,12 +151,9 @@ def _msg(node_id, ts):
 
 def test_zero_latency_delivers_at_send_time():
     net = SimulatedNetwork(LatencyModel(mean_ms=0.0, std_ms=0.0), seed=0)
-    arrival = net.send(Envelope(node_id=1, send_timestamp=2.0, payload=_msg(1, 2.0)),
-                       now=2.0)
+    arrival = net.send(_msg(1, 2.0), now=2.0)
     assert arrival == 2.0
-    out = net.deliveries_until(2.0)
-    assert len(out) == 1
-    assert out[0].arrival_timestamp == 2.0
+    assert net.deliveries_until(2.0) == [(2.0, _msg(1, 2.0))]
 
 
 def test_reordering_occurs_with_jitter():
@@ -170,13 +161,12 @@ def test_reordering_occurs_with_jitter():
     arrivals = []
     for k in range(200):
         t = k * 0.001  # 1 ms apart
-        arrivals.append(net.send(Envelope(node_id=1, send_timestamp=t,
-                                          payload=_msg(1, t)), now=t))
+        arrivals.append(net.send(_msg(1, t), now=t))
     flips = sum(1 for a, b in zip(arrivals, arrivals[1:]) if b < a)
     assert flips > 0
     delivered = net.deliveries_until(10.0)
     assert len(delivered) == 200
-    sends = [env.payload.capture_timestamp for env in delivered]
+    sends = [msg.capture_timestamp for _, msg in delivered]
     assert sorted(sends) == pytest.approx([k * 0.001 for k in range(200)])
 
 
@@ -185,8 +175,7 @@ def test_lossless_channel_counts():
     for node in (1, 2, 3):
         for k in range(100):
             t = k * 0.1
-            net.send(Envelope(node_id=node, send_timestamp=t, payload=_msg(node, t)),
-                     now=t)
+            net.send(_msg(node, t), now=t)
     out = net.deliveries_until(1e9)
     assert len(out) == 300
 
@@ -197,10 +186,9 @@ def test_delivery_order_deterministic():
         for node in (2, 1):
             for k in range(50):
                 t = k * 0.05
-                net.send(Envelope(node_id=node, send_timestamp=t,
-                                  payload=_msg(node, t)), now=t)
-        return [(e.arrival_timestamp, e.node_id, e.payload.capture_timestamp)
-                for e in net.deliveries_until(1e9)]
+                net.send(_msg(node, t), now=t)
+        return [(arrival, msg.node_id, msg.capture_timestamp)
+                for arrival, msg in net.deliveries_until(1e9)]
 
     assert run() == run()
 
@@ -210,10 +198,9 @@ def test_deliveries_sorted_by_time_then_node():
     for node in (1, 2):
         for k in range(80):
             t = k * 0.02
-            net.send(Envelope(node_id=node, send_timestamp=t, payload=_msg(node, t)),
-                     now=t)
+            net.send(_msg(node, t), now=t)
     out = net.deliveries_until(1e9)
-    keys = [(e.arrival_timestamp, e.node_id) for e in out]
+    keys = [(arrival, msg.node_id) for arrival, msg in out]
     assert keys == sorted(keys)
 
 
