@@ -91,36 +91,25 @@ class Cluster:
         self.bbox_xy = (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
 
 
-def adaptive_epsilon(s: float, params: ClusterParams) -> float:
-    """Range-adaptive neighbor radius: n_min * dphi * s."""
-    if s <= 0.0:
-        raise ValueError(f"range must be > 0, got {s}")
+def adaptive_epsilon(s, params: ClusterParams) -> np.ndarray:
+    """Range-adaptive neighbor radius n_min * dphi * s, per range in ``s``."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0):
+        raise ValueError(f"range must be > 0, got {s.min()}")
     return params.n_min * params.dphi * s
 
 
-def cluster_ring(
-    azimuths: np.ndarray,
-    ranges: np.ndarray,
-    points: np.ndarray,
-    ring_index: int,
-    params: ClusterParams,
-) -> list[Segment]:
-    """First stage: DBSCAN within one ring with a range-adaptive radius.
+def ring_segments(rings, params: ClusterParams) -> list[Segment]:
+    """First stage: DBSCAN within each ring with a range-adaptive radius.
 
-    Neighbors of a point at range s are the ring points within
-    ``adaptive_epsilon(s)`` (Euclidean, 3D). Points not density-reachable
-    from any core point are dropped as noise. Input must be sorted by
-    azimuth (strictly increasing). Segments come out by azimuth.
-    """
-    return _ring_segments([(ring_index, azimuths, ranges, points)], params)
-
-
-def _ring_segments(rings, params: ClusterParams) -> list[Segment]:
-    """:func:`cluster_ring` over every ring at once, in one labelling.
-
-    The rings are concatenated and labelled as one point set whose
-    candidate neighbors never leave their own ring, so the result equals
-    clustering each ring alone. Segments come out by ring, then azimuth.
+    ``rings`` yields ``(ring_index, azimuths, ranges, points)`` tuples, each
+    ring sorted by azimuth (strictly increasing). Neighbors of a point at
+    range s are the points of its own ring within ``adaptive_epsilon(s)``
+    (Euclidean, 3D). Points not density-reachable from any core point are
+    dropped as noise. The rings are concatenated and labelled as one point
+    set whose candidate neighbors never leave their own ring, so the result
+    equals clustering each ring alone. Segments come out by ring, then
+    azimuth.
     """
     ring_ids, az_parts, range_parts, point_parts = [], [], [], []
     for ring_index, azimuths, ranges, points in rings:
@@ -142,7 +131,7 @@ def _ring_segments(rings, params: ClusterParams) -> list[Segment]:
     if unsorted.any():
         raise ValueError("ring points must be sorted by strictly increasing azimuth")
 
-    radii = params.n_min * params.dphi * ranges
+    radii = adaptive_epsilon(ranges, params)
     labels = _adaptive_dbscan_labels(azimuths, ranges, points, radii, params.n_min, bounds)
     groups = _label_groups(labels)
     ring_of = np.searchsorted(bounds, [g[0] for g in groups], side="right") - 1
@@ -244,20 +233,15 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
     return labels
 
 
-def segment_distance(a: Segment, b: Segment, params: ClusterParams) -> float:
-    """Normalized distance between two per-ring segments.
+def segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray:
+    """Normalized distance between every pair of per-ring segments, as an
+    (n, n) array.
 
     Cheap gates first: segments whose ring indices differ by more than
     ``ring_gap`` or whose centroids are farther apart than
     ``max_centroid_distance`` are incomparable (inf). Otherwise the
     distance is the centroid separation scaled by the local inter-ring
     spacing, plus one minus the azimuth-interval overlap fraction.
-    """
-    return float(_segment_distances([a, b], params)[0, 1])
-
-
-def _segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray:
-    """The :func:`segment_distance` of every pair, as an (n, n) array.
 
     Azimuth intervals never span the +/-pi seam at generation time, so
     intersecting each interval with the +/-2pi shifted copies of the other
@@ -293,7 +277,7 @@ def _segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray
 def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Cluster]:
     """Second stage: single-linkage grouping of segments.
 
-    Connected components under ``segment_distance < epsilon_custom``; the
+    Connected components under ``segment_distances < epsilon_custom``; the
     pairwise metric is evaluated on dense arrays (segment counts are small
     compared to point counts, which is where the speed of the two-stage
     scheme comes from). Segments are sorted canonically first so the
@@ -306,8 +290,8 @@ def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Clu
         key=lambda i: (segments[i].ring_index, segments[i].azimuth_interval[0]),
     )
     segs = [segments[i] for i in order]
-    linked = _segment_distances(segs, params) < params.epsilon_custom
-    groups = connected_groups(len(segs), *np.nonzero(np.triu(linked, k=1)))
+    linked = segment_distances(segs, params) < params.epsilon_custom
+    groups = _label_groups(_components(len(segs), *np.nonzero(np.triu(linked, k=1))))
     return [Cluster(segments=[segs[k] for k in g]) for g in groups]
 
 
@@ -316,7 +300,7 @@ def cluster_scan(rings, params: ClusterParams) -> list[Cluster]:
 
     ``rings`` yields ``(ring_index, azimuths, ranges, points)`` tuples.
     """
-    return cluster_segments(_ring_segments(rings, params), params)
+    return cluster_segments(ring_segments(rings, params), params)
 
 
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -329,14 +313,6 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
     groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
     groups.sort(key=lambda g: g[0])
     return groups
-
-
-def connected_groups(n: int, src, dst) -> list[np.ndarray]:
-    """Connected components of ``n`` nodes under the undirected edges
-    ``(src[k], dst[k])``, as :func:`_label_groups` orders them."""
-    if n == 0:
-        return []
-    return _label_groups(_components(n, np.asarray(src, dtype=int), np.asarray(dst, dtype=int)))
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

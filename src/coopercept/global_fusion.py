@@ -88,7 +88,6 @@ class GlobalTrack:
     v_x: float
     omega_z: float
     contributors: tuple[tuple[int, int], ...]  # (node_id, track_id)
-    fusion_timestamp: float
     staleness_ms: float
     weights: tuple[float, ...] = ()
 
@@ -190,7 +189,7 @@ def _combine(group: list[CompensatedObject], uniform: bool):
     return x, y, wrap_angle(yaw), v, omega, label, w
 
 
-def _fuse_groups(groups: list[list[CompensatedObject]], now: float,
+def _fuse_groups(groups: list[list[CompensatedObject]],
                  uniform: bool, previous: list[GlobalTrack],
                  params: FusionParams, next_gid: int):
     tracks: list[GlobalTrack] = []
@@ -201,7 +200,6 @@ def _fuse_groups(groups: list[list[CompensatedObject]], now: float,
             class_label=label,
             x=x, y=y, yaw=float(yaw), v_x=v, omega_z=omega,
             contributors=tuple(sorted((m.node_id, m.source.track_id) for m in group)),
-            fusion_timestamp=now,
             staleness_ms=max(m.delay_ms for m in group),
             weights=tuple(float(v_) for v_ in w),
         ))
@@ -253,7 +251,7 @@ class CenterNode:
         ]
         groups = _associate_across_nodes(per_node, self.params)
         tracks, self._next_gid = _fuse_groups(
-            groups, now, uniform=not self.delay_aware,
+            groups, uniform=not self.delay_aware,
             previous=self.previous, params=self.params, next_gid=self._next_gid)
         self.previous = tracks
         return tracks

@@ -23,7 +23,7 @@ from .camera import (
     vanishing_point_z,
     associate_foot_to_parent,
 )
-from .clustering import Cluster, connected_groups
+from .clustering import Cluster
 from .scene import RingPoints, RingScan, Room
 
 CLASS_UNKNOWN = "unknown"
@@ -257,46 +257,27 @@ def merge_camera_views(per_camera: list[list[LabeledObject]],
                        duplicate_gate: float = DEFAULT_DUPLICATE_GATE) -> list[LabeledObject]:
     """Combine association results from the node's cameras.
 
-    Objects whose clusters share any segment are views of the same
-    physical object (each camera may have merged fragments differently);
-    the group keeps its best label over the union of its segments.
-    Camera-only detections within the duplicate gate of a kept object are
-    dropped as duplicates.
+    Precondition: every view labels the same cluster list, so objects that
+    carry the same ``Cluster`` are views of the same physical object. Each
+    cluster keeps its best label (fused before LiDAR-only, then the higher
+    confidence), in order of first appearance. Camera-only detections within
+    the duplicate gate of a kept object are dropped as duplicates.
     """
     flat = [o for view in per_camera for o in view]
-    clustered = [o for o in flat if o.cluster is not None]
-    camera_only = [o for o in flat if o.cluster is None]
-
-    seg_owner: dict[int, int] = {}
-    shared = []  # (object, earlier object) pairs holding a common segment
-    for idx, obj in enumerate(clustered):
-        for seg in obj.cluster.segments:
-            owner = seg_owner.setdefault(id(seg), idx)
-            if owner != idx:
-                shared.append((idx, owner))
-    src, dst = np.array(shared, dtype=int).reshape(-1, 2).T
-
     rank = {SOURCE_FUSED: 0, SOURCE_LIDAR_ONLY: 1}
-    kept: list[LabeledObject] = []
-    for group in connected_groups(len(clustered), src, dst):
-        members = [clustered[k] for k in group]
-        best = min(members, key=lambda o: (rank.get(o.source, 2), -o.confidence))
-        segments, seen = [], set()
-        for obj in members:
-            for seg in obj.cluster.segments:
-                if id(seg) not in seen:
-                    seen.add(id(seg))
-                    segments.append(seg)
-        cluster = Cluster(segments=segments)
-        kept.append(LabeledObject(
-            class_label=best.class_label,
-            position=cluster.centroid[:2].copy(),
-            cluster=cluster,
-            source=best.source,
-            confidence=best.confidence,
-        ))
+    best: dict[int, LabeledObject] = {}
+    for obj in flat:
+        if obj.cluster is None:
+            continue
+        held = best.setdefault(id(obj.cluster), obj)
+        if (rank.get(obj.source, 2), -obj.confidence) < \
+                (rank.get(held.source, 2), -held.confidence):
+            best[id(obj.cluster)] = obj
+    kept = list(best.values())
 
-    for obj in camera_only:
+    for obj in flat:
+        if obj.cluster is not None:
+            continue
         near = any(np.linalg.norm(obj.position - k.position) < duplicate_gate
                    for k in kept)
         if not near:

@@ -32,7 +32,7 @@ from .scene import (
     make_person,
 )
 from .tracking import TrackerConfig
-from .transport import ClockModel, LatencyModel
+from .transport import MAX_NODE_ID, ClockModel, LatencyModel
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("scenario needs at least one node")
+        ids = [n.node_id for n in self.nodes]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"node ids must be unique, got {ids}")
+        if not all(0 <= i <= MAX_NODE_ID for i in ids):
+            raise ValueError(f"node ids must be in 0..{MAX_NODE_ID} (the wire header's "
+                             f"uint16), got {ids}")
         if self.frame_rate_hz <= 0.0 or self.duration_s <= 0.0:
             raise ValueError("frame rate and duration must be > 0")
 
@@ -265,18 +271,3 @@ BUILTIN_SCENARIOS = {
     "four_pedestrians": four_pedestrians,
     "bed_and_three": bed_and_three,
 }
-
-
-def flanking_scene():
-    """The two-persons-beside-a-bed geometry where no single point-level
-    radius works: the inter-ring spacing on the bed's flank exceeds the
-    person-to-bed gap.
-
-    Returns ``(lidar, objects)``; scan with an empty static map.
-    """
-    lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
-                               elevation_min=math.radians(-15.0))
-    bed = make_bed(1, 8.5, 0.0, yaw=math.pi / 2.0, height=1.0)  # broadside
-    left = make_person(2, 8.2, 1.62, yaw=0.0, height=1.8)
-    right = make_person(3, 8.2, -1.62, yaw=0.0, height=1.8)
-    return lidar, [bed, left, right]

@@ -10,7 +10,7 @@ between person and bed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,19 +110,8 @@ def ctrv_predict(state: TrackState, dt: float, config: TrackerConfig = TrackerCo
     F = ctrv_jacobian(state.mean, dt)
     cov = F @ state.covariance @ F.T + config.process_noise_rate() * dt
     cov = 0.5 * (cov + cov.T)
-    return TrackState(
-        track_id=state.track_id,
-        class_label=state.class_label,
-        mean=mean,
-        covariance=cov,
-        hits=state.hits,
-        misses=state.misses,
-        last_update=state.last_update,
-        confirmed=state.confirmed,
-        birth_position=state.birth_position.copy(),
-        birth_timestamp=state.birth_timestamp,
-        yaw_initialized=state.yaw_initialized,
-    )
+    return replace(state, mean=mean, covariance=cov,
+                   birth_position=state.birth_position.copy())
 
 
 class Tracker:

@@ -21,6 +21,7 @@ MAGIC = b"SOL1"
 VERSION = 2
 
 _HEADER = struct.Struct("<4sHHqI")  # magic, version, node_id, timestamp_us, count
+MAX_NODE_ID = 0xFFFF  # the header's uint16 node_id
 _RECORD = struct.Struct("<IB5d")  # id, class, x, y, yaw, v, omega
 _LENGTH = struct.Struct("<I")
 

@@ -372,3 +372,52 @@ def brute_force_filter_roi(scan, grid, z_band):
                 kept.append(k)
         out.append((ring.ring_index, kept))
     return out
+
+
+def brute_force_merge_views(per_camera, duplicate_gate=0.5):
+    """Merge camera views of possibly different clusterings, by segment.
+
+    Objects whose clusters share a segment are one physical object; the
+    groups come in order of their lowest object. Each group keeps its best
+    label (fused, then LiDAR-only, then the higher confidence, ties to the
+    lower object) at the centroid of the union of its segments, taken in
+    object order. A camera-only object within ``duplicate_gate`` of a kept
+    object is dropped.
+
+    Returns ``(class_label, source, confidence, position, points)`` per
+    kept object; ``points`` is None for a camera-only object.
+    """
+    flat = [o for view in per_camera for o in view]
+    clustered = [o for o in flat if o.cluster is not None]
+    parent = list(range(len(clustered)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(clustered)), 2):
+        if any(a is b for a in clustered[i].cluster.segments
+               for b in clustered[j].cluster.segments):
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)  # a root is its group's lowest object
+    groups = {}
+    for i in range(len(clustered)):
+        groups.setdefault(root(i), []).append(clustered[i])
+
+    rank = {"fused": 0, "lidar_only": 1}
+    kept = []
+    for members in groups.values():
+        best = min(members, key=lambda o: (rank.get(o.source, 2), -o.confidence))
+        segments = []
+        for obj in members:
+            segments.extend(s for s in obj.cluster.segments
+                            if not any(s is t for t in segments))
+        points = np.vstack([s.points for s in segments])
+        centroid = np.add.reduce(points, axis=0) / len(points)  # as Cluster computes it
+        kept.append((best.class_label, best.source, best.confidence, centroid[:2], points))
+    for obj in flat:
+        if obj.cluster is None and not any(
+                np.linalg.norm(obj.position - k[3]) < duplicate_gate for k in kept):
+            kept.append((obj.class_label, obj.source, obj.confidence, obj.position, None))
+    return kept

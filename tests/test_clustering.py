@@ -8,16 +8,14 @@ from coopercept.clustering import (
     ClusterParams,
     Segment,
     adaptive_epsilon,
-    cluster_ring,
     cluster_scan,
     cluster_segments,
     clusters_from_labels,
-    connected_groups,
     dbscan_baseline,
-    segment_distance,
+    ring_segments,
+    segment_distances,
 )
-from coopercept.scenarios import flanking_scene
-from coopercept.scene import scan_lidar
+from coopercept.scene import LidarModel, make_bed, make_person, scan_lidar
 
 from oracles import (
     brute_force_dbscan,
@@ -41,6 +39,21 @@ def make_segment(ring, az, ranges, pts):
     return Segment(ring_index=ring, points=pts, azimuths=az, ranges=ranges)
 
 
+def flanking_scene():
+    """The two-persons-beside-a-bed geometry where no single point-level
+    radius works: the inter-ring spacing on the bed's flank exceeds the
+    person-to-bed gap.
+
+    Returns ``(lidar, objects)``; scan with an empty static map.
+    """
+    lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
+                               elevation_min=math.radians(-15.0))
+    bed = make_bed(1, 8.5, 0.0, yaw=math.pi / 2.0, height=1.0)  # broadside
+    left = make_person(2, 8.2, 1.62, yaw=0.0, height=1.8)
+    right = make_person(3, 8.2, -1.62, yaw=0.0, height=1.8)
+    return lidar, [bed, left, right]
+
+
 # -- adaptive epsilon --------------------------------------------------------
 
 def test_adaptive_epsilon_product():
@@ -51,6 +64,13 @@ def test_adaptive_epsilon_product():
 def test_adaptive_epsilon_rejects_nonpositive_range():
     with pytest.raises(ValueError):
         adaptive_epsilon(0.0, PARAMS)
+    with pytest.raises(ValueError):
+        adaptive_epsilon(np.array([2.0, -1.0, 3.0]), PARAMS)
+    # the first stage takes its radii from adaptive_epsilon
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    ranges[3] = 0.0
+    with pytest.raises(ValueError):
+        ring_segments([(0, az, ranges, pts)], PARAMS)
 
 
 def test_adaptive_epsilon_linear_in_range():
@@ -68,7 +88,7 @@ def test_adaptive_epsilon_linear_in_range():
 def test_wall_arc_single_segment():
     # consecutive spacing 5*dphi is well inside eps(5) = n_min*dphi*5
     az, ranges, pts = ring_on_arc(5.0, -0.3, 0.3, PARAMS.dphi)
-    segments = cluster_ring(az, ranges, pts, ring_index=2, params=PARAMS)
+    segments = ring_segments([(2, az, ranges, pts)], PARAMS)
     assert len(segments) == 1
     seg = segments[0]
     assert seg.ring_index == 2
@@ -86,14 +106,14 @@ def test_azimuth_gap_splits_segments():
     az = np.concatenate([az1, az2])
     ranges = np.concatenate([r1, r2])
     pts = np.vstack([p1, p2])
-    segments = cluster_ring(az, ranges, pts, ring_index=0, params=PARAMS)
+    segments = ring_segments([(0, az, ranges, pts)], PARAMS)
     assert len(segments) == 2
 
 
 def test_fewer_than_n_min_points_all_noise():
     az, ranges, pts = ring_on_arc(5.0, 0.0, PARAMS.dphi * (PARAMS.n_min - 1), PARAMS.dphi)
     assert len(az) == PARAMS.n_min - 1
-    segments = cluster_ring(az, ranges, pts, ring_index=0, params=PARAMS)
+    segments = ring_segments([(0, az, ranges, pts)], PARAMS)
     assert segments == []
 
 
@@ -101,16 +121,22 @@ def test_unsorted_azimuths_rejected():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
     az = az[::-1].copy()
     with pytest.raises(ValueError):
-        cluster_ring(az, ranges, pts, ring_index=0, params=PARAMS)
+        ring_segments([(0, az, ranges, pts)], PARAMS)
 
 
 # -- segment metric ----------------------------------------------------------
+
+def pair_distances(a, b, params):
+    """Both off-diagonal entries of the distance matrix of ``[a, b]``."""
+    d = segment_distances([a, b], params)
+    return d[0, 1], d[1, 0]
+
 
 def test_identical_interval_coincident_centroids():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
     a = make_segment(0, az, ranges, pts)
     b = make_segment(1, az, ranges, pts)
-    assert segment_distance(a, b, PARAMS) == pytest.approx(0.0, abs=1e-12)
+    assert pair_distances(a, b, PARAMS) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 def test_disjoint_intervals_scalar_arithmetic():
@@ -123,8 +149,8 @@ def test_disjoint_intervals_scalar_arithmetic():
     a = make_segment(0, az1, r1, p1)
     b = make_segment(1, az2, r1, p2)
     expected = 0.1 / (5.0 * 0.0349) + 1.0
-    got = segment_distance(a, b, params)
-    assert got == pytest.approx(expected, abs=1e-9)
+    got = pair_distances(a, b, params)
+    assert got == pytest.approx((expected, expected), abs=1e-9)
 
 
 def test_half_overlap_intervals():
@@ -136,21 +162,21 @@ def test_half_overlap_intervals():
                 ranges=np.array([5.0, 5.1]))
     b = Segment(ring_index=1, points=pts, azimuths=np.array([d(15.0), d(25.0)]),
                 ranges=np.array([5.0, 5.1]))
-    assert segment_distance(a, b, PARAMS) == pytest.approx(0.5, abs=1e-12)
+    assert pair_distances(a, b, PARAMS) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_ring_gap_returns_inf():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
     a = make_segment(0, az, ranges, pts)
     b = make_segment(PARAMS.ring_gap + 1, az, ranges, pts)
-    assert segment_distance(a, b, PARAMS) == math.inf
+    assert pair_distances(a, b, PARAMS) == (math.inf, math.inf)
 
 
 def test_centroid_gate_returns_inf():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
     a = make_segment(0, az, ranges, pts)
     b = make_segment(1, az, ranges, pts + np.array([0.0, 0.0, PARAMS.max_centroid_distance + 0.1]))
-    assert segment_distance(a, b, PARAMS) == math.inf
+    assert pair_distances(a, b, PARAMS) == (math.inf, math.inf)
 
 
 def test_segment_distance_symmetry():
@@ -163,8 +189,9 @@ def test_segment_distance_symmetry():
                                           start + rng.uniform(0.02, 0.2), PARAMS.dphi)
             pts = pts + rng.normal(0.0, 0.1, size=3)
             segs.append(make_segment(int(ring), az, ranges, pts))
-        assert segment_distance(segs[0], segs[1], PARAMS) == \
-            segment_distance(segs[1], segs[0], PARAMS)
+        forward = pair_distances(segs[0], segs[1], PARAMS)
+        assert forward[0] == forward[1]
+        assert pair_distances(segs[1], segs[0], PARAMS) == forward
 
 
 def test_segment_distance_matches_scalar_oracle():
@@ -192,11 +219,11 @@ def test_segment_distance_matches_scalar_oracle():
             a.ring_index, b.ring_index, a.azimuth_interval, b.azimuth_interval,
             a.mean_range, b.mean_range, PARAMS.dtheta, PARAMS.dphi,
             PARAMS.ring_gap, PARAMS.max_centroid_distance)
-        got = segment_distance(a, b, PARAMS)
-        if math.isinf(expected):
-            assert got == math.inf
-        else:
-            assert got == pytest.approx(expected, abs=1e-12)
+        for got in pair_distances(a, b, PARAMS):
+            if math.isinf(expected):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(expected, abs=1e-12)
 
 
 # -- one labelling per scan against per-ring brute force ---------------------
@@ -238,8 +265,6 @@ def test_cluster_scan_segments_match_per_ring_brute_force():
 
 
 def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
-    from coopercept.scene import LidarModel, make_person
-
     # a person straddling the +/-pi seam, split into two segments per ring
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
                                elevation_min=math.radians(-15.0))
@@ -259,7 +284,7 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     assert all(ring < 16 for ring, _ in got)
     for ring_index, az_r, ranges_r, pts_r in rings:
         expected = oracle_segments([(ring_index, az_r, ranges_r, pts_r)], PARAMS)
-        segments = cluster_ring(az_r, ranges_r, pts_r, ring_index, PARAMS)
+        segments = ring_segments([(ring_index, az_r, ranges_r, pts_r)], PARAMS)
         assert sorted((s.ring_index, s.azimuths.tobytes()) for s in segments) == expected
         assert [s.azimuth_interval[0] for s in segments] == \
             sorted(s.azimuth_interval[0] for s in segments)
@@ -284,17 +309,29 @@ def test_mutually_inf_segments_stay_apart():
     assert len(clusters) == 3
 
 
-def test_connected_groups_order():
-    # groups by lowest member, members ascending, singletons kept
-    groups = connected_groups(6, [4, 5, 3], [1, 0, 4])
-    assert [g.tolist() for g in groups] == [[0, 5], [1, 3, 4], [2]]
-    assert connected_groups(0, [], []) == []
+def arc_segment(ring, start, dz=0.0):
+    az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, PARAMS.dphi)
+    return make_segment(ring, az, ranges, pts + np.array([0.0, 0.0, dz]))
+
+
+def test_cluster_segments_chains_groups_by_lowest_member():
+    # groups by lowest member, members ascending, singletons kept, a chain
+    # linked through a later member: canonical order (ring, start) is
+    # 0..5 with links 0-5, 1-4 and 3-4 (3 and 1 are 0.4 m apart, unlinked)
+    segs = [arc_segment(0, 0.0), arc_segment(0, 1.0), arc_segment(0, 2.0),
+            arc_segment(1, 1.0, 0.4), arc_segment(2, 1.0, 0.2), arc_segment(3, 0.0, 0.1)]
+    linked = segment_distances(segs, PARAMS) < PARAMS.epsilon_custom
+    assert {(i, j) for i, j in zip(*np.nonzero(np.triu(linked, k=1)))} == \
+        {(0, 5), (1, 4), (3, 4)}
+    clusters = cluster_segments([segs[k] for k in (4, 2, 5, 0, 3, 1)], PARAMS)
+    index = {id(s): k for k, s in enumerate(segs)}
+    assert [[index[id(s)] for s in cl.segments] for cl in clusters] == \
+        [[0, 5], [1, 3, 4], [2]]
+    assert cluster_segments([], PARAMS) == []
 
 
 def test_cluster_segments_group_and_member_order():
-    def seg(ring, start, dz=0.0):
-        az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, PARAMS.dphi)
-        return make_segment(ring, az, ranges, pts + np.array([0.0, 0.0, dz]))
+    seg = arc_segment
 
     # canonical order (ring, start): a=0, b=1, c=2, d=3, e=4; links a-c, b-e
     a, b, c, d, e = seg(0, 0.0), seg(0, 1.0), seg(1, 0.0, 0.1), seg(1, 2.0), seg(2, 1.0, 0.2)
@@ -306,9 +343,7 @@ def test_cluster_segments_group_and_member_order():
 def test_cluster_order_independent_of_input_order():
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects)
-    segments = []
-    for ring_index, az, ranges, pts in scan.iter_rings():
-        segments.extend(cluster_ring(az, ranges, pts, ring_index, PARAMS))
+    segments = ring_segments(scan.iter_rings(), PARAMS)
     forward = cluster_segments(segments, PARAMS)
     backward = cluster_segments(segments[::-1], PARAMS)
     key = lambda c: tuple(np.round(c.centroid, 9))
@@ -378,8 +413,6 @@ def test_partition_property():
 
 
 def test_methods_agree_on_isolated_object():
-    from coopercept.scene import LidarModel, make_person
-
     # n_min large enough that the grazing-incidence silhouette points
     # stay core-reachable in the adaptive per-ring pass as well
     params = ClusterParams(n_min=8)

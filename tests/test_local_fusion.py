@@ -19,7 +19,7 @@ from coopercept.local_fusion import (
 from coopercept.scene import LidarModel, RingPoints, RingScan, Room, make_person, scan_lidar
 from coopercept.assignment import gated_assignment
 
-from oracles import brute_force_filter_roi, brute_force_gated_matching
+from oracles import brute_force_filter_roi, brute_force_gated_matching, brute_force_merge_views
 
 
 def all_true_grid(extent=10.0, cell=0.5):
@@ -285,19 +285,60 @@ def test_merge_drops_camera_only_duplicates():
     assert sources == [SOURCE_CAMERA_ONLY, SOURCE_FUSED]
 
 
-def test_merge_groups_by_lowest_object_and_keeps_segment_order():
-    from coopercept.clustering import Cluster
+def test_merge_keeps_best_label_per_cluster_in_first_appearance_order():
     from coopercept.local_fusion import LabeledObject
 
-    s1, s2, s3 = (fake_cluster(x, 0.0).segments[0] for x in (2.0, 4.0, 6.0))
+    c1, c2, c3 = (fake_cluster(x, 0.0) for x in (2.0, 4.0, 6.0))
 
-    def lidar_only(*segments):
-        cluster = Cluster(segments=list(segments))
-        return LabeledObject(CLASS_UNKNOWN, cluster.centroid[:2], cluster,
-                             SOURCE_LIDAR_ONLY)
+    def labeled(cluster, source=SOURCE_LIDAR_ONLY, confidence=1.0):
+        label = CLASS_UNKNOWN if source == SOURCE_LIDAR_ONLY else "person"
+        return LabeledObject(label, cluster.centroid[:2], cluster, source, confidence)
 
-    # objects 0, 2 and 3 share segments through object 3; object 1 stands alone
-    merged = merge_camera_views([[lidar_only(s1), lidar_only(s2), lidar_only(s3)],
-                                 [lidar_only(s3, s1)]])
-    assert [[id(s) for s in o.cluster.segments] for o in merged] == \
-        [[id(s1), id(s3)], [id(s2)]]
+    first_c2 = labeled(c2)
+    best_c1 = labeled(c1, SOURCE_FUSED, 0.9)
+    best_c3 = labeled(c3, SOURCE_FUSED, 0.7)
+    # two cameras labelling the same cluster list, each in its own order
+    merged = merge_camera_views([
+        [first_c2, labeled(c1, SOURCE_FUSED, 0.6), labeled(c3)],
+        [best_c3, best_c1, labeled(c2)],
+    ])
+    assert [o.cluster for o in merged] == [c2, c1, c3]
+    assert all(o.cluster is c for o, c in zip(merged, (c2, c1, c3)))
+    assert [o.source for o in merged] == [SOURCE_LIDAR_ONLY, SOURCE_FUSED, SOURCE_FUSED]
+    assert [o.confidence for o in merged] == [1.0, 0.9, 0.7]
+    assert merged[0] is first_c2  # ties keep the first view's label
+    for o in merged:
+        assert o.position.tobytes() == o.cluster.centroid[:2].tobytes()
+
+
+def test_merge_matches_shared_segment_oracle_on_builtin_views(monkeypatch):
+    from dataclasses import replace
+
+    from coopercept import pipeline
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    recorded = []
+    real_merge = pipeline.merge_camera_views
+
+    def record(per_camera, *args, **kwargs):
+        recorded.append(per_camera)
+        return real_merge(per_camera, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "merge_camera_views", record)
+    for build in BUILTIN_SCENARIOS.values():
+        pipeline.run_local_eval(replace(build(), duration_s=2.0))
+    assert len(recorded) == 3 * 20 * 2 * 3  # scenes x frames x nodes x methods
+
+    relabelled = 0  # clusters that more than one view labelled
+    for per_camera in recorded:
+        got = [(o.class_label, o.source, o.confidence, o.position.tobytes(),
+                None if o.cluster is None else o.cluster.points.tobytes())
+               for o in merge_camera_views(per_camera)]
+        want = [(label, source, confidence, position.tobytes(),
+                 None if points is None else points.tobytes())
+                for label, source, confidence, position, points
+                in brute_force_merge_views(per_camera)]
+        assert got == want
+        ids = [id(o.cluster) for view in per_camera for o in view if o.cluster is not None]
+        relabelled += len(ids) - len(set(ids))
+    assert relabelled > 1000

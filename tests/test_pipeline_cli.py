@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from coopercept import pipeline
 from coopercept.cli import main
@@ -203,6 +204,9 @@ def test_config_rejects_bad_input():
         lambda d: d.update(frame_rate_hz="10"),  # string for a float
         lambda d: d.pop("room"),  # missing required key
         lambda d: d.update(duration_s=-1.0),  # rejected by __post_init__
+        lambda d: d["nodes"][1].update(node_id=1),  # duplicate node ids
+        lambda d: d["nodes"][0].update(node_id=70001),  # beyond the wire's uint16
+        lambda d: d["nodes"][0].update(node_id=-1),
     ]
     for k, edit in enumerate(edits):
         data = nine_pedestrians().to_dict()
@@ -253,6 +257,21 @@ def test_cli_missing_config(tmp_path):
     rc = main(["delay-eval", "--config", str(tmp_path / "absent.yaml"),
                "--out", str(tmp_path)])
     assert rc != 0
+
+
+def test_cli_rejects_node_ids_the_wire_cannot_carry(tmp_path, capsys):
+    # an id beyond the header's uint16 cannot be encoded, and duplicate ids
+    # would overwrite one node's message stream
+    for ids, message in (((70001, 2), "0..65535"), ((1, 1), "unique")):
+        data = nine_pedestrians().to_dict()
+        for node, node_id in zip(data["nodes"], ids):
+            node["node_id"] = node_id
+        path = tmp_path / "nodes.yaml"
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        rc = main(["delay-eval", "--config", str(path), "--duration", "0.5",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_malformed_config(tmp_path):
