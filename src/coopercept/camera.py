@@ -20,6 +20,7 @@ BED = "bed"
 BOX_CLASSES = (PERSON, FOOT, BED)
 
 _EPS_DEPTH = 1e-12
+FOOT_COSINE_THRESHOLD = 0.95  # foot-to-parent ray agreement without overlap
 
 
 class CameraGeometryError(ValueError):
@@ -28,17 +29,10 @@ class CameraGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Calibrated pinhole camera: projection matrix plus image size.
-
-    ``K``, ``R``, ``t`` are kept when the model was built from an explicit
-    intrinsic/extrinsic decomposition.
-    """
+    """Calibrated pinhole camera: projection matrix plus image size."""
 
     H: np.ndarray
     image_size: tuple[int, int]  # (width, height) in pixels
-    K: np.ndarray | None = None
-    R: np.ndarray | None = None
-    t: np.ndarray | None = None
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -47,20 +41,18 @@ class CameraModel:
         if np.allclose(H[2], 0.0):
             raise ValueError("third row of H is zero")
         object.__setattr__(self, "H", H)
-        if self.R is not None:
-            R = np.asarray(self.R, dtype=float)
-            if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
-                raise ValueError("R is not orthonormal")
-            if np.linalg.det(R) < 0.0:
-                raise ValueError("R must be a proper rotation (det +1)")
 
     @classmethod
     def from_krt(cls, K, R, t, image_size) -> "CameraModel":
         K = np.asarray(K, dtype=float)
         R = np.asarray(R, dtype=float)
+        if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
+            raise ValueError("R is not orthonormal")
+        if np.linalg.det(R) < 0.0:
+            raise ValueError("R must be a proper rotation (det +1)")
         t = np.asarray(t, dtype=float).reshape(3)
         H = K @ np.hstack([R, t[:, None]])
-        return cls(H=H, image_size=tuple(image_size), K=K, R=R, t=t)
+        return cls(H=H, image_size=tuple(image_size))
 
     @classmethod
     def from_pose(cls, position, yaw, pitch, K, image_size) -> "CameraModel":
@@ -180,18 +172,15 @@ def overlap_ratio(a: BBox2D, b: BBox2D) -> float:
     return (iw * ih) / min(a.area, b.area)
 
 
-def associate_foot_to_parent(
-    feet: list[BBox2D],
-    parents: list[BBox2D],
-    v_z: np.ndarray,
-    cosine_threshold: float = 0.95,
-) -> list[tuple[int, int]]:
+def associate_foot_to_parent(feet: list[BBox2D], parents: list[BBox2D],
+                             v_z: np.ndarray) -> list[tuple[int, int]]:
     """Pair ground-contact boxes with parent boxes.
 
     Score = overlap ratio + cosine of the angle between the rays from the
     vanishing point to the two box centers; assignment maximizes total
-    score. A pair with zero overlap whose cosine falls below the threshold
-    is rejected, so each returned pair has real geometric support.
+    score. A pair with zero overlap whose cosine falls below
+    ``FOOT_COSINE_THRESHOLD`` is rejected, so each returned pair has real
+    geometric support.
     """
     if not feet or not parents:
         return []
@@ -212,7 +201,7 @@ def associate_foot_to_parent(
     rows, cols = linear_sum_assignment(-score)
     pairs = []
     for i, j in zip(rows, cols):
-        if overlap[i, j] == 0.0 and cosine[i, j] < cosine_threshold:
+        if overlap[i, j] == 0.0 and cosine[i, j] < FOOT_COSINE_THRESHOLD:
             continue
         pairs.append((int(i), int(j)))
     return pairs

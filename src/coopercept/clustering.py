@@ -20,6 +20,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from .scene import RingScan
+
 NOISE = -1
 
 
@@ -82,13 +84,10 @@ class Cluster:
     segments: list[Segment]
     points: np.ndarray = field(init=False)
     centroid: np.ndarray = field(init=False)
-    bbox_xy: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self):
         self.points = np.vstack([s.points for s in self.segments])
         self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)  # mean()
-        x, y = self.points[:, 0], self.points[:, 1]
-        self.bbox_xy = (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
 
 
 def adaptive_epsilon(s, params: ClusterParams) -> np.ndarray:
@@ -99,45 +98,32 @@ def adaptive_epsilon(s, params: ClusterParams) -> np.ndarray:
     return params.n_min * params.dphi * s
 
 
-def ring_segments(rings, params: ClusterParams) -> list[Segment]:
+def ring_segments(scan: RingScan, params: ClusterParams) -> list[Segment]:
     """First stage: DBSCAN within each ring with a range-adaptive radius.
 
-    ``rings`` yields ``(ring_index, azimuths, ranges, points)`` tuples, each
-    ring sorted by azimuth (strictly increasing). Neighbors of a point at
-    range s are the points of its own ring within ``adaptive_epsilon(s)``
-    (Euclidean, 3D). Points not density-reachable from any core point are
-    dropped as noise. The rings are concatenated and labelled as one point
-    set whose candidate neighbors never leave their own ring, so the result
-    equals clustering each ring alone. Segments come out by ring, then
-    azimuth.
+    ``scan`` is laid out as :class:`~coopercept.scene.RingScan` states.
+    Neighbors of a point at range s are the points of its own ring within
+    ``adaptive_epsilon(s)`` (Euclidean, 3D). Points not density-reachable
+    from any core point are dropped as noise. The scan is labelled as one
+    point set whose candidate neighbors never leave their own ring, so the
+    result equals clustering each ring alone. Segments come out by ring,
+    then azimuth. Raises ``ValueError`` for points that are not ring-major
+    or not sorted by strictly increasing azimuth within their ring.
     """
-    ring_ids, az_parts, range_parts, point_parts = [], [], [], []
-    for ring_index, azimuths, ranges, points in rings:
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if len(points) == 0:
-            continue
-        ring_ids.append(ring_index)
-        az_parts.append(np.asarray(azimuths, dtype=float).reshape(-1))
-        range_parts.append(np.asarray(ranges, dtype=float).reshape(-1))
-        point_parts.append(points)
-    if not ring_ids:
+    if scan.n_points == 0:
         return []
-    bounds = np.concatenate(([0], np.cumsum([len(p) for p in point_parts])))
-    azimuths = np.concatenate(az_parts)
-    ranges = np.concatenate(range_parts)
-    points = np.concatenate(point_parts)
-    unsorted = np.diff(azimuths) <= 0.0
-    unsorted[bounds[1:-1] - 1] = False  # steps from one ring to the next
-    if unsorted.any():
-        raise ValueError("ring points must be sorted by strictly increasing azimuth")
+    ring, azimuths, ranges, points = scan.ring, scan.azimuths, scan.ranges, scan.points
+    ring_step = np.diff(ring)
+    if (ring_step < 0).any() or (np.diff(azimuths)[ring_step == 0] <= 0.0).any():
+        raise ValueError("ring points must be ring-major and sorted by strictly "
+                         "increasing azimuth")
+    bounds = np.concatenate(([0], np.flatnonzero(ring_step) + 1, [len(ring)]))
 
     radii = adaptive_epsilon(ranges, params)
     labels = _adaptive_dbscan_labels(azimuths, ranges, points, radii, params.n_min, bounds)
-    groups = _label_groups(labels)
-    ring_of = np.searchsorted(bounds, [g[0] for g in groups], side="right") - 1
-    return [Segment(ring_index=ring_ids[r], points=points[g], azimuths=azimuths[g],
+    return [Segment(ring_index=int(ring[g[0]]), points=points[g], azimuths=azimuths[g],
                     ranges=ranges[g])
-            for r, g in zip(ring_of, groups)]
+            for g in _label_groups(labels)]
 
 
 def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
@@ -295,12 +281,9 @@ def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Clu
     return [Cluster(segments=[segs[k] for k in g]) for g in groups]
 
 
-def cluster_scan(rings, params: ClusterParams) -> list[Cluster]:
-    """Full hierarchical pipeline over an iterable of rings.
-
-    ``rings`` yields ``(ring_index, azimuths, ranges, points)`` tuples.
-    """
-    return cluster_segments(ring_segments(rings, params), params)
+def cluster_scan(scan: RingScan, params: ClusterParams) -> list[Cluster]:
+    """Full hierarchical pipeline over a :class:`~coopercept.scene.RingScan`."""
+    return cluster_segments(ring_segments(scan, params), params)
 
 
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:

@@ -15,20 +15,21 @@ import numpy as np
 
 from .assignment import gated_assignment
 from .clustering import ClusterParams, cluster_scan, dbscan_baseline
-from .scene import make_benchmark_scan
+from .scene import RingScan, make_benchmark_scan
 
 DEFAULT_MATCH_GATE = 0.5  # m
+BENCH_DBSCAN_EPS = 0.3  # m, the point-level baseline's radius
+BENCH_DBSCAN_N_MIN = 4
 
 
-def _scan_resolution(scan) -> float:
-    """Azimuth step of a ring scan, from its densest ring."""
-    best = math.radians(0.2)
-    largest = 0
-    for ring in scan.rings:
-        if len(ring) > max(largest, 2):
-            largest = len(ring)
-            best = float(np.median(np.diff(ring.azimuths)))
-    return best
+def _scan_resolution(scan: RingScan) -> float:
+    """Azimuth step of a ring scan, from its densest ring (the first of
+    equals); the default step for a scan without a ring of three points."""
+    counts = np.bincount(scan.ring)
+    if len(counts) == 0 or counts.max() <= 2:
+        return math.radians(0.2)
+    densest = scan.ring == np.argmax(counts)
+    return float(np.median(np.diff(scan.azimuths[densest])))
 
 
 @dataclass
@@ -104,9 +105,7 @@ def aggregate(scores: list[FrameScore]) -> tuple[float, float, float]:
     return precision, recall, avg_de
 
 
-def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0,
-                         baseline_eps: float = 0.3, baseline_n_min: int = 4,
-                         params: ClusterParams | None = None):
+def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0):
     """Time the hierarchical pipeline against point-level DBSCAN.
 
     Both methods run on identical synthetic ring scans at each requested
@@ -120,18 +119,16 @@ def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0,
     rows = []
     for target in sizes:
         scan = make_benchmark_scan(target, seed=seed)
-        points = scan.all_points()
         n = scan.n_points
-        run_params = params if params is not None else \
-            ClusterParams(dphi=_scan_resolution(scan))
+        params = ClusterParams(dphi=_scan_resolution(scan))
 
         hier_ms, base_ms = [], []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            cluster_scan(scan.iter_rings(), run_params)
+            cluster_scan(scan, params)
             hier_ms.append((time.perf_counter() - t0) * 1e3)
             t0 = time.perf_counter()
-            dbscan_baseline(points, baseline_eps, baseline_n_min)
+            dbscan_baseline(scan.points, BENCH_DBSCAN_EPS, BENCH_DBSCAN_N_MIN)
             base_ms.append((time.perf_counter() - t0) * 1e3)
 
         for method, samples in (("hierarchical", hier_ms), ("dbscan", base_ms)):

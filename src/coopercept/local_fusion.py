@@ -24,7 +24,7 @@ from .camera import (
     associate_foot_to_parent,
 )
 from .clustering import Cluster
-from .scene import RingPoints, RingScan, Room
+from .scene import RingScan, Room
 
 CLASS_UNKNOWN = "unknown"
 
@@ -93,21 +93,13 @@ class RoiGrid:
 
 def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND) -> RingScan:
     """Keep points whose ground cell is marked and whose z is in the band;
-    per-ring azimuth ordering is preserved.
-
-    The rings are tested together, with one grid lookup per scan, and the
-    mask is split back at the ring boundaries.
-    """
+    kept points stay in scan order, so the result is ring-major too."""
     z_min, z_max = z_band
-    # The empty seed keeps the concatenation defined for a scan without rings.
-    points = np.concatenate([np.zeros((0, 3))] + [r.points for r in scan.rings])
-    keep = grid.keep(points[:, :2])
-    keep &= (points[:, 2] >= z_min) & (points[:, 2] <= z_max)
-    bounds = np.cumsum([len(r) for r in scan.rings])[:-1]
-    rings = [RingPoints(ring_index=ring.ring_index, azimuths=ring.azimuths[k],
-                        ranges=ring.ranges[k], points=ring.points[k])
-             for ring, k in zip(scan.rings, np.split(keep, bounds))]
-    return RingScan(timestamp=scan.timestamp, rings=rings)
+    z = scan.points[:, 2]
+    keep = grid.keep(scan.points[:, :2]) & (z >= z_min) & (z <= z_max)
+    return RingScan(timestamp=scan.timestamp, ring=scan.ring[keep],
+                    azimuths=scan.azimuths[keep], ranges=scan.ranges[keep],
+                    points=scan.points[keep])
 
 
 @dataclass
@@ -139,8 +131,7 @@ class LabeledObject:
             raise ValueError(f"inconsistent class/source: {self.class_label}/{self.source}")
 
 
-def locate_boxes(detections: list[BBox2D], camera: CameraModel,
-                 cosine_threshold: float = 0.95) -> list[PositionedBox]:
+def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[PositionedBox]:
     """Attach world positions to person/bed boxes.
 
     Feet pair with parent person boxes via the vanishing-point association;
@@ -155,7 +146,7 @@ def locate_boxes(detections: list[BBox2D], camera: CameraModel,
     ground_pixel = {i: p.bottom_center for i, p in enumerate(people)}
     if feet and people:
         v_z = vanishing_point_z(camera)
-        pairs = associate_foot_to_parent(feet, people, v_z, cosine_threshold)
+        pairs = associate_foot_to_parent(feet, people, v_z)
         matched_feet = {f for f, _ in pairs}
         foot_pixels: dict[int, list[np.ndarray]] = {}
         for foot_i, person_j in pairs:
@@ -200,14 +191,8 @@ def project_cluster_box(cluster: Cluster, camera: CameraModel) -> BBox2D | None:
                   class_label="person", confidence=1.0)
 
 
-def associate_boxes_clusters(
-    boxes: list[PositionedBox],
-    clusters: list[Cluster],
-    camera: CameraModel,
-    overlap_weight: float = DEFAULT_OVERLAP_WEIGHT,
-    distance_weight: float = DEFAULT_DISTANCE_WEIGHT,
-    cost_gate: float = DEFAULT_COST_GATE,
-) -> list[LabeledObject]:
+def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster],
+                             camera: CameraModel) -> list[LabeledObject]:
     """Label clusters with camera classes by minimum-cost assignment.
 
     Pair cost combines the complement of the pixel overlap between the
@@ -223,9 +208,9 @@ def associate_boxes_clusters(
         for j, cl in enumerate(clusters):
             dist = float(np.linalg.norm(pb.position - cl.centroid[:2]))
             ov = overlap_ratio(pb.box, cluster_boxes[j]) if cluster_boxes[j] else 0.0
-            cost[i, j] = overlap_weight * (1.0 - ov) + distance_weight * dist
+            cost[i, j] = DEFAULT_OVERLAP_WEIGHT * (1.0 - ov) + DEFAULT_DISTANCE_WEIGHT * dist
 
-    pairs, un_boxes, un_clusters = gated_assignment(cost, cost_gate)
+    pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)
     out = []
     for i, j in pairs:
         out.append(LabeledObject(
@@ -253,8 +238,7 @@ def associate_boxes_clusters(
     return out
 
 
-def merge_camera_views(per_camera: list[list[LabeledObject]],
-                       duplicate_gate: float = DEFAULT_DUPLICATE_GATE) -> list[LabeledObject]:
+def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObject]:
     """Combine association results from the node's cameras.
 
     Precondition: every view labels the same cluster list, so objects that
@@ -278,7 +262,7 @@ def merge_camera_views(per_camera: list[list[LabeledObject]],
     for obj in flat:
         if obj.cluster is not None:
             continue
-        near = any(np.linalg.norm(obj.position - k.position) < duplicate_gate
+        near = any(np.linalg.norm(obj.position - k.position) < DEFAULT_DUPLICATE_GATE
                    for k in kept)
         if not near:
             kept.append(obj)

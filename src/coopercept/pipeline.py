@@ -44,6 +44,7 @@ LOCAL_METHODS = {
     METHOD_DBSCAN2: ("dbscan", 0.3, 8),
     METHOD_HIERARCHICAL: ("hierarchical",),
 }
+BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
 
 METRIC_COLUMNS = ("scenario", "node", "method", "delay_ms", "precision",
                   "recall", "avg_de_m", "frames", "config_hash", "seed")
@@ -102,8 +103,7 @@ class NodeRun:
     predictions: dict[str, list[list[tuple]]]
 
 
-def _dedup_observations(labeled: list[LabeledObject], radius: float,
-                        bed_radius: float = 1.4) -> list[LabeledObject]:
+def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[LabeledObject]:
     """Collapse near-coincident observations of one physical object.
 
     Occlusion can split a cluster into fragments that all survive camera
@@ -123,7 +123,7 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float,
         for k in kept:
             gate = radius
             if k.class_label == "bed" and obj.class_label != "person":
-                gate = bed_radius
+                gate = BED_MERGE_RADIUS
             if float(np.linalg.norm(obj.position - k.position)) < gate:
                 suppressed = True
                 break
@@ -135,10 +135,9 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float,
 def _cluster(scan, method: str, config: ScenarioConfig):
     spec = LOCAL_METHODS[method]
     if spec[0] == "dbscan":
-        points = scan.all_points()
-        labels = dbscan_baseline(points, eps=spec[1], n_min=spec[2])
-        return clusters_from_labels(points, labels)
-    return cluster_scan(scan.iter_rings(), config.cluster_params)
+        labels = dbscan_baseline(scan.points, eps=spec[1], n_min=spec[2])
+        return clusters_from_labels(scan.points, labels)
+    return cluster_scan(scan, config.cluster_params)
 
 
 def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,

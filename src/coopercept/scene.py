@@ -165,37 +165,24 @@ class LidarModel:
 
 
 @dataclass
-class RingPoints:
-    """Hits of one ring, ordered by strictly increasing azimuth."""
+class RingScan:
+    """One LiDAR revolution as flat, ring-major arrays.
 
-    ring_index: int
+    Point ``k`` is the hit on ring ``ring[k]`` at azimuth ``azimuths[k]``,
+    ``ranges[k]`` from the sensor, at ``points[k]``. Rings come in
+    increasing order and each ring's points in strictly increasing
+    azimuth; a ring without hits has no entries.
+    """
+
+    timestamp: float
+    ring: np.ndarray  # (n,) int
     azimuths: np.ndarray  # (n,)
     ranges: np.ndarray  # (n,)
     points: np.ndarray  # (n, 3)
 
-    def __len__(self) -> int:
-        return len(self.azimuths)
-
-
-@dataclass
-class RingScan:
-    """One LiDAR revolution as per-ring ordered point lists."""
-
-    timestamp: float
-    rings: list[RingPoints]
-
     @property
     def n_points(self) -> int:
-        return int(sum(len(r) for r in self.rings))
-
-    def all_points(self) -> np.ndarray:
-        arrays = [r.points for r in self.rings if len(r)]
-        return np.vstack(arrays) if arrays else np.zeros((0, 3))
-
-    def iter_rings(self):
-        for r in self.rings:
-            if len(r):
-                yield r.ring_index, r.azimuths, r.ranges, r.points
+        return len(self.ranges)
 
 
 @dataclass(frozen=True)
@@ -484,14 +471,9 @@ def scan_lidar(model: LidarModel, world: list[WorldObject],
         points = np.stack([(origin[0] + t * (cos_e * rays.cos_az))[valid],
                            (origin[1] + t * (cos_e * rays.sin_az))[valid],
                            (origin[2] + t * rays.sin_e[:, None])[valid]], axis=1)
-    ranges = t[valid]
-    azimuths = np.broadcast_to(rays.az, t.shape)[valid]
-
-    bounds = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-    rings = [RingPoints(ring_index=r, azimuths=azimuths[a:b], ranges=ranges[a:b],
-                        points=points[a:b])
-             for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    return RingScan(timestamp=timestamp, rings=rings)
+    ring, azimuths = np.broadcast_arrays(np.arange(model.n_rings)[:, None], rays.az)
+    return RingScan(timestamp=timestamp, ring=ring[valid], azimuths=azimuths[valid],
+                    ranges=t[valid], points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +568,8 @@ def make_benchmark_scan(target_points: int, seed: int = 0) -> RingScan:
     that separates the two clustering methods.
     """
     if target_points <= 0:
-        return RingScan(timestamp=0.0, rings=[])
+        return RingScan(timestamp=0.0, ring=np.zeros(0, dtype=int), azimuths=np.zeros(0),
+                        ranges=np.zeros(0), points=np.zeros((0, 3)))
     rng = np.random.default_rng(seed)
     room = Room.rectangle(-12.0, -12.0, 12.0, 12.0)
     objects = []

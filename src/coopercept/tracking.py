@@ -58,7 +58,6 @@ class TrackState:
     covariance: np.ndarray  # (5, 5)
     hits: int = 1
     misses: int = 0
-    last_update: float = 0.0
     confirmed: bool = False
     birth_position: np.ndarray = field(default=None)  # type: ignore[assignment]
     birth_timestamp: float = 0.0
@@ -133,8 +132,7 @@ class Tracker:
         cov = np.diag([c.initial_position_var, c.initial_position_var,
                        c.initial_yaw_var, c.initial_speed_var, c.initial_yaw_rate_var])
         track = TrackState(track_id=self._next_id, class_label=obs.class_label,
-                           mean=mean, covariance=cov, last_update=timestamp,
-                           birth_timestamp=timestamp)
+                           mean=mean, covariance=cov, birth_timestamp=timestamp)
         self._next_id += 1
         return track
 
@@ -166,7 +164,6 @@ class Tracker:
 
         track.hits += 1
         track.misses = 0
-        track.last_update = timestamp
         if track.class_label == CLASS_UNKNOWN and obs.class_label != CLASS_UNKNOWN:
             track.class_label = obs.class_label
         if track.hits >= c.n_confirm:

@@ -272,8 +272,9 @@ def brute_force_scan(model, world, room=None):
     The ray geometry is the sensor's definition (azimuth -pi + k * dphi,
     directions from numpy's cos/sin of the azimuth and elevation arrays);
     the surfaces repeat the package's arithmetic operation for operation,
-    so hits compare bitwise. Returns per-ring ``(azimuths, ranges,
-    points)`` arrays in azimuth order.
+    so hits compare bitwise. Returns the flat ring-major ``(ring,
+    azimuths, ranges, points)`` arrays of the hits, each ring in azimuth
+    order.
     """
     dphi = model.horizontal_resolution
     n_az = int(round(2.0 * math.pi / dphi))
@@ -287,9 +288,8 @@ def brute_force_scan(model, world, room=None):
         poly = room.polygon
         walls = [(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
 
-    rings = []
+    hits = []
     for r in range(model.n_rings):
-        hits = []
         for k in range(n_az):
             d = (cos_e[r] * cos_az[k], cos_e[r] * sin_az[k], sin_e[r])
             t = math.inf
@@ -301,12 +301,12 @@ def brute_force_scan(model, world, room=None):
             if room is not None:
                 t = min(t, _t_floor(o, d, room.polygon))
             if t <= model.max_range:
-                hits.append((float(az[k]), t, (o[0] + t * d[0], o[1] + t * d[1],
-                                               o[2] + t * d[2])))
-        rings.append((np.array([h[0] for h in hits]),
-                      np.array([h[1] for h in hits]),
-                      np.array([h[2] for h in hits]).reshape(-1, 3)))
-    return rings
+                hits.append((r, float(az[k]), t, (o[0] + t * d[0], o[1] + t * d[1],
+                                                  o[2] + t * d[2])))
+    return (np.array([h[0] for h in hits], dtype=int),
+            np.array([h[1] for h in hits], dtype=float),
+            np.array([h[2] for h in hits], dtype=float),
+            np.array([h[3] for h in hits], dtype=float).reshape(-1, 3))
 
 
 # -- per-ring adaptive-radius DBSCAN -------------------------------------------
@@ -356,22 +356,19 @@ def brute_force_ring_dbscan(azimuths, ranges, points, n_min, dphi):
 # -- ROI filter, ring by ring and point by point -------------------------------
 
 def brute_force_filter_roi(scan, grid, z_band):
-    """Per ring, ``(ring_index, kept)`` with ``kept`` the indices of the
-    points whose floor cell is marked in ``grid.mask`` and whose z lies in
-    ``[z_min, z_max]``; a cell outside the grid's extent drops the point."""
+    """Indices of the scan's points whose floor cell is marked in
+    ``grid.mask`` and whose z lies in ``[z_min, z_max]``; a cell outside
+    the grid's extent drops the point."""
     rows, cols = grid.mask.shape
     z_min, z_max = z_band
-    out = []
-    for ring in scan.rings:
-        kept = []
-        for k, (x, y, z) in enumerate(ring.points.tolist()):
-            col = math.floor((x - grid.origin[0]) / grid.cell_size)
-            row = math.floor((y - grid.origin[1]) / grid.cell_size)
-            if (0 <= row < rows and 0 <= col < cols and grid.mask[row, col]
-                    and z_min <= z <= z_max):
-                kept.append(k)
-        out.append((ring.ring_index, kept))
-    return out
+    kept = []
+    for k, (x, y, z) in enumerate(scan.points.tolist()):
+        col = math.floor((x - grid.origin[0]) / grid.cell_size)
+        row = math.floor((y - grid.origin[1]) / grid.cell_size)
+        if (0 <= row < rows and 0 <= col < cols and grid.mask[row, col]
+                and z_min <= z <= z_max):
+            kept.append(k)
+    return kept
 
 
 def brute_force_merge_views(per_camera, duplicate_gate=0.5):

@@ -23,6 +23,7 @@ from oracles import (
     labelings_equal,
     scalar_segment_distance,
 )
+from scans import scan_from_rings
 
 PARAMS = ClusterParams()
 
@@ -70,7 +71,7 @@ def test_adaptive_epsilon_rejects_nonpositive_range():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
     ranges[3] = 0.0
     with pytest.raises(ValueError):
-        ring_segments([(0, az, ranges, pts)], PARAMS)
+        ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
 
 
 def test_adaptive_epsilon_linear_in_range():
@@ -88,7 +89,7 @@ def test_adaptive_epsilon_linear_in_range():
 def test_wall_arc_single_segment():
     # consecutive spacing 5*dphi is well inside eps(5) = n_min*dphi*5
     az, ranges, pts = ring_on_arc(5.0, -0.3, 0.3, PARAMS.dphi)
-    segments = ring_segments([(2, az, ranges, pts)], PARAMS)
+    segments = ring_segments(scan_from_rings([(2, az, ranges, pts)]), PARAMS)
     assert len(segments) == 1
     seg = segments[0]
     assert seg.ring_index == 2
@@ -106,22 +107,24 @@ def test_azimuth_gap_splits_segments():
     az = np.concatenate([az1, az2])
     ranges = np.concatenate([r1, r2])
     pts = np.vstack([p1, p2])
-    segments = ring_segments([(0, az, ranges, pts)], PARAMS)
+    segments = ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
     assert len(segments) == 2
 
 
 def test_fewer_than_n_min_points_all_noise():
     az, ranges, pts = ring_on_arc(5.0, 0.0, PARAMS.dphi * (PARAMS.n_min - 1), PARAMS.dphi)
     assert len(az) == PARAMS.n_min - 1
-    segments = ring_segments([(0, az, ranges, pts)], PARAMS)
+    segments = ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
     assert segments == []
 
 
 def test_unsorted_azimuths_rejected():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
-    az = az[::-1].copy()
     with pytest.raises(ValueError):
-        ring_segments([(0, az, ranges, pts)], PARAMS)
+        ring_segments(scan_from_rings([(0, az[::-1], ranges, pts)]), PARAMS)
+    # each ring sorted, but the rings out of order
+    with pytest.raises(ValueError):
+        ring_segments(scan_from_rings([(1, az, ranges, pts), (0, az, ranges, pts)]), PARAMS)
 
 
 # -- segment metric ----------------------------------------------------------
@@ -228,13 +231,16 @@ def test_segment_distance_matches_scalar_oracle():
 
 # -- one labelling per scan against per-ring brute force ---------------------
 
-def oracle_segments(rings, params):
+def oracle_segments(scan, params):
     """(ring, azimuth bytes) of every brute-force cluster of every ring."""
     out = []
-    for ring_index, az, ranges, pts in rings:
-        labels = brute_force_ring_dbscan(az, ranges, pts, params.n_min, params.dphi)
+    for ring_index in np.unique(scan.ring).tolist():
+        on = scan.ring == ring_index
+        az = scan.azimuths[on]
+        labels = brute_force_ring_dbscan(az, scan.ranges[on], scan.points[on],
+                                         params.n_min, params.dphi)
         out.extend((ring_index, az[labels == cid].tobytes())
-                   for cid in range(labels.max() + 1 if len(labels) else 0))
+                   for cid in range(labels.max() + 1))
     return sorted(out)
 
 
@@ -256,10 +262,9 @@ def test_cluster_scan_segments_match_per_ring_brute_force():
             for t, world in frames:
                 scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
                                   grid, config.z_band)
-                rings = list(scan.iter_rings())
                 for params in (config.cluster_params, ClusterParams(n_min=8)):
-                    got = scan_segments(cluster_scan(rings, params))
-                    assert got == oracle_segments(rings, params)
+                    got = scan_segments(cluster_scan(scan, params))
+                    assert got == oracle_segments(scan, params)
                     checked += len(got)
     assert checked > 100
 
@@ -269,22 +274,25 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
                                elevation_min=math.radians(-15.0))
     scan = scan_lidar(lidar, [make_person(1, -4.0, 0.0), make_person(2, 3.0, 1.0)])
-    rings = list(scan.iter_rings())
+    rings = [(r, scan.azimuths[scan.ring == r], scan.ranges[scan.ring == r],
+              scan.points[scan.ring == r]) for r in np.unique(scan.ring).tolist()]
     # rings with fewer than n_min points are all noise
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
     for k in range(1, PARAMS.n_min):
         rings.append((16 + k, az[:k], ranges[:k], pts[:k]))
     rings.append((20, az[:0], ranges[:0], pts[:0]))
+    scan = scan_from_rings(rings)
 
-    got = scan_segments(cluster_scan(rings, PARAMS))
-    assert got == oracle_segments(rings, PARAMS)
+    got = scan_segments(cluster_scan(scan, PARAMS))
+    assert got == oracle_segments(scan, PARAMS)
     starts = [np.frombuffer(a)[0] for _, a in got]
     ends = [np.frombuffer(a)[-1] for _, a in got]
     assert min(starts) < -math.pi + 0.1 and max(ends) > math.pi - 0.1
     assert all(ring < 16 for ring, _ in got)
     for ring_index, az_r, ranges_r, pts_r in rings:
-        expected = oracle_segments([(ring_index, az_r, ranges_r, pts_r)], PARAMS)
-        segments = ring_segments([(ring_index, az_r, ranges_r, pts_r)], PARAMS)
+        one = scan_from_rings([(ring_index, az_r, ranges_r, pts_r)])
+        expected = oracle_segments(one, PARAMS)
+        segments = ring_segments(one, PARAMS)
         assert sorted((s.ring_index, s.azimuths.tobytes()) for s in segments) == expected
         assert [s.azimuth_interval[0] for s in segments] == \
             sorted(s.azimuth_interval[0] for s in segments)
@@ -343,7 +351,7 @@ def test_cluster_segments_group_and_member_order():
 def test_cluster_order_independent_of_input_order():
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects)
-    segments = ring_segments(scan.iter_rings(), PARAMS)
+    segments = ring_segments(scan, PARAMS)
     forward = cluster_segments(segments, PARAMS)
     backward = cluster_segments(segments[::-1], PARAMS)
     key = lambda c: tuple(np.round(c.centroid, 9))
@@ -355,9 +363,9 @@ def test_flanking_scene_counts():
     # shatters rings apart, large radius swallows persons into the bed
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects)
-    points = scan.all_points()
+    points = scan.points
 
-    hier = cluster_scan(scan.iter_rings(), PARAMS)
+    hier = cluster_scan(scan, PARAMS)
     assert len(hier) == 3
 
     labels_small = dbscan_baseline(points, eps=0.25, n_min=4)
@@ -403,7 +411,7 @@ def test_dbscan_matches_brute_force():
 def test_partition_property():
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects)
-    clusters = cluster_scan(scan.iter_rings(), PARAMS)
+    clusters = cluster_scan(scan, PARAMS)
     counts = sum(len(c.points) for c in clusters)
     # every clustered point appears exactly once across clusters
     all_pts = np.vstack([c.points for c in clusters])
@@ -419,9 +427,9 @@ def test_methods_agree_on_isolated_object():
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
                                elevation_min=math.radians(-15.0))
     scan = scan_lidar(lidar, [make_person(1, 4.0, 0.0)])
-    hier = cluster_scan(scan.iter_rings(), params)
-    labels = dbscan_baseline(scan.all_points(), eps=0.3, n_min=8)
-    base = clusters_from_labels(scan.all_points(), labels)
+    hier = cluster_scan(scan, params)
+    labels = dbscan_baseline(scan.points, eps=0.3, n_min=8)
+    base = clusters_from_labels(scan.points, labels)
     assert len(hier) == 1
     assert len(base) == 1
     key = lambda pts: set(map(tuple, np.round(pts, 9)))
@@ -431,10 +439,8 @@ def test_methods_agree_on_isolated_object():
 def test_cluster_invariants():
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects)
-    for cluster in cluster_scan(scan.iter_rings(), PARAMS):
+    for cluster in cluster_scan(scan, PARAMS):
         assert np.allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-12)
-        x0, y0, x1, y1 = cluster.bbox_xy
-        assert x0 <= x1 and y0 <= y1
         for seg in cluster.segments:
             assert np.allclose(seg.centroid, seg.points.mean(axis=0), atol=1e-12)
             assert seg.azimuth_interval[0] <= seg.azimuth_interval[1]

@@ -16,10 +16,11 @@ from coopercept.local_fusion import (
     filter_roi,
     merge_camera_views,
 )
-from coopercept.scene import LidarModel, RingPoints, RingScan, Room, make_person, scan_lidar
+from coopercept.scene import LidarModel, Room, make_person, scan_lidar
 from coopercept.assignment import gated_assignment
 
 from oracles import brute_force_filter_roi, brute_force_gated_matching, brute_force_merge_views
+from scans import scan_from_rings
 
 
 def all_true_grid(extent=10.0, cell=0.5):
@@ -61,9 +62,9 @@ def test_all_true_grid_wide_band_is_identity():
     scan, _ = room_scan()
     out = filter_roi(scan, all_true_grid(), z_band=(-10.0, 10.0))
     assert out.n_points == scan.n_points
-    for a, b in zip(scan.rings, out.rings):
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.azimuths, b.azimuths)
+    assert np.array_equal(scan.ring, out.ring)
+    assert np.array_equal(scan.points, out.points)
+    assert np.array_equal(scan.azimuths, out.azimuths)
 
 
 def test_all_false_grid_empties_scan():
@@ -78,7 +79,7 @@ def test_walls_and_floor_removed_person_kept():
     scan, room = room_scan()
     grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
     out = filter_roi(scan, grid, z_band=(0.1, 2.2))
-    pts = out.all_points()
+    pts = out.points
     assert len(pts) > 0
     # everything that survives sits near the person, not on walls or floor
     assert np.all(np.abs(pts[:, 0] - 3.0) < 1.0)
@@ -94,21 +95,19 @@ def test_filter_roi_idempotent():
     once = filter_roi(scan, grid, z_band=(0.1, 2.2))
     twice = filter_roi(once, grid, z_band=(0.1, 2.2))
     assert once.n_points == twice.n_points
-    for a, b in zip(once.rings, twice.rings):
-        assert np.array_equal(a.points, b.points)
+    assert np.array_equal(once.ring, twice.ring)
+    assert np.array_equal(once.points, twice.points)
 
 
 def assert_filter_matches_oracle(scan, grid, z_band):
     out = filter_roi(scan, grid, z_band)
-    expected = brute_force_filter_roi(scan, grid, z_band)
+    kept = np.asarray(brute_force_filter_roi(scan, grid, z_band), dtype=int)
     assert out.timestamp == scan.timestamp
-    assert [r.ring_index for r in out.rings] == [ring for ring, _ in expected]
-    for ring_in, ring_out, (_, kept) in zip(scan.rings, out.rings, expected):
-        kept = np.asarray(kept, dtype=int)
-        assert ring_out.azimuths.tobytes() == ring_in.azimuths[kept].tobytes()
-        assert ring_out.ranges.tobytes() == ring_in.ranges[kept].tobytes()
-        assert ring_out.points.shape == (len(kept), 3)
-        assert ring_out.points.tobytes() == ring_in.points[kept].tobytes()
+    assert out.ring.tobytes() == scan.ring[kept].tobytes()
+    assert out.azimuths.tobytes() == scan.azimuths[kept].tobytes()
+    assert out.ranges.tobytes() == scan.ranges[kept].tobytes()
+    assert out.points.shape == (len(kept), 3)
+    assert out.points.tobytes() == scan.points[kept].tobytes()
     return out
 
 
@@ -129,17 +128,20 @@ def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
 def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
     scan, room = room_scan()
     grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
-    empty = RingPoints(ring_index=20, azimuths=np.zeros(0), ranges=np.zeros(0),
-                       points=np.zeros((0, 3)))
-    source = max(scan.rings, key=len)
-    dropped = RingPoints(ring_index=21, azimuths=source.azimuths, ranges=source.ranges,
-                         points=source.points + np.array([0.0, 0.0, 10.0]))
-    mixed = RingScan(timestamp=1.5, rings=[empty, *scan.rings, dropped, empty])
+    # every ring of the scan, with ids 2k (non-contiguous), then a ring
+    # lifted above the z band
+    rings = [(2 * r, scan.azimuths[scan.ring == r], scan.ranges[scan.ring == r],
+              scan.points[scan.ring == r]) for r in np.unique(scan.ring)]
+    source = np.bincount(scan.ring).argmax()
+    on = scan.ring == source
+    lifted = (40, scan.azimuths[on], scan.ranges[on],
+              scan.points[on] + np.array([0.0, 0.0, 10.0]))
+    mixed = scan_from_rings(rings + [lifted], timestamp=1.5)
     out = assert_filter_matches_oracle(mixed, grid, (0.1, 2.2))
-    assert out.n_points > 0 and len(dropped) > 0
-    assert len(out.rings[0]) == len(out.rings[-2]) == len(out.rings[-1]) == 0
-    assert assert_filter_matches_oracle(RingScan(2.0, [empty]), grid, (0.1, 2.2)).n_points == 0
-    assert filter_roi(RingScan(3.0, []), grid).rings == []
+    assert out.n_points > 0 and on.sum() > 0
+    assert 40 not in out.ring  # the lifted ring leaves no entry
+    empty = assert_filter_matches_oracle(scan_from_rings([], timestamp=3.0), grid, (0.1, 2.2))
+    assert empty.n_points == 0 and empty.points.shape == (0, 3)
 
 
 def test_points_outside_grid_extent_dropped():

@@ -112,9 +112,9 @@ def test_intra_ring_spacing_on_cylinder():
                                elevation_min=math.radians(-2.0))
     person = make_person(1, 5.0, 0.0, height=1.8)
     scan = scan_lidar(lidar, [person])
-    ring = next(r for r in scan.rings if len(r) > 10)
+    ring = np.flatnonzero(np.bincount(scan.ring) > 10)[0]
     # central part of the arc (away from grazing edges)
-    pts = ring.points[3:-3]
+    pts = scan.points[scan.ring == ring][3:-3]
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     expected = 5.0 * lidar.horizontal_resolution
     assert np.median(gaps) == pytest.approx(expected, rel=0.15)
@@ -127,8 +127,8 @@ def test_inter_ring_spacing_on_wall():
                                elevation_min=math.radians(-1.0))
     room = Room.rectangle(-1.0, -8.0, 10.0, 8.0, wall_height=3.0)
     scan = scan_lidar(lidar, [], static_map=room)
-    r0 = {round(a, 6): p for a, p in zip(scan.rings[0].azimuths, scan.rings[0].points)}
-    r1 = {round(a, 6): p for a, p in zip(scan.rings[1].azimuths, scan.rings[1].points)}
+    r0, r1 = ({round(a, 6): p for a, p in zip(scan.azimuths[on], scan.points[on])}
+              for on in (scan.ring == 0, scan.ring == 1))
     shared = sorted(set(r0) & set(r1))
     # straight-ahead column hits the x=10 wall
     a = min(shared, key=abs)
@@ -146,20 +146,19 @@ def test_point_geometry_consistency():
     world = [make_person(1, 3.0, 1.0), make_bed(2, -2.0, -3.0)]
     scan = scan_lidar(lidar, world, room)
     origin = np.array(lidar.position)
-    for ring in scan.rings:
-        if len(ring) == 0:
-            continue
-        assert np.all(np.diff(ring.azimuths) > 0.0)
-        elev = lidar.ring_elevations[ring.ring_index]
-        dirs = np.stack([
-            np.cos(elev) * np.cos(ring.azimuths),
-            np.cos(elev) * np.sin(ring.azimuths),
-            np.full(len(ring), np.sin(elev)),
-        ], axis=1)
-        rebuilt = origin[None, :] + ring.ranges[:, None] * dirs
-        assert np.max(np.linalg.norm(rebuilt - ring.points, axis=1)) < 1e-9
-        assert np.all(ring.ranges > 0.0)
-        assert np.all(ring.ranges <= lidar.max_range)
+    assert np.all(np.diff(scan.ring) >= 0)
+    for ring in np.unique(scan.ring):
+        assert np.all(np.diff(scan.azimuths[scan.ring == ring]) > 0.0)
+    elev = np.asarray(lidar.ring_elevations)[scan.ring]
+    dirs = np.stack([
+        np.cos(elev) * np.cos(scan.azimuths),
+        np.cos(elev) * np.sin(scan.azimuths),
+        np.sin(elev),
+    ], axis=1)
+    rebuilt = origin[None, :] + scan.ranges[:, None] * dirs
+    assert np.max(np.linalg.norm(rebuilt - scan.points, axis=1)) < 1e-9
+    assert np.all(scan.ranges > 0.0)
+    assert np.all(scan.ranges <= lidar.max_range)
 
 
 def test_scanning_anisotropy_ratio():
@@ -169,19 +168,19 @@ def test_scanning_anisotropy_ratio():
                                elevation_min=math.radians(-3.0))
     room = Room.rectangle(-1.0, -10.0, 8.0, 10.0, wall_height=4.0)
     scan = scan_lidar(lidar, [], static_map=room)
-    front = [r for r in scan.rings if len(r)]
+    front = [(scan.azimuths[scan.ring == r], scan.points[scan.ring == r])
+             for r in np.unique(scan.ring)]
     # use columns near azimuth 0 on the x=8 wall
     intra, inter = [], []
-    for ring in front:
-        mask = np.abs(ring.azimuths) < 0.15
-        pts = ring.points[mask]
+    for az, pts in front:
+        pts = pts[np.abs(az) < 0.15]
         if len(pts) > 2:
             intra.extend(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-    for ra, rb in zip(front, front[1:]):
-        common = sorted(set(np.round(ra.azimuths, 9)) & set(np.round(rb.azimuths, 9)))
+    for (az_a, pts_a), (az_b, pts_b) in zip(front, front[1:]):
+        common = sorted(set(np.round(az_a, 9)) & set(np.round(az_b, 9)))
         common = [a for a in common if abs(a) < 0.15]
-        pa = {round(a, 9): p for a, p in zip(ra.azimuths, ra.points)}
-        pb = {round(a, 9): p for a, p in zip(rb.azimuths, rb.points)}
+        pa = {round(a, 9): p for a, p in zip(az_a, pts_a)}
+        pb = {round(a, 9): p for a, p in zip(az_b, pts_b)}
         inter.extend(np.linalg.norm(pa[a] - pb[a]) for a in common)
     ratio = np.median(inter) / np.median(intra)
     expected = lidar.vertical_resolution / lidar.horizontal_resolution
@@ -194,7 +193,7 @@ def test_occlusion_nearest_hit():
     near = make_person(1, 3.0, 0.0)
     far = make_person(2, 6.0, 0.0)
     scan = scan_lidar(lidar, [near, far])
-    pts = scan.all_points()
+    pts = scan.points
     # straight-ahead rays must stop at the near person
     central = pts[np.abs(np.arctan2(pts[:, 1], pts[:, 0])) < 0.02]
     assert len(central) > 0
@@ -215,11 +214,11 @@ def coarse_lidar(position, n_rings=6, elevation_min=-25.0, step=6.0, dphi=0.75):
 
 
 def assert_scan_bitwise(scan, expected):
-    assert len(scan.rings) == len(expected)
-    for ring, (az, ranges, pts) in zip(scan.rings, expected):
-        assert ring.azimuths.tobytes() == az.tobytes()
-        assert ring.ranges.tobytes() == ranges.tobytes()
-        assert ring.points.tobytes() == pts.tobytes()
+    ring, az, ranges, pts = expected
+    assert scan.ring.tobytes() == ring.tobytes()
+    assert scan.azimuths.tobytes() == az.tobytes()
+    assert scan.ranges.tobytes() == ranges.tobytes()
+    assert scan.points.tobytes() == pts.tobytes()
 
 
 def test_scan_matches_brute_force_over_walk():
@@ -266,10 +265,10 @@ def test_writing_to_a_scan_leaves_the_next_scan_unchanged():
     for _ in range(2):
         scan = scan_lidar(lidar, world, room)
         assert_scan_bitwise(scan, expected)
-        for ring in scan.rings:
-            ring.azimuths[:] = 0.0
-            ring.ranges[:] = -1.0
-            ring.points[:] = np.nan
+        scan.ring[:] = -1
+        scan.azimuths[:] = 0.0
+        scan.ranges[:] = -1.0
+        scan.points[:] = np.nan
 
 
 # -- simulated detector ------------------------------------------------------
