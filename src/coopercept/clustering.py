@@ -23,6 +23,9 @@ from scipy.spatial import cKDTree
 from .scene import RingScan
 
 NOISE = -1
+# The point-level DBSCAN baseline's fixed radius and core size.
+DBSCAN_BASELINE_EPS = 0.3  # m
+DBSCAN_BASELINE_N_MIN = 4
 
 
 @dataclass(frozen=True)

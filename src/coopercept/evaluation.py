@@ -14,12 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import gated_assignment
-from .clustering import ClusterParams, cluster_scan, dbscan_baseline
+from .clustering import (
+    DBSCAN_BASELINE_EPS,
+    DBSCAN_BASELINE_N_MIN,
+    ClusterParams,
+    cluster_scan,
+    dbscan_baseline,
+)
 from .scene import RingScan, make_benchmark_scan
 
 DEFAULT_MATCH_GATE = 0.5  # m
-BENCH_DBSCAN_EPS = 0.3  # m, the point-level baseline's radius
-BENCH_DBSCAN_N_MIN = 4
 
 
 def _scan_resolution(scan: RingScan) -> float:
@@ -128,7 +132,7 @@ def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0):
             cluster_scan(scan, params)
             hier_ms.append((time.perf_counter() - t0) * 1e3)
             t0 = time.perf_counter()
-            dbscan_baseline(scan.points, BENCH_DBSCAN_EPS, BENCH_DBSCAN_N_MIN)
+            dbscan_baseline(scan.points, DBSCAN_BASELINE_EPS, DBSCAN_BASELINE_N_MIN)
             base_ms.append((time.perf_counter() - t0) * 1e3)
 
         for method, samples in (("hierarchical", hier_ms), ("dbscan", base_ms)):

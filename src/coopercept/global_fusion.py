@@ -8,6 +8,16 @@ Fresher contributions carry more weight because each contributor's scalar
 weighting variance grows with the compensated interval at its class's
 process-noise rate.
 A delay-ignorant uniform-weight variant serves as the comparison baseline.
+
+The cycle works on Python floats and ``math``: its arrays would hold one
+to a few elements, where numpy's per-call overhead is most of the cost,
+and the center's own processing time adds to the delay it compensates.
+Only the cross-node cost matrix stays an array, for the assignment. The
+result is the same as the numpy form's to the bit: sums are left folds
+from 0.0 in group order, which equal numpy's ``add.reduce`` for up to
+seven terms (it switches to unrolled partial sums at eight), a mean is
+that sum over the count as in ``np.mean``, and a group holds at most one
+object per node.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import gated_assignment
-from .motion import ctrv_step, wrap_angle
+from .motion import ctrv_advance, wrap_angle
 from .tracking import StampedObjectList, TrackedObject, class_compatible
 
 log = logging.getLogger(__name__)
@@ -113,21 +123,29 @@ def compensate_delay(message: StampedObjectList, now: float,
     stale = delay > params.max_compensation
     dt = min(delay, params.max_compensation) if enabled else 0.0
 
+    delay_ms = delay * 1e3
     out = []
     for obj in message.objects:
-        state = np.array([obj.x, obj.y, obj.yaw, obj.v_x, obj.omega_z])
-        state = ctrv_step(state, dt)
-        rate = params.process_rate(obj.class_label)
+        x, y, yaw, v_x, omega_z = ctrv_advance(obj.x, obj.y, obj.yaw, obj.v_x,
+                                               obj.omega_z, dt)
         out.append(CompensatedObject(
-            node_id=message.node_id,
-            source=obj,
-            x=float(state[0]), y=float(state[1]), yaw=float(state[2]),
-            v_x=float(state[3]), omega_z=float(state[4]),
-            fusion_var=params.base_position_var + rate * dt,
-            delay_ms=delay * 1e3,
+            node_id=message.node_id, source=obj,
+            x=x, y=y, yaw=yaw, v_x=v_x, omega_z=omega_z,
+            fusion_var=params.base_position_var + params.process_rate(obj.class_label) * dt,
+            delay_ms=delay_ms,
             stale=stale,
         ))
     return out
+
+
+def _fold(terms: list[float]) -> float:
+    """Left-to-right sum from 0.0, the order in which numpy's
+    ``add.reduce`` adds up to seven terms (so all -0.0 terms sum to 0.0).
+    Not ``sum``: from Python 3.12 it compensates rounding errors."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def _associate_across_nodes(per_node: list[list[CompensatedObject]],
@@ -144,16 +162,21 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
         if not groups:
             groups = [[o] for o in objs]
             continue
+        labels = [o.class_label for o in objs]
+        distinct = set(labels)
         cost = np.full((len(groups), len(objs)), np.inf)
         for i, group in enumerate(groups):
-            gx = np.mean([m.x for m in group])
-            gy = np.mean([m.y for m in group])
+            gx = _fold([m.x for m in group]) / len(group)
+            gy = _fold([m.y for m in group]) / len(group)
+            classes = {m.class_label for m in group}
+            group_gate = max(params.gate_for(c) for c in classes)
+            # the gate for each object label every member's class admits
+            gates = {label: max(params.gate_for(label), group_gate) for label in distinct
+                     if all(class_compatible(c, label) for c in classes)}
             for j, obj in enumerate(objs):
-                if not all(class_compatible(m.class_label, obj.class_label)
-                           for m in group):
+                gate = gates.get(labels[j])
+                if gate is None:
                     continue
-                gate = max(params.gate_for(obj.class_label),
-                           *(params.gate_for(m.class_label) for m in group))
                 d = math.hypot(gx - obj.x, gy - obj.y)
                 if d <= gate:
                     cost[i, j] = d
@@ -172,18 +195,20 @@ def _combine(group: list[CompensatedObject], uniform: bool):
     fresher messages weigh more; equal delays reduce to uniform weights.
     """
     if uniform:
-        w = np.full(len(group), 1.0 / len(group))
+        w = [1.0 / len(group)] * len(group)
     else:
-        inv_var = np.array([1.0 / max(m.fusion_var, 1e-9) for m in group])
-        w = inv_var / inv_var.sum()
-    x = float(np.sum(w * np.array([m.x for m in group])))
-    y = float(np.sum(w * np.array([m.y for m in group])))
-    v = float(np.sum(w * np.array([m.v_x for m in group])))
-    omega = float(np.sum(w * np.array([m.omega_z for m in group])))
-    yaw = float(math.atan2(
-        np.sum(w * np.sin([m.yaw for m in group])),
-        np.sum(w * np.cos([m.yaw for m in group])),
-    ))
+        inv_var = [1.0 / max(m.fusion_var, 1e-9) for m in group]
+        total = _fold(inv_var)
+        w = [iv / total for iv in inv_var]
+    x = y = v = omega = sin_yaw = cos_yaw = 0.0  # left folds, as in _fold
+    for wi, m in zip(w, group):
+        x += wi * m.x
+        y += wi * m.y
+        v += wi * m.v_x
+        omega += wi * m.omega_z
+        sin_yaw += wi * math.sin(m.yaw)
+        cos_yaw += wi * math.cos(m.yaw)
+    yaw = math.atan2(sin_yaw, cos_yaw)
     labels = [m.class_label for m in group if m.class_label != "unknown"]
     label = labels[0] if labels else "unknown"
     return x, y, wrap_angle(yaw), v, omega, label, w
@@ -198,10 +223,10 @@ def _fuse_groups(groups: list[list[CompensatedObject]],
         tracks.append(GlobalTrack(
             global_id=-1,
             class_label=label,
-            x=x, y=y, yaw=float(yaw), v_x=v, omega_z=omega,
+            x=x, y=y, yaw=yaw, v_x=v, omega_z=omega,
             contributors=tuple(sorted((m.node_id, m.source.track_id) for m in group)),
             staleness_ms=max(m.delay_ms for m in group),
-            weights=tuple(float(v_) for v_ in w),
+            weights=tuple(w),
         ))
 
     # Global id continuity: greedy nearest neighbor to the previous cycle.

@@ -14,13 +14,20 @@ published message stream.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import cluster_scan, clusters_from_labels, dbscan_baseline
+from .clustering import (
+    DBSCAN_BASELINE_EPS,
+    DBSCAN_BASELINE_N_MIN,
+    cluster_scan,
+    clusters_from_labels,
+    dbscan_baseline,
+)
 from .evaluation import aggregate, benchmark_clustering, match_frame
 from .global_fusion import CenterNode
 from .local_fusion import (
@@ -40,8 +47,8 @@ METHOD_HIERARCHICAL = "hierarchical"
 METHOD_DBSCAN1 = "dbscan1"
 METHOD_DBSCAN2 = "dbscan2"
 LOCAL_METHODS = {
-    METHOD_DBSCAN1: ("dbscan", 0.3, 4),
-    METHOD_DBSCAN2: ("dbscan", 0.3, 8),
+    METHOD_DBSCAN1: ("dbscan", DBSCAN_BASELINE_EPS, DBSCAN_BASELINE_N_MIN),
+    METHOD_DBSCAN2: ("dbscan", DBSCAN_BASELINE_EPS, 8),
     METHOD_HIERARCHICAL: ("hierarchical",),
 }
 BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
@@ -67,14 +74,13 @@ def simulate_world(config: ScenarioConfig) -> list[tuple[float, list[WorldObject
 def interpolate_gt(frames, t: float):
     """Ground truth as (class, x, y) tuples, positions linearly
     interpolated between the bracketing frames."""
-    times = [f[0] for f in frames]
-    if t <= times[0]:
+    if t <= frames[0][0]:
         world = frames[0][1]
         return [(o.class_label, o.x, o.y) for o in world]
-    if t >= times[-1]:
+    if t >= frames[-1][0]:
         world = frames[-1][1]
         return [(o.class_label, o.x, o.y) for o in world]
-    hi = next(i for i, ft in enumerate(times) if ft >= t)
+    hi = bisect.bisect_left(frames, t, key=lambda f: f[0])  # first frame at or after t
     lo = hi - 1
     t0, w0 = frames[lo]
     t1, w1 = frames[hi]

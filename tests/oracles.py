@@ -1,13 +1,19 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute-force and written with plain Python
-arithmetic so the results do not share code paths with the package.
+arithmetic so the results do not share code paths with the package. The
+one exception is the fusion-cycle oracle, which keeps the numpy form of
+the center's cycle and calls the package's ``gated_assignment`` for its
+cross-node assignment, as that cycle does.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
+
+from coopercept.assignment import gated_assignment
 
 
 def brute_force_dbscan(points, eps, n_min):
@@ -418,3 +424,113 @@ def brute_force_merge_views(per_camera, duplicate_gate=0.5):
                 np.linalg.norm(obj.position - k[3]) < duplicate_gate for k in kept):
             kept.append((obj.class_label, obj.source, obj.confidence, obj.position, None))
     return kept
+
+
+# -- center fusion cycle -----------------------------------------------------------
+
+def _numpy_wrap_angle(angle):
+    """The array form of the package's wrap_angle, applied to every input."""
+    a = np.asarray(angle, dtype=float)
+    wrapped = -((math.pi - a) % (2.0 * math.pi) - math.pi)
+    out = np.where((a > -math.pi) & (a <= math.pi), a, wrapped)
+    return out if out.ndim else float(out)
+
+
+def _numpy_ctrv_step(state, dt):
+    x, y, yaw, v, omega = (float(s) for s in state)
+    return np.array([x + v * math.cos(yaw) * dt, y + v * math.sin(yaw) * dt,
+                     _numpy_wrap_angle(yaw + omega * dt), v, omega])
+
+
+def _class_compatible(a, b):
+    return a == "unknown" or b == "unknown" or a == b
+
+
+def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, next_gid):
+    """One center fusion cycle computed on numpy arrays of one or two
+    elements: a 5-vector per compensated object, numpy means for group
+    positions, numpy sums, sines and cosines for the combination.
+
+    ``messages`` holds the freshest list per node in node order,
+    ``previous`` the tracks this function returned for the last cycle.
+    Cross-node assignment goes through the package's ``gated_assignment``,
+    as the package does. Returns ``(tracks, next_gid)``; each track is a
+    SimpleNamespace with the fields of ``GlobalTrack``.
+    """
+    per_node = []
+    for message in messages:
+        delay = max(now - message.capture_timestamp, 0.0)
+        stale = delay > params.max_compensation
+        dt = min(delay, params.max_compensation) if delay_aware else 0.0
+        objs = []
+        for obj in message.objects:
+            state = _numpy_ctrv_step(np.array([obj.x, obj.y, obj.yaw, obj.v_x, obj.omega_z]), dt)
+            objs.append(SimpleNamespace(
+                node_id=message.node_id, track_id=obj.track_id, class_label=obj.class_label,
+                x=float(state[0]), y=float(state[1]), yaw=float(state[2]),
+                v_x=float(state[3]), omega_z=float(state[4]),
+                fusion_var=params.base_position_var + params.process_rate(obj.class_label) * dt,
+                delay_ms=delay * 1e3, stale=stale))
+        per_node.append(objs)
+
+    groups = []
+    for objs in per_node:
+        if not groups:
+            groups = [[o] for o in objs]
+            continue
+        cost = np.full((len(groups), len(objs)), np.inf)
+        for i, group in enumerate(groups):
+            gx = np.mean([m.x for m in group])
+            gy = np.mean([m.y for m in group])
+            for j, obj in enumerate(objs):
+                if not all(_class_compatible(m.class_label, obj.class_label) for m in group):
+                    continue
+                gate = max(params.gate_for(obj.class_label),
+                           *(params.gate_for(m.class_label) for m in group))
+                d = math.hypot(gx - obj.x, gy - obj.y)
+                if d <= gate:
+                    cost[i, j] = d
+        pairs, _, un_objs = gated_assignment(cost, math.inf)
+        for i, j in pairs:
+            groups[i].append(objs[j])
+        for j in un_objs:
+            groups.append([objs[j]])
+
+    tracks = []
+    for group in groups:
+        if not delay_aware:
+            w = np.full(len(group), 1.0 / len(group))
+        else:
+            inv_var = np.array([1.0 / max(m.fusion_var, 1e-9) for m in group])
+            w = inv_var / inv_var.sum()
+        yaw = float(math.atan2(np.sum(w * np.sin([m.yaw for m in group])),
+                               np.sum(w * np.cos([m.yaw for m in group]))))
+        labels = [m.class_label for m in group if m.class_label != "unknown"]
+        tracks.append(SimpleNamespace(
+            global_id=-1,
+            class_label=labels[0] if labels else "unknown",
+            x=float(np.sum(w * np.array([m.x for m in group]))),
+            y=float(np.sum(w * np.array([m.y for m in group]))),
+            yaw=float(_numpy_wrap_angle(yaw)),
+            v_x=float(np.sum(w * np.array([m.v_x for m in group]))),
+            omega_z=float(np.sum(w * np.array([m.omega_z for m in group]))),
+            contributors=tuple(sorted((m.node_id, m.track_id) for m in group)),
+            staleness_ms=max(m.delay_ms for m in group),
+            weights=tuple(float(v) for v in w)))
+
+    available = list(previous)
+    for track in sorted(tracks, key=lambda t: t.contributors):
+        best, best_d = None, params.continuity_gate
+        for prev in available:
+            if not _class_compatible(prev.class_label, track.class_label):
+                continue
+            d = math.hypot(prev.x - track.x, prev.y - track.y)
+            if d < best_d:
+                best, best_d = prev, d
+        if best is not None:
+            track.global_id = best.global_id
+            available.remove(best)
+        else:
+            track.global_id = next_gid
+            next_gid += 1
+    return tracks, next_gid

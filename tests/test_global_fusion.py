@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from coopercept.global_fusion import (
     CenterNode,
     FusionParams,
+    GlobalTrack,
     compensate_delay,
 )
 from coopercept.tracking import StampedObjectList, TrackedObject
 
-from oracles import scalar_ctrv_iterate
+from oracles import brute_force_fuse_cycle, scalar_ctrv_iterate
 
 
 def tracked(track_id=1, label="person", x=0.0, y=0.0, yaw=0.0, v=0.0, omega=0.0):
@@ -241,3 +243,55 @@ def test_new_object_gets_new_gid():
     gids = {tr.global_id for tr in tracks}
     assert first in gids
     assert len(gids) == 2
+
+
+# -- oracle ---------------------------------------------------------------------------
+
+_YAW_EDGES = (math.pi, -math.pi, math.pi - 1e-10, -math.pi + 1e-10,
+              math.pi - 1e-9, -math.pi + 1e-9, 0.0, -0.0)
+
+
+def _random_object(rng, track_id, anchor):
+    label = ("person", "bed", "unknown")[int(rng.integers(3))]
+    if rng.random() < 0.3:
+        yaw = _YAW_EDGES[int(rng.integers(len(_YAW_EDGES)))]
+    else:
+        yaw = float(rng.uniform(-math.pi, math.pi))
+    return tracked(track_id=track_id, label=label,
+                   x=float(anchor[0] + rng.normal(0.0, 0.4)),
+                   y=float(anchor[1] + rng.normal(0.0, 0.4)),
+                   yaw=yaw, v=float(rng.uniform(-0.5, 2.5)),
+                   omega=float(rng.choice([0.0, rng.normal(0.0, 2.0), 40.0, -40.0])))
+
+
+def _track_fields(track):
+    """Every GlobalTrack field, as a repr that tells floats apart by their bits."""
+    return repr(tuple(getattr(track, f.name) for f in dataclasses.fields(GlobalTrack)))
+
+
+@pytest.mark.parametrize("n_nodes", (2, 3, 4))
+@pytest.mark.parametrize("delay_aware", (True, False))
+def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware):
+    params = FusionParams()
+    rng = np.random.default_rng(100 * n_nodes + delay_aware)
+    for _ in range(15):
+        center = CenterNode(params, delay_aware=delay_aware)
+        previous, next_gid = [], 1
+        anchors = rng.uniform(-4.0, 4.0, size=(6, 2))
+        for cycle in range(8):
+            now = 0.1 * (cycle + 1)
+            for node in range(1, n_nodes + 1):
+                if cycle and rng.random() < 0.25:
+                    continue  # no new list: the center keeps the last one
+                seen = rng.random(len(anchors)) < 0.7
+                objects = [_random_object(rng, 10 * node + k, a)
+                           for k, a in enumerate(anchors) if seen[k]]
+                delay = float(rng.choice([0.0, rng.uniform(0.0, 0.2),
+                                          rng.uniform(0.4, 0.9), -5e-7]))
+                center.receive(message(node, now - delay, objects))
+            got = center.fuse_cycle(now)
+            latest = [center._latest[nid] for nid in sorted(center._latest)]
+            want, next_gid = brute_force_fuse_cycle(latest, now, params, delay_aware,
+                                                    previous, next_gid)
+            previous = want
+            assert [_track_fields(t) for t in got] == [_track_fields(t) for t in want]

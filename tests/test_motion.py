@@ -70,3 +70,13 @@ def test_wrap_angle_range():
     assert np.allclose(np.sin(wrapped), np.sin(angles), atol=1e-12)
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
+
+
+def test_wrap_angle_scalar_is_a_plain_float_equal_to_the_array_path():
+    cases = [0.0, -0.0, 1.25, -3.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+             math.nextafter(-math.pi, 0.0), math.pi + 1e-9, -math.pi - 1e-9, 4.0, -7.5,
+             123.0, np.float64(2.0), np.float64(-math.pi), np.float64(5.0), 3]
+    for angle in cases:
+        got = wrap_angle(angle)
+        assert type(got) is float
+        assert repr(got) == repr(float(wrap_angle(np.array([angle], dtype=float))[0]))

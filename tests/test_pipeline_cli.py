@@ -42,6 +42,29 @@ def test_ground_truth_interpolation_linear():
         assert y == pytest.approx(a.y + 0.5 * (b.y - a.y), abs=1e-12)
 
 
+def test_ground_truth_interpolation_matches_linear_search():
+    frames = pipeline.simulate_world(small(duration_s=2.0))
+    times = [ft for ft, _ in frames]
+
+    def linear(t):
+        if t <= times[0]:
+            return [(o.class_label, o.x, o.y) for o in frames[0][1]]
+        if t >= times[-1]:
+            return [(o.class_label, o.x, o.y) for o in frames[-1][1]]
+        hi = next(i for i, ft in enumerate(times) if ft >= t)
+        (t0, w0), (t1, w1) = frames[hi - 1], frames[hi]
+        alpha = (t - t0) / (t1 - t0)
+        by_id = {o.id: o for o in w1}
+        return [(o.class_label, o.x + alpha * (by_id.get(o.id, o).x - o.x),
+                 o.y + alpha * (by_id.get(o.id, o).y - o.y)) for o in w0]
+
+    probes = times + [0.5 * (a + b) for a, b in zip(times, times[1:])]
+    probes += [times[0] - 1.0, times[-1] + 1.0, math.nextafter(times[3], 0.0),
+               math.nextafter(times[3], math.inf)]
+    for t in probes:
+        assert repr(pipeline.interpolate_gt(frames, t)) == repr(linear(t))
+
+
 def test_run_node_streams_are_stamped_and_ordered():
     config = small(duration_s=3.0)
     frames = pipeline.simulate_world(config)
