@@ -99,10 +99,6 @@ class BBox2D:
     def bottom_center(self) -> np.ndarray:
         return np.array([(self.x_min + self.x_max) * 0.5, self.y_max])
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 def project(camera: CameraModel, world_point) -> np.ndarray:
     """Project a 3D world point to pixel coordinates.
@@ -163,13 +159,23 @@ def recover_ground_position(camera: CameraModel, pixel, z_w: float) -> np.ndarra
     return np.array([x_w, y_w])
 
 
-def overlap_ratio(a: BBox2D, b: BBox2D) -> float:
-    """Intersection area divided by the smaller of the two box areas."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return (iw * ih) / min(a.area, b.area)
+def box_array(boxes: list[BBox2D]) -> np.ndarray:
+    """(n, 4) array of the boxes' (x_min, y_min, x_max, y_max)."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=float).reshape(-1, 4)
+
+
+def overlap_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection area divided by the smaller of the two box areas, for
+    every pair of rows of the (n, 4) and (m, 4) box arrays ``a`` and ``b``
+    (rows as :func:`box_array` lays them out); (n, m). Disjoint or touching
+    pairs get 0."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    hit = (iw > 0.0) & (ih > 0.0)
+    return np.where(hit, iw * ih / np.minimum(area_a[:, None], area_b[None, :]), 0.0)
 
 
 def associate_foot_to_parent(feet: list[BBox2D], parents: list[BBox2D],
@@ -180,25 +186,22 @@ def associate_foot_to_parent(feet: list[BBox2D], parents: list[BBox2D],
     vanishing point to the two box centers; assignment maximizes total
     score. A pair with zero overlap whose cosine falls below
     ``FOOT_COSINE_THRESHOLD`` is rejected, so each returned pair has real
-    geometric support.
+    geometric support. A ray of zero length has cosine 0.
     """
     if not feet or not parents:
         return []
     v_z = np.asarray(v_z, dtype=float)
-    score = np.zeros((len(feet), len(parents)))
-    overlap = np.zeros_like(score)
-    cosine = np.zeros_like(score)
-    for i, foot in enumerate(feet):
-        ray_f = foot.center - v_z
-        nf = np.linalg.norm(ray_f)
-        for j, parent in enumerate(parents):
-            ray_p = parent.center - v_z
-            npn = np.linalg.norm(ray_p)
-            c = 0.0 if nf == 0.0 or npn == 0.0 else float(ray_f @ ray_p / (nf * npn))
-            overlap[i, j] = overlap_ratio(foot, parent)
-            cosine[i, j] = c
-            score[i, j] = overlap[i, j] + c
-    rows, cols = linear_sum_assignment(-score)
+    ray_f = np.array([f.center for f in feet]) - v_z
+    ray_p = np.array([p.center for p in parents]) - v_z
+    # vecdot runs numpy's dot loop, so each entry equals the 1-D ``a @ b``
+    norm_f = np.sqrt(np.vecdot(ray_f, ray_f))
+    norm_p = np.sqrt(np.vecdot(ray_p, ray_p))
+    dots = np.vecdot(ray_f[:, None, :], ray_p[None, :, :])
+    nonzero = (norm_f[:, None] != 0.0) & (norm_p[None, :] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.where(nonzero, dots / (norm_f[:, None] * norm_p[None, :]), 0.0)
+    overlap = overlap_ratios(box_array(feet), box_array(parents))
+    rows, cols = linear_sum_assignment(-(overlap + cosine))
     pairs = []
     for i, j in zip(rows, cols):
         if overlap[i, j] == 0.0 and cosine[i, j] < FOOT_COSINE_THRESHOLD:

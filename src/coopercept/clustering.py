@@ -330,21 +330,22 @@ def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
 
 
 def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> list[Cluster]:
-    """Wrap labeled points as Clusters (one pseudo-segment per cluster)."""
+    """Wrap labeled points as Clusters (one pseudo-segment per cluster).
+
+    Clusters come in label order, noise (negative labels) is dropped, and
+    each cluster's points are in stable azimuth order.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    clusters = []
-    for cid in range(labels.max() + 1 if labels.size else 0):
-        idx = np.flatnonzero(labels == cid)
-        if len(idx) == 0:
-            continue
-        pts = points[idx]
-        az = np.arctan2(pts[:, 1], pts[:, 0])
-        order = np.argsort(az, kind="stable")
-        seg = Segment(
-            ring_index=0,
-            points=pts[order],
-            azimuths=az[order],
-            ranges=np.linalg.norm(pts[order], axis=1),
-        )
-        clusters.append(Cluster(segments=[seg]))
-    return clusters
+    labels = np.asarray(labels)
+    members = np.flatnonzero(labels >= 0)
+    if len(members) == 0:
+        return []
+    pts = points[members]
+    az = np.arctan2(pts[:, 1], pts[:, 0])
+    order = np.lexsort((az, labels[members]))  # stable: ties keep point order
+    pts, az = pts[order], az[order]
+    ranges = np.linalg.norm(pts, axis=1)
+    cuts = np.flatnonzero(np.diff(labels[members][order])) + 1
+    return [Cluster(segments=[Segment(ring_index=0, points=p, azimuths=a, ranges=r)])
+            for p, a, r in zip(np.split(pts, cuts), np.split(az, cuts),
+                               np.split(ranges, cuts))]

@@ -17,11 +17,12 @@ from .assignment import gated_assignment
 from .camera import (
     BBox2D,
     CameraModel,
-    overlap_ratio,
+    associate_foot_to_parent,
+    box_array,
+    overlap_ratios,
     project_points,
     recover_ground_position,
     vanishing_point_z,
-    associate_foot_to_parent,
 )
 from .clustering import Cluster
 from .scene import RingScan, Room
@@ -152,11 +153,12 @@ def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[Position
         for foot_i, person_j in pairs:
             foot_pixels.setdefault(person_j, []).append(feet[foot_i].bottom_center)
         # A second foot on an already matched parent is extra evidence.
+        overlap = overlap_ratios(box_array(feet), box_array(people))
         for foot_i, foot in enumerate(feet):
             if foot_i in matched_feet:
                 continue
-            for person_j, person in enumerate(people):
-                if person_j in foot_pixels and overlap_ratio(foot, person) > 0.0:
+            for person_j in range(len(people)):
+                if person_j in foot_pixels and overlap[foot_i, person_j] > 0.0:
                     foot_pixels[person_j].append(foot.bottom_center)
                     break
         for person_j, pixels in foot_pixels.items():
@@ -174,41 +176,44 @@ def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[Position
     return out
 
 
-def project_cluster_box(cluster: Cluster, camera: CameraModel) -> BBox2D | None:
-    """Axis-aligned pixel bounds of the cluster's points; None when the
-    cluster is behind the camera."""
-    pix, depth = project_points(camera, cluster.points)
-    ok = depth > 1e-6
-    if not ok.any():
-        return None
-    pix = pix[ok]
-    x_min, y_min = pix.min(axis=0)
-    x_max, y_max = pix.max(axis=0)
-    if not (x_min < x_max and y_min < y_max):
-        x_max = x_min + 1.0
-        y_max = y_min + 1.0
-    return BBox2D(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max,
-                  class_label="person", confidence=1.0)
-
-
 def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster],
                              camera: CameraModel) -> list[LabeledObject]:
     """Label clusters with camera classes by minimum-cost assignment.
 
     Pair cost combines the complement of the pixel overlap between the
     camera box and the projected cluster box with the metric distance
-    between the box's recovered position and the cluster centroid. Matched
-    clusters take the box class at the cluster centroid; leftover clusters
-    come out unknown, leftover boxes camera-only at their recovered
-    position.
+    between the box's recovered position and the cluster centroid. A
+    cluster's box is the pixel bounds of its points in front of the camera
+    (depth above 1e-6); a cluster with no such point has overlap 0 with
+    every box, and a box of zero width or height is widened to 1 px from
+    its minimum corner. Matched clusters take the box class at the cluster
+    centroid; leftover clusters come out unknown, leftover boxes
+    camera-only at their recovered position.
     """
-    cluster_boxes = [project_cluster_box(c, camera) for c in clusters]
-    cost = np.full((len(boxes), len(clusters)), np.inf)
-    for i, pb in enumerate(boxes):
-        for j, cl in enumerate(clusters):
-            dist = float(np.linalg.norm(pb.position - cl.centroid[:2]))
-            ov = overlap_ratio(pb.box, cluster_boxes[j]) if cluster_boxes[j] else 0.0
-            cost[i, j] = DEFAULT_OVERLAP_WEIGHT * (1.0 - ov) + DEFAULT_DISTANCE_WEIGHT * dist
+    overlap = np.zeros((len(boxes), len(clusters)))
+    if boxes and clusters:
+        # one projection for the whole cluster list; bounds per cluster
+        # over its in-front points
+        pix, depth = project_points(camera, np.concatenate([c.points for c in clusters]))
+        front = depth > 1e-6
+        counts = np.array([len(c.points) for c in clusters])
+        n_front = np.add.reduceat(front.astype(np.intp), np.cumsum(counts) - counts)
+        seen = n_front > 0
+        if seen.any():
+            pix = pix[front]
+            front_starts = (np.cumsum(n_front) - n_front)[seen]
+            lo = np.minimum.reduceat(pix, front_starts, axis=0)
+            hi = np.maximum.reduceat(pix, front_starts, axis=0)
+            flat = ~((lo[:, 0] < hi[:, 0]) & (lo[:, 1] < hi[:, 1]))
+            hi[flat] = lo[flat] + 1.0
+            overlap[:, seen] = overlap_ratios(box_array([pb.box for pb in boxes]),
+                                              np.hstack([lo, hi]))
+    positions = np.array([pb.position for pb in boxes]).reshape(-1, 2)
+    centroids = np.array([c.centroid[:2] for c in clusters]).reshape(-1, 2)
+    delta = positions[:, None, :] - centroids[None, :, :]
+    # vecdot runs numpy's dot loop, so each entry equals np.linalg.norm(delta[i, j])
+    dist = np.sqrt(np.vecdot(delta, delta))
+    cost = DEFAULT_OVERLAP_WEIGHT * (1.0 - overlap) + DEFAULT_DISTANCE_WEIGHT * dist
 
     pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)
     out = []

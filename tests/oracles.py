@@ -2,9 +2,11 @@
 
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
-one exception is the fusion-cycle oracle, which keeps the numpy form of
-the center's cycle and calls the package's ``gated_assignment`` for its
-cross-node assignment, as that cycle does.
+exceptions are the fusion-cycle and box-association oracles. They keep
+the per-pair loops the package replaced, numpy calls included, so that
+their results can be compared bit for bit. They call the package's
+``gated_assignment`` (and the box oracle its ``project_points``), as the
+replaced code did.
 """
 
 import itertools
@@ -12,8 +14,12 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from coopercept.assignment import gated_assignment
+from coopercept.camera import FOOT_COSINE_THRESHOLD, project_points
+from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
+                                     DEFAULT_OVERLAP_WEIGHT)
 
 
 def brute_force_dbscan(points, eps, n_min):
@@ -53,6 +59,23 @@ def brute_force_dbscan(points, eps, n_min):
         if best is not None:
             labels[i] = labels[best]
     return np.array(labels)
+
+
+def brute_force_clusters_from_labels(points, labels):
+    """One cluster per label >= 0, in label order, from a scan of the
+    points per label; each cluster's points in stable azimuth order.
+    Returns ``(points, azimuths, ranges)`` per cluster."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    out = []
+    for cid in range(labels.max() + 1 if labels.size else 0):
+        idx = np.flatnonzero(labels == cid)
+        if len(idx) == 0:
+            continue
+        pts = points[idx]
+        az = np.arctan2(pts[:, 1], pts[:, 0])
+        order = np.argsort(az, kind="stable")
+        out.append((pts[order], az[order], np.linalg.norm(pts[order], axis=1)))
+    return out
 
 
 def labelings_equal(a, b):
@@ -424,6 +447,83 @@ def brute_force_merge_views(per_camera, duplicate_gate=0.5):
                 np.linalg.norm(obj.position - k[3]) < duplicate_gate for k in kept):
             kept.append((obj.class_label, obj.source, obj.confidence, obj.position, None))
     return kept
+
+
+# -- box overlap and box-to-cluster association ----------------------------------
+
+def overlap_ratio(a, b):
+    """Intersection area divided by the smaller of the two box areas, for
+    two objects with ``x_min``, ``y_min``, ``x_max`` and ``y_max``."""
+    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return (iw * ih) / min(area_a, area_b)
+
+
+def brute_force_foot_to_parent(feet, parents, v_z):
+    """Foot-to-parent pairing scored one (foot, parent) pair at a time:
+    scalar overlap plus the cosine from ``np.linalg.norm`` and ``a @ b``."""
+    if not feet or not parents:
+        return []
+    v_z = np.asarray(v_z, dtype=float)
+    overlap = np.zeros((len(feet), len(parents)))
+    cosine = np.zeros_like(overlap)
+    for i, foot in enumerate(feet):
+        ray_f = foot.center - v_z
+        nf = np.linalg.norm(ray_f)
+        for j, parent in enumerate(parents):
+            ray_p = parent.center - v_z
+            npn = np.linalg.norm(ray_p)
+            cosine[i, j] = 0.0 if nf == 0.0 or npn == 0.0 else float(ray_f @ ray_p / (nf * npn))
+            overlap[i, j] = overlap_ratio(foot, parent)
+    rows, cols = linear_sum_assignment(-(overlap + cosine))
+    return [(int(i), int(j)) for i, j in zip(rows, cols)
+            if not (overlap[i, j] == 0.0 and cosine[i, j] < FOOT_COSINE_THRESHOLD)]
+
+
+def _cluster_pixel_box(cluster, camera):
+    """Pixel bounds of the cluster's points in front of the camera, a zero
+    width or height widened to 1 px; None when no point is in front."""
+    pix, depth = project_points(camera, cluster.points)
+    pix = pix[depth > 1e-6]
+    if len(pix) == 0:
+        return None
+    x_min, y_min = pix.min(axis=0)
+    x_max, y_max = pix.max(axis=0)
+    if not (x_min < x_max and y_min < y_max):
+        x_max, y_max = x_min + 1.0, y_min + 1.0
+    return SimpleNamespace(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
+
+
+def brute_force_association_cost(boxes, clusters, camera):
+    """Box-to-cluster cost filled one (box, cluster) pair at a time: one
+    projection per cluster, scalar overlap, ``np.linalg.norm`` distance."""
+    cluster_boxes = [_cluster_pixel_box(c, camera) for c in clusters]
+    cost = np.full((len(boxes), len(clusters)), np.inf)
+    for i, pb in enumerate(boxes):
+        for j, cl in enumerate(clusters):
+            dist = float(np.linalg.norm(pb.position - cl.centroid[:2]))
+            ov = overlap_ratio(pb.box, cluster_boxes[j]) if cluster_boxes[j] else 0.0
+            cost[i, j] = DEFAULT_OVERLAP_WEIGHT * (1.0 - ov) + DEFAULT_DISTANCE_WEIGHT * dist
+    return cost
+
+
+def brute_force_associate_boxes_clusters(boxes, clusters, camera):
+    """Box-to-cluster labelling from :func:`brute_force_association_cost`.
+    Returns ``(class_label, source, confidence, position, cluster)`` per
+    labelled object, in the package's output order."""
+    cost = brute_force_association_cost(boxes, clusters, camera)
+    pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)
+    out = [(boxes[i].box.class_label, "fused", boxes[i].box.confidence,
+            clusters[j].centroid[:2], clusters[j]) for i, j in pairs]
+    out += [("unknown", "lidar_only", 1.0, clusters[j].centroid[:2], clusters[j])
+            for j in un_clusters]
+    out += [(boxes[i].box.class_label, "camera_only", boxes[i].box.confidence,
+             boxes[i].position, None) for i in un_boxes]
+    return out
 
 
 # -- center fusion cycle -----------------------------------------------------------

@@ -8,13 +8,14 @@ from coopercept.camera import (
     CameraGeometryError,
     CameraModel,
     associate_foot_to_parent,
-    overlap_ratio,
+    box_array,
+    overlap_ratios,
     project,
     recover_ground_position,
     vanishing_point_z,
 )
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, brute_force_foot_to_parent, overlap_ratio
 
 
 def simple_camera(f=100.0, cx=320.0, cy=240.0):
@@ -156,25 +157,37 @@ def test_ground_recovery_degenerate_view():
 def test_overlap_ratio_rectangle_arithmetic():
     a = BBox2D(0, 0, 10, 10, "person")
     b = BBox2D(5, 5, 15, 15, "person")
-    assert overlap_ratio(a, b) == pytest.approx(0.25)
+    far = BBox2D(10, 0, 20, 10, "person")  # shares an edge with a: no overlap
+    ratios = overlap_ratios(box_array([a]), box_array([b, far]))
+    assert ratios.shape == (1, 2)
+    assert ratios[0, 0] == pytest.approx(0.25)
+    assert ratios[0, 1] == 0.0
 
 
 def test_overlap_ratio_containment_is_one():
     outer = BBox2D(0, 0, 100, 200, "person")
     inner = BBox2D(10, 150, 30, 199, "foot")
-    assert overlap_ratio(inner, outer) == 1.0
-    assert overlap_ratio(outer, inner) == 1.0
+    assert overlap_ratios(box_array([inner]), box_array([outer])).tolist() == [[1.0]]
+    assert overlap_ratios(box_array([outer]), box_array([inner])).tolist() == [[1.0]]
 
 
 def test_overlap_ratio_bounds():
     rng = np.random.default_rng(23)
+    a, b = [], []
     for _ in range(200):
         x = rng.uniform(0, 50, size=4)
         y = rng.uniform(0, 50, size=4)
-        a = BBox2D(min(x[:2]), min(y[:2]), min(x[:2]) + 1 + x[2], min(y[:2]) + 1 + y[2], "person")
-        b = BBox2D(min(x[2:]), min(y[2:]), min(x[2:]) + 1 + x[3], min(y[2:]) + 1 + y[3], "person")
-        r = overlap_ratio(a, b)
-        assert 0.0 <= r <= 1.0
+        a.append(BBox2D(min(x[:2]), min(y[:2]), min(x[:2]) + 1 + x[2], min(y[:2]) + 1 + y[2],
+                        "person"))
+        b.append(BBox2D(min(x[2:]), min(y[2:]), min(x[2:]) + 1 + x[3], min(y[2:]) + 1 + y[3],
+                        "person"))
+    ratios = overlap_ratios(box_array(a), box_array(b))
+    assert ratios.shape == (200, 200)
+    assert ((ratios >= 0.0) & (ratios <= 1.0)).all()
+    assert 0 < np.count_nonzero(ratios) < ratios.size
+    # every entry equals the scalar form bit for bit
+    assert ratios.tolist() == [[overlap_ratio(p, q) for q in b] for p in a]
+    assert overlap_ratios(box_array([]), box_array(b)).shape == (0, 200)
 
 
 def test_foot_inside_person_matches():
@@ -193,6 +206,7 @@ def test_two_feet_two_persons_hungarian_beats_naive():
     f1 = BBox2D(110, 230, 130, 250, "foot")  # belongs to p0
     v_z = np.array([230.0, 1500.0])
     pairs = associate_foot_to_parent([f0, f1], [p0, p1], v_z)
+    assert pairs == brute_force_foot_to_parent([f0, f1], [p0, p1], v_z)
 
     score = np.zeros((2, 2))
     for i, foot in enumerate((f0, f1)):
@@ -228,3 +242,23 @@ def test_rotation_validation():
     bad = np.eye(3) * 1.1
     with pytest.raises(ValueError):
         CameraModel.from_krt(K, bad, np.zeros(3), (10, 10))
+
+
+def test_foot_to_parent_matches_per_pair_oracle():
+    rng = np.random.default_rng(31)
+    paired = 0
+    for _ in range(200):
+        def boxes(n, label, w, h):
+            xy = rng.uniform(0.0, 600.0, size=(n, 2))
+            return [BBox2D(x, y, x + rng.uniform(1.0, w), y + rng.uniform(1.0, h), label)
+                    for x, y in xy]
+
+        feet = boxes(int(rng.integers(0, 5)), "foot", 30.0, 20.0)
+        persons = boxes(int(rng.integers(0, 4)), "person", 120.0, 300.0)
+        v_z = rng.uniform(-200.0, 2000.0, size=2)
+        if feet and rng.random() < 0.3:
+            v_z = feet[0].center  # a ray of zero length: cosine 0
+        pairs = associate_foot_to_parent(feet, persons, v_z)
+        assert pairs == brute_force_foot_to_parent(feet, persons, v_z)
+        paired += len(pairs)
+    assert paired > 50

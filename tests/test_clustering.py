@@ -18,6 +18,7 @@ from coopercept.clustering import (
 from coopercept.scene import LidarModel, make_bed, make_person, scan_lidar
 
 from oracles import (
+    brute_force_clusters_from_labels,
     brute_force_dbscan,
     brute_force_ring_dbscan,
     labelings_equal,
@@ -434,6 +435,56 @@ def test_methods_agree_on_isolated_object():
     assert len(base) == 1
     key = lambda pts: set(map(tuple, np.round(pts, 9)))
     assert key(hier[0].points) == key(base[0].points)
+
+
+def assert_clusters_match_per_label_oracle(points, labels):
+    got = clusters_from_labels(points, labels)
+    want = brute_force_clusters_from_labels(points, labels)
+    assert len(got) == len(want)
+    for cluster, (pts, az, ranges) in zip(got, want):
+        seg, = cluster.segments
+        assert seg.ring_index == 0
+        assert seg.points.tobytes() == pts.tobytes()
+        assert seg.azimuths.tobytes() == az.tobytes()
+        assert seg.ranges.tobytes() == ranges.tobytes()
+        assert cluster.points.tobytes() == pts.tobytes()
+    return got
+
+
+def test_clusters_from_labels_matches_per_label_oracle_on_builtin_scans():
+    from coopercept.local_fusion import RoiGrid, filter_roi
+    from coopercept.pipeline import LOCAL_METHODS, simulate_world
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    clusters = 0
+    for build in BUILTIN_SCENARIOS.values():
+        config = build()
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        for t, world in simulate_world(config)[::25]:
+            for node in config.nodes:
+                scan = filter_roi(scan_lidar(node.lidar, world, config.room, timestamp=t),
+                                  grid, config.z_band)
+                for spec in LOCAL_METHODS.values():
+                    if spec[0] == "dbscan":
+                        labels = dbscan_baseline(scan.points, eps=spec[1], n_min=spec[2])
+                        clusters += len(assert_clusters_match_per_label_oracle(
+                            scan.points, labels))
+    assert clusters > 100
+
+
+def test_clusters_from_labels_order_ties_gaps_and_noise():
+    rng = np.random.default_rng(5)
+    points = rng.normal(0.0, 2.0, size=(60, 3))
+    points[10:20] = points[10]  # equal azimuths: stable order keeps point order
+    points[30:35, :2] = points[30, :2] * rng.uniform(0.5, 2.0, size=(5, 1))
+    labels = rng.choice([-1, 0, 2, 3, 7], size=60)
+    got = assert_clusters_match_per_label_oracle(points, labels)
+    assert len(got) == 4  # labels 1 and 4-6 are unused
+    assert assert_clusters_match_per_label_oracle(points, np.full(60, -1)) == []
+    assert assert_clusters_match_per_label_oracle(np.zeros((0, 3)),
+                                                  np.zeros(0, dtype=int)) == []
+    one, = assert_clusters_match_per_label_oracle(points[:1], np.array([4]))
+    assert one.points.tobytes() == points[0].tobytes()
 
 
 def test_cluster_invariants():

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from coopercept.camera import BBox2D, CameraModel
+from coopercept import local_fusion
+from coopercept.camera import BBox2D, CameraModel, project_points
 from coopercept.clustering import ClusterParams, cluster_scan
 from coopercept.local_fusion import (
     CLASS_UNKNOWN,
+    DEFAULT_COST_GATE,
     SOURCE_CAMERA_ONLY,
     SOURCE_FUSED,
     SOURCE_LIDAR_ONLY,
@@ -19,7 +22,14 @@ from coopercept.local_fusion import (
 from coopercept.scene import LidarModel, Room, make_person, scan_lidar
 from coopercept.assignment import gated_assignment
 
-from oracles import brute_force_filter_roi, brute_force_gated_matching, brute_force_merge_views
+from oracles import (
+    brute_force_associate_boxes_clusters,
+    brute_force_association_cost,
+    brute_force_filter_roi,
+    brute_force_foot_to_parent,
+    brute_force_gated_matching,
+    brute_force_merge_views,
+)
 from scans import scan_from_rings
 
 
@@ -153,12 +163,12 @@ def test_points_outside_grid_extent_dropped():
 # -- box-to-cluster association ---------------------------------------------
 
 def box_over(cluster, camera, label="person"):
-    from coopercept.local_fusion import project_cluster_box
-
-    pix = project_cluster_box(cluster, camera)
+    """A camera box 8 px around the pixel bounds of the cluster's points."""
+    pix, _ = project_points(camera, cluster.points)
+    (x_min, y_min), (x_max, y_max) = pix.min(axis=0), pix.max(axis=0)
     pad = 8.0
-    return BBox2D(pix.x_min - pad, pix.y_min - pad, pix.x_max + pad,
-                  pix.y_max + pad, label, confidence=0.9)
+    return BBox2D(x_min - pad, y_min - pad, x_max + pad, y_max + pad, label,
+                  confidence=0.9)
 
 
 def test_direct_match():
@@ -238,6 +248,174 @@ def test_fused_position_is_cluster_centroid_exactly():
     out = associate_boxes_clusters([pb], [cluster], cam)
     fused = [o for o in out if o.source == SOURCE_FUSED]
     assert np.array_equal(fused[0].position, cluster.centroid[:2])
+
+
+def point_cluster(points):
+    """A one-segment cluster over the given (n, 3) points."""
+    from coopercept.clustering import clusters_from_labels
+
+    return clusters_from_labels(np.asarray(points, dtype=float), np.zeros(len(points), int))[0]
+
+
+def labeled_rows(out, clusters):
+    """Comparable rows of association output: cluster as its list index."""
+    index = {id(c): k for k, c in enumerate(clusters)}
+    return [(o.class_label, o.source, o.confidence, o.position.tobytes(),
+             None if o.cluster is None else index[id(o.cluster)]) for o in out]
+
+
+def oracle_rows(boxes, clusters, camera):
+    index = {id(c): k for k, c in enumerate(clusters)}
+    return [(label, source, confidence, position.tobytes(),
+             None if cluster is None else index[id(cluster)])
+            for label, source, confidence, position, cluster
+            in brute_force_associate_boxes_clusters(boxes, clusters, camera)]
+
+
+def assert_association_matches_oracle(boxes, clusters, camera):
+    """Associate, then check the cost matrix bit for bit and the output
+    against the per-pair oracle."""
+    with mock.patch.object(local_fusion, "gated_assignment", wraps=gated_assignment) as solver:
+        out = associate_boxes_clusters(boxes, clusters, camera)
+    cost = solver.call_args.args[0]
+    assert cost.tobytes() == brute_force_association_cost(boxes, clusters, camera).tobytes()
+    assert labeled_rows(out, clusters) == oracle_rows(boxes, clusters, camera)
+    return out
+
+
+def test_cluster_behind_camera_has_zero_overlap():
+    cam = side_camera()  # at the origin, looking along +x
+    behind = fake_cluster(-3.0, 0.0)
+    assert (project_points(cam, behind.points)[1] <= 1e-6).all()
+    box = BBox2D(0.0, 0.0, 1280.0, 720.0, "person", 0.8)  # the whole image
+    near = PositionedBox(box=box, position=behind.centroid[:2] + [0.5, 0.0], from_foot=True)
+    cost = brute_force_association_cost([near], [behind], cam)
+    assert cost[0, 0] == 1.0 + float(np.linalg.norm(near.position - behind.centroid[:2]))
+    out = assert_association_matches_oracle([near], [behind], cam)
+    assert [o.source for o in out] == [SOURCE_FUSED]
+    far = PositionedBox(box=box, position=behind.centroid[:2] + [0.9, 0.0], from_foot=True)
+    out = assert_association_matches_oracle([far], [behind], cam)
+    assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]
+
+
+def test_cluster_partly_behind_camera_bounds_its_front_points():
+    cam = side_camera()
+    front = np.array([[3.0, -0.2, 0.5], [3.0, 0.2, 1.5], [3.2, 0.0, 1.0]])
+    # camera axes of side_camera (pitch 0.3 rad along +x): forward, right, down
+    forward = np.array([math.cos(0.3), 0.0, -math.sin(0.3)])
+    right = np.array([0.0, -1.0, 0.0])
+    down = np.cross(forward, right)
+    grazing = np.array([0.0, 0.0, 2.4]) + 5e-7 * forward + 0.5 * (right - down)
+    back = np.array([[-2.0, 0.0, 1.0], [-2.5, 0.5, 1.0], grazing])
+    cluster = point_cluster(np.vstack([front, back]))
+    pix, depth = project_points(cam, cluster.points)
+    assert (depth > 1e-6).any() and (depth <= 0.0).any()
+    assert ((depth > 0.0) & (depth <= 1e-6)).sum() == 1  # the grazing point
+    lo, hi = pix[depth > 1e-6].min(axis=0), pix[depth > 1e-6].max(axis=0)
+    # the behind and grazing points project above and right of the front
+    # points' bounds
+    assert (pix[depth <= 1e-6, 0] > hi[0]).any() and (pix[depth <= 1e-6, 1] < lo[1]).all()
+    inside = BBox2D(lo[0], lo[1], hi[0], hi[1], "person", 0.9)
+    above = BBox2D(hi[0] + 5.0, lo[1] - 300.0, hi[0] + 100.0, lo[1] - 10.0, "person", 0.9)
+    position = cluster.centroid[:2] + [0.0, 0.3]
+    boxes = [PositionedBox(box=b, position=position, from_foot=True) for b in (inside, above)]
+    dist = float(np.linalg.norm(position - cluster.centroid[:2]))
+    cost = brute_force_association_cost(boxes, [cluster], cam)
+    assert cost.tolist() == [[dist], [1.0 + dist]]  # overlap 1, then 0
+    assert_association_matches_oracle(boxes, [cluster], cam)
+
+
+def test_single_point_cluster_gets_a_one_pixel_box():
+    cam = side_camera()
+    cluster = point_cluster([[3.0, 0.4, 1.0]])
+    (u, v), = project_points(cam, cluster.points)[0]
+    # the widened 1 px box lies inside this box, so the overlap is 1
+    box = BBox2D(u - 5.0, v - 5.0, u + 5.0, v + 5.0, "person", 0.7)
+    pb = PositionedBox(box=box, position=np.array([3.0, 1.0]), from_foot=True)
+    cost = brute_force_association_cost([pb], [cluster], cam)
+    assert cost[0, 0] == float(np.linalg.norm(pb.position - cluster.centroid[:2]))
+    out = assert_association_matches_oracle([pb], [cluster], cam)
+    assert [o.source for o in out] == [SOURCE_FUSED]
+    # a box that only touches the 1 px box's far corner does not overlap
+    corner = BBox2D(u + 1.0, v + 1.0, u + 9.0, v + 9.0, "person", 0.7)
+    pb = PositionedBox(box=corner, position=np.array([3.0, 1.0]), from_foot=True)
+    assert brute_force_association_cost([pb], [cluster], cam)[0, 0] == 1.0 + cost[0, 0]
+    assert_association_matches_oracle([pb], [cluster], cam)
+
+
+def test_association_with_no_boxes_or_no_clusters():
+    cam = side_camera()
+    clusters = [fake_cluster(4.0, 0.0), fake_cluster(5.0, 1.0)]
+    boxes = [PositionedBox(box=box_over(c, cam), position=c.centroid[:2].copy(),
+                           from_foot=True) for c in clusters]
+    assert associate_boxes_clusters([], [], cam) == []
+    out = assert_association_matches_oracle([], clusters, cam)
+    assert [o.source for o in out] == [SOURCE_LIDAR_ONLY] * 2
+    out = assert_association_matches_oracle(boxes, [], cam)
+    assert [o.source for o in out] == [SOURCE_CAMERA_ONLY] * 2
+    assert [o.position.tobytes() for o in out] == [b.position.tobytes() for b in boxes]
+
+
+def test_cost_equal_to_gate_is_matched_and_one_ulp_above_is_not():
+    cam = side_camera()
+    behind = point_cluster([[-3.0, 0.5, 1.0]])  # overlap 0: cost is 1 + distance
+    box = BBox2D(0.0, 0.0, 100.0, 100.0, "person", 0.9)
+    at_gate = PositionedBox(box=box, position=np.array([-3.0, 1.3]), from_foot=True)
+    assert brute_force_association_cost([at_gate], [behind], cam)[0, 0] == DEFAULT_COST_GATE
+    out = assert_association_matches_oracle([at_gate], [behind], cam)
+    assert [o.source for o in out] == [SOURCE_FUSED]
+    past = PositionedBox(box=box, position=np.array([-3.0, np.nextafter(1.3, 2.0)]),
+                         from_foot=True)
+    assert brute_force_association_cost([past], [behind], cam)[0, 0] > DEFAULT_COST_GATE
+    out = assert_association_matches_oracle([past], [behind], cam)
+    assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]
+
+
+def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch):
+    from dataclasses import replace
+
+    from coopercept import pipeline
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    box_calls, foot_calls, costs = [], [], []
+    real_associate = pipeline.associate_boxes_clusters
+    real_feet = local_fusion.associate_foot_to_parent
+    real_gated = local_fusion.gated_assignment
+
+    def record_boxes(boxes, clusters, camera):
+        out = real_associate(boxes, clusters, camera)
+        box_calls.append((boxes, clusters, camera, out))
+        return out
+
+    def record_feet(feet, parents, v_z):
+        pairs = real_feet(feet, parents, v_z)
+        foot_calls.append((feet, parents, v_z, pairs))
+        return pairs
+
+    def record_cost(cost, gate):
+        costs.append(cost)
+        return real_gated(cost, gate)
+
+    monkeypatch.setattr(pipeline, "associate_boxes_clusters", record_boxes)
+    monkeypatch.setattr(local_fusion, "associate_foot_to_parent", record_feet)
+    monkeypatch.setattr(local_fusion, "gated_assignment", record_cost)
+    for build in BUILTIN_SCENARIOS.values():
+        pipeline.run_local_eval(replace(build(), duration_s=2.0))
+    assert len(box_calls) == len(costs) == 720  # scenes x frames x nodes x methods x cameras
+
+    entries, sources = 0, set()
+    for (boxes, clusters, camera, out), cost in zip(box_calls, costs):
+        assert cost.tobytes() == brute_force_association_cost(boxes, clusters, camera).tobytes()
+        assert labeled_rows(out, clusters) == oracle_rows(boxes, clusters, camera)
+        entries += cost.size
+        sources.update(o.source for o in out)
+    assert entries > 40000
+    assert sources == {SOURCE_FUSED, SOURCE_LIDAR_ONLY, SOURCE_CAMERA_ONLY}
+
+    assert len(foot_calls) > 200
+    for feet, parents, v_z, pairs in foot_calls:
+        assert pairs == brute_force_foot_to_parent(feet, parents, v_z)
+    assert sum(len(pairs) for *_, pairs in foot_calls) > 500
 
 
 # -- gated assignment vs exhaustive search ------------------------------------
