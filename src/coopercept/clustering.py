@@ -6,8 +6,9 @@ without also shattering surfaces across scan rings. The two-stage method
 here first clusters each ring on its own with a range-adaptive radius,
 then groups the resulting per-ring segments with a normalized distance
 that combines centroid separation (in units of the local inter-ring
-spacing) and azimuth-interval overlap. A plain point-level DBSCAN is kept
-as the comparison baseline.
+spacing) and azimuth-interval overlap. A segment is the ascending scan
+indices of its points, and a :class:`Cluster` is nothing but its points.
+A plain point-level DBSCAN is kept as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -56,40 +57,13 @@ class ClusterParams:
 
 
 @dataclass
-class Segment:
-    """A per-ring cluster: points plus the features the segment metric uses."""
-
-    ring_index: int
-    points: np.ndarray  # (n, 3)
-    azimuths: np.ndarray  # (n,), radians, increasing
-    ranges: np.ndarray  # (n,), meters
-    centroid: np.ndarray = field(init=False)
-    azimuth_interval: tuple[float, float] = field(init=False)
-    mean_range: float = field(init=False)
-
-    def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("segment must contain points")
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        self.azimuths = np.asarray(self.azimuths, dtype=float).reshape(-1)
-        self.ranges = np.asarray(self.ranges, dtype=float).reshape(-1)
-        # add.reduce over the count is what mean() computes, without its
-        # wrapper's overhead; scans build dozens of segments
-        self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)
-        self.azimuth_interval = (float(self.azimuths.min()), float(self.azimuths.max()))
-        self.mean_range = float(np.add.reduce(self.ranges) / len(self.ranges))
-
-
-@dataclass
 class Cluster:
-    """A group of segments treated as one physical object."""
+    """A group of scan points treated as one physical object."""
 
-    segments: list[Segment]
-    points: np.ndarray = field(init=False)
+    points: np.ndarray  # (n, 3)
     centroid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.points = np.vstack([s.points for s in self.segments])
         self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)  # mean()
 
 
@@ -101,7 +75,7 @@ def adaptive_epsilon(s, params: ClusterParams) -> np.ndarray:
     return params.n_min * params.dphi * s
 
 
-def ring_segments(scan: RingScan, params: ClusterParams) -> list[Segment]:
+def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
     """First stage: DBSCAN within each ring with a range-adaptive radius.
 
     ``scan`` is laid out as :class:`~coopercept.scene.RingScan` states.
@@ -109,24 +83,21 @@ def ring_segments(scan: RingScan, params: ClusterParams) -> list[Segment]:
     ``adaptive_epsilon(s)`` (Euclidean, 3D). Points not density-reachable
     from any core point are dropped as noise. The scan is labelled as one
     point set whose candidate neighbors never leave their own ring, so the
-    result equals clustering each ring alone. Segments come out by ring,
-    then azimuth. Raises ``ValueError`` for points that are not ring-major
-    or not sorted by strictly increasing azimuth within their ring.
+    result equals clustering each ring alone. Each segment is the
+    ascending scan indices of its points; segments come out by ring, then
+    azimuth. Raises ``ValueError`` for points that are not ring-major or
+    not sorted by strictly increasing azimuth within their ring.
     """
     if scan.n_points == 0:
         return []
-    ring, azimuths, ranges, points = scan.ring, scan.azimuths, scan.ranges, scan.points
-    ring_step = np.diff(ring)
-    if (ring_step < 0).any() or (np.diff(azimuths)[ring_step == 0] <= 0.0).any():
+    ring_step = np.diff(scan.ring)
+    if (ring_step < 0).any() or (np.diff(scan.azimuths)[ring_step == 0] <= 0.0).any():
         raise ValueError("ring points must be ring-major and sorted by strictly "
                          "increasing azimuth")
-    bounds = np.concatenate(([0], np.flatnonzero(ring_step) + 1, [len(ring)]))
-
-    radii = adaptive_epsilon(ranges, params)
-    labels = _adaptive_dbscan_labels(azimuths, ranges, points, radii, params.n_min, bounds)
-    return [Segment(ring_index=int(ring[g[0]]), points=points[g], azimuths=azimuths[g],
-                    ranges=ranges[g])
-            for g in _label_groups(labels)]
+    bounds = np.concatenate(([0], np.flatnonzero(ring_step) + 1, [scan.n_points]))
+    labels = _adaptive_dbscan_labels(scan.azimuths, scan.ranges, scan.points,
+                                     adaptive_epsilon(scan.ranges, params), params.n_min, bounds)
+    return _label_groups(labels)
 
 
 def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
@@ -222,9 +193,13 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
     return labels
 
 
-def segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray:
+def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.ndarray,
+                      start: np.ndarray, end: np.ndarray,
+                      params: ClusterParams) -> np.ndarray:
     """Normalized distance between every pair of per-ring segments, as an
-    (n, n) array.
+    (n, n) array; segment k lies on ring ``ring[k]`` with centroid
+    ``centroid[k]``, mean range ``mean_range[k]`` and azimuths ``start[k]``
+    to ``end[k]``.
 
     Cheap gates first: segments whose ring indices differ by more than
     ``ring_gap`` or whose centroids are farther apart than
@@ -236,12 +211,7 @@ def segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray:
     intersecting each interval with the +/-2pi shifted copies of the other
     covers the wrapped cases.
     """
-    n = len(segs)
-    ring = np.array([s.ring_index for s in segs])
-    centroid = np.array([s.centroid for s in segs])
-    mean_range = np.array([s.mean_range for s in segs])
-    start = np.array([s.azimuth_interval[0] for s in segs])
-    end = np.array([s.azimuth_interval[1] for s in segs])
+    n = len(ring)
     width = np.maximum(end - start, params.dphi)
 
     dx = centroid[:, None, 0] - centroid[None, :, 0]
@@ -263,30 +233,35 @@ def segment_distances(segs: list[Segment], params: ClusterParams) -> np.ndarray:
     return np.where(feasible, d_norm + phi_norm, np.inf)
 
 
-def cluster_segments(segments: list[Segment], params: ClusterParams) -> list[Cluster]:
-    """Second stage: single-linkage grouping of segments.
+def cluster_segments(scan: RingScan, segments: list[np.ndarray],
+                     params: ClusterParams) -> list[Cluster]:
+    """Second stage: single-linkage grouping of the segments of ``scan``.
 
-    Connected components under ``segment_distances < epsilon_custom``; the
-    pairwise metric is evaluated on dense arrays (segment counts are small
-    compared to point counts, which is where the speed of the two-stage
-    scheme comes from). Segments are sorted canonically first so the
-    output does not depend on input order.
+    Precondition: ``segments`` are ascending scan indices in (ring, azimuth
+    start) order, as :func:`ring_segments` returns them. Clusters are the
+    connected components under ``segment_distances < epsilon_custom``, in
+    order of their first segment, each holding its segments' points in
+    segment order. The metric runs on dense segment-by-segment arrays,
+    which is where the two-stage scheme gets its speed: segments are far
+    fewer than points.
     """
     if not segments:
         return []
-    order = sorted(
-        range(len(segments)),
-        key=lambda i: (segments[i].ring_index, segments[i].azimuth_interval[0]),
-    )
-    segs = [segments[i] for i in order]
-    linked = segment_distances(segs, params) < params.epsilon_custom
-    groups = _label_groups(_components(len(segs), *np.nonzero(np.triu(linked, k=1))))
-    return [Cluster(segments=[segs[k] for k in g]) for g in groups]
+    # azimuths increase within a ring, so a segment's first and last points
+    # bound its interval; add.reduce over the count is what mean() computes,
+    # without its wrapper's overhead
+    first, last = np.array([(g[0], g[-1]) for g in segments]).T
+    centroid = np.array([np.add.reduce(scan.points[g], axis=0) / len(g) for g in segments])
+    mean_range = np.array([np.add.reduce(scan.ranges[g]) / len(g) for g in segments])
+    linked = segment_distances(scan.ring[first], centroid, mean_range, scan.azimuths[first],
+                               scan.azimuths[last], params) < params.epsilon_custom
+    groups = _label_groups(_components(len(segments), *np.nonzero(np.triu(linked, k=1))))
+    return [Cluster(scan.points[np.concatenate([segments[k] for k in g])]) for g in groups]
 
 
 def cluster_scan(scan: RingScan, params: ClusterParams) -> list[Cluster]:
     """Full hierarchical pipeline over a :class:`~coopercept.scene.RingScan`."""
-    return cluster_segments(ring_segments(scan, params), params)
+    return cluster_segments(scan, ring_segments(scan, params), params)
 
 
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -330,7 +305,7 @@ def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
 
 
 def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> list[Cluster]:
-    """Wrap labeled points as Clusters (one pseudo-segment per cluster).
+    """Wrap labeled points as Clusters.
 
     Clusters come in label order, noise (negative labels) is dropped, and
     each cluster's points are in stable azimuth order.
@@ -341,11 +316,7 @@ def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> list[Cluster
     if len(members) == 0:
         return []
     pts = points[members]
-    az = np.arctan2(pts[:, 1], pts[:, 0])
-    order = np.lexsort((az, labels[members]))  # stable: ties keep point order
-    pts, az = pts[order], az[order]
-    ranges = np.linalg.norm(pts, axis=1)
+    # stable: ties keep point order
+    order = np.lexsort((np.arctan2(pts[:, 1], pts[:, 0]), labels[members]))
     cuts = np.flatnonzero(np.diff(labels[members][order])) + 1
-    return [Cluster(segments=[Segment(ring_index=0, points=p, azimuths=a, ranges=r)])
-            for p, a, r in zip(np.split(pts, cuts), np.split(az, cuts),
-                               np.split(ranges, cuts))]
+    return [Cluster(p) for p in np.split(pts[order], cuts)]

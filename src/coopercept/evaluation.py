@@ -19,6 +19,7 @@ from .clustering import (
     DBSCAN_BASELINE_N_MIN,
     ClusterParams,
     cluster_scan,
+    clusters_from_labels,
     dbscan_baseline,
 )
 from .scene import RingScan, make_benchmark_scan
@@ -113,7 +114,7 @@ def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0):
     """Time the hierarchical pipeline against point-level DBSCAN.
 
     Both methods run on identical synthetic ring scans at each requested
-    point count. Returns rows of
+    point count, each from the scan to its ``Cluster`` list. Returns rows of
     ``(point_count, method, mean_ms, p95_ms)`` with point_count the actual
     scan size.
     """
@@ -132,7 +133,8 @@ def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0):
             cluster_scan(scan, params)
             hier_ms.append((time.perf_counter() - t0) * 1e3)
             t0 = time.perf_counter()
-            dbscan_baseline(scan.points, DBSCAN_BASELINE_EPS, DBSCAN_BASELINE_N_MIN)
+            clusters_from_labels(scan.points, dbscan_baseline(
+                scan.points, DBSCAN_BASELINE_EPS, DBSCAN_BASELINE_N_MIN))
             base_ms.append((time.perf_counter() - t0) * 1e3)
 
         for method, samples in (("hierarchical", hier_ms), ("dbscan", base_ms)):

@@ -110,7 +110,6 @@ class PositionedBox:
 
     box: BBox2D
     position: np.ndarray  # (2,) world xy
-    from_foot: bool
 
 
 @dataclass
@@ -122,14 +121,6 @@ class LabeledObject:
     cluster: Cluster | None
     source: str
     confidence: float = 1.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(2)
-        if not np.all(np.isfinite(self.position)):
-            raise ValueError("position must be finite")
-        if (self.class_label == CLASS_UNKNOWN) != (self.source == SOURCE_LIDAR_ONLY):
-            # unknown exactly when no 2D box matched
-            raise ValueError(f"inconsistent class/source: {self.class_label}/{self.source}")
 
 
 def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[PositionedBox]:
@@ -164,16 +155,10 @@ def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[Position
         for person_j, pixels in foot_pixels.items():
             ground_pixel[person_j] = np.mean(pixels, axis=0)
 
-    out = []
-    for i, person in enumerate(people):
-        pos = recover_ground_position(camera, ground_pixel[i], z_w=0.0)
-        out.append(PositionedBox(box=person, position=pos,
-                                 from_foot=not np.array_equal(ground_pixel[i],
-                                                              person.bottom_center)))
-    for bed in beds:
-        pos = recover_ground_position(camera, bed.bottom_center, z_w=0.0)
-        out.append(PositionedBox(box=bed, position=pos, from_foot=False))
-    return out
+    return ([PositionedBox(p, recover_ground_position(camera, ground_pixel[i], z_w=0.0))
+             for i, p in enumerate(people)]
+            + [PositionedBox(b, recover_ground_position(camera, b.bottom_center, z_w=0.0))
+               for b in beds])
 
 
 def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster],

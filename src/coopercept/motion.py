@@ -4,8 +4,8 @@ The same forward-Euler motion model drives the synthetic ground truth,
 the per-node tracker prediction, and the center-node delay compensation.
 State layout is ``[x, y, yaw, v, omega]`` with yaw in radians, v in m/s
 and omega in rad/s. :func:`ctrv_advance` on plain floats is the one copy
-of the motion formula; the array form :func:`ctrv_step`, which the
-simulator and the tracker use, calls it.
+of the motion formula, which the simulator calls directly; the array
+form :func:`ctrv_step`, which the tracker uses, calls it.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .camera import BBox2D, CameraModel, project, project_points
-from .motion import ctrv_step, wrap_angle
+from .motion import ctrv_advance, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -239,8 +239,7 @@ def simulate_step(world: list[WorldObject], dt: float,
         omega, wp_idx = (obj.yaw_rate, obj.waypoint_index)
         if obj.waypoints:
             omega, wp_idx = _waypoint_control(obj)
-        nxt = ctrv_step(np.array([obj.x, obj.y, obj.yaw, obj.speed, omega]), dt)
-        x, y, yaw = float(nxt[0]), float(nxt[1]), float(nxt[2])
+        x, y, yaw, _, _ = ctrv_advance(obj.x, obj.y, obj.yaw, obj.speed, omega, dt)
         if room is not None and not room.contains((x, y)):
             yaw = _reflect_heading(room, obj.x, obj.y, obj.yaw)
             log.debug("object %d reflected at wall near (%.2f, %.2f)", obj.id, x, y)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
-exceptions are the fusion-cycle and box-association oracles. They keep
-the per-pair loops the package replaced, numpy calls included, so that
-their results can be compared bit for bit. They call the package's
-``gated_assignment`` (and the box oracle its ``project_points``), as the
+exceptions are the fusion-cycle, box-association and segment-grouping
+oracles. They keep the per-pair loops and per-segment objects the package
+replaced, numpy calls included, so that their results can be compared bit
+for bit. They call the package's ``gated_assignment`` (the box oracle its
+``project_points``, the grouping oracle its ``segment_distances``), as the
 replaced code did.
 """
 
@@ -18,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from coopercept.assignment import gated_assignment
 from coopercept.camera import FOOT_COSINE_THRESHOLD, project_points
+from coopercept.clustering import segment_distances
 from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
                                      DEFAULT_OVERLAP_WEIGHT)
 
@@ -64,7 +66,7 @@ def brute_force_dbscan(points, eps, n_min):
 def brute_force_clusters_from_labels(points, labels):
     """One cluster per label >= 0, in label order, from a scan of the
     points per label; each cluster's points in stable azimuth order.
-    Returns ``(points, azimuths, ranges)`` per cluster."""
+    Returns the points of each cluster."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     out = []
     for cid in range(labels.max() + 1 if labels.size else 0):
@@ -73,8 +75,54 @@ def brute_force_clusters_from_labels(points, labels):
             continue
         pts = points[idx]
         az = np.arctan2(pts[:, 1], pts[:, 0])
-        order = np.argsort(az, kind="stable")
-        out.append((pts[order], az[order], np.linalg.norm(pts[order], axis=1)))
+        out.append(pts[np.argsort(az, kind="stable")])
+    return out
+
+
+def brute_force_cluster_segments(scan, segments, params):
+    """Second-stage grouping as one object per segment.
+
+    Each segment (scan indices) becomes a record of its own points with
+    the features computed from them: ring, centroid and mean range by
+    ``add.reduce`` over the count, and the azimuth interval as the min and
+    max. The records are sorted by (ring, azimuth start), any input order
+    allowed, linked where ``segment_distances`` is below
+    ``epsilon_custom``, and joined by union-find into groups in order of
+    their lowest record. Returns ``(points, centroid)`` per cluster, the
+    points stacked record by record.
+    """
+    records = []
+    for g in segments:
+        pts, az, ranges = scan.points[g], scan.azimuths[g], scan.ranges[g]
+        records.append(SimpleNamespace(
+            ring=int(scan.ring[g[0]]), points=pts,
+            centroid=np.add.reduce(pts, axis=0) / len(pts),
+            mean_range=float(np.add.reduce(ranges) / len(ranges)),
+            start=float(az.min()), end=float(az.max())))
+    records.sort(key=lambda r: (r.ring, r.start))
+    if not records:
+        return []
+    d = segment_distances(*(np.array([getattr(r, name) for r in records])
+                            for name in ("ring", "centroid", "mean_range", "start", "end")),
+                          params)
+    parent = list(range(len(records)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(records)), 2):
+        if d[i, j] < params.epsilon_custom:
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)  # a root is its group's lowest record
+    groups = {}
+    for i in range(len(records)):
+        groups.setdefault(root(i), []).append(records[i])
+    out = []
+    for members in groups.values():
+        points = np.vstack([r.points for r in members])
+        out.append((points, np.add.reduce(points, axis=0) / len(points)))
     return out
 
 
@@ -401,12 +449,12 @@ def brute_force_filter_roi(scan, grid, z_band):
 
 
 def brute_force_merge_views(per_camera, duplicate_gate=0.5):
-    """Merge camera views of possibly different clusterings, by segment.
+    """Merge camera views of possibly different clusterings, by point.
 
-    Objects whose clusters share a segment are one physical object; the
+    Objects whose clusters share a point row are one physical object; the
     groups come in order of their lowest object. Each group keeps its best
     label (fused, then LiDAR-only, then the higher confidence, ties to the
-    lower object) at the centroid of the union of its segments, taken in
+    lower object) at the centroid of the union of its point rows, taken in
     object order. A camera-only object within ``duplicate_gate`` of a kept
     object is dropped.
 
@@ -415,6 +463,8 @@ def brute_force_merge_views(per_camera, duplicate_gate=0.5):
     """
     flat = [o for view in per_camera for o in view]
     clustered = [o for o in flat if o.cluster is not None]
+    rows = [[p.tobytes() for p in o.cluster.points] for o in clustered]
+    row_sets = [set(r) for r in rows]
     parent = list(range(len(clustered)))
 
     def root(i):
@@ -423,23 +473,25 @@ def brute_force_merge_views(per_camera, duplicate_gate=0.5):
         return i
 
     for i, j in itertools.combinations(range(len(clustered)), 2):
-        if any(a is b for a in clustered[i].cluster.segments
-               for b in clustered[j].cluster.segments):
+        if not row_sets[i].isdisjoint(row_sets[j]):
             ri, rj = root(i), root(j)
             parent[max(ri, rj)] = min(ri, rj)  # a root is its group's lowest object
     groups = {}
     for i in range(len(clustered)):
-        groups.setdefault(root(i), []).append(clustered[i])
+        groups.setdefault(root(i), []).append(i)
 
     rank = {"fused": 0, "lidar_only": 1}
     kept = []
     for members in groups.values():
-        best = min(members, key=lambda o: (rank.get(o.source, 2), -o.confidence))
-        segments = []
-        for obj in members:
-            segments.extend(s for s in obj.cluster.segments
-                            if not any(s is t for t in segments))
-        points = np.vstack([s.points for s in segments])
+        best = min((clustered[i] for i in members),
+                   key=lambda o: (rank.get(o.source, 2), -o.confidence))
+        seen, union = set(), []
+        for i in members:
+            for row, point in zip(rows[i], clustered[i].cluster.points):
+                if row not in seen:
+                    seen.add(row)
+                    union.append(point)
+        points = np.array(union)
         centroid = np.add.reduce(points, axis=0) / len(points)  # as Cluster computes it
         kept.append((best.class_label, best.source, best.confidence, centroid[:2], points))
     for obj in flat:

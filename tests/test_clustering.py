@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from coopercept.clustering import (
-    Cluster,
     ClusterParams,
-    Segment,
     adaptive_epsilon,
     cluster_scan,
     cluster_segments,
@@ -18,6 +16,7 @@ from coopercept.clustering import (
 from coopercept.scene import LidarModel, make_bed, make_person, scan_lidar
 
 from oracles import (
+    brute_force_cluster_segments,
     brute_force_clusters_from_labels,
     brute_force_dbscan,
     brute_force_ring_dbscan,
@@ -37,8 +36,21 @@ def ring_on_arc(radius, phi_start, phi_stop, step, z=0.0):
     return az, ranges, pts
 
 
-def make_segment(ring, az, ranges, pts):
-    return Segment(ring_index=ring, points=pts, azimuths=az, ranges=ranges)
+def features(ring, az, ranges, pts):
+    """``(ring, centroid, mean_range, start, end)`` of one segment."""
+    return ring, pts.mean(axis=0), ranges.mean(), az[0], az[-1]
+
+
+def arc_scan(arcs):
+    """A scan of 0.1 rad arcs at 5 m, one per ``(ring, start, dz)``, given
+    in (ring, start) order, with the index group of each arc."""
+    rings, groups, n = [], [], 0
+    for ring, start, dz in arcs:
+        az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, PARAMS.dphi)
+        rings.append((ring, az, ranges, pts + np.array([0.0, 0.0, dz])))
+        groups.append(np.arange(n, n + len(az)))
+        n += len(az)
+    return scan_from_rings(rings), groups
 
 
 def flanking_scene():
@@ -92,11 +104,7 @@ def test_wall_arc_single_segment():
     az, ranges, pts = ring_on_arc(5.0, -0.3, 0.3, PARAMS.dphi)
     segments = ring_segments(scan_from_rings([(2, az, ranges, pts)]), PARAMS)
     assert len(segments) == 1
-    seg = segments[0]
-    assert seg.ring_index == 2
-    assert len(seg.points) == len(pts)
-    assert np.allclose(seg.centroid, pts.mean(axis=0), atol=1e-12)
-    assert seg.azimuth_interval == (pytest.approx(az[0]), pytest.approx(az[-1]))
+    assert np.array_equal(segments[0], np.arange(len(pts)))
 
 
 def test_azimuth_gap_splits_segments():
@@ -109,7 +117,7 @@ def test_azimuth_gap_splits_segments():
     ranges = np.concatenate([r1, r2])
     pts = np.vstack([p1, p2])
     segments = ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
-    assert len(segments) == 2
+    assert [len(g) for g in segments] == [len(az1), len(az2)]
 
 
 def test_fewer_than_n_min_points_all_noise():
@@ -131,15 +139,16 @@ def test_unsorted_azimuths_rejected():
 # -- segment metric ----------------------------------------------------------
 
 def pair_distances(a, b, params):
-    """Both off-diagonal entries of the distance matrix of ``[a, b]``."""
-    d = segment_distances([a, b], params)
+    """Both off-diagonal entries of the distance matrix of the two
+    segments' features."""
+    d = segment_distances(*(np.array(f) for f in zip(a, b)), params)
     return d[0, 1], d[1, 0]
 
 
 def test_identical_interval_coincident_centroids():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
-    a = make_segment(0, az, ranges, pts)
-    b = make_segment(1, az, ranges, pts)
+    a = features(0, az, ranges, pts)
+    b = features(1, az, ranges, pts)
     assert pair_distances(a, b, PARAMS) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
@@ -150,8 +159,8 @@ def test_disjoint_intervals_scalar_arithmetic():
     az1, r1, p1 = ring_on_arc(5.0, 0.0, 0.05, params.dphi)
     az2 = az1 + 0.2  # disjoint interval
     p2 = p1 + np.array([0.0, 0.0, 0.1])  # centroid shifted 0.1 m in z
-    a = make_segment(0, az1, r1, p1)
-    b = make_segment(1, az2, r1, p2)
+    a = features(0, az1, r1, p1)
+    b = features(1, az2, r1, p2)
     expected = 0.1 / (5.0 * 0.0349) + 1.0
     got = pair_distances(a, b, params)
     assert got == pytest.approx((expected, expected), abs=1e-9)
@@ -161,73 +170,63 @@ def test_half_overlap_intervals():
     # intervals [10, 20] and [15, 25] degrees, coincident centroids ->
     # overlap 5 deg, min width 10 deg, distance 0.5
     d = math.radians
-    pts = np.array([[5.0, 0.0, 0.0], [5.1, 0.0, 0.0]])
-    a = Segment(ring_index=0, points=pts, azimuths=np.array([d(10.0), d(20.0)]),
-                ranges=np.array([5.0, 5.1]))
-    b = Segment(ring_index=1, points=pts, azimuths=np.array([d(15.0), d(25.0)]),
-                ranges=np.array([5.0, 5.1]))
+    centroid = np.array([5.05, 0.0, 0.0])
+    a = (0, centroid, 5.05, d(10.0), d(20.0))
+    b = (1, centroid, 5.05, d(15.0), d(25.0))
     assert pair_distances(a, b, PARAMS) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_ring_gap_returns_inf():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
-    a = make_segment(0, az, ranges, pts)
-    b = make_segment(PARAMS.ring_gap + 1, az, ranges, pts)
+    a = features(0, az, ranges, pts)
+    b = features(PARAMS.ring_gap + 1, az, ranges, pts)
     assert pair_distances(a, b, PARAMS) == (math.inf, math.inf)
 
 
 def test_centroid_gate_returns_inf():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
-    a = make_segment(0, az, ranges, pts)
-    b = make_segment(1, az, ranges, pts + np.array([0.0, 0.0, PARAMS.max_centroid_distance + 0.1]))
+    a = features(0, az, ranges, pts)
+    b = features(1, az, ranges,
+                 pts + np.array([0.0, 0.0, PARAMS.max_centroid_distance + 0.1]))
     assert pair_distances(a, b, PARAMS) == (math.inf, math.inf)
+
+
+def random_features(rng, n):
+    """Features of ``n`` random segments: rings 0-7, centroids within a
+    few meters of each other, intervals up to 0.3 rad wide that do not
+    cross the +/-pi seam."""
+    start = rng.uniform(-math.pi, math.pi - 0.3, size=n)
+    return (rng.integers(0, 8, size=n), rng.uniform(-1.0, 1.0, size=(n, 3)) + [4.0, 0.0, 0.0],
+            rng.uniform(1.0, 15.0, size=n), start,
+            start + rng.uniform(0.0, 0.3, size=n))
 
 
 def test_segment_distance_symmetry():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        segs = []
-        for ring in rng.integers(0, 6, size=2):
-            start = rng.uniform(-math.pi, math.pi - 0.3)
-            az, ranges, pts = ring_on_arc(rng.uniform(2.0, 12.0), start,
-                                          start + rng.uniform(0.02, 0.2), PARAMS.dphi)
-            pts = pts + rng.normal(0.0, 0.1, size=3)
-            segs.append(make_segment(int(ring), az, ranges, pts))
-        forward = pair_distances(segs[0], segs[1], PARAMS)
-        assert forward[0] == forward[1]
-        assert pair_distances(segs[1], segs[0], PARAMS) == forward
+    for _ in range(50):
+        d = segment_distances(*random_features(rng, 12), PARAMS)
+        assert np.array_equal(d, d.T)
 
 
 def test_segment_distance_matches_scalar_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(300):
-        segs = []
-        for _ in range(2):
-            ring = int(rng.integers(0, 8))
-            start = rng.uniform(-2.0, 2.0)
-            width = rng.uniform(PARAMS.dphi, 0.3)
-            az = np.sort(rng.uniform(start, start + width, size=rng.integers(2, 30)))
-            az = np.unique(az)
-            if len(az) < 2:
-                continue
-            radius = rng.uniform(1.0, 15.0)
-            pts = np.stack([radius * np.cos(az), radius * np.sin(az),
-                            rng.normal(0.0, 0.3, size=len(az))], axis=1)
-            ranges = np.linalg.norm(pts, axis=1)
-            segs.append(make_segment(ring, az, ranges, pts))
-        if len(segs) < 2:
-            continue
-        a, b = segs
-        expected = scalar_segment_distance(
-            [float(v) for v in a.centroid], [float(v) for v in b.centroid],
-            a.ring_index, b.ring_index, a.azimuth_interval, b.azimuth_interval,
-            a.mean_range, b.mean_range, PARAMS.dtheta, PARAMS.dphi,
-            PARAMS.ring_gap, PARAMS.max_centroid_distance)
-        for got in pair_distances(a, b, PARAMS):
-            if math.isinf(expected):
-                assert got == math.inf
-            else:
-                assert got == pytest.approx(expected, abs=1e-12)
+    finite = 0
+    for _ in range(30):
+        ring, centroid, mean_range, start, end = random_features(rng, 12)
+        got = segment_distances(ring, centroid, mean_range, start, end, PARAMS)
+        for i in range(12):
+            for j in range(12):
+                expected = scalar_segment_distance(
+                    [float(v) for v in centroid[i]], [float(v) for v in centroid[j]],
+                    int(ring[i]), int(ring[j]), (start[i], end[i]), (start[j], end[j]),
+                    mean_range[i], mean_range[j], PARAMS.dtheta, PARAMS.dphi,
+                    PARAMS.ring_gap, PARAMS.max_centroid_distance)
+                if math.isinf(expected):
+                    assert got[i, j] == math.inf
+                else:
+                    assert got[i, j] == pytest.approx(expected, abs=1e-12)
+                    finite += 1
+    assert finite > 500
 
 
 # -- one labelling per scan against per-ring brute force ---------------------
@@ -245,9 +244,10 @@ def oracle_segments(scan, params):
     return sorted(out)
 
 
-def scan_segments(clusters):
-    return sorted((s.ring_index, s.azimuths.tobytes())
-                  for c in clusters for s in c.segments)
+def scan_segments(scan, params):
+    """(ring, azimuth bytes) of every segment ``ring_segments`` finds."""
+    return sorted((int(scan.ring[g[0]]), scan.azimuths[g].tobytes())
+                  for g in ring_segments(scan, params))
 
 
 def test_cluster_scan_segments_match_per_ring_brute_force():
@@ -264,7 +264,7 @@ def test_cluster_scan_segments_match_per_ring_brute_force():
                 scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
                                   grid, config.z_band)
                 for params in (config.cluster_params, ClusterParams(n_min=8)):
-                    got = scan_segments(cluster_scan(scan, params))
+                    got = scan_segments(scan, params)
                     assert got == oracle_segments(scan, params)
                     checked += len(got)
     assert checked > 100
@@ -284,7 +284,7 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     rings.append((20, az[:0], ranges[:0], pts[:0]))
     scan = scan_from_rings(rings)
 
-    got = scan_segments(cluster_scan(scan, PARAMS))
+    got = scan_segments(scan, PARAMS)
     assert got == oracle_segments(scan, PARAMS)
     starts = [np.frombuffer(a)[0] for _, a in got]
     ends = [np.frombuffer(a)[-1] for _, a in got]
@@ -292,71 +292,146 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     assert all(ring < 16 for ring, _ in got)
     for ring_index, az_r, ranges_r, pts_r in rings:
         one = scan_from_rings([(ring_index, az_r, ranges_r, pts_r)])
-        expected = oracle_segments(one, PARAMS)
-        segments = ring_segments(one, PARAMS)
-        assert sorted((s.ring_index, s.azimuths.tobytes()) for s in segments) == expected
-        assert [s.azimuth_interval[0] for s in segments] == \
-            sorted(s.azimuth_interval[0] for s in segments)
+        assert scan_segments(one, PARAMS) == oracle_segments(one, PARAMS)
 
 
 # -- segment grouping --------------------------------------------------------
 
+def cluster_points(scan, groups, expected):
+    """Point bytes of clusters made of the ``expected`` lists of groups."""
+    return [scan.points[np.concatenate([groups[k] for k in members])].tobytes()
+            for members in expected]
+
+
 def test_single_segment_single_cluster():
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
-    clusters = cluster_segments([make_segment(0, az, ranges, pts)], PARAMS)
-    assert len(clusters) == 1
-    assert len(clusters[0].points) == len(pts)
+    scan, groups = arc_scan([(0, 0.0, 0.0)])
+    clusters = cluster_segments(scan, groups, PARAMS)
+    assert [c.points.tobytes() for c in clusters] == [scan.points.tobytes()]
+    assert cluster_segments(scan, [], PARAMS) == []
 
 
 def test_mutually_inf_segments_stay_apart():
-    segs = []
-    for ring in range(3):
-        az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
-        segs.append(make_segment(ring * (PARAMS.ring_gap + 2), az, ranges,
-                                 pts + np.array([0.0, 0.0, 3.0 * ring])))
-    clusters = cluster_segments(segs, PARAMS)
-    assert len(clusters) == 3
-
-
-def arc_segment(ring, start, dz=0.0):
-    az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, PARAMS.dphi)
-    return make_segment(ring, az, ranges, pts + np.array([0.0, 0.0, dz]))
+    scan, groups = arc_scan([(ring * (PARAMS.ring_gap + 2), 0.0, 3.0 * ring)
+                             for ring in range(3)])
+    clusters = cluster_segments(scan, groups, PARAMS)
+    assert [c.points.tobytes() for c in clusters] == \
+        cluster_points(scan, groups, [[0], [1], [2]])
 
 
 def test_cluster_segments_chains_groups_by_lowest_member():
     # groups by lowest member, members ascending, singletons kept, a chain
-    # linked through a later member: canonical order (ring, start) is
-    # 0..5 with links 0-5, 1-4 and 3-4 (3 and 1 are 0.4 m apart, unlinked)
-    segs = [arc_segment(0, 0.0), arc_segment(0, 1.0), arc_segment(0, 2.0),
-            arc_segment(1, 1.0, 0.4), arc_segment(2, 1.0, 0.2), arc_segment(3, 0.0, 0.1)]
-    linked = segment_distances(segs, PARAMS) < PARAMS.epsilon_custom
+    # linked through a later member: (ring, start) order is 0..5 with
+    # links 0-5, 1-4 and 3-4 (3 and 1 are 0.4 m apart, unlinked)
+    scan, groups = arc_scan([(0, 0.0, 0.0), (0, 1.0, 0.0), (0, 2.0, 0.0),
+                             (1, 1.0, 0.4), (2, 1.0, 0.2), (3, 0.0, 0.1)])
+    segs = [features(int(scan.ring[g[0]]), scan.azimuths[g], scan.ranges[g], scan.points[g])
+            for g in groups]
+    linked = segment_distances(*(np.array(f) for f in zip(*segs)), PARAMS) \
+        < PARAMS.epsilon_custom
     assert {(i, j) for i, j in zip(*np.nonzero(np.triu(linked, k=1)))} == \
         {(0, 5), (1, 4), (3, 4)}
-    clusters = cluster_segments([segs[k] for k in (4, 2, 5, 0, 3, 1)], PARAMS)
-    index = {id(s): k for k, s in enumerate(segs)}
-    assert [[index[id(s)] for s in cl.segments] for cl in clusters] == \
-        [[0, 5], [1, 3, 4], [2]]
-    assert cluster_segments([], PARAMS) == []
+    clusters = cluster_segments(scan, groups, PARAMS)
+    assert [c.points.tobytes() for c in clusters] == \
+        cluster_points(scan, groups, [[0, 5], [1, 3, 4], [2]])
 
 
 def test_cluster_segments_group_and_member_order():
-    seg = arc_segment
+    # (ring, start) order a=0, b=1, c=2, d=3, e=4; links a-c, b-e
+    scan, groups = arc_scan([(0, 0.0, 0.0), (0, 1.0, 0.0), (1, 0.0, 0.1),
+                             (1, 2.0, 0.0), (2, 1.0, 0.2)])
+    clusters = cluster_segments(scan, groups, PARAMS)
+    assert [c.points.tobytes() for c in clusters] == \
+        cluster_points(scan, groups, [[0, 2], [1, 4], [3]])
 
-    # canonical order (ring, start): a=0, b=1, c=2, d=3, e=4; links a-c, b-e
-    a, b, c, d, e = seg(0, 0.0), seg(0, 1.0), seg(1, 0.0, 0.1), seg(1, 2.0), seg(2, 1.0, 0.2)
-    clusters = cluster_segments([e, d, c, b, a], PARAMS)
-    assert [[id(s) for s in cl.segments] for cl in clusters] == \
-        [[id(a), id(c)], [id(b), id(e)], [id(d)]]
+
+def test_cluster_segments_ring_gap_and_interleaved_segments():
+    # the same arc on two rings, 0.1 m apart: only the ring gap parts them
+    for ring, expected in ((PARAMS.ring_gap, [[0, 1]]), (PARAMS.ring_gap + 1, [[0], [1]])):
+        scan, groups = arc_scan([(0, 0.0, 0.0), (ring, 0.0, 0.1)])
+        assert [c.points.tobytes() for c in cluster_segments(scan, groups, PARAMS)] == \
+            cluster_points(scan, groups, expected)
+    # two segments of one ring interleaved in azimuth, at 5 and 5.1 m: the
+    # cluster holds the first segment's points, then the second's
+    az, _, _ = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    ranges = np.where(np.arange(len(az)) % 2 == 0, 5.0, 5.1)
+    pts = np.stack([ranges * np.cos(az), ranges * np.sin(az), np.zeros(len(az))], axis=1)
+    scan = scan_from_rings([(0, az, ranges, pts)])
+    groups = [np.arange(0, len(az), 2), np.arange(1, len(az), 2)]
+    assert [c.points.tobytes() for c in cluster_segments(scan, groups, PARAMS)] == \
+        cluster_points(scan, groups, [[0, 1]])
 
 
-def test_cluster_order_independent_of_input_order():
-    lidar, objects = flanking_scene()
-    scan = scan_lidar(lidar, objects)
-    segments = ring_segments(scan, PARAMS)
-    forward = cluster_segments(segments, PARAMS)
-    backward = cluster_segments(segments[::-1], PARAMS)
-    key = lambda c: tuple(np.round(c.centroid, 9))
-    assert sorted(map(key, forward)) == sorted(map(key, backward))
+def random_ring_scan(rng):
+    """A scan of up to six rings, each with clumps of points at a few
+    ranges and some scatter, azimuths sorted and distinct."""
+    rings = []
+    for ring in np.sort(rng.choice(12, size=int(rng.integers(1, 7)), replace=False)):
+        az = np.unique(np.concatenate(
+            [rng.uniform(c, c + rng.uniform(0.01, 0.2), size=int(rng.integers(1, 40)))
+             for c in rng.uniform(-math.pi, math.pi - 0.2, size=int(rng.integers(1, 5)))]
+            + [rng.uniform(-math.pi, math.pi, size=int(rng.integers(0, 10)))]))
+        ranges = rng.choice(rng.uniform(1.0, 10.0, size=3), size=len(az)) \
+            + rng.normal(0.0, 0.02, size=len(az))
+        elevation = math.radians(-15.0 + 2.0 * ring)
+        pts = np.stack([ranges * math.cos(elevation) * np.cos(az),
+                        ranges * math.cos(elevation) * np.sin(az),
+                        ranges * math.sin(elevation) + 1.5], axis=1)
+        rings.append((int(ring), az, ranges, pts))
+    return scan_from_rings(rings)
+
+
+def test_ring_segments_partition_non_noise_points_in_ring_then_azimuth_order():
+    rng = np.random.default_rng(11)
+    segments_seen = 0
+    for _ in range(40):
+        scan = random_ring_scan(rng)
+        params = ClusterParams(n_min=int(rng.integers(2, 6)))
+        segments = ring_segments(scan, params)
+        clustered = []
+        for ring_index in np.unique(scan.ring).tolist():
+            on = np.flatnonzero(scan.ring == ring_index)
+            labels = brute_force_ring_dbscan(scan.azimuths[on], scan.ranges[on],
+                                             scan.points[on], params.n_min, params.dphi)
+            clustered.extend(on[labels >= 0].tolist())
+        # the groups partition the non-noise points
+        members = np.concatenate([np.zeros(0, dtype=int)] + segments)
+        assert sorted(members.tolist()) == sorted(clustered)
+        assert len(set(members.tolist())) == len(members)
+        for g in segments:
+            assert (np.diff(g) > 0).all()
+            assert (scan.ring[g] == scan.ring[g[0]]).all()
+        keys = [(int(scan.ring[g[0]]), float(scan.azimuths[g[0]])) for g in segments]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        segments_seen += len(segments)
+    assert segments_seen > 100
+
+
+def test_cluster_scan_matches_object_path_oracle_on_builtin_frames():
+    from dataclasses import replace
+
+    from coopercept.local_fusion import RoiGrid, filter_roi
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    rng = np.random.default_rng(3)
+    clusters = 0
+    for build in BUILTIN_SCENARIOS.values():
+        config = replace(build(), duration_s=4.0)
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        for t, world in simulate_world(config):
+            for node in config.nodes:
+                scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
+                                  grid, config.z_band)
+                for params in (config.cluster_params, ClusterParams(n_min=8)):
+                    got = cluster_scan(scan, params)
+                    segments = ring_segments(scan, params)
+                    # the oracle sorts its segments itself
+                    shuffled = [segments[k] for k in rng.permutation(len(segments))]
+                    want = brute_force_cluster_segments(scan, shuffled, params)
+                    assert [(c.points.tobytes(), c.centroid.tobytes()) for c in got] == \
+                        [(pts.tobytes(), centroid.tobytes()) for pts, centroid in want]
+                    clusters += len(got)
+    assert clusters > 1000
 
 
 def test_flanking_scene_counts():
@@ -441,13 +516,10 @@ def assert_clusters_match_per_label_oracle(points, labels):
     got = clusters_from_labels(points, labels)
     want = brute_force_clusters_from_labels(points, labels)
     assert len(got) == len(want)
-    for cluster, (pts, az, ranges) in zip(got, want):
-        seg, = cluster.segments
-        assert seg.ring_index == 0
-        assert seg.points.tobytes() == pts.tobytes()
-        assert seg.azimuths.tobytes() == az.tobytes()
-        assert seg.ranges.tobytes() == ranges.tobytes()
+    for cluster, pts in zip(got, want):
         assert cluster.points.tobytes() == pts.tobytes()
+        assert cluster.centroid.tobytes() == \
+            (np.add.reduce(pts, axis=0) / len(pts)).tobytes()
     return got
 
 
@@ -492,6 +564,3 @@ def test_cluster_invariants():
     scan = scan_lidar(lidar, objects)
     for cluster in cluster_scan(scan, PARAMS):
         assert np.allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-12)
-        for seg in cluster.segments:
-            assert np.allclose(seg.centroid, seg.points.mean(axis=0), atol=1e-12)
-            assert seg.azimuth_interval[0] <= seg.azimuth_interval[1]

@@ -55,15 +55,11 @@ def side_camera():
 
 def fake_cluster(x, y, z=0.9, spread=0.1):
     """A small synthetic cluster centered at (x, y, z)."""
-    from coopercept.clustering import Cluster, Segment
+    from coopercept.clustering import Cluster
 
     offs = np.array([[-spread, 0.0, -spread], [spread, 0.0, spread],
                      [0.0, -spread, 0.0], [0.0, spread, 0.0]])
-    pts = np.array([x, y, z]) + offs
-    az = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
-    seg = Segment(ring_index=0, points=pts, azimuths=az,
-                  ranges=np.linalg.norm(pts, axis=1))
-    return Cluster(segments=[seg])
+    return Cluster(np.array([x, y, z]) + offs)
 
 
 # -- ROI filtering -----------------------------------------------------------
@@ -175,7 +171,7 @@ def test_direct_match():
     cam = side_camera()
     cluster = fake_cluster(4.0, 0.0)
     pb = PositionedBox(box=box_over(cluster, cam),
-                       position=cluster.centroid[:2].copy(), from_foot=True)
+                       position=cluster.centroid[:2].copy())
     out = associate_boxes_clusters([pb], [cluster], cam)
     assert len(out) == 1
     assert out[0].source == SOURCE_FUSED
@@ -188,10 +184,8 @@ def test_crossed_pair_resolved_optimally():
     c0 = fake_cluster(4.0, -0.25)
     c1 = fake_cluster(4.0, 0.25)
     # boxes listed in swapped order with slightly offset estimates
-    b0 = PositionedBox(box=box_over(c1, cam), position=np.array([4.0, 0.22]),
-                       from_foot=True)
-    b1 = PositionedBox(box=box_over(c0, cam), position=np.array([4.0, -0.22]),
-                       from_foot=True)
+    b0 = PositionedBox(box=box_over(c1, cam), position=np.array([4.0, 0.22]))
+    b1 = PositionedBox(box=box_over(c0, cam), position=np.array([4.0, -0.22]))
     out = associate_boxes_clusters([b0, b1], [c0, c1], cam)
     fused = {id(o.cluster): o for o in out if o.source == SOURCE_FUSED}
     assert len(fused) == 2
@@ -205,10 +199,10 @@ def test_three_boxes_two_clusters_leftover_camera_only():
     c0 = fake_cluster(4.0, -0.6)
     c1 = fake_cluster(4.0, 0.6)
     boxes = [
-        PositionedBox(box=box_over(c0, cam), position=np.array([4.0, -0.6]), from_foot=True),
-        PositionedBox(box=box_over(c1, cam), position=np.array([4.0, 0.6]), from_foot=True),
+        PositionedBox(box=box_over(c0, cam), position=np.array([4.0, -0.6])),
+        PositionedBox(box=box_over(c1, cam), position=np.array([4.0, 0.6])),
         PositionedBox(box=BBox2D(30, 30, 90, 160, "person", 0.4),
-                      position=np.array([5.5, 2.5]), from_foot=False),
+                      position=np.array([5.5, 2.5])),
     ]
     out = associate_boxes_clusters(boxes, [c0, c1], cam)
     by_source = {}
@@ -232,9 +226,8 @@ def test_no_duplicate_assignment():
     cam = side_camera()
     rng = np.random.default_rng(4)
     clusters = [fake_cluster(4.0 + i, rng.uniform(-1, 1)) for i in range(4)]
-    boxes = [PositionedBox(box=box_over(c, cam),
-                           position=c.centroid[:2] + rng.normal(0, 0.05, 2),
-                           from_foot=True) for c in clusters[:3]]
+    boxes = [PositionedBox(box=box_over(c, cam), position=c.centroid[:2] + rng.normal(0, 0.05, 2))
+             for c in clusters[:3]]
     out = associate_boxes_clusters(boxes, clusters, cam)
     fused_clusters = [id(o.cluster) for o in out if o.cluster is not None]
     assert len(fused_clusters) == len(set(fused_clusters))
@@ -244,7 +237,7 @@ def test_fused_position_is_cluster_centroid_exactly():
     cam = side_camera()
     cluster = fake_cluster(3.5, 0.8)
     pb = PositionedBox(box=box_over(cluster, cam),
-                       position=np.array([3.55, 0.82]), from_foot=True)
+                       position=np.array([3.55, 0.82]))
     out = associate_boxes_clusters([pb], [cluster], cam)
     fused = [o for o in out if o.source == SOURCE_FUSED]
     assert np.array_equal(fused[0].position, cluster.centroid[:2])
@@ -288,12 +281,12 @@ def test_cluster_behind_camera_has_zero_overlap():
     behind = fake_cluster(-3.0, 0.0)
     assert (project_points(cam, behind.points)[1] <= 1e-6).all()
     box = BBox2D(0.0, 0.0, 1280.0, 720.0, "person", 0.8)  # the whole image
-    near = PositionedBox(box=box, position=behind.centroid[:2] + [0.5, 0.0], from_foot=True)
+    near = PositionedBox(box=box, position=behind.centroid[:2] + [0.5, 0.0])
     cost = brute_force_association_cost([near], [behind], cam)
     assert cost[0, 0] == 1.0 + float(np.linalg.norm(near.position - behind.centroid[:2]))
     out = assert_association_matches_oracle([near], [behind], cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
-    far = PositionedBox(box=box, position=behind.centroid[:2] + [0.9, 0.0], from_foot=True)
+    far = PositionedBox(box=box, position=behind.centroid[:2] + [0.9, 0.0])
     out = assert_association_matches_oracle([far], [behind], cam)
     assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]
 
@@ -318,7 +311,7 @@ def test_cluster_partly_behind_camera_bounds_its_front_points():
     inside = BBox2D(lo[0], lo[1], hi[0], hi[1], "person", 0.9)
     above = BBox2D(hi[0] + 5.0, lo[1] - 300.0, hi[0] + 100.0, lo[1] - 10.0, "person", 0.9)
     position = cluster.centroid[:2] + [0.0, 0.3]
-    boxes = [PositionedBox(box=b, position=position, from_foot=True) for b in (inside, above)]
+    boxes = [PositionedBox(box=b, position=position) for b in (inside, above)]
     dist = float(np.linalg.norm(position - cluster.centroid[:2]))
     cost = brute_force_association_cost(boxes, [cluster], cam)
     assert cost.tolist() == [[dist], [1.0 + dist]]  # overlap 1, then 0
@@ -331,14 +324,14 @@ def test_single_point_cluster_gets_a_one_pixel_box():
     (u, v), = project_points(cam, cluster.points)[0]
     # the widened 1 px box lies inside this box, so the overlap is 1
     box = BBox2D(u - 5.0, v - 5.0, u + 5.0, v + 5.0, "person", 0.7)
-    pb = PositionedBox(box=box, position=np.array([3.0, 1.0]), from_foot=True)
+    pb = PositionedBox(box=box, position=np.array([3.0, 1.0]))
     cost = brute_force_association_cost([pb], [cluster], cam)
     assert cost[0, 0] == float(np.linalg.norm(pb.position - cluster.centroid[:2]))
     out = assert_association_matches_oracle([pb], [cluster], cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
     # a box that only touches the 1 px box's far corner does not overlap
     corner = BBox2D(u + 1.0, v + 1.0, u + 9.0, v + 9.0, "person", 0.7)
-    pb = PositionedBox(box=corner, position=np.array([3.0, 1.0]), from_foot=True)
+    pb = PositionedBox(box=corner, position=np.array([3.0, 1.0]))
     assert brute_force_association_cost([pb], [cluster], cam)[0, 0] == 1.0 + cost[0, 0]
     assert_association_matches_oracle([pb], [cluster], cam)
 
@@ -346,8 +339,8 @@ def test_single_point_cluster_gets_a_one_pixel_box():
 def test_association_with_no_boxes_or_no_clusters():
     cam = side_camera()
     clusters = [fake_cluster(4.0, 0.0), fake_cluster(5.0, 1.0)]
-    boxes = [PositionedBox(box=box_over(c, cam), position=c.centroid[:2].copy(),
-                           from_foot=True) for c in clusters]
+    boxes = [PositionedBox(box=box_over(c, cam), position=c.centroid[:2].copy())
+             for c in clusters]
     assert associate_boxes_clusters([], [], cam) == []
     out = assert_association_matches_oracle([], clusters, cam)
     assert [o.source for o in out] == [SOURCE_LIDAR_ONLY] * 2
@@ -360,12 +353,11 @@ def test_cost_equal_to_gate_is_matched_and_one_ulp_above_is_not():
     cam = side_camera()
     behind = point_cluster([[-3.0, 0.5, 1.0]])  # overlap 0: cost is 1 + distance
     box = BBox2D(0.0, 0.0, 100.0, 100.0, "person", 0.9)
-    at_gate = PositionedBox(box=box, position=np.array([-3.0, 1.3]), from_foot=True)
+    at_gate = PositionedBox(box=box, position=np.array([-3.0, 1.3]))
     assert brute_force_association_cost([at_gate], [behind], cam)[0, 0] == DEFAULT_COST_GATE
     out = assert_association_matches_oracle([at_gate], [behind], cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
-    past = PositionedBox(box=box, position=np.array([-3.0, np.nextafter(1.3, 2.0)]),
-                         from_foot=True)
+    past = PositionedBox(box=box, position=np.array([-3.0, np.nextafter(1.3, 2.0)]))
     assert brute_force_association_cost([past], [behind], cam)[0, 0] > DEFAULT_COST_GATE
     out = assert_association_matches_oracle([past], [behind], cam)
     assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopercept.camera import CameraModel, project
+from coopercept.camera import CameraModel, project, recover_ground_position
 from coopercept.local_fusion import locate_boxes
 from coopercept.scene import (
     DetectorProfile,
@@ -310,8 +310,12 @@ def test_foot_box_round_trips_to_ground_position():
     assert len(feet) == 1
     located = locate_boxes(boxes, cam)
     assert len(located) == 1
-    assert located[0].from_foot
     assert np.allclose(located[0].position, [5.0, 0.5], atol=1e-6)
+    # the person box's own bottom center recovers a different point, so
+    # the position above comes from the foot
+    person_box, = (b for b in boxes if b.class_label == "person")
+    own = recover_ground_position(cam, person_box.bottom_center, z_w=0.0)
+    assert not np.allclose(own, [5.0, 0.5], atol=1e-6)
 
 
 def test_objects_behind_camera_skipped():
