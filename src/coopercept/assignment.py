@@ -1,4 +1,4 @@
-"""Minimum-cost assignment with gating, shared by all association steps."""
+"""Gated minimum-cost assignment and pairwise distances for association."""
 
 from __future__ import annotations
 
@@ -30,3 +30,11 @@ def gated_assignment(cost: np.ndarray, gate: float):
     unmatched_rows = [r for r in range(n_rows) if r not in matched_r]
     unmatched_cols = [c for c in range(n_cols) if c not in matched_c]
     return pairs, unmatched_rows, unmatched_cols
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every row of ``a`` (n, d) and every row
+    of ``b`` (m, d), as an (n, m) array. vecdot runs numpy's dot loop, so
+    each entry equals ``np.linalg.norm(a[i] - b[j])``."""
+    d = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.vecdot(d, d))

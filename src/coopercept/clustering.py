@@ -34,15 +34,13 @@ class ClusterParams:
     """Parameters shared by both clustering stages.
 
     ``n_min`` is the DBSCAN core size (neighbor count including the point
-    itself); ``dphi``/``dtheta`` are the horizontal/vertical angular
-    resolutions in radians. ``epsilon_custom`` gates the segment-level
-    grouping; ``ring_gap`` and ``max_centroid_distance`` are the cheap
-    rejection gates applied before the full segment metric.
+    itself). ``epsilon_custom`` gates the segment-level grouping;
+    ``ring_gap`` and ``max_centroid_distance`` are the cheap rejection
+    gates applied before the full segment metric. The angular resolutions
+    are the sensor's, carried by each :class:`~coopercept.scene.RingScan`.
     """
 
     n_min: int = 4
-    dphi: float = math.radians(0.2)
-    dtheta: float = math.radians(2.0)
     epsilon_custom: float = 1.5
     ring_gap: int = 3
     max_centroid_distance: float = 1.0
@@ -52,11 +50,9 @@ class ClusterParams:
             raise ValueError(f"n_min must be >= 2, got {self.n_min}")
         if self.epsilon_custom <= 0.0:
             raise ValueError("epsilon_custom must be > 0")
-        if self.dphi <= 0.0 or self.dtheta <= 0.0:
-            raise ValueError("angular resolutions must be > 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class Cluster:
     """A group of scan points treated as one physical object."""
 
@@ -67,12 +63,12 @@ class Cluster:
         self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)  # mean()
 
 
-def adaptive_epsilon(s, params: ClusterParams) -> np.ndarray:
+def adaptive_epsilon(s, n_min: int, dphi: float) -> np.ndarray:
     """Range-adaptive neighbor radius n_min * dphi * s, per range in ``s``."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
         raise ValueError(f"range must be > 0, got {s.min()}")
-    return params.n_min * params.dphi * s
+    return n_min * dphi * s
 
 
 def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
@@ -80,13 +76,14 @@ def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
 
     ``scan`` is laid out as :class:`~coopercept.scene.RingScan` states.
     Neighbors of a point at range s are the points of its own ring within
-    ``adaptive_epsilon(s)`` (Euclidean, 3D). Points not density-reachable
-    from any core point are dropped as noise. The scan is labelled as one
-    point set whose candidate neighbors never leave their own ring, so the
-    result equals clustering each ring alone. Each segment is the
-    ascending scan indices of its points; segments come out by ring, then
-    azimuth. Raises ``ValueError`` for points that are not ring-major or
-    not sorted by strictly increasing azimuth within their ring.
+    ``adaptive_epsilon(s, n_min, scan.dphi)`` (Euclidean, 3D). Points not
+    density-reachable from any core point are dropped as noise. The scan
+    is labelled as one point set whose candidate neighbors never leave
+    their own ring, so the result equals clustering each ring alone. Each
+    segment is the ascending scan indices of its points; segments come out
+    by ring, then azimuth. Raises ``ValueError`` for points that are not
+    ring-major or not sorted by strictly increasing azimuth within their
+    ring.
     """
     if scan.n_points == 0:
         return []
@@ -95,8 +92,9 @@ def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
         raise ValueError("ring points must be ring-major and sorted by strictly "
                          "increasing azimuth")
     bounds = np.concatenate(([0], np.flatnonzero(ring_step) + 1, [scan.n_points]))
+    radii = adaptive_epsilon(scan.ranges, params.n_min, scan.dphi)
     labels = _adaptive_dbscan_labels(scan.azimuths, scan.ranges, scan.points,
-                                     adaptive_epsilon(scan.ranges, params), params.n_min, bounds)
+                                     radii, params.n_min, bounds)
     return _label_groups(labels)
 
 
@@ -194,12 +192,12 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
 
 
 def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.ndarray,
-                      start: np.ndarray, end: np.ndarray,
+                      start: np.ndarray, end: np.ndarray, dphi: float, dtheta: float,
                       params: ClusterParams) -> np.ndarray:
     """Normalized distance between every pair of per-ring segments, as an
     (n, n) array; segment k lies on ring ``ring[k]`` with centroid
     ``centroid[k]``, mean range ``mean_range[k]`` and azimuths ``start[k]``
-    to ``end[k]``.
+    to ``end[k]``, scanned at the angular resolutions ``dphi``/``dtheta``.
 
     Cheap gates first: segments whose ring indices differ by more than
     ``ring_gap`` or whose centroids are farther apart than
@@ -212,7 +210,7 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     covers the wrapped cases.
     """
     n = len(ring)
-    width = np.maximum(end - start, params.dphi)
+    width = np.maximum(end - start, dphi)
 
     dx = centroid[:, None, 0] - centroid[None, :, 0]
     dy = centroid[:, None, 1] - centroid[None, :, 1]
@@ -222,7 +220,7 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     feasible = (np.abs(ring[:, None] - ring[None, :]) <= params.ring_gap)
     feasible &= d <= params.max_centroid_distance
 
-    d_norm = d / (np.minimum(mean_range[:, None], mean_range[None, :]) * params.dtheta)
+    d_norm = d / (np.minimum(mean_range[:, None], mean_range[None, :]) * dtheta)
     overlap = np.full((n, n), -np.inf)
     for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
         cand = (np.minimum(end[:, None], end[None, :] + shift)
@@ -254,7 +252,8 @@ def cluster_segments(scan: RingScan, segments: list[np.ndarray],
     centroid = np.array([np.add.reduce(scan.points[g], axis=0) / len(g) for g in segments])
     mean_range = np.array([np.add.reduce(scan.ranges[g]) / len(g) for g in segments])
     linked = segment_distances(scan.ring[first], centroid, mean_range, scan.azimuths[first],
-                               scan.azimuths[last], params) < params.epsilon_custom
+                               scan.azimuths[last], scan.dphi, scan.dtheta,
+                               params) < params.epsilon_custom
     groups = _label_groups(_components(len(segments), *np.nonzero(np.triu(linked, k=1))))
     return [Cluster(scan.points[np.concatenate([segments[k] for k in g])]) for g in groups]
 

@@ -22,19 +22,9 @@ from .clustering import (
     clusters_from_labels,
     dbscan_baseline,
 )
-from .scene import RingScan, make_benchmark_scan
+from .scene import make_benchmark_scan
 
 DEFAULT_MATCH_GATE = 0.5  # m
-
-
-def _scan_resolution(scan: RingScan) -> float:
-    """Azimuth step of a ring scan, from its densest ring (the first of
-    equals); the default step for a scan without a ring of three points."""
-    counts = np.bincount(scan.ring)
-    if len(counts) == 0 or counts.max() <= 2:
-        return math.radians(0.2)
-    densest = scan.ring == np.argmax(counts)
-    return float(np.median(np.diff(scan.azimuths[densest])))
 
 
 @dataclass
@@ -43,12 +33,6 @@ class FrameScore:
     false_positives: int = 0
     false_negatives: int = 0
     sum_matched_distance: float = 0.0
-
-    def __post_init__(self):
-        if min(self.true_positives, self.false_positives, self.false_negatives) < 0:
-            raise ValueError("counts must be >= 0")
-        if self.sum_matched_distance < 0.0:
-            raise ValueError("matched distance must be >= 0")
 
 
 def _compatible(pred_class: str, gt_class: str) -> bool:
@@ -121,11 +105,11 @@ def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0):
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("sizes must be sorted ascending")
+    params = ClusterParams()
     rows = []
     for target in sizes:
         scan = make_benchmark_scan(target, seed=seed)
         n = scan.n_points
-        params = ClusterParams(dphi=_scan_resolution(scan))
 
         hier_ms, base_ms = [], []
         for _ in range(repetitions):

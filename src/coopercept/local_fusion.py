@@ -9,11 +9,11 @@ clusters by minimum-cost assignment to label the clusters semantically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import gated_assignment
+from .assignment import gated_assignment, pairwise_distances
 from .camera import (
     BBox2D,
     CameraModel,
@@ -98,12 +98,11 @@ def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND) -> RingScan
     z_min, z_max = z_band
     z = scan.points[:, 2]
     keep = grid.keep(scan.points[:, :2]) & (z >= z_min) & (z <= z_max)
-    return RingScan(timestamp=scan.timestamp, ring=scan.ring[keep],
-                    azimuths=scan.azimuths[keep], ranges=scan.ranges[keep],
-                    points=scan.points[keep])
+    return replace(scan, ring=scan.ring[keep], azimuths=scan.azimuths[keep],
+                   ranges=scan.ranges[keep], points=scan.points[keep])
 
 
-@dataclass
+@dataclass(eq=False)
 class PositionedBox:
     """A semantic 2D box with the world position recovered from its
     ground-contact pixel."""
@@ -112,7 +111,7 @@ class PositionedBox:
     position: np.ndarray  # (2,) world xy
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledObject:
     """Classified, localized output of the per-node fusion stage."""
 
@@ -193,11 +192,8 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
             hi[flat] = lo[flat] + 1.0
             overlap[:, seen] = overlap_ratios(box_array([pb.box for pb in boxes]),
                                               np.hstack([lo, hi]))
-    positions = np.array([pb.position for pb in boxes]).reshape(-1, 2)
-    centroids = np.array([c.centroid[:2] for c in clusters]).reshape(-1, 2)
-    delta = positions[:, None, :] - centroids[None, :, :]
-    # vecdot runs numpy's dot loop, so each entry equals np.linalg.norm(delta[i, j])
-    dist = np.sqrt(np.vecdot(delta, delta))
+    dist = pairwise_distances(np.array([pb.position for pb in boxes]).reshape(-1, 2),
+                              np.array([c.centroid[:2] for c in clusters]).reshape(-1, 2))
     cost = DEFAULT_OVERLAP_WEIGHT * (1.0 - overlap) + DEFAULT_DISTANCE_WEIGHT * dist
 
     pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)
@@ -247,13 +243,11 @@ def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObj
         if (rank.get(obj.source, 2), -obj.confidence) < \
                 (rank.get(held.source, 2), -held.confidence):
             best[id(obj.cluster)] = obj
-    kept = list(best.values())
-
-    for obj in flat:
-        if obj.cluster is not None:
-            continue
-        near = any(np.linalg.norm(obj.position - k.position) < DEFAULT_DUPLICATE_GATE
-                   for k in kept)
-        if not near:
-            kept.append(obj)
-    return kept
+    candidates = list(best.values()) + [o for o in flat if o.cluster is None]
+    positions = np.array([o.position for o in candidates]).reshape(-1, 2)
+    near = (pairwise_distances(positions, positions) < DEFAULT_DUPLICATE_GATE).tolist()
+    kept = list(range(len(best)))
+    for j in range(len(best), len(candidates)):
+        if not any(near[j][k] for k in kept):
+            kept.append(j)
+    return [candidates[k] for k in kept]

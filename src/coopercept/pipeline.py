@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import pairwise_distances
 from .clustering import (
     DBSCAN_BASELINE_EPS,
     DBSCAN_BASELINE_N_MIN,
@@ -31,6 +32,8 @@ from .clustering import (
 from .evaluation import aggregate, benchmark_clustering, match_frame
 from .global_fusion import CenterNode
 from .local_fusion import (
+    SOURCE_CAMERA_ONLY,
+    SOURCE_FUSED,
     LabeledObject,
     RoiGrid,
     filter_roi,
@@ -114,28 +117,23 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[Lab
 
     Occlusion can split a cluster into fragments that all survive camera
     association; feeding them all to the tracker births duplicate tracks.
-    Fused observations win over lidar-only ones, then higher confidence.
-    A kept bed absorbs unlabeled fragments over its whole extent, but
-    never a detection positively labeled as a person.
+    Every observation carries a cluster: fused ones win over lidar-only
+    ones, then higher confidence. A kept bed absorbs unlabeled fragments
+    over its whole extent, but never a detection positively labeled as a
+    person.
     """
-    rank = {"fused": 0, "camera_only": 1, "lidar_only": 2}
-    ordered = sorted(range(len(labeled)),
-                     key=lambda i: (rank.get(labeled[i].source, 3),
-                                    -labeled[i].confidence, i))
-    kept: list[LabeledObject] = []
-    for i in ordered:
-        obj = labeled[i]
-        suppressed = False
-        for k in kept:
-            gate = radius
-            if k.class_label == "bed" and obj.class_label != "person":
-                gate = BED_MERGE_RADIUS
-            if float(np.linalg.norm(obj.position - k.position)) < gate:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(obj)
-    return kept
+    positions = np.array([o.position for o in labeled]).reshape(-1, 2)
+    bed = np.array([o.class_label == "bed" for o in labeled], dtype=bool)
+    person = np.array([o.class_label == "person" for o in labeled], dtype=bool)
+    # near[i][k]: a kept k suppresses i
+    gate = np.where(bed[None, :] & ~person[:, None], BED_MERGE_RADIUS, radius)
+    near = (pairwise_distances(positions, positions) < gate).tolist()
+    kept: list[int] = []
+    for i in sorted(range(len(labeled)), key=lambda i: (
+            labeled[i].source != SOURCE_FUSED, -labeled[i].confidence, i)):
+        if not any(near[i][k] for k in kept):
+            kept.append(i)
+    return [labeled[i] for i in kept]
 
 
 def _cluster(scan, method: str, config: ScenarioConfig):
@@ -183,9 +181,10 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
             predictions[method].append([(o.class_label, o.position[0], o.position[1])
                                         for o in labeled])
             if i == 0:
-                tracked = labeled if config.track_camera_only else \
-                    [o for o in labeled if o.source != "camera_only"]
-                tracked = _dedup_observations(tracked, config.observation_merge_radius)
+                # camera-only labels carry no cluster position: not tracked
+                tracked = _dedup_observations(
+                    [o for o in labeled if o.source != SOURCE_CAMERA_ONLY],
+                    config.observation_merge_radius)
                 messages.append(tracker.update(tracked, node.clock.node_time(t)))
     return NodeRun(node_id=node.node_id, messages=messages, predictions=predictions)
 
@@ -278,7 +277,7 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
         net_seed = [config.seed, int(round(delay_ms * 1000))]
         for method, delay_aware in (("baseline", False), ("delay_aware", True)):
             cycles = replay_fusion(messages_by_node, frame_times, delay_ms,
-                                   config.latency.std_ms, net_seed, config,
+                                   config.jitter_ms, net_seed, config,
                                    delay_aware)
             if track_sink is not None:
                 track_sink(config.name, delay_ms, method, cycles)

@@ -4,6 +4,9 @@ Three built-in scenarios mirror the evaluation data's composition (a
 crowded nine-pedestrian case, a four-pedestrian case, and a bed moving
 among three pedestrians) inside a two-node room. Configurations load from
 and save to YAML and hash deterministically for reproducibility stamps.
+Each setting is stated once: a LiDAR's angular resolutions live on its
+``LidarModel`` and reach clustering through its scans, and no field is
+kept that no run reads.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class ScenarioConfig:
     cluster_params: ClusterParams = ClusterParams()
     tracker: TrackerConfig = TrackerConfig()
     fusion: FusionParams = FusionParams()
-    latency: LatencyModel = LatencyModel()
     delay_grid_ms: tuple[float, ...] = (50.0, 100.0, 150.0)
+    jitter_ms: float = 8.0  # latency std around each delay_grid_ms mean
     frame_rate_hz: float = 10.0
     duration_s: float = 60.0
     roi_cell_size: float = 0.1
@@ -87,10 +90,6 @@ class ScenarioConfig:
     # from the geometric center; the scoring gate allows for the extent
     bed_match_gate: float = 1.2
     settle_s: float = 1.0  # cycles before this are not scored
-    # camera-only detections carry no cluster position and are off by the
-    # box-bottom geometry; by default they label clusters but do not feed
-    # the tracker
-    track_camera_only: bool = False
     observation_merge_radius: float = 0.45  # m, occlusion-fragment dedup
 
     def __post_init__(self):
@@ -104,15 +103,13 @@ class ScenarioConfig:
                              f"uint16), got {ids}")
         if self.frame_rate_hz <= 0.0 or self.duration_s <= 0.0:
             raise ValueError("frame rate and duration must be > 0")
+        for delay_ms in self.delay_grid_ms:  # the channels run_delay_eval builds
+            LatencyModel(mean_ms=delay_ms, std_ms=self.jitter_ms)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         return _to_data(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        return _from_data(cls, data, "scenario")
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -132,7 +129,7 @@ class ScenarioConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-_SCALAR_KINDS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+_SCALAR_KINDS = {float: (int, float), int: (int,), str: (str,)}
 
 
 _field_types = functools.cache(typing.get_type_hints)
@@ -192,8 +189,8 @@ def _from_data(tp, data, where: str):
     kinds = _SCALAR_KINDS.get(tp)
     if kinds is None:
         raise TypeError(f"{where}: unsupported field type {tp!r}")
-    # bool is a subclass of int; accept it only where a bool is expected
-    if not isinstance(data, kinds) or (isinstance(data, bool) and tp is not bool):
+    # bool is a subclass of int, but no field takes one
+    if not isinstance(data, kinds) or isinstance(data, bool):
         raise ValueError(f"{where}: expected {tp.__name__}, got {data!r}")
     return tp(data)
 

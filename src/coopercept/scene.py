@@ -33,9 +33,9 @@ _T_MIN = 0.05  # ignore hits closer than this to the sensor
 PERSON_FOOTPRINT = (0.5, 0.4)
 BED_FOOTPRINT = (2.2, 1.0)
 
-DEFAULT_WAYPOINT_TOLERANCE = 0.3
-DEFAULT_TURN_GAIN = 3.0
-DEFAULT_MAX_YAW_RATE = 2.0
+WAYPOINT_TOLERANCE = 0.3  # m
+TURN_GAIN = 3.0  # 1/s
+MAX_YAW_RATE = 2.0  # rad/s
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,9 @@ class RingScan:
     Point ``k`` is the hit on ring ``ring[k]`` at azimuth ``azimuths[k]``,
     ``ranges[k]`` from the sensor, at ``points[k]``. Rings come in
     increasing order and each ring's points in strictly increasing
-    azimuth; a ring without hits has no entries.
+    azimuth; a ring without hits has no entries. ``dphi`` and ``dtheta``
+    are the horizontal and vertical angular resolutions (radians) of the
+    sensor that took the scan, the scanning pattern clustering follows.
     """
 
     timestamp: float
@@ -179,6 +181,8 @@ class RingScan:
     azimuths: np.ndarray  # (n,)
     ranges: np.ndarray  # (n,)
     points: np.ndarray  # (n, 3)
+    dphi: float
+    dtheta: float
 
     @property
     def n_points(self) -> int:
@@ -207,19 +211,16 @@ class DetectorProfile:
 # Ground-truth motion
 # ---------------------------------------------------------------------------
 
-def _waypoint_control(obj: WorldObject,
-                      tolerance=DEFAULT_WAYPOINT_TOLERANCE,
-                      turn_gain=DEFAULT_TURN_GAIN,
-                      max_yaw_rate=DEFAULT_MAX_YAW_RATE):
+def _waypoint_control(obj: WorldObject):
     """Steer toward the active waypoint; advance it when close enough."""
     idx = obj.waypoint_index
     target = obj.waypoints[idx]
-    if math.hypot(target[0] - obj.x, target[1] - obj.y) < tolerance:
+    if math.hypot(target[0] - obj.x, target[1] - obj.y) < WAYPOINT_TOLERANCE:
         idx = (idx + 1) % len(obj.waypoints)
         target = obj.waypoints[idx]
     desired = math.atan2(target[1] - obj.y, target[0] - obj.x)
     err = float(wrap_angle(desired - obj.yaw))
-    omega = max(-max_yaw_rate, min(max_yaw_rate, turn_gain * err))
+    omega = max(-MAX_YAW_RATE, min(MAX_YAW_RATE, TURN_GAIN * err))
     return omega, idx
 
 
@@ -472,7 +473,8 @@ def scan_lidar(model: LidarModel, world: list[WorldObject],
                            (origin[2] + t * rays.sin_e[:, None])[valid]], axis=1)
     ring, azimuths = np.broadcast_arrays(np.arange(model.n_rings)[:, None], rays.az)
     return RingScan(timestamp=timestamp, ring=ring[valid], azimuths=azimuths[valid],
-                    ranges=t[valid], points=points)
+                    ranges=t[valid], points=points, dphi=model.horizontal_resolution,
+                    dtheta=model.vertical_resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +569,7 @@ def make_benchmark_scan(target_points: int, seed: int = 0) -> RingScan:
     that separates the two clustering methods.
     """
     if target_points <= 0:
-        return RingScan(timestamp=0.0, ring=np.zeros(0, dtype=int), azimuths=np.zeros(0),
-                        ranges=np.zeros(0), points=np.zeros((0, 3)))
+        return scan_lidar(LidarModel.uniform((0.0, 0.0, 2.0)), [])  # nothing to hit
     rng = np.random.default_rng(seed)
     room = Room.rectangle(-12.0, -12.0, 12.0, 12.0)
     objects = []

@@ -48,7 +48,7 @@ class TrackerConfig:
         ])
 
 
-@dataclass
+@dataclass(eq=False)
 class TrackState:
     """One tracked object: CTRV mean, covariance, and lifecycle counters."""
 

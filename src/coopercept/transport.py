@@ -29,6 +29,7 @@ _CLASS_CODES = {"person": 0, "bed": 1, "unknown": 2}
 _CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}
 
 MIN_LATENCY_MS = 0.1
+MAX_CLOCK_OFFSET_MS = 1000.0  # the largest node clock offset accepted
 
 
 class FrameError(ValueError):
@@ -102,15 +103,12 @@ class LatencyModel:
 
     mean_ms: float = 50.0
     std_ms: float = 8.0
-    distribution: str = "gaussian_truncated"
 
     def __post_init__(self):
         if self.mean_ms < 0.0 or (self.mean_ms == 0.0 and self.std_ms > 0.0):
             raise ValueError("mean latency must be > 0 for a stochastic model")
         if self.std_ms < 0.0:
             raise ValueError("latency std must be >= 0")
-        if self.distribution != "gaussian_truncated":
-            raise ValueError(f"unknown latency distribution {self.distribution!r}")
 
 
 def sample_latency(model: LatencyModel, rng: np.random.Generator) -> float:
@@ -127,11 +125,10 @@ class ClockModel:
 
     offset_ms: float = 0.0
     drift_ppm: float = 0.0
-    max_offset_ms: float = 1000.0
 
     def __post_init__(self):
-        if abs(self.offset_ms) > self.max_offset_ms:
-            raise ValueError("clock offset exceeds configured bound")
+        if abs(self.offset_ms) > MAX_CLOCK_OFFSET_MS:
+            raise ValueError(f"clock offset exceeds {MAX_CLOCK_OFFSET_MS} ms")
 
     def node_time(self, global_time: float) -> float:
         return global_time + self.offset_ms * 1e-3 + self.drift_ppm * 1e-6 * global_time

@@ -104,7 +104,7 @@ def brute_force_cluster_segments(scan, segments, params):
         return []
     d = segment_distances(*(np.array([getattr(r, name) for r in records])
                             for name in ("ring", "centroid", "mean_range", "start", "end")),
-                          params)
+                          scan.dphi, scan.dtheta, params)
     parent = list(range(len(records)))
 
     def root(i):
@@ -498,6 +498,33 @@ def brute_force_merge_views(per_camera, duplicate_gate=0.5):
         if obj.cluster is None and not any(
                 np.linalg.norm(obj.position - k[3]) < duplicate_gate for k in kept):
             kept.append((obj.class_label, obj.source, obj.confidence, obj.position, None))
+    return kept
+
+
+def brute_force_dedup_observations(labeled, radius, bed_radius):
+    """Duplicate suppression one (candidate, kept) pair at a time.
+
+    Candidates go fused first, then lidar-only, then by falling confidence,
+    ties to the lower index; each is dropped when it lies within ``radius``
+    of an already kept one, or within ``bed_radius`` of a kept bed unless
+    it is labeled a person.
+    """
+    rank = {"fused": 0, "lidar_only": 1}
+    ordered = sorted(range(len(labeled)),
+                     key=lambda i: (rank[labeled[i].source], -labeled[i].confidence, i))
+    kept = []
+    for i in ordered:
+        obj = labeled[i]
+        suppressed = False
+        for k in kept:
+            gate = radius
+            if k.class_label == "bed" and obj.class_label != "person":
+                gate = bed_radius
+            if float(np.linalg.norm(obj.position - k.position)) < gate:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(obj)
     return kept
 
 

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coopercept.clustering import (
+    Cluster,
     ClusterParams,
     adaptive_epsilon,
     cluster_scan,
@@ -26,6 +28,9 @@ from oracles import (
 from scans import scan_from_rings
 
 PARAMS = ClusterParams()
+# the resolutions of LidarModel.uniform, the built-in scenes' sensor
+DPHI = math.radians(0.2)
+DTHETA = math.radians(2.0)
 
 
 def ring_on_arc(radius, phi_start, phi_stop, step, z=0.0):
@@ -46,7 +51,7 @@ def arc_scan(arcs):
     in (ring, start) order, with the index group of each arc."""
     rings, groups, n = [], [], 0
     for ring, start, dz in arcs:
-        az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, PARAMS.dphi)
+        az, ranges, pts = ring_on_arc(5.0, start, start + 0.1, DPHI)
         rings.append((ring, az, ranges, pts + np.array([0.0, 0.0, dz])))
         groups.append(np.arange(n, n + len(az)))
         n += len(az)
@@ -71,17 +76,16 @@ def flanking_scene():
 # -- adaptive epsilon --------------------------------------------------------
 
 def test_adaptive_epsilon_product():
-    params = ClusterParams(n_min=4, dphi=0.0035)
-    assert adaptive_epsilon(10.0, params) == pytest.approx(0.14)
+    assert adaptive_epsilon(10.0, 4, 0.0035) == pytest.approx(0.14)
 
 
 def test_adaptive_epsilon_rejects_nonpositive_range():
     with pytest.raises(ValueError):
-        adaptive_epsilon(0.0, PARAMS)
+        adaptive_epsilon(0.0, PARAMS.n_min, DPHI)
     with pytest.raises(ValueError):
-        adaptive_epsilon(np.array([2.0, -1.0, 3.0]), PARAMS)
+        adaptive_epsilon(np.array([2.0, -1.0, 3.0]), PARAMS.n_min, DPHI)
     # the first stage takes its radii from adaptive_epsilon
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     ranges[3] = 0.0
     with pytest.raises(ValueError):
         ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
@@ -90,18 +94,17 @@ def test_adaptive_epsilon_rejects_nonpositive_range():
 def test_adaptive_epsilon_linear_in_range():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        params = ClusterParams(n_min=int(rng.integers(2, 10)),
-                               dphi=rng.uniform(1e-4, 1e-2))
+        n_min, dphi = int(rng.integers(2, 10)), rng.uniform(1e-4, 1e-2)
         s = rng.uniform(0.1, 20.0)
-        assert adaptive_epsilon(2.0 * s, params) == pytest.approx(
-            2.0 * adaptive_epsilon(s, params))
+        assert adaptive_epsilon(2.0 * s, n_min, dphi) == pytest.approx(
+            2.0 * adaptive_epsilon(s, n_min, dphi))
 
 
 # -- per-ring clustering -----------------------------------------------------
 
 def test_wall_arc_single_segment():
     # consecutive spacing 5*dphi is well inside eps(5) = n_min*dphi*5
-    az, ranges, pts = ring_on_arc(5.0, -0.3, 0.3, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, -0.3, 0.3, DPHI)
     segments = ring_segments(scan_from_rings([(2, az, ranges, pts)]), PARAMS)
     assert len(segments) == 1
     assert np.array_equal(segments[0], np.arange(len(pts)))
@@ -109,10 +112,10 @@ def test_wall_arc_single_segment():
 
 def test_azimuth_gap_splits_segments():
     # two arcs at 5 m separated by a gap whose chord exceeds eps(5)
-    eps = adaptive_epsilon(5.0, PARAMS)
+    eps = adaptive_epsilon(5.0, PARAMS.n_min, DPHI)
     gap = 2.2 * math.asin(eps / (2.0 * 5.0))  # chord slightly above eps
-    az1, r1, p1 = ring_on_arc(5.0, 0.0, 0.2, PARAMS.dphi)
-    az2, r2, p2 = ring_on_arc(5.0, 0.2 + gap, 0.4 + gap, PARAMS.dphi)
+    az1, r1, p1 = ring_on_arc(5.0, 0.0, 0.2, DPHI)
+    az2, r2, p2 = ring_on_arc(5.0, 0.2 + gap, 0.4 + gap, DPHI)
     az = np.concatenate([az1, az2])
     ranges = np.concatenate([r1, r2])
     pts = np.vstack([p1, p2])
@@ -121,14 +124,14 @@ def test_azimuth_gap_splits_segments():
 
 
 def test_fewer_than_n_min_points_all_noise():
-    az, ranges, pts = ring_on_arc(5.0, 0.0, PARAMS.dphi * (PARAMS.n_min - 1), PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, DPHI * (PARAMS.n_min - 1), DPHI)
     assert len(az) == PARAMS.n_min - 1
     segments = ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
     assert segments == []
 
 
 def test_unsorted_azimuths_rejected():
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     with pytest.raises(ValueError):
         ring_segments(scan_from_rings([(0, az[::-1], ranges, pts)]), PARAMS)
     # each ring sorted, but the rings out of order
@@ -138,31 +141,30 @@ def test_unsorted_azimuths_rejected():
 
 # -- segment metric ----------------------------------------------------------
 
-def pair_distances(a, b, params):
+def pair_distances(a, b, dtheta=DTHETA):
     """Both off-diagonal entries of the distance matrix of the two
     segments' features."""
-    d = segment_distances(*(np.array(f) for f in zip(a, b)), params)
+    d = segment_distances(*(np.array(f) for f in zip(a, b)), DPHI, dtheta, PARAMS)
     return d[0, 1], d[1, 0]
 
 
 def test_identical_interval_coincident_centroids():
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     a = features(0, az, ranges, pts)
     b = features(1, az, ranges, pts)
-    assert pair_distances(a, b, PARAMS) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert pair_distances(a, b) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 def test_disjoint_intervals_scalar_arithmetic():
     # centroids 0.1 m apart, min mean range 5, dtheta=0.0349:
     # d_norm = 0.1 / (5 * 0.0349), phi term = 1
-    params = ClusterParams(dtheta=0.0349)
-    az1, r1, p1 = ring_on_arc(5.0, 0.0, 0.05, params.dphi)
+    az1, r1, p1 = ring_on_arc(5.0, 0.0, 0.05, DPHI)
     az2 = az1 + 0.2  # disjoint interval
     p2 = p1 + np.array([0.0, 0.0, 0.1])  # centroid shifted 0.1 m in z
     a = features(0, az1, r1, p1)
     b = features(1, az2, r1, p2)
     expected = 0.1 / (5.0 * 0.0349) + 1.0
-    got = pair_distances(a, b, params)
+    got = pair_distances(a, b, dtheta=0.0349)
     assert got == pytest.approx((expected, expected), abs=1e-9)
 
 
@@ -173,22 +175,22 @@ def test_half_overlap_intervals():
     centroid = np.array([5.05, 0.0, 0.0])
     a = (0, centroid, 5.05, d(10.0), d(20.0))
     b = (1, centroid, 5.05, d(15.0), d(25.0))
-    assert pair_distances(a, b, PARAMS) == pytest.approx((0.5, 0.5), abs=1e-12)
+    assert pair_distances(a, b) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_ring_gap_returns_inf():
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     a = features(0, az, ranges, pts)
     b = features(PARAMS.ring_gap + 1, az, ranges, pts)
-    assert pair_distances(a, b, PARAMS) == (math.inf, math.inf)
+    assert pair_distances(a, b) == (math.inf, math.inf)
 
 
 def test_centroid_gate_returns_inf():
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     a = features(0, az, ranges, pts)
     b = features(1, az, ranges,
                  pts + np.array([0.0, 0.0, PARAMS.max_centroid_distance + 0.1]))
-    assert pair_distances(a, b, PARAMS) == (math.inf, math.inf)
+    assert pair_distances(a, b) == (math.inf, math.inf)
 
 
 def random_features(rng, n):
@@ -204,7 +206,7 @@ def random_features(rng, n):
 def test_segment_distance_symmetry():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        d = segment_distances(*random_features(rng, 12), PARAMS)
+        d = segment_distances(*random_features(rng, 12), DPHI, DTHETA, PARAMS)
         assert np.array_equal(d, d.T)
 
 
@@ -213,13 +215,13 @@ def test_segment_distance_matches_scalar_oracle():
     finite = 0
     for _ in range(30):
         ring, centroid, mean_range, start, end = random_features(rng, 12)
-        got = segment_distances(ring, centroid, mean_range, start, end, PARAMS)
+        got = segment_distances(ring, centroid, mean_range, start, end, DPHI, DTHETA, PARAMS)
         for i in range(12):
             for j in range(12):
                 expected = scalar_segment_distance(
                     [float(v) for v in centroid[i]], [float(v) for v in centroid[j]],
                     int(ring[i]), int(ring[j]), (start[i], end[i]), (start[j], end[j]),
-                    mean_range[i], mean_range[j], PARAMS.dtheta, PARAMS.dphi,
+                    mean_range[i], mean_range[j], DTHETA, DPHI,
                     PARAMS.ring_gap, PARAMS.max_centroid_distance)
                 if math.isinf(expected):
                     assert got[i, j] == math.inf
@@ -231,14 +233,15 @@ def test_segment_distance_matches_scalar_oracle():
 
 # -- one labelling per scan against per-ring brute force ---------------------
 
-def oracle_segments(scan, params):
-    """(ring, azimuth bytes) of every brute-force cluster of every ring."""
+def oracle_segments(scan, params, dphi=None):
+    """(ring, azimuth bytes) of every brute-force cluster of every ring, at
+    the scan's own azimuth resolution unless ``dphi`` is given."""
     out = []
     for ring_index in np.unique(scan.ring).tolist():
         on = scan.ring == ring_index
         az = scan.azimuths[on]
         labels = brute_force_ring_dbscan(az, scan.ranges[on], scan.points[on],
-                                         params.n_min, params.dphi)
+                                         params.n_min, dphi or scan.dphi)
         out.extend((ring_index, az[labels == cid].tobytes())
                    for cid in range(labels.max() + 1))
     return sorted(out)
@@ -278,7 +281,7 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     rings = [(r, scan.azimuths[scan.ring == r], scan.ranges[scan.ring == r],
               scan.points[scan.ring == r]) for r in np.unique(scan.ring).tolist()]
     # rings with fewer than n_min points are all noise
-    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     for k in range(1, PARAMS.n_min):
         rings.append((16 + k, az[:k], ranges[:k], pts[:k]))
     rings.append((20, az[:0], ranges[:0], pts[:0]))
@@ -293,6 +296,21 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     for ring_index, az_r, ranges_r, pts_r in rings:
         one = scan_from_rings([(ring_index, az_r, ranges_r, pts_r)])
         assert scan_segments(one, PARAMS) == oracle_segments(one, PARAMS)
+
+
+def test_ring_segments_follow_the_scanning_sensors_resolution():
+    # a 0.1 deg LiDAR: the first stage's radius is n_min * 0.1 deg * s, as
+    # the scan carries it, not the 0.2 deg of the built-in sensor
+    fine = math.radians(0.1)
+    lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16, elevation_min=math.radians(-15.0),
+                               horizontal_resolution=fine)
+    scan = scan_lidar(lidar, [make_person(1, 4.0, 0.0), make_person(2, 4.0, 0.9),
+                              make_bed(3, -6.0, 1.0, yaw=0.3)])
+    assert (scan.dphi, scan.dtheta) == (fine, lidar.vertical_resolution)
+    got = scan_segments(scan, PARAMS)
+    assert got == oracle_segments(scan, PARAMS, dphi=fine)
+    assert got != oracle_segments(scan, PARAMS, dphi=DPHI)  # the resolution matters here
+    assert len(got) > 20
 
 
 # -- segment grouping --------------------------------------------------------
@@ -326,7 +344,7 @@ def test_cluster_segments_chains_groups_by_lowest_member():
                              (1, 1.0, 0.4), (2, 1.0, 0.2), (3, 0.0, 0.1)])
     segs = [features(int(scan.ring[g[0]]), scan.azimuths[g], scan.ranges[g], scan.points[g])
             for g in groups]
-    linked = segment_distances(*(np.array(f) for f in zip(*segs)), PARAMS) \
+    linked = segment_distances(*(np.array(f) for f in zip(*segs)), DPHI, DTHETA, PARAMS) \
         < PARAMS.epsilon_custom
     assert {(i, j) for i, j in zip(*np.nonzero(np.triu(linked, k=1)))} == \
         {(0, 5), (1, 4), (3, 4)}
@@ -352,13 +370,22 @@ def test_cluster_segments_ring_gap_and_interleaved_segments():
             cluster_points(scan, groups, expected)
     # two segments of one ring interleaved in azimuth, at 5 and 5.1 m: the
     # cluster holds the first segment's points, then the second's
-    az, _, _ = ring_on_arc(5.0, 0.0, 0.1, PARAMS.dphi)
+    az, _, _ = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     ranges = np.where(np.arange(len(az)) % 2 == 0, 5.0, 5.1)
     pts = np.stack([ranges * np.cos(az), ranges * np.sin(az), np.zeros(len(az))], axis=1)
     scan = scan_from_rings([(0, az, ranges, pts)])
     groups = [np.arange(0, len(az), 2), np.arange(1, len(az), 2)]
     assert [c.points.tobytes() for c in cluster_segments(scan, groups, PARAMS)] == \
         cluster_points(scan, groups, [[0, 1]])
+
+
+def test_cluster_segments_scale_by_the_scans_ring_spacing():
+    # the same arc on rings 0 and 1, 0.1 m apart at 5 m: 0.1 / (5 * 2 deg)
+    # links them, 0.1 / (5 * 0.5 deg) does not
+    scan, groups = arc_scan([(0, 0.0, 0.0), (1, 0.0, 0.1)])
+    assert len(cluster_segments(scan, groups, PARAMS)) == 1
+    fine = replace(scan, dtheta=math.radians(0.5))
+    assert len(cluster_segments(fine, groups, PARAMS)) == 2
 
 
 def random_ring_scan(rng):
@@ -391,7 +418,7 @@ def test_ring_segments_partition_non_noise_points_in_ring_then_azimuth_order():
         for ring_index in np.unique(scan.ring).tolist():
             on = np.flatnonzero(scan.ring == ring_index)
             labels = brute_force_ring_dbscan(scan.azimuths[on], scan.ranges[on],
-                                             scan.points[on], params.n_min, params.dphi)
+                                             scan.points[on], params.n_min, scan.dphi)
             clustered.extend(on[labels >= 0].tolist())
         # the groups partition the non-noise points
         members = np.concatenate([np.zeros(0, dtype=int)] + segments)
@@ -407,8 +434,6 @@ def test_ring_segments_partition_non_noise_points_in_ring_then_azimuth_order():
 
 
 def test_cluster_scan_matches_object_path_oracle_on_builtin_frames():
-    from dataclasses import replace
-
     from coopercept.local_fusion import RoiGrid, filter_roi
     from coopercept.pipeline import simulate_world
     from coopercept.scenarios import BUILTIN_SCENARIOS
@@ -564,3 +589,11 @@ def test_cluster_invariants():
     scan = scan_lidar(lidar, objects)
     for cluster in cluster_scan(scan, PARAMS):
         assert np.allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-12)
+
+
+def test_clusters_compare_by_identity():
+    points = np.arange(12.0).reshape(4, 3)
+    cluster = Cluster(points)
+    assert cluster == cluster
+    assert (Cluster(points) == Cluster(points.copy())) is False
+    assert cluster in [Cluster(points), cluster]

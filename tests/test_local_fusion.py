@@ -108,7 +108,7 @@ def test_filter_roi_idempotent():
 def assert_filter_matches_oracle(scan, grid, z_band):
     out = filter_roi(scan, grid, z_band)
     kept = np.asarray(brute_force_filter_roi(scan, grid, z_band), dtype=int)
-    assert out.timestamp == scan.timestamp
+    assert (out.timestamp, out.dphi, out.dtheta) == (scan.timestamp, scan.dphi, scan.dtheta)
     assert out.ring.tobytes() == scan.ring[kept].tobytes()
     assert out.azimuths.tobytes() == scan.azimuths[kept].tobytes()
     assert out.ranges.tobytes() == scan.ranges[kept].tobytes()

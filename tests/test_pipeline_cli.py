@@ -13,7 +13,7 @@ from coopercept.cli import main
 from coopercept.global_fusion import FusionParams
 from coopercept.scenarios import ScenarioConfig, bed_and_three, nine_pedestrians
 from coopercept.tracking import Tracker, TrackerConfig
-from coopercept.transport import LatencyModel, encode
+from coopercept.transport import encode
 
 
 def small(build=nine_pedestrians, **kw):
@@ -140,6 +140,83 @@ def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
     }
 
 
+# -- duplicate suppression before the tracker ---------------------------------
+
+def observation(label, x, y, source="fused", confidence=1.0):
+    from coopercept.clustering import Cluster
+    from coopercept.local_fusion import LabeledObject
+
+    return LabeledObject(label, np.array([x, y]), Cluster(np.array([[x, y, 0.9]])),
+                         source, confidence)
+
+
+def dedup(labeled):
+    return pipeline._dedup_observations(labeled, small().observation_merge_radius)
+
+
+def test_dedup_kept_bed_absorbs_unlabeled_fragments_but_never_a_person():
+    bed = observation("bed", 0.0, 0.0, confidence=0.9)
+    fragment = observation("unknown", 1.3, 0.0, "lidar_only")
+    person = observation("person", 1.0, 0.0, confidence=0.8)
+    beyond = observation("unknown", 0.0, 1.4, "lidar_only")  # the gate is strict
+    assert dedup([fragment, person, beyond, bed]) == [bed, person, beyond]
+    # a kept person gates with the plain radius only
+    near_person = observation("unknown", 0.0, 0.5, "lidar_only")
+    lone = observation("person", 0.0, 0.0)
+    assert dedup([near_person, lone]) == [lone, near_person]
+
+
+def test_dedup_fused_beats_lidar_only_then_higher_confidence_wins():
+    lidar_only = observation("unknown", 0.0, 0.0, "lidar_only")
+    fused = observation("person", 0.3, 0.0, confidence=0.5)
+    assert dedup([lidar_only, fused]) == [fused]
+    low, high = observation("person", 0.0, 0.0, confidence=0.6), \
+        observation("person", 0.2, 0.0, confidence=0.9)
+    assert dedup([low, high]) == [high]
+    first, second = observation("person", 0.0, 0.0), observation("person", 0.2, 0.0)
+    assert dedup([first, second]) == [first]  # ties keep the lower index
+    assert dedup([]) == []
+
+
+def test_dedup_matches_per_pair_oracle():
+    from oracles import brute_force_dedup_observations
+
+    radius = small().observation_merge_radius
+    rng = np.random.default_rng(17)
+    dropped = 0
+    for _ in range(300):
+        labeled = [observation(str(rng.choice(["person", "bed", "unknown"])),
+                               *rng.uniform(0.0, 3.0, size=2),
+                               str(rng.choice(["fused", "lidar_only"])),
+                               float(rng.choice([0.6, 0.8, 1.0])))
+                   for _ in range(int(rng.integers(0, 12)))]
+        got = pipeline._dedup_observations(labeled, radius)
+        want = brute_force_dedup_observations(labeled, radius, pipeline.BED_MERGE_RADIUS)
+        assert got == want
+        dropped += len(labeled) - len(got)
+    assert dropped > 300
+
+
+def test_dedup_matches_per_pair_oracle_on_builtin_frames(monkeypatch):
+    from oracles import brute_force_dedup_observations
+
+    recorded = []
+    real_dedup = pipeline._dedup_observations
+
+    def record(labeled, radius):
+        recorded.append((labeled, radius))
+        return real_dedup(labeled, radius)
+
+    monkeypatch.setattr(pipeline, "_dedup_observations", record)
+    config = small(bed_and_three, duration_s=3.0)
+    for node in config.nodes:
+        pipeline.run_node(config, node, pipeline.simulate_world(config))
+    assert len(recorded) == 2 * 30
+    for labeled, radius in recorded:
+        assert real_dedup(labeled, radius) == \
+            brute_force_dedup_observations(labeled, radius, pipeline.BED_MERGE_RADIUS)
+
+
 def test_zero_latency_methods_tie_end_to_end():
     config = small(duration_s=5.0)
     frames = pipeline.simulate_world(config)
@@ -193,7 +270,7 @@ def test_config_hash_changes_with_content():
     a = nine_pedestrians()
     for change in ({"seed": 99}, {"tracker": TrackerConfig(n_confirm=5)},
                    {"fusion": FusionParams(distance_gate=3.0)},
-                   {"latency": LatencyModel(mean_ms=20.0)}):
+                   {"jitter_ms": 40.0}):
         b = replace(nine_pedestrians(), **change)
         assert a.config_hash() != b.config_hash(), change
 
@@ -203,7 +280,7 @@ def test_config_hash_int_in_float_field_hashes_as_float(tmp_path):
 
     as_int = replace(nine_pedestrians(), duration_s=3)
     as_float = replace(nine_pedestrians(), duration_s=3.0)
-    assert as_int.config_hash() == as_float.config_hash() == "f93cfc3a5d23"
+    assert as_int.config_hash() == as_float.config_hash() == "9f2385e3617b"
     nested = replace(nine_pedestrians(), objects=[make_person(1, 2, -1, speed=1)])
     nested_float = replace(nine_pedestrians(), objects=[make_person(1, 2.0, -1.0, speed=1.0)])
     assert nested.config_hash() == nested_float.config_hash()
@@ -212,21 +289,31 @@ def test_config_hash_int_in_float_field_hashes_as_float(tmp_path):
     loaded = ScenarioConfig.load(path)
     assert loaded == as_int
     assert loaded.config_hash() == as_int.config_hash()
-    assert nine_pedestrians().config_hash() == "3a520e6f2145"  # built-ins keep their stamp
+    assert nine_pedestrians().config_hash() == "0822ca8387cc"  # the built-in's stamp is pinned
 
 
-def test_config_rejects_bad_input():
+def load_data(tmp_path, data) -> ScenarioConfig:
+    """``ScenarioConfig.load`` of ``data`` saved as YAML."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    return ScenarioConfig.load(path)
+
+
+def test_config_rejects_bad_input(tmp_path):
     edits = [
         lambda d: d.update(bogus=1),  # unknown key
-        lambda d: d["latency"].update(mean=20.0),  # unknown nested key
+        lambda d: d["detector"].update(mean=20.0),  # unknown nested key
         lambda d: d.update(z_band=[0.1]),  # wrong fixed-tuple length
         lambda d: d["nodes"][0]["cameras"][0].update(image_size=[1280, 720, 3]),
         lambda d: d.update(room=[[0.0, 0.0]]),  # list where a mapping is expected
-        lambda d: d.update(track_camera_only="false"),  # string for a bool
+        lambda d: d.update(seed="7"),  # string for an int
         lambda d: d.update(seed=True),  # bool for an int
+        lambda d: d.update(jitter_ms=True),  # bool for a float
         lambda d: d.update(frame_rate_hz="10"),  # string for a float
         lambda d: d.pop("room"),  # missing required key
         lambda d: d.update(duration_s=-1.0),  # rejected by __post_init__
+        lambda d: d.update(jitter_ms=-1.0),  # a channel LatencyModel rejects
+        lambda d: d.update(delay_grid_ms=[0.0, 50.0]),  # zero mean with jitter
         lambda d: d["nodes"][1].update(node_id=1),  # duplicate node ids
         lambda d: d["nodes"][0].update(node_id=70001),  # beyond the wire's uint16
         lambda d: d["nodes"][0].update(node_id=-1),
@@ -235,16 +322,34 @@ def test_config_rejects_bad_input():
         data = nine_pedestrians().to_dict()
         edit(data)
         with pytest.raises(ValueError):
-            ScenarioConfig.from_dict(data)
+            load_data(tmp_path, data)
             pytest.fail(f"edit {k} was accepted")
 
 
-def test_config_missing_keys_take_dataclass_defaults():
+def test_config_rejects_removed_keys(tmp_path):
+    # settings that nothing read, or that the sensor states itself
+    edits = [
+        ("", "latency", lambda d: d.update(latency={"mean_ms": 50.0, "std_ms": 8.0})),
+        ("", "track_camera_only", lambda d: d.update(track_camera_only=False)),
+        (".cluster_params", "dphi", lambda d: d["cluster_params"].update(dphi=0.0035)),
+        (".cluster_params", "dtheta", lambda d: d["cluster_params"].update(dtheta=0.035)),
+        (".nodes[0].clock", "max_offset_ms",
+         lambda d: d["nodes"][0]["clock"].update(max_offset_ms=1000.0)),
+    ]
+    for where, key, edit in edits:
+        data = nine_pedestrians().to_dict()
+        edit(data)
+        with pytest.raises(ValueError) as err:
+            load_data(tmp_path, data)
+        assert str(err.value) == f"{tmp_path / 'scenario.yaml'}{where}: unknown keys ['{key}']"
+
+
+def test_config_missing_keys_take_dataclass_defaults(tmp_path):
     data = nine_pedestrians().to_dict()
-    for key in ("tracker", "fusion", "latency", "detector", "delay_grid_ms"):
+    for key in ("tracker", "fusion", "jitter_ms", "detector", "delay_grid_ms"):
         del data[key]
     del data["nodes"][0]["clock"]
-    assert ScenarioConfig.from_dict(data) == nine_pedestrians()
+    assert load_data(tmp_path, data) == nine_pedestrians()
 
 
 def test_ground_truth_jsonl(tmp_path):
