@@ -53,6 +53,10 @@ class FusionParams:
     process_rate_bed: float = 0.05
     process_rate_unknown: float = 0.3
 
+    def __post_init__(self):
+        if self.max_compensation < 0.0:
+            raise ValueError(f"max_compensation must be >= 0, got {self.max_compensation}")
+
     def process_rate(self, class_label: str) -> float:
         if class_label == "person":
             return self.process_rate_person

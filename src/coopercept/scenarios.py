@@ -102,9 +102,14 @@ class ScenarioConfig:
             raise ValueError(f"node ids must be in 0..{MAX_NODE_ID} (the wire header's "
                              f"uint16), got {ids}")
         if self.frame_rate_hz <= 0.0 or self.duration_s <= 0.0:
-            raise ValueError("frame rate and duration must be > 0")
+            raise ValueError(f"frame_rate_hz and duration_s must be > 0, got "
+                             f"{self.frame_rate_hz} and {self.duration_s}")
         for delay_ms in self.delay_grid_ms:  # the channels run_delay_eval builds
-            LatencyModel(mean_ms=delay_ms, std_ms=self.jitter_ms)
+            try:
+                LatencyModel(mean_ms=delay_ms, std_ms=self.jitter_ms)
+            except ValueError as exc:
+                raise ValueError(f"delay_grid_ms entry {delay_ms} with jitter_ms "
+                                 f"{self.jitter_ms}: {exc}") from None
 
     # -- serialization ------------------------------------------------------
 
@@ -162,7 +167,8 @@ def _from_data(tp, data, where: str):
     """Inverse of :func:`_to_data`, driven by the field type ``tp``.
 
     Missing keys take the dataclass default. Unknown keys, wrong sequence
-    lengths and values of the wrong kind raise ValueError naming the path.
+    lengths, values of the wrong kind and a dataclass's own checks raise
+    ValueError naming the path.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(data, dict):
@@ -176,7 +182,11 @@ def _from_data(tp, data, where: str):
         if missing:
             raise ValueError(f"{where}: missing keys {missing}")
         hints = _field_types(tp)
-        return tp(**{k: _from_data(hints[k], v, f"{where}.{k}") for k, v in data.items()})
+        kwargs = {k: _from_data(hints[k], v, f"{where}.{k}") for k, v in data.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     origin = typing.get_origin(tp)
     if origin in (tuple, list):
         if not isinstance(data, list):

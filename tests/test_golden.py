@@ -11,8 +11,9 @@ and, in ``track_dumps.sha256`` (``sha256sum`` format), the digests of the
 also pin global ids, contributors and staleness of every fusion cycle.
 
 A change meant to keep behaviour must reproduce these bytes; a change
-meant to alter it regenerates them with the commands above (plus
-``--dump-tracks`` and ``sha256sum tracks_*.jsonl``) and says why.
+meant to alter it regenerates them with ``sh tests/golden/regenerate.sh``,
+which runs the commands above (plus ``--dump-tracks`` and ``sha256sum
+tracks_*.jsonl``), and says why.
 """
 
 import hashlib

@@ -402,6 +402,25 @@ def test_cli_rejects_node_ids_the_wire_cannot_carry(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_cli_config_errors_name_file_and_key(tmp_path, capsys, monkeypatch):
+    # both are rejected when the config loads, before any node pipeline runs
+    monkeypatch.setattr(pipeline, "run_node", lambda *a, **k: pytest.fail("pipeline ran"))
+    path = tmp_path / "bad.yaml"
+    for edit, message in (
+            (lambda d: d.update(jitter_ms=-1.0),
+             f"error: {path}: delay_grid_ms entry 50.0 with jitter_ms -1.0: "
+             "latency std must be >= 0"),
+            (lambda d: d["fusion"].update(max_compensation=-0.1),
+             f"error: {path}.fusion: max_compensation must be >= 0, got -0.1")):
+        data = nine_pedestrians().to_dict()
+        edit(data)
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        rc = main(["delay-eval", "--config", str(path), "--duration", "0.5",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == message
+
+
 def test_cli_malformed_config(tmp_path):
     bad = tmp_path / "bad.yaml"
     for text in ("name: x\nseed: 1\n",  # missing required sections
