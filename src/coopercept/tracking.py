@@ -5,16 +5,23 @@ positions only; velocity and turn rate fall out of the filter and feed the
 center node's delay compensation. Association is minimum-cost on position
 distance with a hard class gate, so a confirmed track can never flip
 between person and bed.
+
+The filter works on each track in place: prediction pushes the mean
+through ``ctrv_step`` and the covariance through the motion Jacobian plus
+the process noise rate times dt. Because only the position is measured,
+the update reads the covariance's first two rows and columns directly
+(``S = P[:2, :2] + R``, ``K = P[:, :2] S^-1``) and applies the Joseph
+form with ``I - KH`` as the identity less ``K`` in its first two columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import gated_assignment
+from .assignment import gated_assignment, pairwise_distances
 from .local_fusion import CLASS_UNKNOWN, LabeledObject
 from .motion import STATE_DIM, ctrv_jacobian, ctrv_step, wrap_angle
 
@@ -56,22 +63,12 @@ class TrackState:
     class_label: str
     mean: np.ndarray  # (5,) [x, y, yaw, v, omega]
     covariance: np.ndarray  # (5, 5)
+    birth_position: np.ndarray  # (2,)
+    birth_timestamp: float
     hits: int = 1
     misses: int = 0
     confirmed: bool = False
-    birth_position: np.ndarray = field(default=None)  # type: ignore[assignment]
-    birth_timestamp: float = 0.0
     yaw_initialized: bool = False
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(STATE_DIM)
-        self.covariance = np.asarray(self.covariance, dtype=float).reshape(STATE_DIM, STATE_DIM)
-        if self.birth_position is None:
-            self.birth_position = self.mean[:2].copy()
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[:2]
 
 
 @dataclass(frozen=True)
@@ -96,28 +93,8 @@ class StampedObjectList:
     objects: tuple[TrackedObject, ...]
 
 
-def ctrv_predict(state: TrackState, dt: float, config: TrackerConfig = TrackerConfig()) -> TrackState:
-    """Propagate mean and covariance by the CTRV model.
-
-    The mean follows the forward-Euler motion step exactly; the covariance
-    is pushed through the motion Jacobian and inflated by the process
-    noise rate times dt. dt=0 leaves the mean untouched.
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    mean = ctrv_step(state.mean, dt)
-    F = ctrv_jacobian(state.mean, dt)
-    cov = F @ state.covariance @ F.T + config.process_noise_rate() * dt
-    cov = 0.5 * (cov + cov.T)
-    return replace(state, mean=mean, covariance=cov,
-                   birth_position=state.birth_position.copy())
-
-
 class Tracker:
     """Per-node tracker; one instance per node, strict frame ordering."""
-
-    _H = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
-                   [0.0, 1.0, 0.0, 0.0, 0.0]])
 
     def __init__(self, node_id: int, config: TrackerConfig = TrackerConfig()):
         self.node_id = node_id
@@ -132,24 +109,23 @@ class Tracker:
         cov = np.diag([c.initial_position_var, c.initial_position_var,
                        c.initial_yaw_var, c.initial_speed_var, c.initial_yaw_rate_var])
         track = TrackState(track_id=self._next_id, class_label=obs.class_label,
-                           mean=mean, covariance=cov, birth_timestamp=timestamp)
+                           mean=mean, covariance=cov, birth_position=mean[:2].copy(),
+                           birth_timestamp=timestamp)
         self._next_id += 1
         return track
 
     def _update_track(self, track: TrackState, obs: LabeledObject, timestamp: float) -> None:
         c = self.config
-        z = np.asarray(obs.position, dtype=float)
+        P = track.covariance
         R = np.eye(2) * c.measurement_sigma ** 2
-        H = self._H
-        innovation = z - H @ track.mean
-        S = H @ track.covariance @ H.T + R
-        K = track.covariance @ H.T @ np.linalg.inv(S)
-        track.mean = track.mean + K @ innovation
+        K = P[:, :2] @ np.linalg.inv(P[:2, :2] + R)
+        track.mean = track.mean + K @ (obs.position - track.mean[:2])
         track.mean[2] = float(wrap_angle(track.mean[2]))
-        IKH = np.eye(STATE_DIM) - K @ H
+        IKH = np.eye(STATE_DIM)
+        IKH[:, :2] -= K
         # Joseph form keeps the covariance symmetric PSD.
-        track.covariance = IKH @ track.covariance @ IKH.T + K @ R @ K.T
-        track.covariance = 0.5 * (track.covariance + track.covariance.T)
+        P = IKH @ P @ IKH.T + K @ R @ K.T
+        track.covariance = 0.5 * (P + P.T)
 
         if not track.yaw_initialized:
             disp = track.mean[:2] - track.birth_position
@@ -177,28 +153,30 @@ class Tracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         self._last_timestamp = timestamp
 
-        self.tracks = [ctrv_predict(t, dt, self.config) for t in self.tracks]
+        Q = self.config.process_noise_rate() * dt
+        for t in self.tracks:
+            F = ctrv_jacobian(t.mean, dt)
+            t.mean = ctrv_step(t.mean, dt)
+            P = F @ t.covariance @ F.T + Q
+            t.covariance = 0.5 * (P + P.T)
 
-        cost = np.full((len(self.tracks), len(observations)), np.inf)
-        for i, track in enumerate(self.tracks):
-            for j, obs in enumerate(observations):
-                if not class_compatible(track.class_label, obs.class_label):
-                    continue
-                cost[i, j] = float(np.linalg.norm(track.position - obs.position))
+        obs_pos = np.array([o.position for o in observations]).reshape(-1, 2)
+        track_pos = np.array([t.mean[:2] for t in self.tracks]).reshape(-1, 2)
+        compatible = class_compatible(
+            np.array([t.class_label for t in self.tracks], dtype=str)[:, None],
+            np.array([o.class_label for o in observations], dtype=str))
+        cost = np.where(compatible, pairwise_distances(track_pos, obs_pos), np.inf)
         pairs, un_tracks, un_obs = gated_assignment(cost, self.config.association_gate)
 
         for i, j in pairs:
             self._update_track(self.tracks[i], observations[j], timestamp)
         for i in un_tracks:
             self.tracks[i].misses += 1
-        confirmed_pos = [t.position.copy() for t in self.tracks if t.confirmed]
-        for j in un_obs:
-            near_confirmed = any(
-                float(np.linalg.norm(p - observations[j].position))
-                < self.config.spawn_suppression_radius
-                for p in confirmed_pos)
-            if not near_confirmed:
-                self.tracks.append(self._new_track(observations[j], timestamp))
+        confirmed_pos = np.array([t.mean[:2] for t in self.tracks if t.confirmed]).reshape(-1, 2)
+        near_confirmed = (pairwise_distances(confirmed_pos, obs_pos)
+                          < self.config.spawn_suppression_radius).any(axis=0)
+        self.tracks += [self._new_track(observations[j], timestamp)
+                        for j in un_obs if not near_confirmed[j]]
 
         self.tracks = [t for t in self.tracks if t.misses <= self.config.m_miss]
 
@@ -218,6 +196,7 @@ class Tracker:
                                  capture_timestamp=timestamp, objects=objects)
 
 
-def class_compatible(a: str, b: str) -> bool:
-    """Symmetric class gate: labels must agree unless either is unknown."""
-    return a == CLASS_UNKNOWN or b == CLASS_UNKNOWN or a == b
+def class_compatible(a, b):
+    """Symmetric class gate: labels must agree unless either is unknown.
+    Takes two labels, or two broadcastable label arrays for a gate matrix."""
+    return (a == CLASS_UNKNOWN) | (b == CLASS_UNKNOWN) | (a == b)

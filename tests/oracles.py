@@ -2,16 +2,18 @@
 
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
-exceptions are the fusion-cycle, box-association and segment-grouping
-oracles. They keep the per-pair loops and per-segment objects the package
-replaced, numpy calls included, so that their results can be compared bit
-for bit. They call the package's ``gated_assignment`` (the box oracle its
-``project_points``, the grouping oracle its ``segment_distances``), as the
-replaced code did.
+exceptions are the fusion-cycle, box-association, segment-grouping and
+tracker oracles. They keep the per-pair loops and per-segment (per-track)
+objects the package replaced, numpy calls included, so that their results
+can be compared bit for bit. They call the package's ``gated_assignment``
+(the box oracle its ``project_points``, the grouping oracle its
+``segment_distances``, the tracker its ``ctrv_step`` and
+``ctrv_jacobian``), as the replaced code did.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +24,8 @@ from coopercept.camera import FOOT_COSINE_THRESHOLD, project_points
 from coopercept.clustering import segment_distances
 from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
                                      DEFAULT_OVERLAP_WEIGHT)
+from coopercept.motion import ctrv_jacobian, ctrv_step, wrap_angle
+from coopercept.tracking import StampedObjectList, TrackedObject, TrackerConfig
 
 
 def brute_force_dbscan(points, eps, n_min):
@@ -713,3 +717,133 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, next_gi
             track.global_id = next_gid
             next_gid += 1
     return tracks, next_gid
+
+
+# -- node tracker -------------------------------------------------------------------
+
+@dataclass(eq=False)
+class _OracleTrack:
+    track_id: int
+    class_label: str
+    mean: np.ndarray
+    covariance: np.ndarray
+    hits: int = 1
+    misses: int = 0
+    confirmed: bool = False
+    birth_position: np.ndarray = None
+    birth_timestamp: float = 0.0
+    yaw_initialized: bool = False
+
+    def __post_init__(self):
+        self.mean = np.asarray(self.mean, dtype=float).reshape(5)
+        self.covariance = np.asarray(self.covariance, dtype=float).reshape(5, 5)
+        if self.birth_position is None:
+            self.birth_position = self.mean[:2].copy()
+
+
+def _oracle_ctrv_predict(state, dt, config):
+    mean = ctrv_step(state.mean, dt)
+    F = ctrv_jacobian(state.mean, dt)
+    cov = F @ state.covariance @ F.T + config.process_noise_rate() * dt
+    cov = 0.5 * (cov + cov.T)
+    return replace(state, mean=mean, covariance=cov,
+                   birth_position=state.birth_position.copy())
+
+
+class PerTrackTracker:
+    """The node tracker one track at a time: every predict rebuilds the
+    track through ``dataclasses.replace``, every (track, observation) and
+    (confirmed track, birth) distance is its own ``np.linalg.norm``, and
+    the update multiplies by the 2x5 measurement matrix ``H``. Same
+    interface and output as ``coopercept.tracking.Tracker``."""
+
+    _H = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                   [0.0, 1.0, 0.0, 0.0, 0.0]])
+
+    def __init__(self, node_id, config=TrackerConfig()):
+        self.node_id = node_id
+        self.config = config
+        self.tracks = []
+        self._next_id = 1
+        self._last_timestamp = None
+
+    def _new_track(self, obs, timestamp):
+        c = self.config
+        mean = np.array([obs.position[0], obs.position[1], 0.0, 0.0, 0.0])
+        cov = np.diag([c.initial_position_var, c.initial_position_var,
+                       c.initial_yaw_var, c.initial_speed_var, c.initial_yaw_rate_var])
+        track = _OracleTrack(track_id=self._next_id, class_label=obs.class_label,
+                             mean=mean, covariance=cov, birth_timestamp=timestamp)
+        self._next_id += 1
+        return track
+
+    def _update_track(self, track, obs, timestamp):
+        c = self.config
+        z = np.asarray(obs.position, dtype=float)
+        R = np.eye(2) * c.measurement_sigma ** 2
+        H = self._H
+        innovation = z - H @ track.mean
+        S = H @ track.covariance @ H.T + R
+        K = track.covariance @ H.T @ np.linalg.inv(S)
+        track.mean = track.mean + K @ innovation
+        track.mean[2] = float(wrap_angle(track.mean[2]))
+        IKH = np.eye(5) - K @ H
+        track.covariance = IKH @ track.covariance @ IKH.T + K @ R @ K.T
+        track.covariance = 0.5 * (track.covariance + track.covariance.T)
+
+        if not track.yaw_initialized:
+            disp = track.mean[:2] - track.birth_position
+            dist = float(np.linalg.norm(disp))
+            if dist > c.yaw_init_displacement:
+                elapsed = max(timestamp - track.birth_timestamp, 1e-3)
+                track.mean[2] = math.atan2(disp[1], disp[0])
+                track.mean[3] = dist / elapsed
+                track.covariance[2, 2] = 0.25
+                track.covariance[3, 3] = 0.25
+                track.yaw_initialized = True
+
+        track.hits += 1
+        track.misses = 0
+        if track.class_label == "unknown" and obs.class_label != "unknown":
+            track.class_label = obs.class_label
+        if track.hits >= c.n_confirm:
+            track.confirmed = True
+
+    def update(self, observations, timestamp):
+        if self._last_timestamp is not None and timestamp < self._last_timestamp:
+            raise ValueError("frames must arrive in time order")
+        dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
+        self._last_timestamp = timestamp
+
+        self.tracks = [_oracle_ctrv_predict(t, dt, self.config) for t in self.tracks]
+
+        cost = np.full((len(self.tracks), len(observations)), np.inf)
+        for i, track in enumerate(self.tracks):
+            for j, obs in enumerate(observations):
+                if not _class_compatible(track.class_label, obs.class_label):
+                    continue
+                cost[i, j] = float(np.linalg.norm(track.mean[:2] - obs.position))
+        pairs, un_tracks, un_obs = gated_assignment(cost, self.config.association_gate)
+
+        for i, j in pairs:
+            self._update_track(self.tracks[i], observations[j], timestamp)
+        for i in un_tracks:
+            self.tracks[i].misses += 1
+        confirmed_pos = [t.mean[:2].copy() for t in self.tracks if t.confirmed]
+        for j in un_obs:
+            near_confirmed = any(
+                float(np.linalg.norm(p - observations[j].position))
+                < self.config.spawn_suppression_radius
+                for p in confirmed_pos)
+            if not near_confirmed:
+                self.tracks.append(self._new_track(observations[j], timestamp))
+
+        self.tracks = [t for t in self.tracks if t.misses <= self.config.m_miss]
+
+        objects = tuple(
+            TrackedObject(track_id=t.track_id, class_label=t.class_label,
+                          x=float(t.mean[0]), y=float(t.mean[1]), yaw=float(t.mean[2]),
+                          v_x=float(t.mean[3]), omega_z=float(t.mean[4]))
+            for t in self.tracks if t.confirmed)
+        return StampedObjectList(node_id=self.node_id, capture_timestamp=timestamp,
+                                 objects=objects)

@@ -1,18 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coopercept import pipeline
 from coopercept.local_fusion import LabeledObject, SOURCE_FUSED, SOURCE_LIDAR_ONLY, CLASS_UNKNOWN
+from coopercept.scenarios import BUILTIN_SCENARIOS
 from coopercept.tracking import (
     StampedObjectList,
     TrackState,
     Tracker,
     TrackerConfig,
-    ctrv_predict,
 )
 
-from oracles import scalar_ctrv_iterate
+from oracles import PerTrackTracker, scalar_ctrv_iterate
 
 
 def obs(x, y, label="person"):
@@ -23,27 +25,40 @@ def obs(x, y, label="person"):
 def fresh_state(x=0.0, y=0.0, yaw=0.0, v=0.0, omega=0.0):
     return TrackState(track_id=1, class_label="person",
                       mean=np.array([x, y, yaw, v, omega]),
-                      covariance=np.eye(5) * 0.1)
+                      covariance=np.eye(5) * 0.1,
+                      birth_position=np.array([x, y]), birth_timestamp=0.0)
+
+
+def coasting(state):
+    """A tracker holding ``state`` at time 0 that never drops it, so each
+    ``update([], t)`` is a pure prediction to ``t``."""
+    tracker = Tracker(node_id=1, config=TrackerConfig(m_miss=1000))
+    tracker.tracks = [state]
+    tracker.update([], 0.0)
+    return tracker
 
 
 # -- prediction ---------------------------------------------------------------
 
 def test_predict_zero_dt_identity():
     state = fresh_state(1.0, 2.0, 0.3, 1.5, -0.2)
-    out = ctrv_predict(state, 0.0)
-    assert np.array_equal(out.mean, state.mean)
+    before = state.mean.copy()
+    coasting(state).update([], 0.0)
+    assert np.array_equal(state.mean, before)
 
 
 def test_predict_straight():
-    out = ctrv_predict(fresh_state(x=1.0, v=2.0), 0.25)
-    assert out.mean[0] == pytest.approx(1.5, abs=0.0)
-    assert out.mean[1] == 0.0
+    state = fresh_state(x=1.0, v=2.0)
+    coasting(state).update([], 0.25)
+    assert state.mean[0] == pytest.approx(1.5, abs=0.0)
+    assert state.mean[1] == 0.0
 
 
 def test_predict_matches_scalar_iterate():
     state = fresh_state(v=1.0, omega=0.2)
-    for _ in range(20):
-        state = ctrv_predict(state, 0.1)
+    tracker = coasting(state)
+    for k in range(1, 21):
+        tracker.update([], k * 0.1)
     expected = scalar_ctrv_iterate(0.0, 0.0, 0.0, 1.0, 0.2, 0.1, steps=20)
     assert state.mean[0] == pytest.approx(expected[0], abs=1e-12)
     assert state.mean[1] == pytest.approx(expected[1], abs=1e-12)
@@ -52,9 +67,10 @@ def test_predict_matches_scalar_iterate():
 
 def test_predict_covariance_grows_and_stays_psd():
     state = fresh_state(v=1.0, omega=0.4)
-    for _ in range(30):
+    tracker = coasting(state)
+    for k in range(1, 31):
         prev = state.covariance.copy()
-        state = ctrv_predict(state, 0.1)
+        tracker.update([], k * 0.1)
         assert np.allclose(state.covariance, state.covariance.T)
         assert np.linalg.eigvalsh(state.covariance).min() >= -1e-9
     assert np.trace(state.covariance) > np.trace(prev) - 1e-12
@@ -169,3 +185,49 @@ def test_out_of_order_frames_rejected():
     tracker.update([obs(0.0, 0.0)], 1.0)
     with pytest.raises(ValueError):
         tracker.update([obs(0.0, 0.0)], 0.5)
+
+
+# -- built-in streams ---------------------------------------------------------
+
+class _RecordingTracker:
+    """Stands in for ``Tracker`` in ``run_node`` and keeps its inputs."""
+
+    streams = []
+
+    def __init__(self, node_id, config):
+        self.node_id = node_id
+        self.calls = []
+        self.streams.append((node_id, config, self.calls))
+
+    def update(self, observations, timestamp):
+        self.calls.append((observations, timestamp))
+        return StampedObjectList(self.node_id, timestamp, ())
+
+
+@pytest.fixture(scope="module")
+def builtin_tracker_inputs():
+    """Each built-in node's tracker inputs over 5 s at seeds 7 and 2411, as
+    ``(label, node_id, tracker_config, [(observations, timestamp)])``."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "Tracker", _RecordingTracker)
+        for name, build in BUILTIN_SCENARIOS.items():
+            for seed in (7, 2411):
+                config = replace(build(seed), duration_s=5.0)
+                frames = pipeline.simulate_world(config)
+                _RecordingTracker.streams = []
+                for node in config.nodes:
+                    pipeline.run_node(config, node, frames)
+                out += [(f"{name}/{seed}", *stream) for stream in _RecordingTracker.streams]
+    return out
+
+
+def test_tracker_matches_per_track_oracle_bit_for_bit(builtin_tracker_inputs):
+    assert len(builtin_tracker_inputs) == 12  # 3 scenarios x 2 seeds x 2 nodes
+    for label, node_id, config, calls in builtin_tracker_inputs:
+        tracker, oracle = Tracker(node_id, config), PerTrackTracker(node_id, config)
+        for k, (observations, t) in enumerate(calls):
+            got, want = tracker.update(observations, t), oracle.update(observations, t)
+            assert repr(got) == repr(want), (label, node_id, k)
+            assert [s.covariance.tobytes() for s in tracker.tracks] == \
+                [s.covariance.tobytes() for s in oracle.tracks], (label, node_id, k)
