@@ -134,6 +134,10 @@ class Tracker:
                 elapsed = max(timestamp - track.birth_timestamp, 1e-3)
                 track.mean[2] = math.atan2(disp[1], disp[0])
                 track.mean[3] = dist / elapsed
+                # the heading and speed restart from the displacement, so they
+                # keep no correlation from the prior
+                track.covariance[[2, 3], :] = 0.0
+                track.covariance[:, [2, 3]] = 0.0
                 track.covariance[2, 2] = 0.25
                 track.covariance[3, 3] = 0.25
                 track.yaw_initialized = True

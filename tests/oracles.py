@@ -798,6 +798,8 @@ class PerTrackTracker:
                 elapsed = max(timestamp - track.birth_timestamp, 1e-3)
                 track.mean[2] = math.atan2(disp[1], disp[0])
                 track.mean[3] = dist / elapsed
+                track.covariance[[2, 3], :] = 0.0
+                track.covariance[:, [2, 3]] = 0.0
                 track.covariance[2, 2] = 0.25
                 track.covariance[3, 3] = 0.25
                 track.yaw_initialized = True

@@ -231,3 +231,13 @@ def test_tracker_matches_per_track_oracle_bit_for_bit(builtin_tracker_inputs):
             assert repr(got) == repr(want), (label, node_id, k)
             assert [s.covariance.tobytes() for s in tracker.tracks] == \
                 [s.covariance.tobytes() for s in oracle.tracks], (label, node_id, k)
+
+
+def test_covariance_psd_after_every_update_on_builtin_streams(builtin_tracker_inputs):
+    for label, node_id, config, calls in builtin_tracker_inputs:
+        tracker = Tracker(node_id, config)
+        for k, (observations, t) in enumerate(calls):
+            tracker.update(observations, t)
+            for track in tracker.tracks:
+                worst = np.linalg.eigvalsh(track.covariance).min()
+                assert worst >= 0.0, (label, node_id, k, track.track_id, worst)
