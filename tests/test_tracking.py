@@ -189,36 +189,30 @@ def test_out_of_order_frames_rejected():
 
 # -- built-in streams ---------------------------------------------------------
 
-class _RecordingTracker:
-    """Stands in for ``Tracker`` in ``run_node`` and keeps its inputs."""
-
-    streams = []
-
-    def __init__(self, node_id, config):
-        self.node_id = node_id
-        self.calls = []
-        self.streams.append((node_id, config, self.calls))
-
-    def update(self, observations, timestamp):
-        self.calls.append((observations, timestamp))
-        return StampedObjectList(self.node_id, timestamp, ())
-
-
 @pytest.fixture(scope="module")
 def builtin_tracker_inputs():
     """Each built-in node's tracker inputs over 5 s at seeds 7 and 2411, as
     ``(label, node_id, tracker_config, [(observations, timestamp)])``."""
     out = []
+
+    class Recorder:  # stands in for Tracker in run_node and keeps its inputs
+        def __init__(self, node_id, config):
+            self.node_id, self.calls = node_id, []
+            out.append((label, node_id, config, self.calls))
+
+        def update(self, observations, timestamp):
+            self.calls.append((observations, timestamp))
+            return StampedObjectList(self.node_id, timestamp, ())
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "Tracker", _RecordingTracker)
+        mp.setattr(pipeline, "Tracker", Recorder)
         for name, build in BUILTIN_SCENARIOS.items():
             for seed in (7, 2411):
+                label = f"{name}/{seed}"
                 config = replace(build(seed), duration_s=5.0)
                 frames = pipeline.simulate_world(config)
-                _RecordingTracker.streams = []
                 for node in config.nodes:
                     pipeline.run_node(config, node, frames)
-                out += [(f"{name}/{seed}", *stream) for stream in _RecordingTracker.streams]
     return out
 
 
