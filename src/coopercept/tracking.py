@@ -12,6 +12,10 @@ the process noise rate times dt. Because only the position is measured,
 the update reads the covariance's first two rows and columns directly
 (``S = P[:2, :2] + R``, ``K = P[:, :2] S^-1``) and applies the Joseph
 form with ``I - KH`` as the identity less ``K`` in its first two columns.
+Once a track has moved ``yaw_init_displacement`` from its birth, heading
+and speed restart from that displacement: their covariance rows and
+columns are zeroed and their variances set to 0.25, so they keep no
+correlation from the prior and the covariance stays PSD.
 """
 
 from __future__ import annotations
@@ -134,8 +138,6 @@ class Tracker:
                 elapsed = max(timestamp - track.birth_timestamp, 1e-3)
                 track.mean[2] = math.atan2(disp[1], disp[0])
                 track.mean[3] = dist / elapsed
-                # the heading and speed restart from the displacement, so they
-                # keep no correlation from the prior
                 track.covariance[[2, 3], :] = 0.0
                 track.covariance[:, [2, 3]] = 0.0
                 track.covariance[2, 2] = 0.25
