@@ -6,18 +6,18 @@ object is forward-predicted over that delay with the class-conditioned
 CTRV model before lists from different nodes are associated and combined.
 Fresher contributions carry more weight because each contributor's scalar
 weighting variance grows with the compensated interval at its class's
-process-noise rate.
-A delay-ignorant uniform-weight variant serves as the comparison baseline.
+process-noise rate. A delay-ignorant uniform-weight variant is the
+baseline. In both, global ids carry over by a gated assignment to the
+previous cycle's tracks predicted over the cycle interval.
 
 The cycle works on Python floats and ``math``: its arrays would hold one
 to a few elements, where numpy's per-call overhead is most of the cost,
 and the center's own processing time adds to the delay it compensates.
-Only the cross-node cost matrix stays an array, for the assignment. The
-result is the same as the numpy form's to the bit: sums are left folds
-from 0.0 in group order, which equal numpy's ``add.reduce`` for up to
-seven terms (it switches to unrolled partial sums at eight), a mean is
-that sum over the count as in ``np.mean``, and a group holds at most one
-object per node.
+Only the cost matrices stay arrays, for the assignment. The result is the
+same as the numpy form's to the bit: sums are left folds from 0.0 in group
+order, which equal numpy's ``add.reduce`` for up to seven terms (it
+switches to unrolled partial sums at eight), a mean is that sum over the
+count as in ``np.mean``, and a group holds at most one object per node.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class FusionParams:
     # so their position estimates legitimately differ by most of its length
     bed_gate_scale: float = 2.0
     max_compensation: float = 0.5  # s, beyond this objects are flagged stale
-    continuity_gate: float = 0.8  # m, global id carry-over between cycles
+    continuity_gate: float = 0.8  # m, new track to previous track predicted to now
     # Common base position variance for contributor weighting: weights are
     # inverse of (base + process rate * compensated interval), which makes
     # equal delays exactly uniform.
@@ -219,7 +219,7 @@ def _combine(group: list[CompensatedObject], uniform: bool):
 
 
 def _fuse_groups(groups: list[list[CompensatedObject]],
-                 uniform: bool, previous: list[GlobalTrack],
+                 uniform: bool, previous: list[GlobalTrack], dt: float,
                  params: FusionParams, next_gid: int):
     tracks: list[GlobalTrack] = []
     for group in groups:
@@ -233,32 +233,30 @@ def _fuse_groups(groups: list[list[CompensatedObject]],
             weights=tuple(w),
         ))
 
-    # Global id continuity: greedy nearest neighbor to the previous cycle.
-    available = list(previous)
-    for track in sorted(tracks, key=lambda t: t.contributors):
-        best, best_d = None, params.continuity_gate
-        for prev in available:
-            if not class_compatible(prev.class_label, track.class_label):
-                continue
-            d = math.hypot(prev.x - track.x, prev.y - track.y)
-            if d < best_d:
-                best, best_d = prev, d
-        if best is not None:
-            track.global_id = best.global_id
-            available.remove(best)
-        else:
-            track.global_id = next_gid
-            next_gid += 1
+    # Ids carry over from previous tracks predicted over the cycle interval.
+    cost = np.full((len(previous), len(tracks)), np.inf)
+    for i, prev in enumerate(previous):
+        px, py, _, _, _ = ctrv_advance(prev.x, prev.y, prev.yaw, prev.v_x, prev.omega_z, dt)
+        for j, track in enumerate(tracks):
+            if class_compatible(prev.class_label, track.class_label):
+                cost[i, j] = math.hypot(px - track.x, py - track.y)
+    pairs, _, unmatched = gated_assignment(cost, params.continuity_gate)
+    for i, j in pairs:
+        tracks[j].global_id = previous[i].global_id
+    for j in unmatched:
+        tracks[j].global_id = next_gid
+        next_gid += 1
     return tracks, next_gid
 
 
 class CenterNode:
-    """Stateful fusion cycle runner holding global-id continuity."""
+    """Fusion cycle runner; ids carry over from predicted previous tracks."""
 
     def __init__(self, params: FusionParams = FusionParams(), delay_aware: bool = True):
         self.params = params
         self.delay_aware = delay_aware
         self.previous: list[GlobalTrack] = []
+        self._previous_time = -math.inf  # no cycle yet, so no tracks to predict
         self._next_gid = 1
         self._latest: dict[int, StampedObjectList] = {}
 
@@ -270,9 +268,12 @@ class CenterNode:
             self._latest[message.node_id] = message
 
     def fuse_cycle(self, now: float) -> list[GlobalTrack]:
-        if not self._latest:
-            self.previous = []
-            return []
+        """Fuse the freshest list per node at ``now``, a time no earlier than
+        the last cycle's; ids match the last tracks predicted to ``now``."""
+        if now < self._previous_time:
+            raise ValueError(f"cycle time {now} is earlier than the last cycle's "
+                             f"{self._previous_time}")
+        dt, self._previous_time = now - self._previous_time, now
         per_node = [
             compensate_delay(self._latest[nid], now, self.params,
                              enabled=self.delay_aware)
@@ -280,7 +281,7 @@ class CenterNode:
         ]
         groups = _associate_across_nodes(per_node, self.params)
         tracks, self._next_gid = _fuse_groups(
-            groups, uniform=not self.delay_aware,
-            previous=self.previous, params=self.params, next_gid=self._next_gid)
+            groups, uniform=not self.delay_aware, previous=self.previous, dt=dt,
+            params=self.params, next_gid=self._next_gid)
         self.previous = tracks
         return tracks

@@ -629,16 +629,20 @@ def _class_compatible(a, b):
     return a == "unknown" or b == "unknown" or a == b
 
 
-def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, next_gid):
+def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previous_now,
+                           next_gid):
     """One center fusion cycle computed on numpy arrays of one or two
     elements: a 5-vector per compensated object, numpy means for group
     positions, numpy sums, sines and cosines for the combination.
 
     ``messages`` holds the freshest list per node in node order,
-    ``previous`` the tracks this function returned for the last cycle.
-    Cross-node assignment goes through the package's ``gated_assignment``,
-    as the package does. Returns ``(tracks, next_gid)``; each track is a
-    SimpleNamespace with the fields of ``GlobalTrack``.
+    ``previous`` the tracks this function returned for the last cycle, at
+    time ``previous_now``. Cross-node assignment and the global-id
+    carry-over from the previous tracks, each predicted by a numpy CTRV
+    step over ``now - previous_now``, go through the package's
+    ``gated_assignment``, as the package does. Returns
+    ``(tracks, next_gid)``; each track is a SimpleNamespace with the
+    fields of ``GlobalTrack``.
     """
     per_node = []
     for message in messages:
@@ -701,21 +705,19 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, next_gi
             staleness_ms=max(m.delay_ms for m in group),
             weights=tuple(float(v) for v in w)))
 
-    available = list(previous)
-    for track in sorted(tracks, key=lambda t: t.contributors):
-        best, best_d = None, params.continuity_gate
-        for prev in available:
-            if not _class_compatible(prev.class_label, track.class_label):
-                continue
-            d = math.hypot(prev.x - track.x, prev.y - track.y)
-            if d < best_d:
-                best, best_d = prev, d
-        if best is not None:
-            track.global_id = best.global_id
-            available.remove(best)
-        else:
-            track.global_id = next_gid
-            next_gid += 1
+    cost = np.full((len(previous), len(tracks)), np.inf)
+    for i, prev in enumerate(previous):
+        state = _numpy_ctrv_step(np.array([prev.x, prev.y, prev.yaw, prev.v_x, prev.omega_z]),
+                                 now - previous_now)
+        for j, track in enumerate(tracks):
+            if _class_compatible(prev.class_label, track.class_label):
+                cost[i, j] = math.hypot(float(state[0]) - track.x, float(state[1]) - track.y)
+    pairs, _, unmatched = gated_assignment(cost, params.continuity_gate)
+    for i, j in pairs:
+        tracks[j].global_id = previous[i].global_id
+    for j in unmatched:
+        tracks[j].global_id = next_gid
+        next_gid += 1
     return tracks, next_gid
 
 

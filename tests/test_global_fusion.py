@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from coopercept import pipeline
+from coopercept.assignment import gated_assignment
+from coopercept.evaluation import match_frame
 from coopercept.global_fusion import (
     CenterNode,
     FusionParams,
@@ -245,6 +248,86 @@ def test_new_object_gets_new_gid():
     assert len(gids) == 2
 
 
+def test_tandem_walkers_keep_their_ids():
+    # 3 m/s, 0.35 m apart: each walker's new report lies nearer the other's
+    # last position than its own, but on its own predicted position
+    center = CenterNode()
+    center.receive(message(1, 0.1, [tracked(track_id=1, x=0.0, v=3.0),
+                                    tracked(track_id=2, x=0.35, v=3.0)]))
+    first = {tr.contributors: tr.global_id for tr in center.fuse_cycle(0.1)}
+    center.receive(message(1, 0.2, [tracked(track_id=1, x=0.3, v=3.0),
+                                    tracked(track_id=2, x=0.65, v=3.0)]))
+    second = {tr.contributors: tr.global_id for tr in center.fuse_cycle(0.2)}
+    assert len(set(first.values())) == 2
+    assert second == first
+
+
+def test_cycle_time_must_not_go_backwards():
+    center = CenterNode()
+    center.receive(message(1, 0.0, [tracked(v=1.0)]))
+    center.fuse_cycle(0.2)
+    with pytest.raises(ValueError, match=r"0\.1 .*0\.2"):
+        center.fuse_cycle(0.1)
+    assert len(center.fuse_cycle(0.2)) == 1  # the same time again is a zero interval
+
+
+def _id_switches(cycles, frames, config):
+    """CLEAR MOT identity switches over the scored cycles: ground truth is
+    matched to the global tracks as ``match_frame`` matches it, and an
+    object whose matched gid differs from the gid it last matched counts
+    one switch."""
+    ids = [o.id for o in frames[0][1]]
+    assert all([o.id for o in world] == ids for _, world in frames)  # interpolate_gt's order
+    class_gates = {"bed": config.bed_match_gate}
+    last, switches = {}, 0
+    for t, tracks in cycles:
+        if t < config.settle_s:
+            continue
+        predictions = [(tr.class_label, tr.x, tr.y) for tr in tracks]
+        gt = pipeline.interpolate_gt(frames, t)
+        gates = [class_gates.get(g_cls, config.match_gate) for g_cls, _, _ in gt]
+        cost = np.full((len(predictions), len(gt)), np.inf)
+        for i, (p_cls, px, py) in enumerate(predictions):
+            for j, (g_cls, gx, gy) in enumerate(gt):
+                d = math.hypot(px - gx, py - gy)
+                if p_cls in ("unknown", g_cls) and d <= gates[j]:
+                    cost[i, j] = d
+        pairs, _, _ = gated_assignment(cost, max(gates, default=config.match_gate))
+        score = match_frame(predictions, gt, config.match_gate, class_gates)
+        assert len(pairs) == score.true_positives
+        assert float(sum(cost[i, j] for i, j in pairs)) == score.sum_matched_distance
+        for i, j in pairs:
+            gid = tracks[i].global_id
+            switches += last.get(ids[j], gid) != gid
+            last[ids[j]] = gid
+    return switches
+
+
+# Id switches summed over the delay grid and both methods, counted by
+# _id_switches, when ids were carried over greedily, in contributor order,
+# to the nearest unpredicted previous position.
+GREEDY_ID_SWITCHES = {
+    "nine_pedestrians/7": 101, "four_pedestrians/7": 20, "bed_and_three/7": 81,
+    "nine_pedestrians/2411": 70, "four_pedestrians/2411": 27, "bed_and_three/2411": 77,
+}
+
+
+def test_fewer_id_switches_on_builtin_streams(builtin_node_runs):
+    counts = {}
+    for label, config, frames, nodes in builtin_node_runs:
+        messages = {node_id: stream for node_id, (_, stream) in nodes.items()}
+        times = [t for t, _ in frames]
+        counts[label] = 0
+        for delay_ms in config.delay_grid_ms:  # the grid and seeds run_delay_eval uses
+            net_seed = [config.seed, int(round(delay_ms * 1000))]
+            for delay_aware in (False, True):
+                cycles = pipeline.replay_fusion(messages, times, delay_ms, config.jitter_ms,
+                                                net_seed, config, delay_aware)
+                counts[label] += _id_switches(cycles, frames, config)
+    assert all(counts[k] <= GREEDY_ID_SWITCHES[k] for k in GREEDY_ID_SWITCHES), counts
+    assert sum(counts.values()) < sum(GREEDY_ID_SWITCHES.values()), counts
+
+
 # -- oracle ---------------------------------------------------------------------------
 
 _YAW_EDGES = (math.pi, -math.pi, math.pi - 1e-10, -math.pi + 1e-10,
@@ -276,7 +359,7 @@ def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware):
     rng = np.random.default_rng(100 * n_nodes + delay_aware)
     for _ in range(15):
         center = CenterNode(params, delay_aware=delay_aware)
-        previous, next_gid = [], 1
+        previous, previous_now, next_gid = [], 0.0, 1
         anchors = rng.uniform(-4.0, 4.0, size=(6, 2))
         for cycle in range(8):
             now = 0.1 * (cycle + 1)
@@ -292,6 +375,6 @@ def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware):
             got = center.fuse_cycle(now)
             latest = [center._latest[nid] for nid in sorted(center._latest)]
             want, next_gid = brute_force_fuse_cycle(latest, now, params, delay_aware,
-                                                    previous, next_gid)
-            previous = want
+                                                    previous, previous_now, next_gid)
+            previous, previous_now = want, now
             assert [_track_fields(t) for t in got] == [_track_fields(t) for t in want]

@@ -1,12 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coopercept import pipeline
 from coopercept.local_fusion import LabeledObject, SOURCE_FUSED, SOURCE_LIDAR_ONLY, CLASS_UNKNOWN
-from coopercept.scenarios import BUILTIN_SCENARIOS
 from coopercept.tracking import (
     StampedObjectList,
     TrackState,
@@ -190,30 +187,12 @@ def test_out_of_order_frames_rejected():
 # -- built-in streams ---------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def builtin_tracker_inputs():
+def builtin_tracker_inputs(builtin_node_runs):
     """Each built-in node's tracker inputs over 5 s at seeds 7 and 2411, as
     ``(label, node_id, tracker_config, [(observations, timestamp)])``."""
-    out = []
-
-    class Recorder:  # stands in for Tracker in run_node and keeps its inputs
-        def __init__(self, node_id, config):
-            self.node_id, self.calls = node_id, []
-            out.append((label, node_id, config, self.calls))
-
-        def update(self, observations, timestamp):
-            self.calls.append((observations, timestamp))
-            return StampedObjectList(self.node_id, timestamp, ())
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "Tracker", Recorder)
-        for name, build in BUILTIN_SCENARIOS.items():
-            for seed in (7, 2411):
-                label = f"{name}/{seed}"
-                config = replace(build(seed), duration_s=5.0)
-                frames = pipeline.simulate_world(config)
-                for node in config.nodes:
-                    pipeline.run_node(config, node, frames)
-    return out
+    return [(label, node_id, config.tracker, calls)
+            for label, config, _, nodes in builtin_node_runs
+            for node_id, (calls, _) in nodes.items()]
 
 
 def test_tracker_matches_per_track_oracle_bit_for_bit(builtin_tracker_inputs):
