@@ -151,7 +151,6 @@ class SimulatedNetwork:
         self.drop_probability = drop_probability
         self._queue: list[tuple[float, int, int, StampedObjectList]] = []
         self._seq = 0
-        self.dropped = 0
 
     def send(self, message: StampedObjectList, now: float) -> float | None:
         """Schedule delivery of a message sent at global time ``now``.
@@ -162,7 +161,6 @@ class SimulatedNetwork:
         """
         delay_ms = sample_latency(self.latency, self.rng)
         if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
-            self.dropped += 1
             return None
         arrival = now + delay_ms * 1e-3
         heapq.heappush(self._queue, (arrival, message.node_id, self._seq,
