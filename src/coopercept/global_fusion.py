@@ -6,8 +6,10 @@ object is forward-predicted over that delay with the class-conditioned
 CTRV model before lists from different nodes are associated and combined.
 Fresher contributions carry more weight because each contributor's scalar
 weighting variance grows with the compensated interval at its class's
-process-noise rate. A delay-ignorant uniform-weight variant is the
-baseline. In both, global ids carry over by a gated assignment to the
+process-noise rate. The delay-ignorant baseline compensates over a zero
+interval, so its contributors' variances are equal and their weights
+uniform. In both, a list older than ``max_compensation`` is left out of
+the cycle, and global ids carry over by a gated assignment to the
 previous cycle's tracks predicted over the cycle interval.
 
 The cycle works on Python floats and ``math``: its arrays would hold one
@@ -41,11 +43,11 @@ class FusionParams:
     # nodes on opposite sides of an extended object see opposite surfaces,
     # so their position estimates legitimately differ by most of its length
     bed_gate_scale: float = 2.0
-    max_compensation: float = 0.5  # s, beyond this objects are flagged stale
+    max_compensation: float = 0.5  # s, lists older than this are left out of the cycle
     continuity_gate: float = 0.8  # m, new track to previous track predicted to now
     # Common base position variance for contributor weighting: weights are
     # inverse of (base + process rate * compensated interval), which makes
-    # equal delays exactly uniform.
+    # equal intervals uniform (to the bit at this default).
     base_position_var: float = 0.0025  # m^2
     # Position process noise rates (m^2/s) by class; pedestrians move, the
     # bed barely does, unknown sits in between.
@@ -54,8 +56,8 @@ class FusionParams:
     process_rate_unknown: float = 0.3
 
     def __post_init__(self):
-        if self.max_compensation < 0.0:
-            raise ValueError(f"max_compensation must be >= 0, got {self.max_compensation}")
+        if self.max_compensation <= 0.0:
+            raise ValueError(f"max_compensation must be > 0, got {self.max_compensation}")
 
     def process_rate(self, class_label: str) -> float:
         if class_label == "person":
@@ -83,7 +85,6 @@ class CompensatedObject:
     omega_z: float
     fusion_var: float  # scalar weighting variance (base + rate * dt)
     delay_ms: float
-    stale: bool
 
     @property
     def class_label(self) -> str:
@@ -111,11 +112,12 @@ def compensate_delay(message: StampedObjectList, now: float,
                      enabled: bool = True) -> list[CompensatedObject]:
     """Predict every object of a message forward to the center time.
 
-    The prediction interval is the measured delay, capped at the
-    configured maximum (capped objects are flagged stale). A capture
-    timestamp ahead of the center clock clamps to zero with a warning.
-    With ``enabled=False`` states pass through unchanged and only the
-    delay bookkeeping happens (the baseline path).
+    A message older than ``params.max_compensation`` yields no objects, so
+    a silent node's last list leaves the cycle. Otherwise the prediction
+    interval is the measured delay, or zero with ``enabled=False`` (the
+    baseline path: states pass through and only the delay bookkeeping
+    happens). A capture timestamp ahead of the center clock clamps to zero
+    with a warning.
     """
     delay = now - message.capture_timestamp
     if delay < 0.0:
@@ -124,8 +126,9 @@ def compensate_delay(message: StampedObjectList, now: float,
                         "clamping delay to 0", message.node_id,
                         message.capture_timestamp, now)
         delay = 0.0
-    stale = delay > params.max_compensation
-    dt = min(delay, params.max_compensation) if enabled else 0.0
+    if delay > params.max_compensation:
+        return []
+    dt = delay if enabled else 0.0
 
     delay_ms = delay * 1e3
     out = []
@@ -137,7 +140,6 @@ def compensate_delay(message: StampedObjectList, now: float,
             x=x, y=y, yaw=yaw, v_x=v_x, omega_z=omega_z,
             fusion_var=params.base_position_var + params.process_rate(obj.class_label) * dt,
             delay_ms=delay_ms,
-            stale=stale,
         ))
     return out
 
@@ -192,18 +194,16 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
     return groups
 
 
-def _combine(group: list[CompensatedObject], uniform: bool):
-    """Inverse-variance (or uniform) scalar-weighted combination.
+def _combine(group: list[CompensatedObject]):
+    """Inverse-variance scalar-weighted combination.
 
     The per-contributor variance grows with the compensated interval, so
-    fresher messages weigh more; equal delays reduce to uniform weights.
+    fresher messages weigh more. Equal intervals, the baseline's zero ones
+    included, give equal variances and so uniform weights.
     """
-    if uniform:
-        w = [1.0 / len(group)] * len(group)
-    else:
-        inv_var = [1.0 / max(m.fusion_var, 1e-9) for m in group]
-        total = _fold(inv_var)
-        w = [iv / total for iv in inv_var]
+    inv_var = [1.0 / max(m.fusion_var, 1e-9) for m in group]
+    total = _fold(inv_var)
+    w = [iv / total for iv in inv_var]
     x = y = v = omega = sin_yaw = cos_yaw = 0.0  # left folds, as in _fold
     for wi, m in zip(w, group):
         x += wi * m.x
@@ -218,12 +218,11 @@ def _combine(group: list[CompensatedObject], uniform: bool):
     return x, y, wrap_angle(yaw), v, omega, label, w
 
 
-def _fuse_groups(groups: list[list[CompensatedObject]],
-                 uniform: bool, previous: list[GlobalTrack], dt: float,
-                 params: FusionParams, next_gid: int):
+def _fuse_groups(groups: list[list[CompensatedObject]], previous: list[GlobalTrack],
+                 dt: float, params: FusionParams, next_gid: int):
     tracks: list[GlobalTrack] = []
     for group in groups:
-        x, y, yaw, v, omega, label, w = _combine(group, uniform)
+        x, y, yaw, v, omega, label, w = _combine(group)
         tracks.append(GlobalTrack(
             global_id=-1,
             class_label=label,
@@ -269,7 +268,8 @@ class CenterNode:
 
     def fuse_cycle(self, now: float) -> list[GlobalTrack]:
         """Fuse the freshest list per node at ``now``, a time no earlier than
-        the last cycle's; ids match the last tracks predicted to ``now``."""
+        the last cycle's; lists older than ``max_compensation`` are held but
+        left out, and ids match the last tracks predicted to ``now``."""
         if now < self._previous_time:
             raise ValueError(f"cycle time {now} is earlier than the last cycle's "
                              f"{self._previous_time}")
@@ -280,8 +280,7 @@ class CenterNode:
             for nid in sorted(self._latest)
         ]
         groups = _associate_across_nodes(per_node, self.params)
-        tracks, self._next_gid = _fuse_groups(
-            groups, uniform=not self.delay_aware, previous=self.previous, dt=dt,
-            params=self.params, next_gid=self._next_gid)
+        tracks, self._next_gid = _fuse_groups(groups, self.previous, dt, self.params,
+                                              self._next_gid)
         self.previous = tracks
         return tracks

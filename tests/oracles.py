@@ -635,9 +635,11 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
     elements: a 5-vector per compensated object, numpy means for group
     positions, numpy sums, sines and cosines for the combination.
 
-    ``messages`` holds the freshest list per node in node order,
-    ``previous`` the tracks this function returned for the last cycle, at
-    time ``previous_now``. Cross-node assignment and the global-id
+    ``messages`` holds the freshest list per node in node order; one older
+    than ``params.max_compensation`` contributes nothing. The baseline
+    weighs a group's members uniformly, ``1/len``. ``previous`` holds the
+    tracks this function returned for the last cycle, at time
+    ``previous_now``. Cross-node assignment and the global-id
     carry-over from the previous tracks, each predicted by a numpy CTRV
     step over ``now - previous_now``, go through the package's
     ``gated_assignment``, as the package does. Returns
@@ -647,9 +649,11 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
     per_node = []
     for message in messages:
         delay = max(now - message.capture_timestamp, 0.0)
-        stale = delay > params.max_compensation
-        dt = min(delay, params.max_compensation) if delay_aware else 0.0
         objs = []
+        if delay > params.max_compensation:  # too old: the node sits this cycle out
+            per_node.append(objs)
+            continue
+        dt = delay if delay_aware else 0.0
         for obj in message.objects:
             state = _numpy_ctrv_step(np.array([obj.x, obj.y, obj.yaw, obj.v_x, obj.omega_z]), dt)
             objs.append(SimpleNamespace(
@@ -657,7 +661,7 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
                 x=float(state[0]), y=float(state[1]), yaw=float(state[2]),
                 v_x=float(state[3]), omega_z=float(state[4]),
                 fusion_var=params.base_position_var + params.process_rate(obj.class_label) * dt,
-                delay_ms=delay * 1e3, stale=stale))
+                delay_ms=delay * 1e3))
         per_node.append(objs)
 
     groups = []

@@ -6,7 +6,7 @@ import pytest
 
 from coopercept import pipeline
 from coopercept.assignment import gated_assignment
-from coopercept.evaluation import match_frame
+from coopercept.evaluation import aggregate, match_frame
 from coopercept.global_fusion import (
     CenterNode,
     FusionParams,
@@ -45,7 +45,6 @@ def test_zero_delay_leaves_states():
     assert out[0].y == 2.0
     assert out[0].yaw == 0.3
     assert out[0].delay_ms == 0.0
-    assert not out[0].stale
 
 
 def test_100ms_delay_shifts_forward():
@@ -64,13 +63,19 @@ def test_turning_compensation_matches_scalar_step():
     assert out[0].yaw == pytest.approx(expected[2], abs=1e-12)
 
 
-def test_compensation_capped_and_flagged_stale():
+@pytest.mark.parametrize("delay_aware", (True, False))
+def test_lists_older_than_max_compensation_leave_the_cycle(delay_aware):
     params = FusionParams(max_compensation=0.5)
-    msg = message(1, 0.0, [tracked(v=1.0)])
-    out = compensate_delay(msg, now=2.0, params=params)
-    assert out[0].stale
-    assert out[0].x == pytest.approx(0.5)  # capped at max_compensation
-    assert out[0].delay_ms == pytest.approx(2000.0)
+    center = CenterNode(params, delay_aware=delay_aware)
+    center.receive(message(1, 0.9, [tracked(track_id=1, x=0.0, v=1.0)]))
+    center.receive(message(2, 0.4, [tracked(track_id=7, x=3.0, v=1.0)]))
+    tracks = center.fuse_cycle(1.0)  # node 1 is 0.1 s old, node 2 0.6 s
+    assert [tr.contributors for tr in tracks] == [((1, 1),)]
+    assert len(center._latest) == 2  # held, only left out of the cycle
+    center.receive(message(2, 0.5, [tracked(track_id=7, x=3.0, v=1.0)]))
+    tracks = center.fuse_cycle(1.0)  # node 2 now exactly 0.5 s old
+    assert sorted(tr.contributors for tr in tracks) == [((1, 1),), ((2, 7),)]
+    assert max(tr.staleness_ms for tr in tracks) == 500.0
 
 
 def test_clock_ahead_clamps_to_zero():
@@ -326,6 +331,27 @@ def test_fewer_id_switches_on_builtin_streams(builtin_node_runs):
                 counts[label] += _id_switches(cycles, frames, config)
     assert all(counts[k] <= GREEDY_ID_SWITCHES[k] for k in GREEDY_ID_SWITCHES), counts
     assert sum(counts.values()) < sum(GREEDY_ID_SWITCHES.values()), counts
+
+
+def test_silent_node_leaves_no_ghost_tracks(builtin_node_runs):
+    # each node in turn stops sending at 2.5 s; its last list must not keep
+    # emitting tracks once it is older than max_compensation
+    cut, scored_from = 2.5, 3.0
+    for label, config, frames, nodes in builtin_node_runs:
+        messages = {node_id: stream for node_id, (_, stream) in nodes.items()}
+        times = [t for t, _ in frames]
+        for silent in messages:
+            streams = dict(messages)
+            streams[silent] = [m for m in messages[silent] if m.capture_timestamp < cut]
+            for delay_ms in config.delay_grid_ms:
+                net_seed = [config.seed, int(round(delay_ms * 1000))]
+                cycles = pipeline.replay_fusion(streams, times, delay_ms, config.jitter_ms,
+                                                net_seed, config, delay_aware=True)
+                scores = pipeline.score_cycles([c for c in cycles if c[0] >= scored_from],
+                                               frames, config)
+                precision, _, _ = aggregate(scores)
+                floor = 0.7 if label.startswith("bed_and_three") else 0.94
+                assert precision >= floor, (label, silent, delay_ms, precision)
 
 
 # -- oracle ---------------------------------------------------------------------------

@@ -411,7 +411,9 @@ def test_cli_config_errors_name_file_and_key(tmp_path, capsys, monkeypatch):
              f"error: {path}: delay_grid_ms entry 50.0 with jitter_ms -1.0: "
              "latency std must be >= 0"),
             (lambda d: d["fusion"].update(max_compensation=-0.1),
-             f"error: {path}.fusion: max_compensation must be >= 0, got -0.1")):
+             f"error: {path}.fusion: max_compensation must be > 0, got -0.1"),
+            (lambda d: d["fusion"].update(max_compensation=0.0),
+             f"error: {path}.fusion: max_compensation must be > 0, got 0.0")):
         data = nine_pedestrians().to_dict()
         edit(data)
         path.write_text(yaml.safe_dump(data, sort_keys=False))

@@ -180,6 +180,29 @@ def test_lossless_channel_counts():
     assert len(out) == 300
 
 
+def test_dropped_frames_never_arrive():
+    def run(seed):
+        net = SimulatedNetwork(LatencyModel(mean_ms=30.0, std_ms=5.0), seed=seed,
+                               drop_probability=0.3)
+        sent = {}
+        for k in range(2000):
+            t = k / 1000  # on the wire's microsecond grid, so it survives decode
+            sent[t] = net.send(_msg(1, t), now=t)
+        delivered = {msg.capture_timestamp: arrival
+                     for arrival, msg in net.deliveries_until(1e9)}
+        return sent, delivered
+
+    sent, delivered = run(13)
+    dropped = {t for t, arrival in sent.items() if arrival is None}
+    assert 540 <= len(dropped) <= 660
+    # every kept frame arrives when send said, and no dropped one ever does
+    assert delivered == {t: a for t, a in sent.items() if a is not None}
+    assert run(13) == (sent, delivered)
+    for p in (1.0, -0.1):
+        with pytest.raises(ValueError, match="drop probability"):
+            SimulatedNetwork(LatencyModel(), drop_probability=p)
+
+
 def test_delivery_order_deterministic():
     def run():
         net = SimulatedNetwork(LatencyModel(mean_ms=40.0, std_ms=10.0), seed=5)
