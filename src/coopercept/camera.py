@@ -100,19 +100,6 @@ class BBox2D:
         return np.array([(self.x_min + self.x_max) * 0.5, self.y_max])
 
 
-def project(camera: CameraModel, world_point) -> np.ndarray:
-    """Project a 3D world point to pixel coordinates.
-
-    Raises :class:`CameraGeometryError` when the point lies on the camera
-    plane (projective depth ~ 0).
-    """
-    p = np.append(np.asarray(world_point, dtype=float).reshape(3), 1.0)
-    u = camera.H @ p
-    if abs(u[2]) < _EPS_DEPTH:
-        raise CameraGeometryError("point on camera plane: projective depth ~ 0")
-    return u[:2] / u[2]
-
-
 def project_points(camera: CameraModel, points: np.ndarray):
     """Vectorized projection of an (N, 3) array.
 

@@ -85,7 +85,8 @@ def _cmd_delay_eval(args) -> int:
         def sink(scenario, delay_ms, method, cycles):
             if not args.dump_tracks:
                 return
-            name = f"tracks_{scenario}_{int(delay_ms)}ms_{method}.jsonl"
+            delay = int(delay_ms) if float(delay_ms).is_integer() else delay_ms
+            name = f"tracks_{scenario}_{delay}ms_{method}.jsonl"
             pipeline.write_tracks_jsonl(out / name, cycles)
 
         rows.extend(pipeline.run_delay_eval(config, track_sink=sink))

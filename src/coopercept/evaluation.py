@@ -1,4 +1,4 @@
-"""Detection metrics and the clustering runtime benchmark.
+"""Detection metrics.
 
 Predictions are matched to ground truth per frame by minimum-distance
 assignment inside a gate; pooled (micro-averaged) counts give precision,
@@ -8,21 +8,12 @@ recall, and the average distance error over true positives only.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import gated_assignment
-from .clustering import (
-    DBSCAN_BASELINE_EPS,
-    DBSCAN_BASELINE_N_MIN,
-    ClusterParams,
-    cluster_scan,
-    clusters_from_labels,
-    dbscan_baseline,
-)
-from .scene import make_benchmark_scan
+from .tracking import class_compatible
 
 DEFAULT_MATCH_GATE = 0.5  # m
 
@@ -35,21 +26,16 @@ class FrameScore:
     sum_matched_distance: float = 0.0
 
 
-def _compatible(pred_class: str, gt_class: str) -> bool:
-    # An unlabeled detection still counts as detecting the object; a wrong
-    # semantic label does not.
-    return pred_class == "unknown" or pred_class == gt_class
-
-
 def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
                 class_gates=None) -> FrameScore:
     """Score one frame.
 
     ``predictions`` and ``ground_truth`` are sequences of
     ``(class_label, x, y)``. Matching is minimum-distance assignment with
-    the gate ``d_match`` and class agreement; matched pairs are true
-    positives and contribute their distance, leftovers are false
-    positives/negatives.
+    the gate ``d_match`` and ``class_compatible`` (an unlabeled detection
+    matches any class; ground truth is never ``unknown``, which
+    ``WorldObject`` rejects); matched pairs are true positives and
+    contribute their distance, leftovers are false positives/negatives.
 
     ``class_gates`` widens the gate per ground-truth class: a position on
     the visible surface of a bed-sized object can sit most of a meter from
@@ -62,7 +48,7 @@ def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
         gate[j] = class_gates.get(g_cls, d_match)
     for i, (p_cls, px, py) in enumerate(predictions):
         for j, (g_cls, gx, gy) in enumerate(ground_truth):
-            if not _compatible(p_cls, g_cls):
+            if not class_compatible(p_cls, g_cls):
                 continue
             d = math.hypot(px - gx, py - gy)
             if d <= gate[j]:
@@ -92,37 +78,3 @@ def aggregate(scores: list[FrameScore]) -> tuple[float, float, float]:
     recall = tp / (tp + fn) if tp + fn > 0 else math.nan
     avg_de = dist / tp if tp > 0 else math.nan
     return precision, recall, avg_de
-
-
-def benchmark_clustering(sizes, repetitions: int = 5, seed: int = 0):
-    """Time the hierarchical pipeline against point-level DBSCAN.
-
-    Both methods run on identical synthetic ring scans at each requested
-    point count, each from the scan to its ``Cluster`` list. Returns rows of
-    ``(point_count, method, mean_ms, p95_ms)`` with point_count the actual
-    scan size.
-    """
-    sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError("sizes must be sorted ascending")
-    params = ClusterParams()
-    rows = []
-    for target in sizes:
-        scan = make_benchmark_scan(target, seed=seed)
-        n = scan.n_points
-
-        hier_ms, base_ms = [], []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            cluster_scan(scan, params)
-            hier_ms.append((time.perf_counter() - t0) * 1e3)
-            t0 = time.perf_counter()
-            clusters_from_labels(scan.points, dbscan_baseline(
-                scan.points, DBSCAN_BASELINE_EPS, DBSCAN_BASELINE_N_MIN))
-            base_ms.append((time.perf_counter() - t0) * 1e3)
-
-        for method, samples in (("hierarchical", hier_ms), ("dbscan", base_ms)):
-            arr = np.asarray(samples)
-            rows.append((n, method, float(arr.mean()),
-                         float(np.percentile(arr, 95.0))))
-    return rows

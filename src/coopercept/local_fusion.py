@@ -71,12 +71,7 @@ class RoiGrid:
         centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
         inside = room.contains(centers)
         if margin > 0.0:
-            for a, b in room.edges:
-                e = b - a
-                ee = float(e @ e)
-                tt = np.clip((centers - a) @ e / ee, 0.0, 1.0)
-                nearest = a[None, :] + tt[:, None] * e[None, :]
-                inside &= np.linalg.norm(centers - nearest, axis=1) > margin
+            inside &= (room.wall_distances(centers) > margin).all(axis=1)
         return cls(origin=(float(x_min), float(y_min)), cell_size=cell_size,
                    mask=inside.reshape(rows, cols))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,12 @@ from .assignment import pairwise_distances
 from .clustering import (
     DBSCAN_BASELINE_EPS,
     DBSCAN_BASELINE_N_MIN,
+    ClusterParams,
     cluster_scan,
     clusters_from_labels,
     dbscan_baseline,
 )
-from .evaluation import aggregate, benchmark_clustering, match_frame
+from .evaluation import aggregate, match_frame
 from .global_fusion import CenterNode
 from .local_fusion import (
     SOURCE_CAMERA_ONLY,
@@ -41,7 +43,7 @@ from .local_fusion import (
     associate_boxes_clusters,
     merge_camera_views,
 )
-from .scene import WorldObject, detect_camera, scan_lidar, simulate_step
+from .scene import WorldObject, detect_camera, make_benchmark_scan, scan_lidar, simulate_step
 from .scenarios import NodePlacement, ScenarioConfig
 from .tracking import StampedObjectList, Tracker
 from .transport import LatencyModel, SimulatedNetwork
@@ -136,12 +138,12 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[Lab
     return [labeled[i] for i in kept]
 
 
-def _cluster(scan, method: str, config: ScenarioConfig):
+def _cluster(scan, method: str, params: ClusterParams):
     spec = LOCAL_METHODS[method]
     if spec[0] == "dbscan":
         labels = dbscan_baseline(scan.points, eps=spec[1], n_min=spec[2])
         return clusters_from_labels(scan.points, labels)
-    return cluster_scan(scan, config.cluster_params)
+    return cluster_scan(scan, params)
 
 
 def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
@@ -175,7 +177,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
                  for cam, rng in zip(cameras, det_rngs)]
 
         for i, method in enumerate(methods):
-            clusters = _cluster(scan, method, config)
+            clusters = _cluster(scan, method, config.cluster_params)
             labeled = merge_camera_views([associate_boxes_clusters(b, clusters, cam)
                                           for b, cam in zip(boxes, cameras)])
             predictions[method].append([(o.class_label, o.position[0], o.position[1])
@@ -226,16 +228,19 @@ def replay_fusion(messages_by_node: dict[int, list[StampedObjectList]],
     """Push recorded node streams through the simulated network and run
     one fusion cycle per frame time.
 
-    Returns ``[(t, [GlobalTrack])]`` for every cycle. A zero mean delay
-    with zero jitter is the ideal channel: frames still pass through the
-    wire codec but arrive exactly at their send time.
+    Returns ``[(t, [GlobalTrack])]`` for every cycle. Each list is sent at
+    the global time of its node-clock capture stamp, by the clock its node
+    has in ``config.nodes``. A zero mean delay with zero jitter is the
+    ideal channel: frames still pass through the wire codec but arrive
+    exactly at their send time.
     """
     center = CenterNode(config.fusion, delay_aware=delay_aware)
     net = SimulatedNetwork(LatencyModel(mean_ms=mean_delay_ms, std_ms=std_ms),
                            seed=net_seed)
+    clocks = {node.node_id: node.clock for node in config.nodes}
     for node_id in sorted(messages_by_node):
         for msg in messages_by_node[node_id]:
-            net.send(msg, now=msg.capture_timestamp)
+            net.send(msg, now=clocks[node_id].global_time(msg.capture_timestamp))
 
     cycles = []
     for t in frame_times:
@@ -291,17 +296,36 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
 
 
 def run_bench(sizes, repetitions: int, seed: int):
-    """Clustering runtime comparison rows (BENCH_COLUMNS order)."""
+    """Clustering runtime comparison rows (BENCH_COLUMNS order).
+
+    The hierarchical pipeline and point-level DBSCAN (``dbscan1``'s radius
+    and core size) run alternately on one synthetic ring scan per requested
+    size, each timed from the scan to its ``Cluster`` list; ``point_count``
+    is the actual scan size. ``sizes`` must be sorted ascending.
+    """
+    sizes = list(sizes)
+    if sizes != sorted(sizes):
+        raise ValueError("sizes must be sorted ascending")
+    methods = (("hierarchical", METHOD_HIERARCHICAL), ("dbscan", METHOD_DBSCAN1))
+    params = ClusterParams()
     rows = []
-    for n, method, mean_ms, p95_ms in benchmark_clustering(sizes, repetitions, seed):
-        rows.append({
-            "point_count": str(n),
-            "method": method,
-            "mean_ms": _fmt_float(mean_ms),
-            "p95_ms": _fmt_float(p95_ms),
-            "config_hash": f"bench-{seed}",
-            "seed": str(seed),
-        })
+    for target in sizes:
+        scan = make_benchmark_scan(target, seed=seed)
+        samples = {name: [] for name, _ in methods}
+        for _ in range(repetitions):
+            for name, method in methods:
+                t0 = time.perf_counter()
+                _cluster(scan, method, params)
+                samples[name].append((time.perf_counter() - t0) * 1e3)
+        for name, _ in methods:
+            rows.append({
+                "point_count": str(scan.n_points),
+                "method": name,
+                "mean_ms": _fmt_float(np.mean(samples[name])),
+                "p95_ms": _fmt_float(np.percentile(samples[name], 95.0)),
+                "config_hash": f"bench-{seed}",
+                "seed": str(seed),
+            })
     return rows
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .camera import BBox2D, CameraModel, project, project_points
+from .camera import BBox2D, CameraModel, project_points
 from .motion import ctrv_advance, wrap_angle
 
 log = logging.getLogger(__name__)
@@ -127,6 +127,19 @@ class Room:
             inside ^= crosses & (x < x_at)
             j = i
         return inside if np.ndim(xy) > 1 else inside[0]
+
+    def wall_distances(self, xy) -> np.ndarray:
+        """Distance from each of the (n, 2) points to the nearest point of
+        each wall edge, in ``edges`` order; (n, edges). vecdot runs numpy's
+        dot loop, so each entry equals the one-point ``np.dot`` arithmetic."""
+        pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+        out = np.empty((len(pts), len(self.polygon)))
+        for k, (a, b) in enumerate(self.edges):
+            e = b - a
+            tt = np.clip(np.vecdot(pts - a, e) / np.vecdot(e, e), 0.0, 1.0)
+            r = pts - (a + tt[:, None] * e)
+            out[:, k] = np.sqrt(np.vecdot(r, r))
+        return out
 
 
 @dataclass(frozen=True)
@@ -251,16 +264,8 @@ def simulate_step(world: list[WorldObject], dt: float,
 
 def _reflect_heading(room: Room, x: float, y: float, yaw: float) -> float:
     """Mirror a heading about the wall edge nearest to (x, y)."""
-    best_d, best_angle = math.inf, 0.0
-    p = np.array([x, y])
-    for a, b in room.edges:
-        e = b - a
-        tt = float(np.clip(np.dot(p - a, e) / np.dot(e, e), 0.0, 1.0))
-        d = float(np.linalg.norm(p - (a + tt * e)))
-        if d < best_d:
-            best_d = d
-            best_angle = math.atan2(e[1], e[0])
-    return float(wrap_angle(2.0 * best_angle - yaw))
+    a, b = room.edges[int(np.argmin(room.wall_distances((x, y))[0]))]
+    return float(wrap_angle(2.0 * math.atan2(b[1] - a[1], b[0] - a[0]) - yaw))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +529,7 @@ def detect_camera(camera: CameraModel, world: list[WorldObject],
                             confidence=float(rng.uniform(0.7, 1.0)))
         detections.append(box)
         if obj.class_label == CLASS_PERSON and rng.random() < profile.foot_detection_rate:
-            ground = project(camera, (obj.x, obj.y, 0.0))
+            ground = project_points(camera, [(obj.x, obj.y, 0.0)])[0][0]
             fw = max(2.0, 0.3 * (x_max - x_min))
             fh = max(2.0, 0.12 * (y_max - y_min))
             detections.append(_jittered_box(

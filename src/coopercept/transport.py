@@ -133,6 +133,10 @@ class ClockModel:
     def node_time(self, global_time: float) -> float:
         return global_time + self.offset_ms * 1e-3 + self.drift_ppm * 1e-6 * global_time
 
+    def global_time(self, node_time: float) -> float:
+        """Inverse of :meth:`node_time`; exact for a zero offset and drift."""
+        return (node_time - self.offset_ms * 1e-3) / (1.0 + self.drift_ppm * 1e-6)
+
 
 class SimulatedNetwork:
     """Deterministic discrete-event channel.

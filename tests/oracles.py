@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
-exceptions are the fusion-cycle, box-association, segment-grouping and
-tracker oracles. They keep the per-pair loops and per-segment (per-track)
-objects the package replaced, numpy calls included, so that their results
-can be compared bit for bit. They call the package's ``gated_assignment``
+exceptions are the fusion-cycle, box-association, segment-grouping,
+wall-distance and tracker oracles. They keep the per-pair (per-edge)
+loops and per-segment (per-track) objects the package replaced, numpy
+calls included, so that their results can be compared bit for bit. They
+call the package's ``gated_assignment``
 (the box oracle its ``project_points``, the grouping oracle its
 ``segment_distances``, the tracker its ``ctrv_step`` and
 ``ctrv_jacobian``), as the replaced code did.
@@ -435,6 +436,18 @@ def brute_force_ring_dbscan(azimuths, ranges, points, n_min, dphi):
 
 
 # -- ROI filter, ring by ring and point by point -------------------------------
+
+def per_edge_wall_distances(room, x, y):
+    """Distance from (x, y) to each wall edge of ``room``, one edge at a
+    time, as the simulator's nearest-wall search computed it."""
+    p = np.array([x, y])
+    out = []
+    for a, b in room.edges:
+        e = b - a
+        tt = float(np.clip(np.dot(p - a, e) / np.dot(e, e), 0.0, 1.0))
+        out.append(float(np.linalg.norm(p - (a + tt * e))))
+    return out
+
 
 def brute_force_filter_roi(scan, grid, z_band):
     """Indices of the scan's points whose floor cell is marked in

@@ -10,7 +10,7 @@ from coopercept.camera import (
     associate_foot_to_parent,
     box_array,
     overlap_ratios,
-    project,
+    project_points,
     recover_ground_position,
     vanishing_point_z,
 )
@@ -38,14 +38,18 @@ def random_camera(rng):
     return CameraModel.from_krt(K, Q, t, (1280, 720))
 
 
+def project_one(cam, point):
+    return project_points(cam, [point])[0][0]
+
+
 def test_optical_axis_projects_to_principal_point():
     cam = simple_camera()
-    assert np.allclose(project(cam, (0.0, 0.0, 1.0)), [320.0, 240.0])
+    assert np.allclose(project_one(cam, (0.0, 0.0, 1.0)), [320.0, 240.0])
 
 
 def test_pinhole_arithmetic():
     cam = simple_camera(f=100.0, cx=320.0, cy=240.0)
-    pix = project(cam, (0.5, 0.0, 1.0))
+    pix = project_one(cam, (0.5, 0.0, 1.0))
     assert abs(pix[0] - 370.0) < 1e-12
 
 
@@ -53,17 +57,24 @@ def test_projection_matches_matrix_oracle():
     rng = np.random.default_rng(11)
     for _ in range(100):
         cam = random_camera(rng)
-        p = rng.uniform(-5.0, 5.0, size=3)
-        hom = cam.H @ np.append(p, 1.0)
-        if abs(hom[2]) < 1e-6:
-            continue
-        assert np.allclose(project(cam, p), hom[:2] / hom[2], atol=1e-12)
+        pts = rng.uniform(-5.0, 5.0, size=(8, 3))
+        pix, depth = project_points(cam, pts)
+        assert pix.shape == (8, 2) and depth.shape == (8,)
+        for p, row, d in zip(pts, pix, depth):
+            hom = cam.H @ np.append(p, 1.0)
+            assert d == pytest.approx(hom[2], abs=1e-12)
+            if abs(hom[2]) < 1e-6:
+                continue
+            assert np.allclose(row, hom[:2] / hom[2], atol=1e-12)
+            assert np.allclose(project_one(cam, p), row, atol=1e-12)
 
 
 def test_point_on_camera_plane_rejected():
     cam = simple_camera()
-    with pytest.raises(CameraGeometryError):
-        project(cam, (1.0, 1.0, 0.0))
+    pix, depth = project_points(cam, [(0.5, 0.0, 1.0), (1.0, 1.0, 0.0)])
+    assert np.allclose(pix[0], [370.0, 240.0])
+    assert depth[1] == 0.0
+    assert np.isnan(pix[1]).all()
 
 
 def test_vanishing_point_identity_rotation():
@@ -76,7 +87,7 @@ def test_vanishing_point_is_far_limit_of_vertical_line():
                                 K=np.array([[500.0, 0, 640], [0, 500.0, 360], [0, 0, 1.0]]),
                                 image_size=(1280, 720))
     v_z = vanishing_point_z(cam)
-    far = project(cam, (0.0, 0.0, 1e6))
+    far = project_one(cam, (0.0, 0.0, 1e6))
     assert np.allclose(v_z, far, atol=1e-3)
 
 
@@ -106,7 +117,7 @@ def test_ground_recovery_round_trip():
     cam = CameraModel.from_pose((0.5, -0.3, 2.5), yaw=0.4, pitch=0.5,
                                 K=np.array([[450.0, 0, 640], [0, 460.0, 360], [0, 0, 1.0]]),
                                 image_size=(1280, 720))
-    pix = project(cam, (2.0, 3.0, 0.0))
+    pix = project_one(cam, (2.0, 3.0, 0.0))
     rec = recover_ground_position(cam, pix, z_w=0.0)
     assert np.allclose(rec, [2.0, 3.0], atol=1e-6)
 

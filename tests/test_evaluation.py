@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coopercept.evaluation import (
-    FrameScore,
-    aggregate,
-    benchmark_clustering,
-    match_frame,
-)
+from coopercept.evaluation import FrameScore, aggregate, match_frame
+from coopercept.pipeline import BENCH_COLUMNS, run_bench
 
 from oracles import brute_force_gated_matching
 
@@ -119,19 +115,24 @@ def test_aggregate_requires_frames():
 
 
 def test_benchmark_zero_size_no_crash():
-    rows = benchmark_clustering([0], repetitions=1)
-    assert len(rows) == 2
-    for n, method, mean_ms, p95_ms in rows:
-        assert n == 0
-        assert mean_ms < 50.0
+    rows = run_bench([0], repetitions=1, seed=0)
+    assert [r["method"] for r in rows] == ["hierarchical", "dbscan"]
+    for row in rows:
+        assert tuple(row) == BENCH_COLUMNS
+        assert row["point_count"] == "0"
+        assert float(row["mean_ms"]) < 50.0
 
 
 def test_benchmark_rows_shape():
-    rows = benchmark_clustering([2000, 5000], repetitions=2, seed=1)
-    methods = {(n, m) for n, m, _, _ in rows}
+    rows = run_bench([2000, 5000], repetitions=2, seed=1)
     assert len(rows) == 4
-    counts = sorted({n for n, _, _, _ in rows})
-    assert len(counts) == 2
-    for _, _, mean_ms, p95_ms in rows:
+    assert [r["method"] for r in rows] == ["hierarchical", "dbscan"] * 2
+    counts = [int(r["point_count"]) for r in rows]
+    assert counts[0] == counts[1] < counts[2] == counts[3]
+    for row in rows:
+        assert (row["config_hash"], row["seed"]) == ("bench-1", "1")
+        mean_ms, p95_ms = float(row["mean_ms"]), float(row["p95_ms"])
         assert mean_ms > 0.0
         assert p95_ms >= mean_ms * 0.5
+    with pytest.raises(ValueError, match="sorted ascending"):
+        run_bench([5000, 2000], repetitions=1, seed=1)

@@ -29,6 +29,7 @@ from oracles import (
     brute_force_foot_to_parent,
     brute_force_gated_matching,
     brute_force_merge_views,
+    per_edge_wall_distances,
 )
 from scans import scan_from_rings
 
@@ -93,6 +94,22 @@ def test_walls_and_floor_removed_person_kept():
     assert np.all(pts[:, 2] >= 0.1)
     # and the wall/floor returns were actually there before filtering
     assert scan.n_points > 4 * len(pts)
+
+
+def test_roi_grid_matches_per_edge_wall_loop_on_concave_room():
+    room = Room(((0.0, 0.0), (6.0, 0.0), (6.0, 3.0), (2.5, 3.0), (2.5, 7.0), (0.0, 7.0)))
+    rows, cols = 70, 60
+    inside = np.zeros((rows, cols), dtype=bool)
+    nearest = np.zeros((rows, cols))
+    for r in range(rows):
+        for c in range(cols):
+            x, y = (c + 0.5) * 0.1, (r + 0.5) * 0.1
+            inside[r, c] = room.contains((x, y))
+            nearest[r, c] = min(per_edge_wall_distances(room, x, y))
+    for margin in (0.25, 0.3):  # 0.25 puts cell centers exactly on the margin
+        expected = inside & (nearest > margin)
+        assert 0 < expected.sum() < expected.size
+        assert np.array_equal(RoiGrid.from_polygon(room, 0.1, margin).mask, expected)
 
 
 def test_filter_roi_idempotent():

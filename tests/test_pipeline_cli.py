@@ -13,7 +13,7 @@ from coopercept.cli import main
 from coopercept.global_fusion import FusionParams
 from coopercept.scenarios import ScenarioConfig, bed_and_three, nine_pedestrians
 from coopercept.tracking import Tracker, TrackerConfig
-from coopercept.transport import encode
+from coopercept.transport import ClockModel, encode
 
 
 def small(build=nine_pedestrians, **kw):
@@ -233,6 +233,26 @@ def test_zero_latency_methods_tie_end_to_end():
         assert va == pytest.approx(vb, abs=1e-6)
 
 
+def test_lists_are_sent_on_global_time_under_clock_offset():
+    # node 2's clock runs ahead or behind; its lists carry node-time stamps
+    # but must leave at the same global time, so the baseline (which
+    # predicts over zero) scores as with synchronized clocks
+    config = small(duration_s=3.0)
+    rows = {}
+    for offset_ms in (0.0, 150.0, -100.0):
+        nodes = [replace(n, clock=ClockModel(offset_ms=offset_ms)) if n.node_id == 2
+                 else n for n in config.nodes]
+        rows[offset_ms] = [r for r in pipeline.run_delay_eval(replace(config, nodes=nodes))
+                           if r["method"] == "baseline"]
+    assert len(rows[0.0]) == 3
+    for offset_ms in (150.0, -100.0):
+        for skewed, synced in zip(rows[offset_ms], rows[0.0]):
+            assert (skewed["delay_ms"], skewed["precision"], skewed["recall"]) == \
+                (synced["delay_ms"], synced["precision"], synced["recall"])
+            assert float(skewed["avg_de_m"]) == pytest.approx(float(synced["avg_de_m"]),
+                                                              abs=1e-12)
+
+
 def test_delay_eval_rows_and_determinism():
     config = small(duration_s=5.0)
     rows1 = pipeline.run_delay_eval(config)
@@ -439,6 +459,18 @@ def test_cli_bench_writes_csv(tmp_path):
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[0] == "point_count,method,mean_ms,p95_ms,config_hash,seed"
     assert len(lines) == 5
+
+
+def test_cli_dump_names_keep_fractional_delays_apart(tmp_path):
+    data = replace(nine_pedestrians(), delay_grid_ms=(50.2, 50.7)).to_dict()
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    rc = main(["delay-eval", "--config", str(path), "--duration", "2.0",
+               "--dump-tracks", "--out", str(tmp_path)])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.glob("tracks_*.jsonl")) == [
+        f"tracks_nine_pedestrians_{d}ms_{m}.jsonl"
+        for d in ("50.2", "50.7") for m in ("baseline", "delay_aware")]
 
 
 def test_cli_delay_eval_deterministic_bytes(tmp_path):

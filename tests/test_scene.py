@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopercept.camera import CameraModel, project, recover_ground_position
+from coopercept.camera import CameraModel, project_points, recover_ground_position
 from coopercept.local_fusion import locate_boxes
 from coopercept.scene import (
     DetectorProfile,
@@ -17,7 +17,7 @@ from coopercept.scene import (
     simulate_step,
 )
 
-from oracles import brute_force_scan, scalar_ctrv_iterate
+from oracles import brute_force_scan, per_edge_wall_distances, scalar_ctrv_iterate
 
 
 def overhead_camera():
@@ -89,6 +89,46 @@ def test_objects_stay_inside_room():
     for _ in range(300):
         world = simulate_step(world, 0.1, room)
         assert room.contains((world[0].x, world[0].y))
+
+
+# concave: the corner at (2.5, 3) is reflex
+L_ROOM = Room(((0.0, 0.0), (6.0, 0.0), (6.0, 3.0), (2.5, 3.0), (2.5, 7.0), (0.0, 7.0)))
+
+
+def test_wall_distances_match_per_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.uniform(-2.0, 9.0, size=(2000, 2)),  # inside and outside
+                     np.asarray(L_ROOM.polygon),  # on the vertices
+                     [(6.0, 1.5), (4.0, 3.0), (2.5, 5.0), (2.0, 2.5)]])
+    inside = L_ROOM.contains(pts)
+    assert inside.any() and not inside.all()
+    dist = L_ROOM.wall_distances(pts)
+    assert dist.shape == (len(pts), len(L_ROOM.edges))
+    for row, (x, y) in zip(dist, pts):
+        assert row.tolist() == per_edge_wall_distances(L_ROOM, x, y)
+    # (2.0, 2.5) is equidistant from edges 2 and 3, through the reflex vertex
+    tie = L_ROOM.wall_distances((2.0, 2.5))
+    assert tie.tolist() == [per_edge_wall_distances(L_ROOM, 2.0, 2.5)]
+    assert tie[0, 2] == tie[0, 3] == tie.min()
+
+
+def test_reflection_off_nearest_wall_of_concave_room():
+    # heading east at (2.0, 5.0) leaves through the wall x = 2.5 (edge 3),
+    # which is nearer than the walls y = 7 and x = 0
+    person = make_person(1, 2.0, 5.0, yaw=0.0, speed=2.0)
+    (out,) = simulate_step([person], 0.5, L_ROOM)
+    assert (out.x, out.y) == (2.0, 5.0)
+    assert math.cos(out.yaw) == pytest.approx(-1.0)
+    # heading north at (4.0, 2.9) leaves through y = 3 (edge 2)
+    person = make_person(1, 4.0, 2.9, yaw=math.pi / 2.0, speed=1.0)
+    (out,) = simulate_step([person], 0.5, L_ROOM)
+    assert (out.x, out.y) == (4.0, 2.9)
+    assert math.sin(out.yaw) == pytest.approx(-1.0)
+    # heading north-east at (2.0, 2.5), edges 2 and 3 tie: the first, y = 3, wins
+    person = make_person(1, 2.0, 2.5, yaw=math.pi / 4.0, speed=2.0)
+    (out,) = simulate_step([person], 0.5, L_ROOM)
+    assert (out.x, out.y) == (2.0, 2.5)
+    assert out.yaw == pytest.approx(-math.pi / 4.0)
 
 
 def test_height_invariants():
@@ -290,7 +330,7 @@ def test_noise_free_centered_person_box():
     boxes = detect_camera(cam, [person], quiet_profile(), rng=0)
     assert len(boxes) == 1
     center = boxes[0].center
-    expected = project(cam, (4.0, 0.0, 0.9))
+    expected = project_points(cam, [(4.0, 0.0, 0.9)])[0][0]
     assert np.allclose(center, expected, atol=1e-9)
 
 

@@ -231,5 +231,8 @@ def test_clock_model_skew():
     clock = ClockModel(offset_ms=25.0, drift_ppm=100.0)
     assert clock.node_time(0.0) == pytest.approx(0.025)
     assert clock.node_time(100.0) == pytest.approx(100.0 + 0.025 + 0.01)
+    for t in (0.0, 3.7, 100.0):
+        assert clock.global_time(clock.node_time(t)) == pytest.approx(t, abs=1e-12)
+        assert ClockModel().global_time(t) == t
     with pytest.raises(ValueError):
         ClockModel(offset_ms=5000.0)
