@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .scene import RingScan
@@ -173,14 +171,15 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
     if not core.any():
         return labels
 
-    cc_mask = core[src] & core[dst]
+    core_src, core_dst = core[src], core[dst]
+    cc_mask = core_src & core_dst
     core_idx = np.flatnonzero(core)
     remap = np.full(n, -1, dtype=int)
     remap[core_idx] = np.arange(len(core_idx))
     labels[core_idx] = _components(len(core_idx), remap[src[cc_mask]], remap[dst[cc_mask]])
 
-    fwd = np.flatnonzero(core[src] & ~core[dst] & reach_fwd)
-    bwd = np.flatnonzero(core[dst] & ~core[src] & reach_bwd)
+    fwd = np.flatnonzero(core_src & ~core_dst & reach_fwd)
+    bwd = np.flatnonzero(core_dst & ~core_src & reach_bwd)
     anchor = np.concatenate([src[fwd], dst[bwd]])
     border = np.concatenate([dst[fwd], src[bwd]])
     if len(border):
@@ -277,11 +276,37 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Component label per node under the undirected edges (src, dst);
-    labels number components in order of their lowest node."""
-    order = np.argsort(src, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    graph = sparse.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    labels number components in order of their lowest node.
+
+    Hook-and-compress labelling (Shiloach & Vishkin 1982): every node
+    points at a root, at first itself. Each round of :func:`_hook` hooks
+    every edge's higher root to the lowest root it is linked to, then
+    drops the edges whose ends now share a root, until no edge is left. A
+    root only ever points lower, so each component ends at its lowest
+    node, and ``np.unique`` numbers the components in that order.
+    """
+    root = np.arange(n)
+    ends = (src, dst, src, dst)  # each edge's ends and their roots
+    while len(ends[0]):
+        ends = _hook(root, *ends)
+    return np.unique(root, return_inverse=True)[1]
+
+
+def _hook(root: np.ndarray, src: np.ndarray, dst: np.ndarray, a: np.ndarray,
+          b: np.ndarray):
+    """One round of :func:`_components` over the edges (src, dst), whose
+    roots are (a, b); ``root`` is compressed on entry (every node points
+    at a root) and again on exit. Returns the edges whose ends have
+    different roots, with those roots."""
+    np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+    while True:  # pointer jumping halves every path to a root
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root[:] = up
+    a, b = root[src], root[dst]
+    live = a != b
+    return src[live], dst[live], a[live], b[live]
 
 
 def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
@@ -295,9 +320,11 @@ def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
-    src, dst = pairs[:, 0], pairs[:, 1]
-    mutual = np.ones(len(pairs), dtype=bool)  # a fixed radius reaches both ways
+    # The pair set does not depend on the tree's shape; on these scans an
+    # unbalanced tree of uncompacted nodes answers the query fastest.
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    src, dst = tree.query_pairs(eps, output_type="ndarray").T.copy()
+    mutual = np.ones(len(src), dtype=bool)  # a fixed radius reaches both ways
     return _dbscan_labels(
         len(points), src, dst, mutual, mutual, n_min,
         lambda k: np.linalg.norm(points[dst[k]] - points[src[k]], axis=1))

@@ -1,7 +1,11 @@
 """Per-node fusion stage: ROI point filtering and box-to-cluster association.
 
 The region of interest is a static binary grid that strips wall and floor
-returns before clustering. Camera detections, carrying world positions
+returns before clustering. A node records the ROI's decision for every
+point of one scan of its empty room (a per-node background, after Wu et
+al., TRR 2018); a frame's point on a background ray at the background's
+range takes that decision, and only the others, mostly objects, are
+looked up in the grid. Camera detections, carrying world positions
 recovered from their ground-contact pixels, are matched to point-cloud
 clusters by minimum-cost assignment to label the clusters semantically.
 """
@@ -25,7 +29,7 @@ from .camera import (
     vanishing_point_z,
 )
 from .clustering import Cluster
-from .scene import RingScan, Room
+from .scene import LidarModel, RingScan, Room, scan_lidar
 
 CLASS_UNKNOWN = "unknown"
 
@@ -87,12 +91,55 @@ class RoiGrid:
         return out
 
 
-def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND) -> RingScan:
+def _roi_keep(points: np.ndarray, grid: RoiGrid, z_band) -> np.ndarray:
+    """The ROI's keep mask of (n, 3) points: ground cell marked, z in band."""
+    z = points[:, 2]
+    return grid.keep(points[:, :2]) & (z >= z_band[0]) & (z <= z_band[1])
+
+
+@dataclass(frozen=True, eq=False)
+class RoiBackground:
+    """One scan of a node's empty room and the ROI's keep decision for each
+    of its points, under ``grid`` and ``z_band``."""
+
+    scan: RingScan
+    keep: np.ndarray  # (n,) bool
+    grid: RoiGrid
+    z_band: tuple[float, float]
+
+    @classmethod
+    def record(cls, lidar: LidarModel, room: Room, grid: RoiGrid,
+               z_band=DEFAULT_Z_BAND) -> "RoiBackground":
+        """Scan ``room`` with nothing in it and decide every point once."""
+        scan = scan_lidar(lidar, [], room)
+        return cls(scan, _roi_keep(scan.points, grid, z_band), grid, tuple(z_band))
+
+
+def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND,
+               background: RoiBackground | None = None) -> RingScan:
     """Keep points whose ground cell is marked and whose z is in the band;
-    kept points stay in scan order, so the result is ring-major too."""
-    z_min, z_max = z_band
-    z = scan.points[:, 2]
-    keep = grid.keep(scan.points[:, :2]) & (z >= z_min) & (z <= z_max)
+    kept points stay in scan order, so the result is ring-major too.
+
+    Point k takes the decision of the ``background``'s point k when both
+    have the same ring, azimuth and range: the same ray at the same range
+    is the same point. Every other point, and every point when there is
+    no background, is looked up in the grid, so the background sets only
+    the cost, never the result (a ray that only one of the two holds
+    shifts the points after it onto the grid). The background must come
+    from the scan's own sensor.
+    """
+    same = np.zeros(scan.n_points, dtype=bool)
+    keep = np.zeros(scan.n_points, dtype=bool)
+    if background is not None:
+        if background.grid is not grid or background.z_band != tuple(z_band):
+            raise ValueError("background was recorded for another grid or z band")
+        bg = background.scan
+        n = min(scan.n_points, bg.n_points)
+        same[:n] = ((scan.ranges[:n] == bg.ranges[:n]) & (scan.azimuths[:n] == bg.azimuths[:n])
+                    & (scan.ring[:n] == bg.ring[:n]))
+        keep[:n] = background.keep[:n] & same[:n]
+    other = np.flatnonzero(~same)
+    keep[other] = _roi_keep(scan.points[other], grid, z_band)
     return replace(scan, ring=scan.ring[keep], azimuths=scan.azimuths[keep],
                    ranges=scan.ranges[keep], points=scan.points[keep])
 

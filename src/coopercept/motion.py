@@ -5,7 +5,8 @@ the per-node tracker prediction, and the center-node delay compensation.
 State layout is ``[x, y, yaw, v, omega]`` with yaw in radians, v in m/s
 and omega in rad/s. :func:`ctrv_advance` on plain floats is the one copy
 of the motion formula, which the simulator calls directly; the array
-form :func:`ctrv_step`, which the tracker uses, calls it.
+form :func:`ctrv_step`, which the tracker uses on all its tracks at once,
+calls it once per state.
 """
 
 from __future__ import annotations
@@ -48,17 +49,25 @@ def ctrv_advance(x: float, y: float, yaw: float, v: float, omega: float,
 
 
 def ctrv_step(state: np.ndarray, dt: float) -> np.ndarray:
-    """:func:`ctrv_advance` on a state vector."""
-    return np.array(ctrv_advance(*(float(s) for s in state), dt))
+    """:func:`ctrv_advance` on each state of a (..., 5) array."""
+    state = np.asarray(state, dtype=float)
+    rows = [ctrv_advance(*s, dt) for s in state.reshape(-1, STATE_DIM).tolist()]
+    return np.array(rows, dtype=float).reshape(state.shape)
 
 
 def ctrv_jacobian(state: np.ndarray, dt: float) -> np.ndarray:
-    """Jacobian of :func:`ctrv_step` with respect to the state."""
-    _, _, yaw, v, _ = (float(s) for s in state)
-    F = np.eye(STATE_DIM)
-    F[0, 2] = -v * math.sin(yaw) * dt
-    F[0, 3] = math.cos(yaw) * dt
-    F[1, 2] = v * math.cos(yaw) * dt
-    F[1, 3] = math.sin(yaw) * dt
-    F[2, 4] = dt
+    """Jacobian of :func:`ctrv_step` at each state of a (..., 5) array, as
+    (..., 5, 5). The sines and cosines come from ``math``, as in
+    :func:`ctrv_advance`, so every slice is the same at any stacking."""
+    state = np.asarray(state, dtype=float)
+    yaw, v = state[..., 2], state[..., 3]
+    angles = yaw.ravel().tolist()
+    cos = np.array([math.cos(a) for a in angles]).reshape(yaw.shape)
+    sin = np.array([math.sin(a) for a in angles]).reshape(yaw.shape)
+    F = np.broadcast_to(np.eye(STATE_DIM), state.shape + (STATE_DIM,)).copy()
+    F[..., 0, 2] = -v * sin * dt
+    F[..., 0, 3] = cos * dt
+    F[..., 1, 2] = v * cos * dt
+    F[..., 1, 3] = sin * dt
+    F[..., 2, 4] = dt
     return F

@@ -37,6 +37,7 @@ from .local_fusion import (
     SOURCE_CAMERA_ONLY,
     SOURCE_FUSED,
     LabeledObject,
+    RoiBackground,
     RoiGrid,
     filter_roi,
     locate_boxes,
@@ -150,13 +151,16 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
              methods: tuple[str, ...] = (METHOD_HIERARCHICAL,)) -> NodeRun:
     """Run one sensor node's full local pipeline over all frames.
 
-    Each frame is scanned, ROI-filtered, detected and ground-located once;
-    every method in ``methods`` then clusters that one scan and labels its
-    clusters from the same boxes. Deduplication and the tracker run once
-    per frame on the labels of ``methods[0]``, so ``messages`` is that
-    method's stream. Detector RNG streams are derived from (seed, node,
-    camera) only, so the detections do not depend on the methods asked for.
-    Raises ``ValueError`` for a bare string, no methods or an unknown name.
+    The node first records its empty room as the ROI background
+    (:class:`~coopercept.local_fusion.RoiBackground`, whose scan is not one
+    of the frames). Each frame is then scanned, ROI-filtered, detected and
+    ground-located once; every method in ``methods`` clusters that one
+    scan and labels its clusters from the same boxes. Deduplication and
+    the tracker run once per frame on the labels of ``methods[0]``, so
+    ``messages`` is that method's stream. Detector RNG streams are derived
+    from (seed, node, camera) only, so the detections do not depend on the
+    methods asked for. Raises ``ValueError`` for a bare string, no methods
+    or an unknown name.
     """
     if isinstance(methods, str) or not methods or \
             any(m not in LOCAL_METHODS for m in methods):
@@ -164,6 +168,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
                          f"got {methods!r}")
     cameras = [m.build() for m in node.cameras]
     grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+    background = RoiBackground.record(node.lidar, config.room, grid, config.z_band)
     tracker = Tracker(node.node_id, config.tracker)
     det_rngs = [np.random.default_rng([config.seed, node.node_id, i])
                 for i in range(len(cameras))]
@@ -172,7 +177,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
     predictions = {method: [] for method in methods}
     for t, world in world_frames:
         scan = scan_lidar(node.lidar, world, config.room, timestamp=t)
-        scan = filter_roi(scan, grid, config.z_band)
+        scan = filter_roi(scan, grid, config.z_band, background)
         boxes = [locate_boxes(detect_camera(cam, world, config.detector, rng), cam)
                  for cam, rng in zip(cameras, det_rngs)]
 

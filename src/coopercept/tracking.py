@@ -6,16 +6,19 @@ center node's delay compensation. Association is minimum-cost on position
 distance with a hard class gate, so a confirmed track can never flip
 between person and bed.
 
-The filter works on each track in place: prediction pushes the mean
-through ``ctrv_step`` and the covariance through the motion Jacobian plus
-the process noise rate times dt. Because only the position is measured,
-the update reads the covariance's first two rows and columns directly
-(``S = P[:2, :2] + R``, ``K = P[:, :2] S^-1``) and applies the Joseph
-form with ``I - KH`` as the identity less ``K`` in its first two columns.
-Once a track has moved ``yaw_init_displacement`` from its birth, heading
-and speed restart from that displacement: their covariance rows and
-columns are zeroed and their variances set to 0.25, so they keep no
-correlation from the prior and the covariance stays PSD.
+The filter runs on all tracks at once, as stacked (k, 5) means and
+(k, 5, 5) covariances: prediction pushes every mean through
+``ctrv_step`` and every covariance through its motion Jacobian plus the
+process noise rate times dt. Because only the position is measured, the
+update of the matched rows reads the covariances' first two rows and
+columns directly (``S = P[:2, :2] + R``, ``K = P[:, :2] S^-1``) and applies
+one stacked Joseph form with ``I - KH`` as the identity less ``K`` in its
+first two columns. Each slice is what the same product on one track
+gives, bit for bit. Each track then holds its row of the stacks. Once a
+track has moved ``yaw_init_displacement`` from its birth, heading and
+speed restart from that displacement: their covariance rows and columns
+are zeroed and their variances set to 0.25, so they keep no correlation
+from the prior and the covariance stays PSD.
 """
 
 from __future__ import annotations
@@ -118,19 +121,10 @@ class Tracker:
         self._next_id += 1
         return track
 
-    def _update_track(self, track: TrackState, obs: LabeledObject, timestamp: float) -> None:
+    def _observed(self, track: TrackState, obs: LabeledObject, timestamp: float) -> None:
+        """A matched track's heading start and lifecycle, after its filter
+        update."""
         c = self.config
-        P = track.covariance
-        R = np.eye(2) * c.measurement_sigma ** 2
-        K = P[:, :2] @ np.linalg.inv(P[:2, :2] + R)
-        track.mean = track.mean + K @ (obs.position - track.mean[:2])
-        track.mean[2] = float(wrap_angle(track.mean[2]))
-        IKH = np.eye(STATE_DIM)
-        IKH[:, :2] -= K
-        # Joseph form keeps the covariance symmetric PSD.
-        P = IKH @ P @ IKH.T + K @ R @ K.T
-        track.covariance = 0.5 * (P + P.T)
-
         if not track.yaw_initialized:
             disp = track.mean[:2] - track.birth_position
             dist = float(np.linalg.norm(disp))
@@ -159,23 +153,36 @@ class Tracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         self._last_timestamp = timestamp
 
-        Q = self.config.process_noise_rate() * dt
-        for t in self.tracks:
-            F = ctrv_jacobian(t.mean, dt)
-            t.mean = ctrv_step(t.mean, dt)
-            P = F @ t.covariance @ F.T + Q
-            t.covariance = 0.5 * (P + P.T)
+        means = np.array([t.mean for t in self.tracks]).reshape(-1, STATE_DIM)
+        covs = np.array([t.covariance for t in self.tracks]).reshape(-1, STATE_DIM, STATE_DIM)
+        F = ctrv_jacobian(means, dt)
+        means = ctrv_step(means, dt)
+        P = F @ covs @ F.mT + self.config.process_noise_rate() * dt
+        covs = 0.5 * (P + P.mT)
 
         obs_pos = np.array([o.position for o in observations]).reshape(-1, 2)
-        track_pos = np.array([t.mean[:2] for t in self.tracks]).reshape(-1, 2)
         compatible = class_compatible(
             np.array([t.class_label for t in self.tracks], dtype=str)[:, None],
             np.array([o.class_label for o in observations], dtype=str))
-        cost = np.where(compatible, pairwise_distances(track_pos, obs_pos), np.inf)
+        cost = np.where(compatible, pairwise_distances(means[:, :2], obs_pos), np.inf)
         pairs, un_tracks, un_obs = gated_assignment(cost, self.config.association_gate)
 
+        if pairs:
+            rows, cols = (list(k) for k in zip(*pairs))
+            R = np.eye(2) * self.config.measurement_sigma ** 2
+            P = covs[rows]
+            K = P[:, :, :2] @ np.linalg.inv(P[:, :2, :2] + R)
+            mean = means[rows] + (K @ (obs_pos[cols] - means[rows, :2])[:, :, None])[:, :, 0]
+            mean[:, 2] = wrap_angle(mean[:, 2])
+            IKH = np.broadcast_to(np.eye(STATE_DIM), P.shape).copy()
+            IKH[:, :, :2] -= K
+            # Joseph form keeps the covariance symmetric PSD.
+            P = IKH @ P @ IKH.mT + K @ R @ K.mT
+            means[rows], covs[rows] = mean, 0.5 * (P + P.mT)
+        for t, mean, cov in zip(self.tracks, means, covs):
+            t.mean, t.covariance = mean, cov
         for i, j in pairs:
-            self._update_track(self.tracks[i], observations[j], timestamp)
+            self._observed(self.tracks[i], observations[j], timestamp)
         for i in un_tracks:
             self.tracks[i].misses += 1
         confirmed_pos = np.array([t.mean[:2] for t in self.tracks if t.confirmed]).reshape(-1, 2)

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coopercept import clustering
 from coopercept.clustering import (
     Cluster,
     ClusterParams,
@@ -597,3 +599,84 @@ def test_clusters_compare_by_identity():
     assert cluster == cluster
     assert (Cluster(points) == Cluster(points.copy())) is False
     assert cluster in [Cluster(points), cluster]
+
+
+# -- connected components ------------------------------------------------------
+
+def scipy_components(n, src, dst):
+    """The labels of scipy's ``connected_components``, the oracle."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sparse.coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def assert_components_match_scipy(n, src, dst):
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    got = clustering._components(n, src, dst)
+    assert np.array_equal(got, scipy_components(n, src, dst))
+    return got
+
+
+def test_components_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(11)
+    assert len(assert_components_match_scipy(0, [], [])) == 0
+    assert list(assert_components_match_scipy(4, [], [])) == [0, 1, 2, 3]
+    for _ in range(300):
+        n = int(rng.integers(1, 120))
+        src = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        dst = rng.integers(0, n, size=len(src))
+        # duplicate edges, some reversed
+        src, dst = np.concatenate([src, src[:5], dst[:3]]), np.concatenate([dst, dst[:5], src[:3]])
+        loops = rng.integers(0, n, size=3)  # self-loops
+        labels = assert_components_match_scipy(n, np.concatenate([src, loops]),
+                                               np.concatenate([dst, loops]))
+        # order of the lowest node: each label first appears after all lower ones
+        _, first = np.unique(labels, return_index=True)
+        assert list(first) == sorted(first)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_components_of_a_shuffled_chain_take_logarithmic_rounds(monkeypatch, n):
+    rounds = []
+    hook = clustering._hook
+    monkeypatch.setattr(clustering, "_hook", lambda *a: rounds.append(1) or hook(*a))
+    order = np.random.default_rng(n).permutation(n)
+    labels = assert_components_match_scipy(n, order[:-1], order[1:])
+    assert not labels.any()
+    # one hook round per halving, give or take: 7 and 9 on these chains
+    assert len(rounds) <= math.log2(n)
+
+
+def test_components_match_scipy_on_graphs_from_builtin_frames(monkeypatch):
+    from coopercept.local_fusion import RoiGrid, filter_roi
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    graphs = []
+    components = clustering._components
+
+    def recorded(n, src, dst):
+        graphs.append((n, src, dst))
+        return components(n, src, dst)
+
+    monkeypatch.setattr(clustering, "_components", recorded)
+    kinds = Counter()
+    for build in BUILTIN_SCENARIOS.values():
+        config = build()
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        for t, world in simulate_world(config)[::40]:
+            for node in config.nodes:
+                scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
+                                  grid, config.z_band)
+                for kind, run in (
+                        ("dbscan core", lambda: dbscan_baseline(scan.points, 0.3, 4)),
+                        ("ring", lambda: ring_segments(scan, config.cluster_params)),
+                        ("segment", lambda: cluster_scan(scan, config.cluster_params))):
+                    del graphs[:]
+                    run()
+                    n, src, dst = graphs[-1]  # cluster_scan's last graph is the segments'
+                    assert_components_match_scipy(n, src, dst)
+                    kinds[kind] += len(src)
+    assert min(kinds.values()) > 1000, kinds

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from coopercept.local_fusion import (
     SOURCE_FUSED,
     SOURCE_LIDAR_ONLY,
     PositionedBox,
+    RoiBackground,
     RoiGrid,
     associate_boxes_clusters,
     filter_roi,
@@ -40,12 +42,14 @@ def all_true_grid(extent=10.0, cell=0.5):
                    mask=np.ones((n, n), dtype=bool))
 
 
+ROOM_LIDAR = LidarModel.uniform((0.0, 0.0, 1.8), n_rings=16,
+                                elevation_min=math.radians(-25.0))
+
+
 def room_scan():
-    lidar = LidarModel.uniform((0.0, 0.0, 1.8), n_rings=16,
-                               elevation_min=math.radians(-25.0))
     room = Room.rectangle(-6.0, -6.0, 6.0, 6.0)
     world = [make_person(1, 3.0, 0.5)]
-    return scan_lidar(lidar, world, room), room
+    return scan_lidar(ROOM_LIDAR, world, room), room
 
 
 def side_camera():
@@ -122,16 +126,20 @@ def test_filter_roi_idempotent():
     assert np.array_equal(once.points, twice.points)
 
 
-def assert_filter_matches_oracle(scan, grid, z_band):
-    out = filter_roi(scan, grid, z_band)
+def assert_filter_matches_oracle(scan, grid, z_band, background=None):
+    out = filter_roi(scan, grid, z_band, background)
     kept = np.asarray(brute_force_filter_roi(scan, grid, z_band), dtype=int)
+    assert_kept(out, scan, kept)
+    return out
+
+
+def assert_kept(out, scan, kept):
     assert (out.timestamp, out.dphi, out.dtheta) == (scan.timestamp, scan.dphi, scan.dtheta)
     assert out.ring.tobytes() == scan.ring[kept].tobytes()
     assert out.azimuths.tobytes() == scan.azimuths[kept].tobytes()
     assert out.ranges.tobytes() == scan.ranges[kept].tobytes()
     assert out.points.shape == (len(kept), 3)
     assert out.points.tobytes() == scan.points[kept].tobytes()
-    return out
 
 
 def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
@@ -146,6 +154,47 @@ def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
             scan = scan_lidar(node.lidar, world, config.room, t)
             kept += assert_filter_matches_oracle(scan, grid, config.z_band).n_points
     assert kept > 0
+
+
+def test_background_filter_matches_oracle_on_every_builtin_frame():
+    """Every frame of the built-ins, both nodes, seeds 7 and 2411. The seed
+    moves detector noise and channel latency, not the walks, the room or
+    the sensors, so the seeds share their scans: the test checks that and
+    filters each scan once. The oracle is a function of a point's
+    coordinates alone, so each frame evaluates it only on the rows that
+    differ from the empty room's row at the same index."""
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    frames = from_background = 0
+    for build in BUILTIN_SCENARIOS.values():
+        config = build(7)
+        assert replace(build(2411), seed=7) == config
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        world_frames = simulate_world(config)
+        assert simulate_world(build(2411)) == world_frames
+        for node in config.nodes:
+            background = RoiBackground.record(node.lidar, config.room, grid, config.z_band)
+            empty = background.scan
+            empty_keep = np.zeros(empty.n_points, dtype=bool)
+            empty_keep[brute_force_filter_roi(empty, grid, config.z_band)] = True
+            assert np.array_equal(background.keep, empty_keep)
+            for t, world in world_frames:
+                scan = scan_lidar(node.lidar, world, config.room, t)
+                n = min(scan.n_points, empty.n_points)
+                same = np.zeros(scan.n_points, dtype=bool)
+                same[:n] = (scan.points[:n] == empty.points[:n]).all(axis=1)
+                keep = np.zeros(scan.n_points, dtype=bool)
+                keep[:n] = empty_keep[:n] & same[:n]
+                other = np.flatnonzero(~same)
+                moved = replace(scan, points=scan.points[other])
+                keep[other[brute_force_filter_roi(moved, grid, config.z_band)]] = True
+                assert_kept(filter_roi(scan, grid, config.z_band, background), scan,
+                            np.flatnonzero(keep))
+                frames += 1
+                from_background += int(same.sum())
+    assert frames == 3 * 2 * 600
+    assert from_background > 0.9 * frames * empty.n_points
 
 
 def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
@@ -165,6 +214,32 @@ def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
     assert 40 not in out.ring  # the lifted ring leaves no entry
     empty = assert_filter_matches_oracle(scan_from_rings([], timestamp=3.0), grid, (0.1, 2.2))
     assert empty.n_points == 0 and empty.points.shape == (0, 3)
+
+    # against the room's real background, only ring 0 keeps its id and its
+    # place, so the other rings have no background ray and take the grid
+    background = RoiBackground.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
+    looked_up = []
+    roi_keep = local_fusion._roi_keep
+    with mock.patch.object(local_fusion, "_roi_keep",
+                           lambda p, *a: looked_up.append(len(p)) or roi_keep(p, *a)):
+        assert_filter_matches_oracle(mixed, grid, (0.1, 2.2), background)
+        assert_filter_matches_oracle(scan, grid, (0.1, 2.2), background)
+        assert_filter_matches_oracle(scan_from_rings([]), grid, (0.1, 2.2), background)
+    assert scan.n_points == background.scan.n_points
+    unmoved = scan.ranges == background.scan.ranges  # the person moves some rays
+    unmoved_ring0 = int((unmoved & (scan.ring == 0)).sum())
+    assert unmoved_ring0 > 0 and not unmoved.all()
+    assert looked_up == [mixed.n_points - unmoved_ring0, int((~unmoved).sum()), 0]
+
+
+def test_filter_roi_rejects_a_background_of_another_roi():
+    scan, room = room_scan()
+    grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
+    background = RoiBackground.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
+    for other_grid, z_band in ((RoiGrid.from_polygon(room, 0.1, 0.3), (0.1, 2.2)),
+                               (grid, (0.1, 2.0))):
+        with pytest.raises(ValueError, match="another grid or z band"):
+            filter_roi(scan, other_grid, z_band, background)
 
 
 def test_points_outside_grid_extent_dropped():

@@ -140,6 +140,30 @@ def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
     }
 
 
+def test_run_node_scans_filters_and_tracks_once_per_frame(monkeypatch):
+    """perfbench finds each node-frame's spans by these names in
+    ``pipeline``'s namespace (a frame starts at ``scan_lidar``), so the
+    empty-room scan behind the ROI background must not pass through them."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("scan_lidar", "filter_roi"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    monkeypatch.setattr(Tracker, "update", counted("Tracker.update", Tracker.update))
+    config = small(duration_s=1.5)
+    frames = pipeline.simulate_world(config)
+    for methods in ((pipeline.METHOD_HIERARCHICAL,), ALL_METHODS):
+        for node in config.nodes:
+            counts.clear()
+            pipeline.run_node(config, node, frames, methods)
+            assert counts == {"scan_lidar": 15, "filter_roi": 15, "Tracker.update": 15}
+
+
 # -- duplicate suppression before the tracker ---------------------------------
 
 def observation(label, x, y, source="fused", confidence=1.0):
