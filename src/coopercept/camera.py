@@ -16,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 PERSON = "person"
 FOOT = "foot"
 BED = "bed"
+UNKNOWN = "unknown"  # a LiDAR cluster no camera box labelled
 
 BOX_CLASSES = (PERSON, FOOT, BED)
 

@@ -1,7 +1,9 @@
 """Center-node fusion with transmission-delay compensation.
 
 Each received object list carries its capture timestamp; comparing it
-with the center clock gives the transmission-plus-processing delay. Every
+with the center clock gives the delay. A node sends each list at its
+capture time (``pipeline.replay_fusion``), so the delay is the channel
+latency plus any clock error; processing latency is ROADMAP item 2. Every
 object is forward-predicted over that delay with the class-conditioned
 CTRV model before lists from different nodes are associated and combined.
 Fresher contributions carry more weight because each contributor's scalar
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import gated_assignment
+from .camera import BED, PERSON, UNKNOWN
 from .motion import ctrv_advance, wrap_angle
 from .tracking import StampedObjectList, TrackedObject, class_compatible
 
@@ -60,14 +63,14 @@ class FusionParams:
             raise ValueError(f"max_compensation must be > 0, got {self.max_compensation}")
 
     def process_rate(self, class_label: str) -> float:
-        if class_label == "person":
+        if class_label == PERSON:
             return self.process_rate_person
-        if class_label == "bed":
+        if class_label == BED:
             return self.process_rate_bed
         return self.process_rate_unknown
 
     def gate_for(self, class_label: str) -> float:
-        if class_label == "bed":
+        if class_label == BED:
             return self.distance_gate * self.bed_gate_scale
         return self.distance_gate
 
@@ -213,8 +216,8 @@ def _combine(group: list[CompensatedObject]):
         sin_yaw += wi * math.sin(m.yaw)
         cos_yaw += wi * math.cos(m.yaw)
     yaw = math.atan2(sin_yaw, cos_yaw)
-    labels = [m.class_label for m in group if m.class_label != "unknown"]
-    label = labels[0] if labels else "unknown"
+    labels = [m.class_label for m in group if m.class_label != UNKNOWN]
+    label = labels[0] if labels else UNKNOWN
     return x, y, wrap_angle(yaw), v, omega, label, w
 
 

@@ -1,13 +1,13 @@
 """Per-node fusion stage: ROI point filtering and box-to-cluster association.
 
-The region of interest is a static binary grid that strips wall and floor
-returns before clustering. A node records the ROI's decision for every
-point of one scan of its empty room (a per-node background, after Wu et
-al., TRR 2018); a frame's point on a background ray at the background's
-range takes that decision, and only the others, mostly objects, are
-looked up in the grid. Camera detections, carrying world positions
-recovered from their ground-contact pixels, are matched to point-cloud
-clusters by minimum-cost assignment to label the clusters semantically.
+The region of interest (:class:`Roi`) is a static binary grid and a z
+band that strip wall and floor returns before clustering, with the ROI's
+decision for every point of one scan of the node's empty room (a per-node
+background, after Wu et al., TRR 2018); a frame's point on a background
+ray at the background's range takes that decision, and only the others,
+mostly objects, are looked up in the grid. Camera detections, carrying
+world positions recovered from their ground-contact pixels, are matched
+to point-cloud clusters by minimum-cost assignment to label the clusters.
 """
 
 from __future__ import annotations
@@ -18,20 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import gated_assignment, pairwise_distances
-from .camera import (
-    BBox2D,
-    CameraModel,
-    associate_foot_to_parent,
-    box_array,
-    overlap_ratios,
-    project_points,
-    recover_ground_position,
-    vanishing_point_z,
-)
+from .camera import (BED, FOOT, PERSON, UNKNOWN, BBox2D, CameraModel, associate_foot_to_parent,
+                     box_array, overlap_ratios, project_points, recover_ground_position,
+                     vanishing_point_z)
 from .clustering import Cluster
 from .scene import LidarModel, RingScan, Room, scan_lidar
-
-CLASS_UNKNOWN = "unknown"
 
 SOURCE_FUSED = "fused"
 SOURCE_LIDAR_ONLY = "lidar_only"
@@ -98,48 +89,44 @@ def _roi_keep(points: np.ndarray, grid: RoiGrid, z_band) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RoiBackground:
-    """One scan of a node's empty room and the ROI's keep decision for each
-    of its points, under ``grid`` and ``z_band``."""
+class Roi:
+    """A node's region of interest: the ground ``grid``, the ``z_band``, one
+    scan of the node's empty room (``background``) and the ROI's keep
+    decision for each of that scan's points (``background_keep``)."""
 
-    scan: RingScan
-    keep: np.ndarray  # (n,) bool
     grid: RoiGrid
     z_band: tuple[float, float]
+    background: RingScan
+    background_keep: np.ndarray  # (n,) bool
 
     @classmethod
     def record(cls, lidar: LidarModel, room: Room, grid: RoiGrid,
-               z_band=DEFAULT_Z_BAND) -> "RoiBackground":
+               z_band=DEFAULT_Z_BAND) -> "Roi":
         """Scan ``room`` with nothing in it and decide every point once."""
-        scan = scan_lidar(lidar, [], room)
-        return cls(scan, _roi_keep(scan.points, grid, z_band), grid, tuple(z_band))
+        background = scan_lidar(lidar, [], room)
+        return cls(grid, tuple(z_band), background, _roi_keep(background.points, grid, z_band))
 
 
-def filter_roi(scan: RingScan, grid: RoiGrid, z_band=DEFAULT_Z_BAND,
-               background: RoiBackground | None = None) -> RingScan:
+def filter_roi(scan: RingScan, roi: Roi) -> RingScan:
     """Keep points whose ground cell is marked and whose z is in the band;
     kept points stay in scan order, so the result is ring-major too.
 
-    Point k takes the decision of the ``background``'s point k when both
-    have the same ring, azimuth and range: the same ray at the same range
-    is the same point. Every other point, and every point when there is
-    no background, is looked up in the grid, so the background sets only
-    the cost, never the result (a ray that only one of the two holds
-    shifts the points after it onto the grid). The background must come
-    from the scan's own sensor.
+    Point k takes the decision of the background's point k when both have
+    the same ring, azimuth and range: the same ray at the same range is
+    the same point. Every other point is looked up in the grid, so the
+    background sets only the cost, never the result (a ray that only one
+    of the two holds shifts the points after it onto the grid). The ROI
+    must be recorded by the scan's own sensor.
     """
+    bg = roi.background
+    n = min(scan.n_points, bg.n_points)
     same = np.zeros(scan.n_points, dtype=bool)
+    same[:n] = ((scan.ranges[:n] == bg.ranges[:n]) & (scan.azimuths[:n] == bg.azimuths[:n])
+                & (scan.ring[:n] == bg.ring[:n]))
     keep = np.zeros(scan.n_points, dtype=bool)
-    if background is not None:
-        if background.grid is not grid or background.z_band != tuple(z_band):
-            raise ValueError("background was recorded for another grid or z band")
-        bg = background.scan
-        n = min(scan.n_points, bg.n_points)
-        same[:n] = ((scan.ranges[:n] == bg.ranges[:n]) & (scan.azimuths[:n] == bg.azimuths[:n])
-                    & (scan.ring[:n] == bg.ring[:n]))
-        keep[:n] = background.keep[:n] & same[:n]
+    keep[:n] = roi.background_keep[:n] & same[:n]
     other = np.flatnonzero(~same)
-    keep[other] = _roi_keep(scan.points[other], grid, z_band)
+    keep[other] = _roi_keep(scan.points[other], roi.grid, roi.z_band)
     return replace(scan, ring=scan.ring[keep], azimuths=scan.azimuths[keep],
                    ranges=scan.ranges[keep], points=scan.points[keep])
 
@@ -172,9 +159,9 @@ def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[Position
     (z=0). Persons without a foot fall back to their own bottom-center,
     as do beds. Multiple feet on one parent average their ground pixels.
     """
-    people = [d for d in detections if d.class_label == "person"]
-    feet = [d for d in detections if d.class_label == "foot"]
-    beds = [d for d in detections if d.class_label == "bed"]
+    people = [d for d in detections if d.class_label == PERSON]
+    feet = [d for d in detections if d.class_label == FOOT]
+    beds = [d for d in detections if d.class_label == BED]
 
     ground_pixel = {i: p.bottom_center for i, p in enumerate(people)}
     if feet and people:
@@ -250,7 +237,7 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
         ))
     for j in un_clusters:
         out.append(LabeledObject(
-            class_label=CLASS_UNKNOWN,
+            class_label=UNKNOWN,
             position=clusters[j].centroid[:2].copy(),
             cluster=clusters[j],
             source=SOURCE_LIDAR_ONLY,
@@ -266,14 +253,27 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
     return out
 
 
+def suppress_duplicates(objects: list[LabeledObject], order, gate) -> list[LabeledObject]:
+    """Visit ``objects`` in ``order`` and keep each one unless a kept object
+    k is closer than ``gate[i, k]`` (an (n, n) array, or one broadcasting to
+    it); the kept objects come out in visiting order."""
+    positions = np.array([o.position for o in objects]).reshape(-1, 2)
+    near = (pairwise_distances(positions, positions) < gate).tolist()
+    kept: list[int] = []
+    for i in order:
+        if not any(near[i][k] for k in kept):
+            kept.append(i)
+    return [objects[i] for i in kept]
+
+
 def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObject]:
     """Combine association results from the node's cameras.
 
     Precondition: every view labels the same cluster list, so objects that
     carry the same ``Cluster`` are views of the same physical object. Each
     cluster keeps its best label (fused before LiDAR-only, then the higher
-    confidence), in order of first appearance. Camera-only detections within
-    the duplicate gate of a kept object are dropped as duplicates.
+    confidence), in order of first appearance, and all of them are kept. A
+    camera-only detection within the duplicate gate of a kept one is dropped.
     """
     flat = [o for view in per_camera for o in view]
     rank = {SOURCE_FUSED: 0, SOURCE_LIDAR_ONLY: 1}
@@ -286,10 +286,5 @@ def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObj
                 (rank.get(held.source, 2), -held.confidence):
             best[id(obj.cluster)] = obj
     candidates = list(best.values()) + [o for o in flat if o.cluster is None]
-    positions = np.array([o.position for o in candidates]).reshape(-1, 2)
-    near = (pairwise_distances(positions, positions) < DEFAULT_DUPLICATE_GATE).tolist()
-    kept = list(range(len(best)))
-    for j in range(len(best), len(candidates)):
-        if not any(near[j][k] for k in kept):
-            kept.append(j)
-    return [candidates[k] for k in kept]
+    gate = np.where(np.arange(len(candidates)) < len(best), 0.0, DEFAULT_DUPLICATE_GATE)
+    return suppress_duplicates(candidates, range(len(candidates)), gate[:, None])

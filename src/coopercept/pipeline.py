@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import pairwise_distances
+from .camera import BED, PERSON
 from .clustering import (
     DBSCAN_BASELINE_EPS,
     DBSCAN_BASELINE_N_MIN,
@@ -37,12 +37,13 @@ from .local_fusion import (
     SOURCE_CAMERA_ONLY,
     SOURCE_FUSED,
     LabeledObject,
-    RoiBackground,
+    Roi,
     RoiGrid,
     filter_roi,
     locate_boxes,
     associate_boxes_clusters,
     merge_camera_views,
+    suppress_duplicates,
 )
 from .scene import WorldObject, detect_camera, make_benchmark_scan, scan_lidar, simulate_step
 from .scenarios import NodePlacement, ScenarioConfig
@@ -52,10 +53,14 @@ from .transport import LatencyModel, SimulatedNetwork
 METHOD_HIERARCHICAL = "hierarchical"
 METHOD_DBSCAN1 = "dbscan1"
 METHOD_DBSCAN2 = "dbscan2"
+# (scan, ClusterParams) -> clusters. Each entry looks its functions up in
+# this module when called, so a wrapper set on this module sees each call.
 LOCAL_METHODS = {
-    METHOD_DBSCAN1: ("dbscan", DBSCAN_BASELINE_EPS, DBSCAN_BASELINE_N_MIN),
-    METHOD_DBSCAN2: ("dbscan", DBSCAN_BASELINE_EPS, 8),
-    METHOD_HIERARCHICAL: ("hierarchical",),
+    METHOD_DBSCAN1: lambda scan, params: clusters_from_labels(scan.points, dbscan_baseline(
+        scan.points, eps=DBSCAN_BASELINE_EPS, n_min=DBSCAN_BASELINE_N_MIN)),
+    METHOD_DBSCAN2: lambda scan, params: clusters_from_labels(scan.points, dbscan_baseline(
+        scan.points, eps=DBSCAN_BASELINE_EPS, n_min=8)),
+    METHOD_HIERARCHICAL: lambda scan, params: cluster_scan(scan, params),
 }
 BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
 
@@ -125,34 +130,20 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[Lab
     over its whole extent, but never a detection positively labeled as a
     person.
     """
-    positions = np.array([o.position for o in labeled]).reshape(-1, 2)
-    bed = np.array([o.class_label == "bed" for o in labeled], dtype=bool)
-    person = np.array([o.class_label == "person" for o in labeled], dtype=bool)
-    # near[i][k]: a kept k suppresses i
-    gate = np.where(bed[None, :] & ~person[:, None], BED_MERGE_RADIUS, radius)
-    near = (pairwise_distances(positions, positions) < gate).tolist()
-    kept: list[int] = []
-    for i in sorted(range(len(labeled)), key=lambda i: (
-            labeled[i].source != SOURCE_FUSED, -labeled[i].confidence, i)):
-        if not any(near[i][k] for k in kept):
-            kept.append(i)
-    return [labeled[i] for i in kept]
-
-
-def _cluster(scan, method: str, params: ClusterParams):
-    spec = LOCAL_METHODS[method]
-    if spec[0] == "dbscan":
-        labels = dbscan_baseline(scan.points, eps=spec[1], n_min=spec[2])
-        return clusters_from_labels(scan.points, labels)
-    return cluster_scan(scan, params)
+    bed = np.array([o.class_label == BED for o in labeled], dtype=bool)
+    person = np.array([o.class_label == PERSON for o in labeled], dtype=bool)
+    order = sorted(range(len(labeled)), key=lambda i: (
+        labeled[i].source != SOURCE_FUSED, -labeled[i].confidence, i))
+    return suppress_duplicates(
+        labeled, order, np.where(bed[None, :] & ~person[:, None], BED_MERGE_RADIUS, radius))
 
 
 def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
              methods: tuple[str, ...] = (METHOD_HIERARCHICAL,)) -> NodeRun:
     """Run one sensor node's full local pipeline over all frames.
 
-    The node first records its empty room as the ROI background
-    (:class:`~coopercept.local_fusion.RoiBackground`, whose scan is not one
+    The node first records its :class:`~coopercept.local_fusion.Roi` (the
+    config's grid and z band, and a scan of the empty room that is not one
     of the frames). Each frame is then scanned, ROI-filtered, detected and
     ground-located once; every method in ``methods`` clusters that one
     scan and labels its clusters from the same boxes. Deduplication and
@@ -167,8 +158,9 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
         raise ValueError(f"methods must be a non-empty tuple of {sorted(LOCAL_METHODS)}, "
                          f"got {methods!r}")
     cameras = [m.build() for m in node.cameras]
-    grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
-    background = RoiBackground.record(node.lidar, config.room, grid, config.z_band)
+    roi = Roi.record(node.lidar, config.room,
+                     RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin),
+                     config.z_band)
     tracker = Tracker(node.node_id, config.tracker)
     det_rngs = [np.random.default_rng([config.seed, node.node_id, i])
                 for i in range(len(cameras))]
@@ -177,12 +169,12 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
     predictions = {method: [] for method in methods}
     for t, world in world_frames:
         scan = scan_lidar(node.lidar, world, config.room, timestamp=t)
-        scan = filter_roi(scan, grid, config.z_band, background)
+        scan = filter_roi(scan, roi)
         boxes = [locate_boxes(detect_camera(cam, world, config.detector, rng), cam)
                  for cam, rng in zip(cameras, det_rngs)]
 
         for i, method in enumerate(methods):
-            clusters = _cluster(scan, method, config.cluster_params)
+            clusters = LOCAL_METHODS[method](scan, config.cluster_params)
             labeled = merge_camera_views([associate_boxes_clusters(b, clusters, cam)
                                           for b, cam in zip(boxes, cameras)])
             predictions[method].append([(o.class_label, o.position[0], o.position[1])
@@ -208,9 +200,12 @@ def run_local_eval(config: ScenarioConfig):
     paper's method, drives the tracker.
 
     Returns metric rows (dicts in METRIC_COLUMNS order): per node,
-    dbscan1, dbscan2, then hierarchical.
+    dbscan1, dbscan2, then hierarchical. Raises ``ValueError`` if the run has no frame.
     """
     world_frames = simulate_world(config)
+    if not world_frames:
+        raise ValueError(f"duration_s={config.duration_s} at frame_rate_hz="
+                         f"{config.frame_rate_hz} gives no frame to evaluate")
     gts = [[(o.class_label, o.x, o.y) for o in world] for _, world in world_frames]
     rows = []
     for node in config.nodes:
@@ -218,7 +213,7 @@ def run_local_eval(config: ScenarioConfig):
                        (METHOD_HIERARCHICAL, METHOD_DBSCAN1, METHOD_DBSCAN2))
         for method in (METHOD_DBSCAN1, METHOD_DBSCAN2, METHOD_HIERARCHICAL):
             scores = [match_frame(predictions, gt, config.match_gate,
-                                  class_gates={"bed": config.bed_match_gate})
+                                  class_gates={BED: config.bed_match_gate})
                       for predictions, gt in zip(run.predictions[method], gts)]
             precision, recall, avg_de = aggregate(scores)
             rows.append(_metric_row(config, node=str(node.node_id), method=method,
@@ -265,7 +260,7 @@ def score_cycles(cycles, world_frames, config: ScenarioConfig):
         predictions = [(tr.class_label, tr.x, tr.y) for tr in tracks]
         gt = interpolate_gt(world_frames, t)
         scores.append(match_frame(predictions, gt, config.match_gate,
-                                  class_gates={"bed": config.bed_match_gate}))
+                                  class_gates={BED: config.bed_match_gate}))
     return scores
 
 
@@ -274,10 +269,14 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
     (delay, method) grid point on the recorded streams.
 
     ``track_sink(scenario, delay_ms, method, cycles)`` receives the raw
-    fusion cycles when provided (for JSONL dumps).
+    fusion cycles when provided (for JSONL dumps). Raises ``ValueError``
+    before any node runs if no frame time reaches ``settle_s``.
     """
     world_frames = simulate_world(config)
     frame_times = [t for t, _ in world_frames]
+    if not frame_times or frame_times[-1] < config.settle_s:
+        raise ValueError(f"duration_s={config.duration_s} at frame_rate_hz={config.frame_rate_hz}"
+                         f" gives no frame to score at or after settle_s={config.settle_s}")
     messages_by_node = {}
     for node in config.nodes:
         messages_by_node[node.node_id] = run_node(config, node, world_frames).messages
@@ -311,7 +310,8 @@ def run_bench(sizes, repetitions: int, seed: int):
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("sizes must be sorted ascending")
-    methods = (("hierarchical", METHOD_HIERARCHICAL), ("dbscan", METHOD_DBSCAN1))
+    methods = (("hierarchical", LOCAL_METHODS[METHOD_HIERARCHICAL]),
+               ("dbscan", LOCAL_METHODS[METHOD_DBSCAN1]))
     params = ClusterParams()
     rows = []
     for target in sizes:
@@ -320,7 +320,7 @@ def run_bench(sizes, repetitions: int, seed: int):
         for _ in range(repetitions):
             for name, method in methods:
                 t0 = time.perf_counter()
-                _cluster(scan, method, params)
+                method(scan, params)
                 samples[name].append((time.perf_counter() - t0) * 1e3)
         for name, _ in methods:
             rows.append({

@@ -19,13 +19,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .camera import BBox2D, CameraModel, project_points
+from .camera import BED, FOOT, PERSON, BBox2D, CameraModel, project_points
 from .motion import ctrv_advance, wrap_angle
 
 log = logging.getLogger(__name__)
-
-CLASS_PERSON = "person"
-CLASS_BED = "bed"
 
 _T_MIN = 0.05  # ignore hits closer than this to the sensor
 
@@ -55,13 +52,13 @@ class WorldObject:
     waypoint_index: int = 0
 
     def __post_init__(self):
-        if self.class_label not in (CLASS_PERSON, CLASS_BED):
+        if self.class_label not in (PERSON, BED):
             raise ValueError(f"unknown object class {self.class_label!r}")
         if self.speed < 0.0:
             raise ValueError("speed must be >= 0")
         if min(self.footprint) <= 0.0:
             raise ValueError("footprint axes must be > 0")
-        lo, hi = (1.4, 2.0) if self.class_label == CLASS_PERSON else (0.8, 1.2)
+        lo, hi = (1.4, 2.0) if self.class_label == PERSON else (0.8, 1.2)
         if not (lo <= self.height <= hi):
             raise ValueError(
                 f"{self.class_label} height {self.height} outside [{lo}, {hi}] m"
@@ -74,7 +71,7 @@ class WorldObject:
 
 def make_person(obj_id, x, y, yaw=0.0, speed=0.0, yaw_rate=0.0, height=1.7, waypoints=()):
     return WorldObject(
-        id=obj_id, class_label=CLASS_PERSON, x=x, y=y, yaw=yaw, speed=speed,
+        id=obj_id, class_label=PERSON, x=x, y=y, yaw=yaw, speed=speed,
         yaw_rate=yaw_rate, footprint=PERSON_FOOTPRINT, height=height,
         waypoints=tuple(tuple(w) for w in waypoints),
     )
@@ -82,7 +79,7 @@ def make_person(obj_id, x, y, yaw=0.0, speed=0.0, yaw_rate=0.0, height=1.7, wayp
 
 def make_bed(obj_id, x, y, yaw=0.0, speed=0.0, yaw_rate=0.0, height=1.0, waypoints=()):
     return WorldObject(
-        id=obj_id, class_label=CLASS_BED, x=x, y=y, yaw=yaw, speed=speed,
+        id=obj_id, class_label=BED, x=x, y=y, yaw=yaw, speed=speed,
         yaw_rate=yaw_rate, footprint=BED_FOOTPRINT, height=height,
         waypoints=tuple(tuple(w) for w in waypoints),
     )
@@ -451,7 +448,7 @@ def scan_lidar(model: LidarModel, world: list[WorldObject],
     n_az = rays.n_az
 
     t = rays.t_static.copy()
-    for label, cast in ((CLASS_PERSON, _ray_ellipse_cylinder), (CLASS_BED, _ray_box)):
+    for label, cast in ((PERSON, _ray_ellipse_cylinder), (BED, _ray_box)):
         objs = [obj for obj in world if obj.class_label == label]
         if not objs:
             continue
@@ -528,13 +525,13 @@ def detect_camera(camera: CameraModel, world: list[WorldObject],
                             obj.class_label, rng, sigma,
                             confidence=float(rng.uniform(0.7, 1.0)))
         detections.append(box)
-        if obj.class_label == CLASS_PERSON and rng.random() < profile.foot_detection_rate:
+        if obj.class_label == PERSON and rng.random() < profile.foot_detection_rate:
             ground = project_points(camera, [(obj.x, obj.y, 0.0)])[0][0]
             fw = max(2.0, 0.3 * (x_max - x_min))
             fh = max(2.0, 0.12 * (y_max - y_min))
             detections.append(_jittered_box(
                 ground[0] - fw * 0.5, ground[1] - fh, ground[0] + fw * 0.5, ground[1],
-                "foot", rng, sigma, confidence=float(rng.uniform(0.6, 0.95))))
+                FOOT, rng, sigma, confidence=float(rng.uniform(0.6, 0.95))))
 
     for _ in range(rng.poisson(profile.false_positive_rate)):
         w = rng.uniform(20.0, 80.0)
@@ -544,7 +541,7 @@ def detect_camera(camera: CameraModel, world: list[WorldObject],
         detections.append(BBox2D(
             x_min=cx_box - w * 0.5, y_min=cy_box - h * 0.5,
             x_max=cx_box + w * 0.5, y_max=cy_box + h * 0.5,
-            class_label=CLASS_PERSON, confidence=float(rng.uniform(0.3, 0.6))))
+            class_label=PERSON, confidence=float(rng.uniform(0.3, 0.6))))
     return detections
 
 

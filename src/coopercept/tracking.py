@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import gated_assignment, pairwise_distances
-from .local_fusion import CLASS_UNKNOWN, LabeledObject
+from .camera import UNKNOWN
+from .local_fusion import LabeledObject
 from .motion import STATE_DIM, ctrv_jacobian, ctrv_step, wrap_angle
 
 
@@ -140,7 +141,7 @@ class Tracker:
 
         track.hits += 1
         track.misses = 0
-        if track.class_label == CLASS_UNKNOWN and obs.class_label != CLASS_UNKNOWN:
+        if track.class_label == UNKNOWN and obs.class_label != UNKNOWN:
             track.class_label = obs.class_label
         if track.hits >= c.n_confirm:
             track.confirmed = True
@@ -212,4 +213,4 @@ class Tracker:
 def class_compatible(a, b):
     """Symmetric class gate: labels must agree unless either is unknown.
     Takes two labels, or two broadcastable label arrays for a gate matrix."""
-    return (a == CLASS_UNKNOWN) | (b == CLASS_UNKNOWN) | (a == b)
+    return (a == UNKNOWN) | (b == UNKNOWN) | (a == b)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .camera import BED, PERSON, UNKNOWN
 from .tracking import StampedObjectList, TrackedObject
 
 MAGIC = b"SOL1"
@@ -25,7 +26,7 @@ MAX_NODE_ID = 0xFFFF  # the header's uint16 node_id
 _RECORD = struct.Struct("<IB5d")  # id, class, x, y, yaw, v, omega
 _LENGTH = struct.Struct("<I")
 
-_CLASS_CODES = {"person": 0, "bed": 1, "unknown": 2}
+_CLASS_CODES = {PERSON: 0, BED: 1, UNKNOWN: 2}
 _CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}
 
 MIN_LATENCY_MS = 0.1

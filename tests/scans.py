@@ -1,10 +1,14 @@
-"""Ring scans built by hand for tests."""
+"""Ring scans for tests: built by hand, or ROI-filtered from the built-ins."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from coopercept.scene import RingScan
+from coopercept.local_fusion import Roi, RoiGrid, filter_roi
+from coopercept.pipeline import simulate_world
+from coopercept.scenarios import BUILTIN_SCENARIOS
+from coopercept.scene import RingScan, scan_lidar
 
 
 def scan_from_rings(rings, timestamp=0.0, dphi=math.radians(0.2), dtheta=math.radians(2.0)):
@@ -24,3 +28,18 @@ def scan_from_rings(rings, timestamp=0.0, dphi=math.radians(0.2), dtheta=math.ra
                               + [np.asarray(p, dtype=float).reshape(-1, 3)
                                  for _, _, _, p in rings]),
         dphi=dphi, dtheta=dtheta)
+
+
+def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None):
+    """``(config, node, t, scan)`` for every ``step``-th frame of the named
+    built-in scenarios, at their own duration or ``duration_s``: each
+    node's scan of the frame, ROI-filtered as ``run_node`` filters it."""
+    for name in scenarios:
+        config = BUILTIN_SCENARIOS[name]()
+        if duration_s is not None:
+            config = replace(config, duration_s=duration_s)
+        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        rois = [Roi.record(node.lidar, config.room, grid, config.z_band) for node in config.nodes]
+        for t, world in simulate_world(config)[::step]:
+            for node, roi in zip(config.nodes, rois):
+                yield config, node, t, filter_roi(scan_lidar(node.lidar, world, config.room, t), roi)

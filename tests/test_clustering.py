@@ -27,7 +27,7 @@ from oracles import (
     labelings_equal,
     scalar_segment_distance,
 )
-from scans import scan_from_rings
+from scans import builtin_roi_scans, scan_from_rings
 
 PARAMS = ClusterParams()
 # the resolutions of LidarModel.uniform, the built-in scenes' sensor
@@ -256,22 +256,14 @@ def scan_segments(scan, params):
 
 
 def test_cluster_scan_segments_match_per_ring_brute_force():
-    from coopercept.local_fusion import RoiGrid, filter_roi
-    from coopercept.pipeline import simulate_world
-    from coopercept.scenarios import bed_and_three, nine_pedestrians
-
     checked = 0
-    for config in (nine_pedestrians(), bed_and_three()):
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
-        frames = simulate_world(config)[::15][:2]
-        for node in config.nodes:
-            for t, world in frames:
-                scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
-                                  grid, config.z_band)
-                for params in (config.cluster_params, ClusterParams(n_min=8)):
-                    got = scan_segments(scan, params)
-                    assert got == oracle_segments(scan, params)
-                    checked += len(got)
+    # frames 0 and 15 of each scene
+    for config, _, _, scan in builtin_roi_scans(15, ("nine_pedestrians", "bed_and_three"),
+                                                duration_s=3.0):
+        for params in (config.cluster_params, ClusterParams(n_min=8)):
+            got = scan_segments(scan, params)
+            assert got == oracle_segments(scan, params)
+            checked += len(got)
     assert checked > 100
 
 
@@ -436,28 +428,18 @@ def test_ring_segments_partition_non_noise_points_in_ring_then_azimuth_order():
 
 
 def test_cluster_scan_matches_object_path_oracle_on_builtin_frames():
-    from coopercept.local_fusion import RoiGrid, filter_roi
-    from coopercept.pipeline import simulate_world
-    from coopercept.scenarios import BUILTIN_SCENARIOS
-
     rng = np.random.default_rng(3)
     clusters = 0
-    for build in BUILTIN_SCENARIOS.values():
-        config = replace(build(), duration_s=4.0)
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
-        for t, world in simulate_world(config):
-            for node in config.nodes:
-                scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
-                                  grid, config.z_band)
-                for params in (config.cluster_params, ClusterParams(n_min=8)):
-                    got = cluster_scan(scan, params)
-                    segments = ring_segments(scan, params)
-                    # the oracle sorts its segments itself
-                    shuffled = [segments[k] for k in rng.permutation(len(segments))]
-                    want = brute_force_cluster_segments(scan, shuffled, params)
-                    assert [(c.points.tobytes(), c.centroid.tobytes()) for c in got] == \
-                        [(pts.tobytes(), centroid.tobytes()) for pts, centroid in want]
-                    clusters += len(got)
+    for config, _, _, scan in builtin_roi_scans(1, duration_s=4.0):
+        for params in (config.cluster_params, ClusterParams(n_min=8)):
+            got = cluster_scan(scan, params)
+            segments = ring_segments(scan, params)
+            # the oracle sorts its segments itself
+            shuffled = [segments[k] for k in rng.permutation(len(segments))]
+            want = brute_force_cluster_segments(scan, shuffled, params)
+            assert [(c.points.tobytes(), c.centroid.tobytes()) for c in got] == \
+                [(pts.tobytes(), centroid.tobytes()) for pts, centroid in want]
+            clusters += len(got)
     assert clusters > 1000
 
 
@@ -550,24 +532,15 @@ def assert_clusters_match_per_label_oracle(points, labels):
     return got
 
 
-def test_clusters_from_labels_matches_per_label_oracle_on_builtin_scans():
-    from coopercept.local_fusion import RoiGrid, filter_roi
-    from coopercept.pipeline import LOCAL_METHODS, simulate_world
-    from coopercept.scenarios import BUILTIN_SCENARIOS
+def test_clusters_from_labels_matches_per_label_oracle_on_builtin_scans(monkeypatch):
+    from coopercept import pipeline
 
+    # the DBSCAN methods hand their labels to pipeline's clusters_from_labels
+    monkeypatch.setattr(pipeline, "clusters_from_labels", assert_clusters_match_per_label_oracle)
     clusters = 0
-    for build in BUILTIN_SCENARIOS.values():
-        config = build()
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
-        for t, world in simulate_world(config)[::25]:
-            for node in config.nodes:
-                scan = filter_roi(scan_lidar(node.lidar, world, config.room, timestamp=t),
-                                  grid, config.z_band)
-                for spec in LOCAL_METHODS.values():
-                    if spec[0] == "dbscan":
-                        labels = dbscan_baseline(scan.points, eps=spec[1], n_min=spec[2])
-                        clusters += len(assert_clusters_match_per_label_oracle(
-                            scan.points, labels))
+    for config, _, _, scan in builtin_roi_scans(25):
+        for method in (pipeline.METHOD_DBSCAN1, pipeline.METHOD_DBSCAN2):
+            clusters += len(pipeline.LOCAL_METHODS[method](scan, config.cluster_params))
     assert clusters > 100
 
 
@@ -650,10 +623,6 @@ def test_components_of_a_shuffled_chain_take_logarithmic_rounds(monkeypatch, n):
 
 
 def test_components_match_scipy_on_graphs_from_builtin_frames(monkeypatch):
-    from coopercept.local_fusion import RoiGrid, filter_roi
-    from coopercept.pipeline import simulate_world
-    from coopercept.scenarios import BUILTIN_SCENARIOS
-
     graphs = []
     components = clustering._components
 
@@ -663,20 +632,14 @@ def test_components_match_scipy_on_graphs_from_builtin_frames(monkeypatch):
 
     monkeypatch.setattr(clustering, "_components", recorded)
     kinds = Counter()
-    for build in BUILTIN_SCENARIOS.values():
-        config = build()
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
-        for t, world in simulate_world(config)[::40]:
-            for node in config.nodes:
-                scan = filter_roi(scan_lidar(node.lidar, world, config.room, t),
-                                  grid, config.z_band)
-                for kind, run in (
-                        ("dbscan core", lambda: dbscan_baseline(scan.points, 0.3, 4)),
-                        ("ring", lambda: ring_segments(scan, config.cluster_params)),
-                        ("segment", lambda: cluster_scan(scan, config.cluster_params))):
-                    del graphs[:]
-                    run()
-                    n, src, dst = graphs[-1]  # cluster_scan's last graph is the segments'
-                    assert_components_match_scipy(n, src, dst)
-                    kinds[kind] += len(src)
+    for config, _, _, scan in builtin_roi_scans(40):
+        for kind, run in (
+                ("dbscan core", lambda: dbscan_baseline(scan.points, 0.3, 4)),
+                ("ring", lambda: ring_segments(scan, config.cluster_params)),
+                ("segment", lambda: cluster_scan(scan, config.cluster_params))):
+            del graphs[:]
+            run()
+            n, src, dst = graphs[-1]  # cluster_scan's last graph is the segments'
+            assert_components_match_scipy(n, src, dst)
+            kinds[kind] += len(src)
     assert min(kinds.values()) > 1000, kinds

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from coopercept import local_fusion
-from coopercept.camera import BBox2D, CameraModel, project_points
+from coopercept.camera import UNKNOWN, BBox2D, CameraModel, project_points
 from coopercept.clustering import ClusterParams, cluster_scan
 from coopercept.local_fusion import (
-    CLASS_UNKNOWN,
     DEFAULT_COST_GATE,
     SOURCE_CAMERA_ONLY,
     SOURCE_FUSED,
     SOURCE_LIDAR_ONLY,
     PositionedBox,
-    RoiBackground,
+    Roi,
     RoiGrid,
     associate_boxes_clusters,
     filter_roi,
@@ -70,8 +69,8 @@ def fake_cluster(x, y, z=0.9, spread=0.1):
 # -- ROI filtering -----------------------------------------------------------
 
 def test_all_true_grid_wide_band_is_identity():
-    scan, _ = room_scan()
-    out = filter_roi(scan, all_true_grid(), z_band=(-10.0, 10.0))
+    scan, room = room_scan()
+    out = filter_roi(scan, Roi.record(ROOM_LIDAR, room, all_true_grid(), (-10.0, 10.0)))
     assert out.n_points == scan.n_points
     assert np.array_equal(scan.ring, out.ring)
     assert np.array_equal(scan.points, out.points)
@@ -79,17 +78,17 @@ def test_all_true_grid_wide_band_is_identity():
 
 
 def test_all_false_grid_empties_scan():
-    scan, _ = room_scan()
+    scan, room = room_scan()
     grid = all_true_grid()
     grid.mask[:] = False
-    out = filter_roi(scan, grid, z_band=(-10.0, 10.0))
+    out = filter_roi(scan, Roi.record(ROOM_LIDAR, room, grid, (-10.0, 10.0)))
     assert out.n_points == 0
 
 
 def test_walls_and_floor_removed_person_kept():
     scan, room = room_scan()
     grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
-    out = filter_roi(scan, grid, z_band=(0.1, 2.2))
+    out = filter_roi(scan, Roi.record(ROOM_LIDAR, room, grid, (0.1, 2.2)))
     pts = out.points
     assert len(pts) > 0
     # everything that survives sits near the person, not on walls or floor
@@ -118,17 +117,17 @@ def test_roi_grid_matches_per_edge_wall_loop_on_concave_room():
 
 def test_filter_roi_idempotent():
     scan, room = room_scan()
-    grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
-    once = filter_roi(scan, grid, z_band=(0.1, 2.2))
-    twice = filter_roi(once, grid, z_band=(0.1, 2.2))
+    roi = Roi.record(ROOM_LIDAR, room, RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3))
+    once = filter_roi(scan, roi)
+    twice = filter_roi(once, roi)
     assert once.n_points == twice.n_points
     assert np.array_equal(once.ring, twice.ring)
     assert np.array_equal(once.points, twice.points)
 
 
-def assert_filter_matches_oracle(scan, grid, z_band, background=None):
-    out = filter_roi(scan, grid, z_band, background)
-    kept = np.asarray(brute_force_filter_roi(scan, grid, z_band), dtype=int)
+def assert_filter_matches_oracle(scan, roi):
+    out = filter_roi(scan, roi)
+    kept = np.asarray(brute_force_filter_roi(scan, roi.grid, roi.z_band), dtype=int)
     assert_kept(out, scan, kept)
     return out
 
@@ -152,7 +151,8 @@ def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
         t, world = simulate_world(config)[15]
         for node in config.nodes:
             scan = scan_lidar(node.lidar, world, config.room, t)
-            kept += assert_filter_matches_oracle(scan, grid, config.z_band).n_points
+            roi = Roi.record(node.lidar, config.room, grid, config.z_band)
+            kept += assert_filter_matches_oracle(scan, roi).n_points
     assert kept > 0
 
 
@@ -174,11 +174,11 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
         world_frames = simulate_world(config)
         assert simulate_world(build(2411)) == world_frames
         for node in config.nodes:
-            background = RoiBackground.record(node.lidar, config.room, grid, config.z_band)
-            empty = background.scan
+            roi = Roi.record(node.lidar, config.room, grid, config.z_band)
+            empty = roi.background
             empty_keep = np.zeros(empty.n_points, dtype=bool)
             empty_keep[brute_force_filter_roi(empty, grid, config.z_band)] = True
-            assert np.array_equal(background.keep, empty_keep)
+            assert np.array_equal(roi.background_keep, empty_keep)
             for t, world in world_frames:
                 scan = scan_lidar(node.lidar, world, config.room, t)
                 n = min(scan.n_points, empty.n_points)
@@ -189,8 +189,7 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
                 other = np.flatnonzero(~same)
                 moved = replace(scan, points=scan.points[other])
                 keep[other[brute_force_filter_roi(moved, grid, config.z_band)]] = True
-                assert_kept(filter_roi(scan, grid, config.z_band, background), scan,
-                            np.flatnonzero(keep))
+                assert_kept(filter_roi(scan, roi), scan, np.flatnonzero(keep))
                 frames += 1
                 from_background += int(same.sum())
     assert frames == 3 * 2 * 600
@@ -209,37 +208,24 @@ def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
     lifted = (40, scan.azimuths[on], scan.ranges[on],
               scan.points[on] + np.array([0.0, 0.0, 10.0]))
     mixed = scan_from_rings(rings + [lifted], timestamp=1.5)
-    out = assert_filter_matches_oracle(mixed, grid, (0.1, 2.2))
-    assert out.n_points > 0 and on.sum() > 0
-    assert 40 not in out.ring  # the lifted ring leaves no entry
-    empty = assert_filter_matches_oracle(scan_from_rings([], timestamp=3.0), grid, (0.1, 2.2))
-    assert empty.n_points == 0 and empty.points.shape == (0, 3)
-
     # against the room's real background, only ring 0 keeps its id and its
     # place, so the other rings have no background ray and take the grid
-    background = RoiBackground.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
+    roi = Roi.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
     looked_up = []
     roi_keep = local_fusion._roi_keep
     with mock.patch.object(local_fusion, "_roi_keep",
                            lambda p, *a: looked_up.append(len(p)) or roi_keep(p, *a)):
-        assert_filter_matches_oracle(mixed, grid, (0.1, 2.2), background)
-        assert_filter_matches_oracle(scan, grid, (0.1, 2.2), background)
-        assert_filter_matches_oracle(scan_from_rings([]), grid, (0.1, 2.2), background)
-    assert scan.n_points == background.scan.n_points
-    unmoved = scan.ranges == background.scan.ranges  # the person moves some rays
+        out = assert_filter_matches_oracle(mixed, roi)
+        assert_filter_matches_oracle(scan, roi)
+        empty = assert_filter_matches_oracle(scan_from_rings([], timestamp=3.0), roi)
+    assert out.n_points > 0 and on.sum() > 0
+    assert 40 not in out.ring  # the lifted ring leaves no entry
+    assert empty.n_points == 0 and empty.points.shape == (0, 3)
+    assert scan.n_points == roi.background.n_points
+    unmoved = scan.ranges == roi.background.ranges  # the person moves some rays
     unmoved_ring0 = int((unmoved & (scan.ring == 0)).sum())
     assert unmoved_ring0 > 0 and not unmoved.all()
     assert looked_up == [mixed.n_points - unmoved_ring0, int((~unmoved).sum()), 0]
-
-
-def test_filter_roi_rejects_a_background_of_another_roi():
-    scan, room = room_scan()
-    grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
-    background = RoiBackground.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
-    for other_grid, z_band in ((RoiGrid.from_polygon(room, 0.1, 0.3), (0.1, 2.2)),
-                               (grid, (0.1, 2.0))):
-        with pytest.raises(ValueError, match="another grid or z band"):
-            filter_roi(scan, other_grid, z_band, background)
 
 
 def test_points_outside_grid_extent_dropped():
@@ -310,7 +296,7 @@ def test_unmatched_cluster_becomes_unknown():
     cluster = fake_cluster(4.0, 0.0)
     out = associate_boxes_clusters([], [cluster], cam)
     assert len(out) == 1
-    assert out[0].class_label == CLASS_UNKNOWN
+    assert out[0].class_label == UNKNOWN
     assert out[0].source == SOURCE_LIDAR_ONLY
 
 
@@ -525,7 +511,7 @@ def test_merge_prefers_fused_label_for_same_cluster():
     cluster = fake_cluster(4.0, 0.0)
     from coopercept.local_fusion import LabeledObject
 
-    lidar_only = LabeledObject(CLASS_UNKNOWN, cluster.centroid[:2], cluster,
+    lidar_only = LabeledObject(UNKNOWN, cluster.centroid[:2], cluster,
                                SOURCE_LIDAR_ONLY)
     fused = LabeledObject("person", cluster.centroid[:2], cluster,
                           SOURCE_FUSED, confidence=0.9)
@@ -555,7 +541,7 @@ def test_merge_keeps_best_label_per_cluster_in_first_appearance_order():
     c1, c2, c3 = (fake_cluster(x, 0.0) for x in (2.0, 4.0, 6.0))
 
     def labeled(cluster, source=SOURCE_LIDAR_ONLY, confidence=1.0):
-        label = CLASS_UNKNOWN if source == SOURCE_LIDAR_ONLY else "person"
+        label = UNKNOWN if source == SOURCE_LIDAR_ONLY else "person"
         return LabeledObject(label, cluster.centroid[:2], cluster, source, confidence)
 
     first_c2 = labeled(c2)

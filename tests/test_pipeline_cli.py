@@ -115,7 +115,15 @@ def test_run_node_rejects_bad_methods_before_any_frame(monkeypatch):
             pipeline.run_node(config, config.nodes[0], frames, methods)
 
 
-def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
+# The names that perfbench/layers.py times by wrapping them in pipeline's
+# namespace; a stage that stops calling through that namespace reads 0 there.
+NODE_STAGE_NAMES = ("scan_lidar", "filter_roi", "detect_camera", "locate_boxes",
+                    "associate_boxes_clusters", "merge_camera_views", "cluster_scan",
+                    "dbscan_baseline", "clusters_from_labels", "_dedup_observations")
+
+
+def count_node_stage_calls(monkeypatch):
+    """A Counter of the calls to each of NODE_STAGE_NAMES and Tracker.update."""
     counts = Counter()
 
     def counted(name, fn):
@@ -124,44 +132,52 @@ def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("scan_lidar", "detect_camera", "cluster_scan", "dbscan_baseline"):
+    for name in NODE_STAGE_NAMES:
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     monkeypatch.setattr(Tracker, "update", counted("Tracker.update", Tracker.update))
+    return counts
+
+
+def node_frame_calls(node, methods, frames):
+    """The calls ``frames`` node-frames of ``run_node`` make to each name:
+    sensing, dedup and tracking once per frame and detection once per
+    camera; clustering, association and merging once per method."""
+    cameras = len(node.cameras)
+    dbscans = sum(m != pipeline.METHOD_HIERARCHICAL for m in methods)
+    return Counter({
+        "scan_lidar": frames, "filter_roi": frames, "_dedup_observations": frames,
+        "Tracker.update": frames, "detect_camera": cameras * frames,
+        "locate_boxes": cameras * frames,
+        "associate_boxes_clusters": cameras * len(methods) * frames,
+        "merge_camera_views": len(methods) * frames,
+        "cluster_scan": (pipeline.METHOD_HIERARCHICAL in methods) * frames,
+        "dbscan_baseline": dbscans * frames, "clusters_from_labels": dbscans * frames,
+    })
+
+
+def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
+    counts = count_node_stage_calls(monkeypatch)
     config = small(duration_s=2.0)
     rows = pipeline.run_local_eval(config)
-    node_frames = len(config.nodes) * 20
     assert len(rows) == len(config.nodes) * len(ALL_METHODS)
-    assert counts == {
-        "scan_lidar": node_frames,
-        "Tracker.update": node_frames,
-        "detect_camera": sum(len(n.cameras) for n in config.nodes) * 20,
-        "cluster_scan": node_frames,
-        "dbscan_baseline": 2 * node_frames,
-    }
+    assert counts == sum((node_frame_calls(node, ALL_METHODS, 20) for node in config.nodes),
+                         Counter())
 
 
 def test_run_node_scans_filters_and_tracks_once_per_frame(monkeypatch):
     """perfbench finds each node-frame's spans by these names in
     ``pipeline``'s namespace (a frame starts at ``scan_lidar``), so the
-    empty-room scan behind the ROI background must not pass through them."""
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("scan_lidar", "filter_roi"):
-        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
-    monkeypatch.setattr(Tracker, "update", counted("Tracker.update", Tracker.update))
+    empty-room scan behind the ROI must not pass through them, and every
+    stage must call through them once per frame, camera or method."""
+    counts = count_node_stage_calls(monkeypatch)
     config = small(duration_s=1.5)
     frames = pipeline.simulate_world(config)
-    for methods in ((pipeline.METHOD_HIERARCHICAL,), ALL_METHODS):
+    for extra in ((), (ALL_METHODS,)):  # the default method, then all three
+        methods = extra[0] if extra else (pipeline.METHOD_HIERARCHICAL,)
         for node in config.nodes:
             counts.clear()
-            pipeline.run_node(config, node, frames, methods)
-            assert counts == {"scan_lidar": 15, "filter_roi": 15, "Tracker.update": 15}
+            pipeline.run_node(config, node, frames, *extra)
+            assert counts == node_frame_calls(node, methods, 15)
 
 
 # -- duplicate suppression before the tracker ---------------------------------
@@ -294,6 +310,26 @@ def test_local_eval_rows():
     assert len(rows) == 2 * 3  # nodes x methods
     methods = {r["method"] for r in rows}
     assert methods == {"dbscan1", "dbscan2", "hierarchical"}
+
+
+@pytest.mark.parametrize("command, duration", [
+    ("delay-eval", "1"), ("delay-eval", "1.05"), ("local-eval", "0.05")])
+def test_cli_short_runs_fail_before_any_node_runs(command, duration, tmp_path, capsys,
+                                                   monkeypatch):
+    # frames come at 0.1 s steps from t = 0, and delay-eval scores from settle_s = 1 s
+    reason = ("gives no frame to evaluate" if command == "local-eval"
+              else "gives no frame to score at or after settle_s=1.0")
+    monkeypatch.setattr(pipeline, "run_node", lambda *a, **k: pytest.fail("a node ran"))
+    rc = main([command, "--scenario", "four_pedestrians", "--duration", duration,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == \
+        f"error: duration_s={float(duration)} at frame_rate_hz=10.0 {reason}"
+
+
+def test_delay_eval_scores_a_frame_time_at_settle_s():
+    rows = pipeline.run_delay_eval(small(duration_s=1.1))
+    assert {row["frames"] for row in rows} == {"1"}
 
 
 def test_config_yaml_round_trip(tmp_path):

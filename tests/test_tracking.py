@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coopercept.local_fusion import LabeledObject, SOURCE_FUSED, SOURCE_LIDAR_ONLY, CLASS_UNKNOWN
+from coopercept.camera import UNKNOWN
+from coopercept.local_fusion import LabeledObject, SOURCE_FUSED, SOURCE_LIDAR_ONLY
 from coopercept.tracking import (
     StampedObjectList,
     TrackState,
@@ -15,7 +16,7 @@ from oracles import PerTrackTracker, scalar_ctrv_iterate
 
 
 def obs(x, y, label="person"):
-    source = SOURCE_LIDAR_ONLY if label == CLASS_UNKNOWN else SOURCE_FUSED
+    source = SOURCE_LIDAR_ONLY if label == UNKNOWN else SOURCE_FUSED
     return LabeledObject(label, np.array([x, y]), None, source)
 
 
@@ -137,8 +138,8 @@ def test_class_gate_forbids_person_bed_flip():
 
 def test_unknown_observation_keeps_then_upgrades_class():
     tracker = Tracker(node_id=1)
-    tracker.update([obs(0.0, 0.0, CLASS_UNKNOWN)], 0.0)
-    assert tracker.tracks[0].class_label == CLASS_UNKNOWN
+    tracker.update([obs(0.0, 0.0, UNKNOWN)], 0.0)
+    assert tracker.tracks[0].class_label == UNKNOWN
     tracker.update([obs(0.0, 0.0, "bed")], 0.1)
     assert tracker.tracks[0].class_label == "bed"
 
