@@ -25,29 +25,30 @@ NOISE = -1
 # The point-level DBSCAN baseline's fixed radius and core size.
 DBSCAN_BASELINE_EPS = 0.3  # m
 DBSCAN_BASELINE_N_MIN = 4
+# The segment grouping links segments closer than EPSILON_CUSTOM under
+# segment_distances, after two cheap rejection gates: ring indices more
+# than RING_GAP apart, or centroids farther apart than
+# MAX_CENTROID_DISTANCE.
+EPSILON_CUSTOM = 1.5
+RING_GAP = 3
+MAX_CENTROID_DISTANCE = 1.0  # m
 
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Parameters shared by both clustering stages.
+    """The DBSCAN core size of the per-ring stage.
 
-    ``n_min`` is the DBSCAN core size (neighbor count including the point
-    itself). ``epsilon_custom`` gates the segment-level grouping;
-    ``ring_gap`` and ``max_centroid_distance`` are the cheap rejection
-    gates applied before the full segment metric. The angular resolutions
+    ``n_min`` counts neighbors including the point itself. The segment
+    grouping's thresholds are the module constants ``EPSILON_CUSTOM``,
+    ``RING_GAP`` and ``MAX_CENTROID_DISTANCE``; the angular resolutions
     are the sensor's, carried by each :class:`~coopercept.scene.RingScan`.
     """
 
     n_min: int = 4
-    epsilon_custom: float = 1.5
-    ring_gap: int = 3
-    max_centroid_distance: float = 1.0
 
     def __post_init__(self):
         if self.n_min < 2:
             raise ValueError(f"n_min must be >= 2, got {self.n_min}")
-        if self.epsilon_custom <= 0.0:
-            raise ValueError("epsilon_custom must be > 0")
 
 
 @dataclass(eq=False)
@@ -191,16 +192,16 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
 
 
 def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.ndarray,
-                      start: np.ndarray, end: np.ndarray, dphi: float, dtheta: float,
-                      params: ClusterParams) -> np.ndarray:
+                      start: np.ndarray, end: np.ndarray, dphi: float,
+                      dtheta: float) -> np.ndarray:
     """Normalized distance between every pair of per-ring segments, as an
     (n, n) array; segment k lies on ring ``ring[k]`` with centroid
     ``centroid[k]``, mean range ``mean_range[k]`` and azimuths ``start[k]``
     to ``end[k]``, scanned at the angular resolutions ``dphi``/``dtheta``.
 
     Cheap gates first: segments whose ring indices differ by more than
-    ``ring_gap`` or whose centroids are farther apart than
-    ``max_centroid_distance`` are incomparable (inf). Otherwise the
+    ``RING_GAP`` or whose centroids are farther apart than
+    ``MAX_CENTROID_DISTANCE`` are incomparable (inf). Otherwise the
     distance is the centroid separation scaled by the local inter-ring
     spacing, plus one minus the azimuth-interval overlap fraction.
 
@@ -216,8 +217,8 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     dz = centroid[:, None, 2] - centroid[None, :, 2]
     d = np.sqrt(dx * dx + dy * dy + dz * dz)
 
-    feasible = (np.abs(ring[:, None] - ring[None, :]) <= params.ring_gap)
-    feasible &= d <= params.max_centroid_distance
+    feasible = (np.abs(ring[:, None] - ring[None, :]) <= RING_GAP)
+    feasible &= d <= MAX_CENTROID_DISTANCE
 
     d_norm = d / (np.minimum(mean_range[:, None], mean_range[None, :]) * dtheta)
     overlap = np.full((n, n), -np.inf)
@@ -230,13 +231,12 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     return np.where(feasible, d_norm + phi_norm, np.inf)
 
 
-def cluster_segments(scan: RingScan, segments: list[np.ndarray],
-                     params: ClusterParams) -> list[Cluster]:
+def cluster_segments(scan: RingScan, segments: list[np.ndarray]) -> list[Cluster]:
     """Second stage: single-linkage grouping of the segments of ``scan``.
 
     Precondition: ``segments`` are ascending scan indices in (ring, azimuth
     start) order, as :func:`ring_segments` returns them. Clusters are the
-    connected components under ``segment_distances < epsilon_custom``, in
+    connected components under ``segment_distances < EPSILON_CUSTOM``, in
     order of their first segment, each holding its segments' points in
     segment order. The metric runs on dense segment-by-segment arrays,
     which is where the two-stage scheme gets its speed: segments are far
@@ -251,15 +251,14 @@ def cluster_segments(scan: RingScan, segments: list[np.ndarray],
     centroid = np.array([np.add.reduce(scan.points[g], axis=0) / len(g) for g in segments])
     mean_range = np.array([np.add.reduce(scan.ranges[g]) / len(g) for g in segments])
     linked = segment_distances(scan.ring[first], centroid, mean_range, scan.azimuths[first],
-                               scan.azimuths[last], scan.dphi, scan.dtheta,
-                               params) < params.epsilon_custom
+                               scan.azimuths[last], scan.dphi, scan.dtheta) < EPSILON_CUSTOM
     groups = _label_groups(_components(len(segments), *np.nonzero(np.triu(linked, k=1))))
     return [Cluster(scan.points[np.concatenate([segments[k] for k in g])]) for g in groups]
 
 
 def cluster_scan(scan: RingScan, params: ClusterParams) -> list[Cluster]:
     """Full hierarchical pipeline over a :class:`~coopercept.scene.RingScan`."""
-    return cluster_segments(scan, ring_segments(scan, params), params)
+    return cluster_segments(scan, ring_segments(scan, params))
 
 
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:

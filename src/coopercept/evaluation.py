@@ -16,6 +16,9 @@ from .assignment import gated_assignment
 from .tracking import class_compatible
 
 DEFAULT_MATCH_GATE = 0.5  # m
+# a bed position estimated from its visible surface sits up to a meter
+# from the geometric center; its scoring gate allows for the extent
+BED_MATCH_GATE = 1.2  # m
 
 
 @dataclass

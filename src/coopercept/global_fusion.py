@@ -40,6 +40,16 @@ from .tracking import StampedObjectList, TrackedObject, class_compatible
 log = logging.getLogger(__name__)
 
 
+CONTINUITY_GATE = 0.8  # m, new track to previous track predicted to now
+# Common base position variance for contributor weighting: weights are
+# inverse of (base + process rate * compensated interval), which makes
+# equal intervals uniform (to the bit at this value).
+BASE_POSITION_VAR = 0.0025  # m^2
+# Position process noise rates (m^2/s) by class; pedestrians move, the bed
+# barely does, unknown (and any other label) sits in between.
+PROCESS_RATE = {PERSON: 0.5, BED: 0.05, UNKNOWN: 0.3}
+
+
 @dataclass(frozen=True)
 class FusionParams:
     distance_gate: float = 1.0  # m, cross-node association gate
@@ -47,27 +57,10 @@ class FusionParams:
     # so their position estimates legitimately differ by most of its length
     bed_gate_scale: float = 2.0
     max_compensation: float = 0.5  # s, lists older than this are left out of the cycle
-    continuity_gate: float = 0.8  # m, new track to previous track predicted to now
-    # Common base position variance for contributor weighting: weights are
-    # inverse of (base + process rate * compensated interval), which makes
-    # equal intervals uniform (to the bit at this default).
-    base_position_var: float = 0.0025  # m^2
-    # Position process noise rates (m^2/s) by class; pedestrians move, the
-    # bed barely does, unknown sits in between.
-    process_rate_person: float = 0.5
-    process_rate_bed: float = 0.05
-    process_rate_unknown: float = 0.3
 
     def __post_init__(self):
         if self.max_compensation <= 0.0:
             raise ValueError(f"max_compensation must be > 0, got {self.max_compensation}")
-
-    def process_rate(self, class_label: str) -> float:
-        if class_label == PERSON:
-            return self.process_rate_person
-        if class_label == BED:
-            return self.process_rate_bed
-        return self.process_rate_unknown
 
     def gate_for(self, class_label: str) -> float:
         if class_label == BED:
@@ -134,6 +127,7 @@ def compensate_delay(message: StampedObjectList, now: float,
     dt = delay if enabled else 0.0
 
     delay_ms = delay * 1e3
+    unknown_rate = PROCESS_RATE[UNKNOWN]
     out = []
     for obj in message.objects:
         x, y, yaw, v_x, omega_z = ctrv_advance(obj.x, obj.y, obj.yaw, obj.v_x,
@@ -141,7 +135,7 @@ def compensate_delay(message: StampedObjectList, now: float,
         out.append(CompensatedObject(
             node_id=message.node_id, source=obj,
             x=x, y=y, yaw=yaw, v_x=v_x, omega_z=omega_z,
-            fusion_var=params.base_position_var + params.process_rate(obj.class_label) * dt,
+            fusion_var=BASE_POSITION_VAR + PROCESS_RATE.get(obj.class_label, unknown_rate) * dt,
             delay_ms=delay_ms,
         ))
     return out
@@ -222,7 +216,7 @@ def _combine(group: list[CompensatedObject]):
 
 
 def _fuse_groups(groups: list[list[CompensatedObject]], previous: list[GlobalTrack],
-                 dt: float, params: FusionParams, next_gid: int):
+                 dt: float, next_gid: int):
     tracks: list[GlobalTrack] = []
     for group in groups:
         x, y, yaw, v, omega, label, w = _combine(group)
@@ -242,7 +236,7 @@ def _fuse_groups(groups: list[list[CompensatedObject]], previous: list[GlobalTra
         for j, track in enumerate(tracks):
             if class_compatible(prev.class_label, track.class_label):
                 cost[i, j] = math.hypot(px - track.x, py - track.y)
-    pairs, _, unmatched = gated_assignment(cost, params.continuity_gate)
+    pairs, _, unmatched = gated_assignment(cost, CONTINUITY_GATE)
     for i, j in pairs:
         tracks[j].global_id = previous[i].global_id
     for j in unmatched:
@@ -283,7 +277,7 @@ class CenterNode:
             for nid in sorted(self._latest)
         ]
         groups = _associate_across_nodes(per_node, self.params)
-        tracks, self._next_gid = _fuse_groups(groups, self.previous, dt, self.params,
+        tracks, self._next_gid = _fuse_groups(groups, self.previous, dt,
                                               self._next_gid)
         self.previous = tracks
         return tracks

@@ -52,7 +52,7 @@ class RoiGrid:
 
     @classmethod
     def from_polygon(cls, room: Room, cell_size: float = 0.1,
-                     margin: float = 0.3) -> "RoiGrid":
+                     margin: float = 0.35) -> "RoiGrid":
         """True inside the room polygon shrunk by ``margin`` (cell centers
         farther than margin from every wall edge)."""
         poly = np.asarray(room.polygon)
@@ -253,6 +253,12 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
     return out
 
 
+def observation_rank(obj: LabeledObject) -> tuple:
+    """Sort key that puts the preferred observation first: fused before
+    the rest, then higher confidence."""
+    return obj.source != SOURCE_FUSED, -obj.confidence
+
+
 def suppress_duplicates(objects: list[LabeledObject], order, gate) -> list[LabeledObject]:
     """Visit ``objects`` in ``order`` and keep each one unless a kept object
     k is closer than ``gate[i, k]`` (an (n, n) array, or one broadcasting to
@@ -271,19 +277,17 @@ def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObj
 
     Precondition: every view labels the same cluster list, so objects that
     carry the same ``Cluster`` are views of the same physical object. Each
-    cluster keeps its best label (fused before LiDAR-only, then the higher
-    confidence), in order of first appearance, and all of them are kept. A
-    camera-only detection within the duplicate gate of a kept one is dropped.
+    cluster keeps its first best label by :func:`observation_rank`, in order
+    of first appearance, and all of them are kept. A camera-only detection
+    within the duplicate gate of a kept one is dropped.
     """
     flat = [o for view in per_camera for o in view]
-    rank = {SOURCE_FUSED: 0, SOURCE_LIDAR_ONLY: 1}
     best: dict[int, LabeledObject] = {}
     for obj in flat:
         if obj.cluster is None:
             continue
         held = best.setdefault(id(obj.cluster), obj)
-        if (rank.get(obj.source, 2), -obj.confidence) < \
-                (rank.get(held.source, 2), -held.confidence):
+        if observation_rank(obj) < observation_rank(held):
             best[id(obj.cluster)] = obj
     candidates = list(best.values()) + [o for o in flat if o.cluster is None]
     gate = np.where(np.arange(len(candidates)) < len(best), 0.0, DEFAULT_DUPLICATE_GATE)

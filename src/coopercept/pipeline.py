@@ -31,11 +31,10 @@ from .clustering import (
     clusters_from_labels,
     dbscan_baseline,
 )
-from .evaluation import aggregate, match_frame
+from .evaluation import BED_MATCH_GATE, aggregate, match_frame
 from .global_fusion import CenterNode
 from .local_fusion import (
     SOURCE_CAMERA_ONLY,
-    SOURCE_FUSED,
     LabeledObject,
     Roi,
     RoiGrid,
@@ -43,6 +42,7 @@ from .local_fusion import (
     locate_boxes,
     associate_boxes_clusters,
     merge_camera_views,
+    observation_rank,
     suppress_duplicates,
 )
 from .scene import WorldObject, detect_camera, make_benchmark_scan, scan_lidar, simulate_step
@@ -62,7 +62,9 @@ LOCAL_METHODS = {
         scan.points, eps=DBSCAN_BASELINE_EPS, n_min=8)),
     METHOD_HIERARCHICAL: lambda scan, params: cluster_scan(scan, params),
 }
+OBSERVATION_MERGE_RADIUS = 0.45  # m, the dedup gate for occlusion fragments
 BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
+CLASS_MATCH_GATES = {BED: BED_MATCH_GATE}  # scoring gates wider than the default
 
 METRIC_COLUMNS = ("scenario", "node", "method", "delay_ms", "precision",
                   "recall", "avg_de_m", "frames", "config_hash", "seed")
@@ -72,7 +74,9 @@ BENCH_COLUMNS = ("point_count", "method", "mean_ms", "p95_ms", "config_hash", "s
 def simulate_world(config: ScenarioConfig) -> list[tuple[float, list[WorldObject]]]:
     """Ground-truth trajectory: one (time, objects) entry per frame."""
     dt = 1.0 / config.frame_rate_hz
-    n_frames = int(round(config.duration_s * config.frame_rate_hz))
+    # one frame per whole frame period; the epsilon absorbs float error in
+    # the product (0.29 s at 100 Hz is 28.999999999999996 periods)
+    n_frames = math.floor(config.duration_s * config.frame_rate_hz + 1e-9)
     world = list(config.objects)
     frames = []
     for k in range(n_frames):
@@ -125,15 +129,14 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[Lab
 
     Occlusion can split a cluster into fragments that all survive camera
     association; feeding them all to the tracker births duplicate tracks.
-    Every observation carries a cluster: fused ones win over lidar-only
-    ones, then higher confidence. A kept bed absorbs unlabeled fragments
-    over its whole extent, but never a detection positively labeled as a
-    person.
+    Every observation carries a cluster; they are visited in
+    :func:`~coopercept.local_fusion.observation_rank` order, ties in list
+    order. A kept bed absorbs unlabeled fragments over its whole extent,
+    but never a detection positively labeled as a person.
     """
     bed = np.array([o.class_label == BED for o in labeled], dtype=bool)
     person = np.array([o.class_label == PERSON for o in labeled], dtype=bool)
-    order = sorted(range(len(labeled)), key=lambda i: (
-        labeled[i].source != SOURCE_FUSED, -labeled[i].confidence, i))
+    order = sorted(range(len(labeled)), key=lambda i: observation_rank(labeled[i]))
     return suppress_duplicates(
         labeled, order, np.where(bed[None, :] & ~person[:, None], BED_MERGE_RADIUS, radius))
 
@@ -158,8 +161,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
         raise ValueError(f"methods must be a non-empty tuple of {sorted(LOCAL_METHODS)}, "
                          f"got {methods!r}")
     cameras = [m.build() for m in node.cameras]
-    roi = Roi.record(node.lidar, config.room,
-                     RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin),
+    roi = Roi.record(node.lidar, config.room, RoiGrid.from_polygon(config.room),
                      config.z_band)
     tracker = Tracker(node.node_id, config.tracker)
     det_rngs = [np.random.default_rng([config.seed, node.node_id, i])
@@ -183,7 +185,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
                 # camera-only labels carry no cluster position: not tracked
                 tracked = _dedup_observations(
                     [o for o in labeled if o.source != SOURCE_CAMERA_ONLY],
-                    config.observation_merge_radius)
+                    OBSERVATION_MERGE_RADIUS)
                 messages.append(tracker.update(tracked, node.clock.node_time(t)))
     return NodeRun(node_id=node.node_id, messages=messages, predictions=predictions)
 
@@ -212,8 +214,7 @@ def run_local_eval(config: ScenarioConfig):
         run = run_node(config, node, world_frames,
                        (METHOD_HIERARCHICAL, METHOD_DBSCAN1, METHOD_DBSCAN2))
         for method in (METHOD_DBSCAN1, METHOD_DBSCAN2, METHOD_HIERARCHICAL):
-            scores = [match_frame(predictions, gt, config.match_gate,
-                                  class_gates={BED: config.bed_match_gate})
+            scores = [match_frame(predictions, gt, class_gates=CLASS_MATCH_GATES)
                       for predictions, gt in zip(run.predictions[method], gts)]
             precision, recall, avg_de = aggregate(scores)
             rows.append(_metric_row(config, node=str(node.node_id), method=method,
@@ -259,8 +260,7 @@ def score_cycles(cycles, world_frames, config: ScenarioConfig):
             continue
         predictions = [(tr.class_label, tr.x, tr.y) for tr in tracks]
         gt = interpolate_gt(world_frames, t)
-        scores.append(match_frame(predictions, gt, config.match_gate,
-                                  class_gates={BED: config.bed_match_gate}))
+        scores.append(match_frame(predictions, gt, class_gates=CLASS_MATCH_GATES))
     return scores
 
 

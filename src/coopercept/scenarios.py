@@ -6,7 +6,9 @@ among three pedestrians) inside a two-node room. Configurations load from
 and save to YAML and hash deterministically for reproducibility stamps.
 Each setting is stated once: a LiDAR's angular resolutions live on its
 ``LidarModel`` and reach clustering through its scans, and no field is
-kept that no run reads.
+kept that no run reads. A field is what runs vary; a value that no run
+sets is a named constant in the module that uses it (the tracker's noise
+model in ``tracking``, the scoring gates in ``evaluation``), not a field.
 """
 
 from __future__ import annotations
@@ -82,15 +84,8 @@ class ScenarioConfig:
     jitter_ms: float = 8.0  # latency std around each delay_grid_ms mean
     frame_rate_hz: float = 10.0
     duration_s: float = 60.0
-    roi_cell_size: float = 0.1
-    roi_margin: float = 0.35
     z_band: tuple[float, float] = DEFAULT_Z_BAND
-    match_gate: float = 0.5
-    # a bed position estimated from its visible surface sits up to a meter
-    # from the geometric center; the scoring gate allows for the extent
-    bed_match_gate: float = 1.2
     settle_s: float = 1.0  # cycles before this are not scored
-    observation_merge_radius: float = 0.45  # m, occlusion-fragment dedup
 
     def __post_init__(self):
         if not self.nodes:

@@ -8,14 +8,14 @@ between person and bed.
 
 The filter runs on all tracks at once, as stacked (k, 5) means and
 (k, 5, 5) covariances: prediction pushes every mean through
-``ctrv_step`` and every covariance through its motion Jacobian plus the
-process noise rate times dt. Because only the position is measured, the
+``ctrv_step`` and every covariance through its motion Jacobian plus
+``PROCESS_NOISE_RATE`` times dt. Because only the position is measured, the
 update of the matched rows reads the covariances' first two rows and
 columns directly (``S = P[:2, :2] + R``, ``K = P[:, :2] S^-1``) and applies
 one stacked Joseph form with ``I - KH`` as the identity less ``K`` in its
 first two columns. Each slice is what the same product on one track
 gives, bit for bit. Each track then holds its row of the stacks. Once a
-track has moved ``yaw_init_displacement`` from its birth, heading and
+track has moved ``YAW_INIT_DISPLACEMENT`` from its birth, heading and
 speed restart from that displacement: their covariance rows and columns
 are zeroed and their variances set to 0.25, so they keep no correlation
 from the prior and the covariance stays PSD.
@@ -34,33 +34,25 @@ from .local_fusion import LabeledObject
 from .motion import STATE_DIM, ctrv_jacobian, ctrv_step, wrap_angle
 
 
+# Process noise rate, per second, of [x, y, yaw, v, omega]: direct
+# position jitter 0.05 m/sqrt(s), yaw 0.2 rad/sqrt(s), acceleration
+# 0.8 m/s^2 and yaw acceleration 0.5 rad/s^2, each squared.
+PROCESS_NOISE_RATE = np.diag([0.05 ** 2, 0.05 ** 2, 0.2 ** 2, 0.8 ** 2, 0.5 ** 2])
+INITIAL_VARIANCE = (0.1, 0.1, math.pi ** 2, 1.0, 0.5)  # of a new track's state
+MEASUREMENT_SIGMA = 0.05  # m, cluster centroid scatter
+ASSOCIATION_GATE = 1.0  # m
+# births this close to a confirmed track are occlusion fragments, not new
+# objects
+SPAWN_SUPPRESSION_RADIUS = 0.5  # m
+YAW_INIT_DISPLACEMENT = 0.1  # m before heading is observable
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
-    process_accel_sigma: float = 0.8  # m/s^2
-    process_yaw_accel_sigma: float = 0.5  # rad/s^2
-    process_position_sigma: float = 0.05  # m/sqrt(s), direct position jitter
-    process_yaw_sigma: float = 0.2  # rad/sqrt(s)
-    measurement_sigma: float = 0.05  # m, cluster centroid scatter
-    association_gate: float = 1.0  # m
+    """Track lifecycle counts: hits to confirm, consecutive misses kept."""
+
     n_confirm: int = 3
     m_miss: int = 5
-    # births this close to a confirmed track are occlusion fragments, not
-    # new objects
-    spawn_suppression_radius: float = 0.5  # m
-    yaw_init_displacement: float = 0.1  # m before heading is observable
-    initial_position_var: float = 0.1
-    initial_yaw_var: float = math.pi ** 2
-    initial_speed_var: float = 1.0
-    initial_yaw_rate_var: float = 0.5
-
-    def process_noise_rate(self) -> np.ndarray:
-        return np.diag([
-            self.process_position_sigma ** 2,
-            self.process_position_sigma ** 2,
-            self.process_yaw_sigma ** 2,
-            self.process_accel_sigma ** 2,
-            self.process_yaw_accel_sigma ** 2,
-        ])
 
 
 @dataclass(eq=False)
@@ -112,12 +104,10 @@ class Tracker:
         self._last_timestamp: float | None = None
 
     def _new_track(self, obs: LabeledObject, timestamp: float) -> TrackState:
-        c = self.config
         mean = np.array([obs.position[0], obs.position[1], 0.0, 0.0, 0.0])
-        cov = np.diag([c.initial_position_var, c.initial_position_var,
-                       c.initial_yaw_var, c.initial_speed_var, c.initial_yaw_rate_var])
         track = TrackState(track_id=self._next_id, class_label=obs.class_label,
-                           mean=mean, covariance=cov, birth_position=mean[:2].copy(),
+                           mean=mean, covariance=np.diag(INITIAL_VARIANCE),
+                           birth_position=mean[:2].copy(),
                            birth_timestamp=timestamp)
         self._next_id += 1
         return track
@@ -125,11 +115,10 @@ class Tracker:
     def _observed(self, track: TrackState, obs: LabeledObject, timestamp: float) -> None:
         """A matched track's heading start and lifecycle, after its filter
         update."""
-        c = self.config
         if not track.yaw_initialized:
             disp = track.mean[:2] - track.birth_position
             dist = float(np.linalg.norm(disp))
-            if dist > c.yaw_init_displacement:
+            if dist > YAW_INIT_DISPLACEMENT:
                 elapsed = max(timestamp - track.birth_timestamp, 1e-3)
                 track.mean[2] = math.atan2(disp[1], disp[0])
                 track.mean[3] = dist / elapsed
@@ -143,7 +132,7 @@ class Tracker:
         track.misses = 0
         if track.class_label == UNKNOWN and obs.class_label != UNKNOWN:
             track.class_label = obs.class_label
-        if track.hits >= c.n_confirm:
+        if track.hits >= self.config.n_confirm:
             track.confirmed = True
 
     def update(self, observations: list[LabeledObject], timestamp: float) -> StampedObjectList:
@@ -158,7 +147,7 @@ class Tracker:
         covs = np.array([t.covariance for t in self.tracks]).reshape(-1, STATE_DIM, STATE_DIM)
         F = ctrv_jacobian(means, dt)
         means = ctrv_step(means, dt)
-        P = F @ covs @ F.mT + self.config.process_noise_rate() * dt
+        P = F @ covs @ F.mT + PROCESS_NOISE_RATE * dt
         covs = 0.5 * (P + P.mT)
 
         obs_pos = np.array([o.position for o in observations]).reshape(-1, 2)
@@ -166,11 +155,11 @@ class Tracker:
             np.array([t.class_label for t in self.tracks], dtype=str)[:, None],
             np.array([o.class_label for o in observations], dtype=str))
         cost = np.where(compatible, pairwise_distances(means[:, :2], obs_pos), np.inf)
-        pairs, un_tracks, un_obs = gated_assignment(cost, self.config.association_gate)
+        pairs, un_tracks, un_obs = gated_assignment(cost, ASSOCIATION_GATE)
 
         if pairs:
             rows, cols = (list(k) for k in zip(*pairs))
-            R = np.eye(2) * self.config.measurement_sigma ** 2
+            R = np.eye(2) * MEASUREMENT_SIGMA ** 2
             P = covs[rows]
             K = P[:, :, :2] @ np.linalg.inv(P[:, :2, :2] + R)
             mean = means[rows] + (K @ (obs_pos[cols] - means[rows, :2])[:, :, None])[:, :, 0]
@@ -188,7 +177,7 @@ class Tracker:
             self.tracks[i].misses += 1
         confirmed_pos = np.array([t.mean[:2] for t in self.tracks if t.confirmed]).reshape(-1, 2)
         near_confirmed = (pairwise_distances(confirmed_pos, obs_pos)
-                          < self.config.spawn_suppression_radius).any(axis=0)
+                          < SPAWN_SUPPRESSION_RADIUS).any(axis=0)
         self.tracks += [self._new_track(observations[j], timestamp)
                         for j in un_obs if not near_confirmed[j]]
 

@@ -22,11 +22,15 @@ from scipy.optimize import linear_sum_assignment
 
 from coopercept.assignment import gated_assignment
 from coopercept.camera import FOOT_COSINE_THRESHOLD, project_points
-from coopercept.clustering import segment_distances
+from coopercept.clustering import EPSILON_CUSTOM, segment_distances
+from coopercept.global_fusion import BASE_POSITION_VAR, CONTINUITY_GATE, PROCESS_RATE
 from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
                                      DEFAULT_OVERLAP_WEIGHT)
 from coopercept.motion import ctrv_jacobian, ctrv_step, wrap_angle
-from coopercept.tracking import StampedObjectList, TrackedObject, TrackerConfig
+from coopercept.tracking import (ASSOCIATION_GATE, INITIAL_VARIANCE, MEASUREMENT_SIGMA,
+                                 PROCESS_NOISE_RATE, SPAWN_SUPPRESSION_RADIUS,
+                                 YAW_INIT_DISPLACEMENT, StampedObjectList, TrackedObject,
+                                 TrackerConfig)
 
 
 def brute_force_dbscan(points, eps, n_min):
@@ -84,7 +88,7 @@ def brute_force_clusters_from_labels(points, labels):
     return out
 
 
-def brute_force_cluster_segments(scan, segments, params):
+def brute_force_cluster_segments(scan, segments):
     """Second-stage grouping as one object per segment.
 
     Each segment (scan indices) becomes a record of its own points with
@@ -92,7 +96,7 @@ def brute_force_cluster_segments(scan, segments, params):
     ``add.reduce`` over the count, and the azimuth interval as the min and
     max. The records are sorted by (ring, azimuth start), any input order
     allowed, linked where ``segment_distances`` is below
-    ``epsilon_custom``, and joined by union-find into groups in order of
+    ``EPSILON_CUSTOM``, and joined by union-find into groups in order of
     their lowest record. Returns ``(points, centroid)`` per cluster, the
     points stacked record by record.
     """
@@ -109,7 +113,7 @@ def brute_force_cluster_segments(scan, segments, params):
         return []
     d = segment_distances(*(np.array([getattr(r, name) for r in records])
                             for name in ("ring", "centroid", "mean_range", "start", "end")),
-                          scan.dphi, scan.dtheta, params)
+                          scan.dphi, scan.dtheta)
     parent = list(range(len(records)))
 
     def root(i):
@@ -118,7 +122,7 @@ def brute_force_cluster_segments(scan, segments, params):
         return i
 
     for i, j in itertools.combinations(range(len(records)), 2):
-        if d[i, j] < params.epsilon_custom:
+        if d[i, j] < EPSILON_CUSTOM:
             ri, rj = root(i), root(j)
             parent[max(ri, rj)] = min(ri, rj)  # a root is its group's lowest record
     groups = {}
@@ -673,7 +677,8 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
                 node_id=message.node_id, track_id=obj.track_id, class_label=obj.class_label,
                 x=float(state[0]), y=float(state[1]), yaw=float(state[2]),
                 v_x=float(state[3]), omega_z=float(state[4]),
-                fusion_var=params.base_position_var + params.process_rate(obj.class_label) * dt,
+                fusion_var=BASE_POSITION_VAR
+                + PROCESS_RATE.get(obj.class_label, PROCESS_RATE["unknown"]) * dt,
                 delay_ms=delay * 1e3))
         per_node.append(objs)
 
@@ -729,7 +734,7 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
         for j, track in enumerate(tracks):
             if _class_compatible(prev.class_label, track.class_label):
                 cost[i, j] = math.hypot(float(state[0]) - track.x, float(state[1]) - track.y)
-    pairs, _, unmatched = gated_assignment(cost, params.continuity_gate)
+    pairs, _, unmatched = gated_assignment(cost, CONTINUITY_GATE)
     for i, j in pairs:
         tracks[j].global_id = previous[i].global_id
     for j in unmatched:
@@ -760,10 +765,10 @@ class _OracleTrack:
             self.birth_position = self.mean[:2].copy()
 
 
-def _oracle_ctrv_predict(state, dt, config):
+def _oracle_ctrv_predict(state, dt):
     mean = ctrv_step(state.mean, dt)
     F = ctrv_jacobian(state.mean, dt)
-    cov = F @ state.covariance @ F.T + config.process_noise_rate() * dt
+    cov = F @ state.covariance @ F.T + PROCESS_NOISE_RATE * dt
     cov = 0.5 * (cov + cov.T)
     return replace(state, mean=mean, covariance=cov,
                    birth_position=state.birth_position.copy())
@@ -787,19 +792,15 @@ class PerTrackTracker:
         self._last_timestamp = None
 
     def _new_track(self, obs, timestamp):
-        c = self.config
         mean = np.array([obs.position[0], obs.position[1], 0.0, 0.0, 0.0])
-        cov = np.diag([c.initial_position_var, c.initial_position_var,
-                       c.initial_yaw_var, c.initial_speed_var, c.initial_yaw_rate_var])
-        track = _OracleTrack(track_id=self._next_id, class_label=obs.class_label,
-                             mean=mean, covariance=cov, birth_timestamp=timestamp)
+        track = _OracleTrack(track_id=self._next_id, class_label=obs.class_label, mean=mean,
+                             covariance=np.diag(INITIAL_VARIANCE), birth_timestamp=timestamp)
         self._next_id += 1
         return track
 
     def _update_track(self, track, obs, timestamp):
-        c = self.config
         z = np.asarray(obs.position, dtype=float)
-        R = np.eye(2) * c.measurement_sigma ** 2
+        R = np.eye(2) * MEASUREMENT_SIGMA ** 2
         H = self._H
         innovation = z - H @ track.mean
         S = H @ track.covariance @ H.T + R
@@ -813,7 +814,7 @@ class PerTrackTracker:
         if not track.yaw_initialized:
             disp = track.mean[:2] - track.birth_position
             dist = float(np.linalg.norm(disp))
-            if dist > c.yaw_init_displacement:
+            if dist > YAW_INIT_DISPLACEMENT:
                 elapsed = max(timestamp - track.birth_timestamp, 1e-3)
                 track.mean[2] = math.atan2(disp[1], disp[0])
                 track.mean[3] = dist / elapsed
@@ -827,7 +828,7 @@ class PerTrackTracker:
         track.misses = 0
         if track.class_label == "unknown" and obs.class_label != "unknown":
             track.class_label = obs.class_label
-        if track.hits >= c.n_confirm:
+        if track.hits >= self.config.n_confirm:
             track.confirmed = True
 
     def update(self, observations, timestamp):
@@ -836,7 +837,7 @@ class PerTrackTracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         self._last_timestamp = timestamp
 
-        self.tracks = [_oracle_ctrv_predict(t, dt, self.config) for t in self.tracks]
+        self.tracks = [_oracle_ctrv_predict(t, dt) for t in self.tracks]
 
         cost = np.full((len(self.tracks), len(observations)), np.inf)
         for i, track in enumerate(self.tracks):
@@ -844,7 +845,7 @@ class PerTrackTracker:
                 if not _class_compatible(track.class_label, obs.class_label):
                     continue
                 cost[i, j] = float(np.linalg.norm(track.mean[:2] - obs.position))
-        pairs, un_tracks, un_obs = gated_assignment(cost, self.config.association_gate)
+        pairs, un_tracks, un_obs = gated_assignment(cost, ASSOCIATION_GATE)
 
         for i, j in pairs:
             self._update_track(self.tracks[i], observations[j], timestamp)
@@ -854,7 +855,7 @@ class PerTrackTracker:
         for j in un_obs:
             near_confirmed = any(
                 float(np.linalg.norm(p - observations[j].position))
-                < self.config.spawn_suppression_radius
+                < SPAWN_SUPPRESSION_RADIUS
                 for p in confirmed_pos)
             if not near_confirmed:
                 self.tracks.append(self._new_track(observations[j], timestamp))

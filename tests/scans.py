@@ -38,7 +38,7 @@ def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None)
         config = BUILTIN_SCENARIOS[name]()
         if duration_s is not None:
             config = replace(config, duration_s=duration_s)
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        grid = RoiGrid.from_polygon(config.room)
         rois = [Roi.record(node.lidar, config.room, grid, config.z_band) for node in config.nodes]
         for t, world in simulate_world(config)[::step]:
             for node, roi in zip(config.nodes, rois):

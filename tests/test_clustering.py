@@ -8,6 +8,9 @@ import pytest
 from coopercept import clustering
 from coopercept.clustering import (
     Cluster,
+    EPSILON_CUSTOM,
+    MAX_CENTROID_DISTANCE,
+    RING_GAP,
     ClusterParams,
     adaptive_epsilon,
     cluster_scan,
@@ -146,7 +149,7 @@ def test_unsorted_azimuths_rejected():
 def pair_distances(a, b, dtheta=DTHETA):
     """Both off-diagonal entries of the distance matrix of the two
     segments' features."""
-    d = segment_distances(*(np.array(f) for f in zip(a, b)), DPHI, dtheta, PARAMS)
+    d = segment_distances(*(np.array(f) for f in zip(a, b)), DPHI, dtheta)
     return d[0, 1], d[1, 0]
 
 
@@ -183,7 +186,7 @@ def test_half_overlap_intervals():
 def test_ring_gap_returns_inf():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     a = features(0, az, ranges, pts)
-    b = features(PARAMS.ring_gap + 1, az, ranges, pts)
+    b = features(RING_GAP + 1, az, ranges, pts)
     assert pair_distances(a, b) == (math.inf, math.inf)
 
 
@@ -191,7 +194,7 @@ def test_centroid_gate_returns_inf():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     a = features(0, az, ranges, pts)
     b = features(1, az, ranges,
-                 pts + np.array([0.0, 0.0, PARAMS.max_centroid_distance + 0.1]))
+                 pts + np.array([0.0, 0.0, MAX_CENTROID_DISTANCE + 0.1]))
     assert pair_distances(a, b) == (math.inf, math.inf)
 
 
@@ -208,7 +211,7 @@ def random_features(rng, n):
 def test_segment_distance_symmetry():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        d = segment_distances(*random_features(rng, 12), DPHI, DTHETA, PARAMS)
+        d = segment_distances(*random_features(rng, 12), DPHI, DTHETA)
         assert np.array_equal(d, d.T)
 
 
@@ -217,14 +220,14 @@ def test_segment_distance_matches_scalar_oracle():
     finite = 0
     for _ in range(30):
         ring, centroid, mean_range, start, end = random_features(rng, 12)
-        got = segment_distances(ring, centroid, mean_range, start, end, DPHI, DTHETA, PARAMS)
+        got = segment_distances(ring, centroid, mean_range, start, end, DPHI, DTHETA)
         for i in range(12):
             for j in range(12):
                 expected = scalar_segment_distance(
                     [float(v) for v in centroid[i]], [float(v) for v in centroid[j]],
                     int(ring[i]), int(ring[j]), (start[i], end[i]), (start[j], end[j]),
                     mean_range[i], mean_range[j], DTHETA, DPHI,
-                    PARAMS.ring_gap, PARAMS.max_centroid_distance)
+                    RING_GAP, MAX_CENTROID_DISTANCE)
                 if math.isinf(expected):
                     assert got[i, j] == math.inf
                 else:
@@ -317,15 +320,15 @@ def cluster_points(scan, groups, expected):
 
 def test_single_segment_single_cluster():
     scan, groups = arc_scan([(0, 0.0, 0.0)])
-    clusters = cluster_segments(scan, groups, PARAMS)
+    clusters = cluster_segments(scan, groups)
     assert [c.points.tobytes() for c in clusters] == [scan.points.tobytes()]
-    assert cluster_segments(scan, [], PARAMS) == []
+    assert cluster_segments(scan, []) == []
 
 
 def test_mutually_inf_segments_stay_apart():
-    scan, groups = arc_scan([(ring * (PARAMS.ring_gap + 2), 0.0, 3.0 * ring)
+    scan, groups = arc_scan([(ring * (RING_GAP + 2), 0.0, 3.0 * ring)
                              for ring in range(3)])
-    clusters = cluster_segments(scan, groups, PARAMS)
+    clusters = cluster_segments(scan, groups)
     assert [c.points.tobytes() for c in clusters] == \
         cluster_points(scan, groups, [[0], [1], [2]])
 
@@ -338,11 +341,11 @@ def test_cluster_segments_chains_groups_by_lowest_member():
                              (1, 1.0, 0.4), (2, 1.0, 0.2), (3, 0.0, 0.1)])
     segs = [features(int(scan.ring[g[0]]), scan.azimuths[g], scan.ranges[g], scan.points[g])
             for g in groups]
-    linked = segment_distances(*(np.array(f) for f in zip(*segs)), DPHI, DTHETA, PARAMS) \
-        < PARAMS.epsilon_custom
+    linked = segment_distances(*(np.array(f) for f in zip(*segs)), DPHI, DTHETA) \
+        < EPSILON_CUSTOM
     assert {(i, j) for i, j in zip(*np.nonzero(np.triu(linked, k=1)))} == \
         {(0, 5), (1, 4), (3, 4)}
-    clusters = cluster_segments(scan, groups, PARAMS)
+    clusters = cluster_segments(scan, groups)
     assert [c.points.tobytes() for c in clusters] == \
         cluster_points(scan, groups, [[0, 5], [1, 3, 4], [2]])
 
@@ -351,16 +354,16 @@ def test_cluster_segments_group_and_member_order():
     # (ring, start) order a=0, b=1, c=2, d=3, e=4; links a-c, b-e
     scan, groups = arc_scan([(0, 0.0, 0.0), (0, 1.0, 0.0), (1, 0.0, 0.1),
                              (1, 2.0, 0.0), (2, 1.0, 0.2)])
-    clusters = cluster_segments(scan, groups, PARAMS)
+    clusters = cluster_segments(scan, groups)
     assert [c.points.tobytes() for c in clusters] == \
         cluster_points(scan, groups, [[0, 2], [1, 4], [3]])
 
 
 def test_cluster_segments_ring_gap_and_interleaved_segments():
     # the same arc on two rings, 0.1 m apart: only the ring gap parts them
-    for ring, expected in ((PARAMS.ring_gap, [[0, 1]]), (PARAMS.ring_gap + 1, [[0], [1]])):
+    for ring, expected in ((RING_GAP, [[0, 1]]), (RING_GAP + 1, [[0], [1]])):
         scan, groups = arc_scan([(0, 0.0, 0.0), (ring, 0.0, 0.1)])
-        assert [c.points.tobytes() for c in cluster_segments(scan, groups, PARAMS)] == \
+        assert [c.points.tobytes() for c in cluster_segments(scan, groups)] == \
             cluster_points(scan, groups, expected)
     # two segments of one ring interleaved in azimuth, at 5 and 5.1 m: the
     # cluster holds the first segment's points, then the second's
@@ -369,7 +372,7 @@ def test_cluster_segments_ring_gap_and_interleaved_segments():
     pts = np.stack([ranges * np.cos(az), ranges * np.sin(az), np.zeros(len(az))], axis=1)
     scan = scan_from_rings([(0, az, ranges, pts)])
     groups = [np.arange(0, len(az), 2), np.arange(1, len(az), 2)]
-    assert [c.points.tobytes() for c in cluster_segments(scan, groups, PARAMS)] == \
+    assert [c.points.tobytes() for c in cluster_segments(scan, groups)] == \
         cluster_points(scan, groups, [[0, 1]])
 
 
@@ -377,9 +380,9 @@ def test_cluster_segments_scale_by_the_scans_ring_spacing():
     # the same arc on rings 0 and 1, 0.1 m apart at 5 m: 0.1 / (5 * 2 deg)
     # links them, 0.1 / (5 * 0.5 deg) does not
     scan, groups = arc_scan([(0, 0.0, 0.0), (1, 0.0, 0.1)])
-    assert len(cluster_segments(scan, groups, PARAMS)) == 1
+    assert len(cluster_segments(scan, groups)) == 1
     fine = replace(scan, dtheta=math.radians(0.5))
-    assert len(cluster_segments(fine, groups, PARAMS)) == 2
+    assert len(cluster_segments(fine, groups)) == 2
 
 
 def random_ring_scan(rng):
@@ -436,7 +439,7 @@ def test_cluster_scan_matches_object_path_oracle_on_builtin_frames():
             segments = ring_segments(scan, params)
             # the oracle sorts its segments itself
             shuffled = [segments[k] for k in rng.permutation(len(segments))]
-            want = brute_force_cluster_segments(scan, shuffled, params)
+            want = brute_force_cluster_segments(scan, shuffled)
             assert [(c.points.tobytes(), c.centroid.tobytes()) for c in got] == \
                 [(pts.tobytes(), centroid.tobytes()) for pts, centroid in want]
             clusters += len(got)

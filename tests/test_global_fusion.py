@@ -6,8 +6,10 @@ import pytest
 
 from coopercept import pipeline
 from coopercept.assignment import gated_assignment
-from coopercept.evaluation import aggregate, match_frame
+from coopercept.evaluation import DEFAULT_MATCH_GATE, aggregate, match_frame
 from coopercept.global_fusion import (
+    BASE_POSITION_VAR,
+    PROCESS_RATE,
     CenterNode,
     FusionParams,
     GlobalTrack,
@@ -118,8 +120,8 @@ def test_equal_weight_mean():
 def test_fresher_node_weighs_more_exact_weights():
     # hand-computed inverse-variance weights: var = base + rate * delay
     params = FusionParams()
-    base = params.base_position_var
-    rate = params.process_rate_person
+    base = BASE_POSITION_VAR
+    rate = PROCESS_RATE["person"]
     now = 1.0
     a = message(1, now - 0.020, [tracked(track_id=1, x=1.00, y=2.0)])
     b = message(2, now - 0.120, [tracked(track_id=2, x=1.10, y=2.0)])
@@ -283,22 +285,22 @@ def _id_switches(cycles, frames, config):
     one switch."""
     ids = [o.id for o in frames[0][1]]
     assert all([o.id for o in world] == ids for _, world in frames)  # interpolate_gt's order
-    class_gates = {"bed": config.bed_match_gate}
+    class_gates = pipeline.CLASS_MATCH_GATES
     last, switches = {}, 0
     for t, tracks in cycles:
         if t < config.settle_s:
             continue
         predictions = [(tr.class_label, tr.x, tr.y) for tr in tracks]
         gt = pipeline.interpolate_gt(frames, t)
-        gates = [class_gates.get(g_cls, config.match_gate) for g_cls, _, _ in gt]
+        gates = [class_gates.get(g_cls, DEFAULT_MATCH_GATE) for g_cls, _, _ in gt]
         cost = np.full((len(predictions), len(gt)), np.inf)
         for i, (p_cls, px, py) in enumerate(predictions):
             for j, (g_cls, gx, gy) in enumerate(gt):
                 d = math.hypot(px - gx, py - gy)
                 if p_cls in ("unknown", g_cls) and d <= gates[j]:
                     cost[i, j] = d
-        pairs, _, _ = gated_assignment(cost, max(gates, default=config.match_gate))
-        score = match_frame(predictions, gt, config.match_gate, class_gates)
+        pairs, _, _ = gated_assignment(cost, max(gates, default=DEFAULT_MATCH_GATE))
+        score = match_frame(predictions, gt, DEFAULT_MATCH_GATE, class_gates)
         assert len(pairs) == score.true_positives
         assert float(sum(cost[i, j] for i, j in pairs)) == score.sum_matched_distance
         for i, j in pairs:

@@ -147,7 +147,7 @@ def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
 
     kept = 0
     for config in (nine_pedestrians(), bed_and_three()):
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        grid = RoiGrid.from_polygon(config.room)
         t, world = simulate_world(config)[15]
         for node in config.nodes:
             scan = scan_lidar(node.lidar, world, config.room, t)
@@ -170,7 +170,7 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
     for build in BUILTIN_SCENARIOS.values():
         config = build(7)
         assert replace(build(2411), seed=7) == config
-        grid = RoiGrid.from_polygon(config.room, config.roi_cell_size, config.roi_margin)
+        grid = RoiGrid.from_polygon(config.room)
         world_frames = simulate_world(config)
         assert simulate_world(build(2411)) == world_frames
         for node in config.nodes:

@@ -27,6 +27,13 @@ def test_simulate_world_frame_grid():
     assert frames[0][0] == 0.0
     assert frames[10][0] == pytest.approx(1.0)
     assert len(frames[0][1]) == 9
+    # one frame per whole frame period: a half period neither rounds up nor
+    # to even, and a product a hair under a whole count (0.29 * 100 is
+    # 28.999999999999996) still reaches it
+    for duration_s, rate_hz, n_frames in ((1.05, 10.0, 10), (1.15, 10.0, 11), (1.25, 10.0, 12),
+                                          (2.3, 10.0, 23), (3.0, 10.0, 30), (0.29, 100.0, 29)):
+        config = small(duration_s=duration_s, frame_rate_hz=rate_hz)
+        assert len(pipeline.simulate_world(config)) == n_frames, (duration_s, rate_hz)
 
 
 def test_ground_truth_interpolation_linear():
@@ -191,7 +198,7 @@ def observation(label, x, y, source="fused", confidence=1.0):
 
 
 def dedup(labeled):
-    return pipeline._dedup_observations(labeled, small().observation_merge_radius)
+    return pipeline._dedup_observations(labeled, pipeline.OBSERVATION_MERGE_RADIUS)
 
 
 def test_dedup_kept_bed_absorbs_unlabeled_fragments_but_never_a_person():
@@ -221,7 +228,7 @@ def test_dedup_fused_beats_lidar_only_then_higher_confidence_wins():
 def test_dedup_matches_per_pair_oracle():
     from oracles import brute_force_dedup_observations
 
-    radius = small().observation_merge_radius
+    radius = pipeline.OBSERVATION_MERGE_RADIUS
     rng = np.random.default_rng(17)
     dropped = 0
     for _ in range(300):
@@ -360,7 +367,7 @@ def test_config_hash_int_in_float_field_hashes_as_float(tmp_path):
 
     as_int = replace(nine_pedestrians(), duration_s=3)
     as_float = replace(nine_pedestrians(), duration_s=3.0)
-    assert as_int.config_hash() == as_float.config_hash() == "9f2385e3617b"
+    assert as_int.config_hash() == as_float.config_hash() == "a21aa1b19dd7"
     nested = replace(nine_pedestrians(), objects=[make_person(1, 2, -1, speed=1)])
     nested_float = replace(nine_pedestrians(), objects=[make_person(1, 2.0, -1.0, speed=1.0)])
     assert nested.config_hash() == nested_float.config_hash()
@@ -369,7 +376,7 @@ def test_config_hash_int_in_float_field_hashes_as_float(tmp_path):
     loaded = ScenarioConfig.load(path)
     assert loaded == as_int
     assert loaded.config_hash() == as_int.config_hash()
-    assert nine_pedestrians().config_hash() == "0822ca8387cc"  # the built-in's stamp is pinned
+    assert nine_pedestrians().config_hash() == "5632b63b6f95"  # the built-in's stamp is pinned
 
 
 def load_data(tmp_path, data) -> ScenarioConfig:
@@ -416,12 +423,51 @@ def test_config_rejects_removed_keys(tmp_path):
         (".nodes[0].clock", "max_offset_ms",
          lambda d: d["nodes"][0]["clock"].update(max_offset_ms=1000.0)),
     ]
+    # values that no run set, now constants of the module that uses them
+    removed_constants = {
+        "": ("roi_cell_size", "roi_margin", "match_gate", "bed_match_gate",
+             "observation_merge_radius"),
+        "cluster_params": ("epsilon_custom", "ring_gap", "max_centroid_distance"),
+        "tracker": ("process_accel_sigma", "process_yaw_accel_sigma", "process_position_sigma",
+                    "process_yaw_sigma", "measurement_sigma", "association_gate",
+                    "spawn_suppression_radius", "yaw_init_displacement",
+                    "initial_position_var", "initial_yaw_var", "initial_speed_var",
+                    "initial_yaw_rate_var"),
+        "fusion": ("continuity_gate", "base_position_var", "process_rate_person",
+                   "process_rate_bed", "process_rate_unknown"),
+    }
+    for section, keys in removed_constants.items():
+        for key in keys:
+            edits.append((f".{section}" if section else "", key,
+                          lambda d, s=section, k=key: (d[s] if s else d).update({k: 1.0})))
+    assert len(edits) == 5 + 25
     for where, key, edit in edits:
         data = nine_pedestrians().to_dict()
         edit(data)
         with pytest.raises(ValueError) as err:
             load_data(tmp_path, data)
         assert str(err.value) == f"{tmp_path / 'scenario.yaml'}{where}: unknown keys ['{key}']"
+
+
+def test_config_settable_keys_are_pinned():
+    # the tuning values runs vary, beside the scene itself (name, seed,
+    # room, objects, nodes); a value no run sets is a module constant
+    def paths(data, prefix=""):
+        for key, value in data.items():
+            if isinstance(value, dict):
+                yield from paths(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    data = nine_pedestrians().to_dict()
+    assert list(data)[:5] == ["name", "seed", "room", "objects", "nodes"]
+    assert list(paths(dict(list(data.items())[5:]))) == [
+        "detector.miss_rate", "detector.false_positive_rate",
+        "detector.pixel_noise_sigma", "detector.foot_detection_rate",
+        "cluster_params.n_min", "tracker.n_confirm", "tracker.m_miss",
+        "fusion.distance_gate", "fusion.bed_gate_scale", "fusion.max_compensation",
+        "delay_grid_ms", "jitter_ms", "frame_rate_hz", "duration_s", "z_band", "settle_s",
+    ]
 
 
 def test_config_missing_keys_take_dataclass_defaults(tmp_path):
