@@ -80,16 +80,15 @@ def _cmd_local_eval(args) -> int:
 def _cmd_delay_eval(args) -> int:
     configs = _load_scenarios(args)
     out = _out_dir(args)
+
+    def sink(scenario, delay_ms, method, cycles):
+        delay = int(delay_ms) if float(delay_ms).is_integer() else delay_ms
+        name = f"tracks_{scenario}_{delay}ms_{method}.jsonl"
+        pipeline.write_tracks_jsonl(out / name, cycles)
+
     rows = []
     for config in configs:
-        def sink(scenario, delay_ms, method, cycles):
-            if not args.dump_tracks:
-                return
-            delay = int(delay_ms) if float(delay_ms).is_integer() else delay_ms
-            name = f"tracks_{scenario}_{delay}ms_{method}.jsonl"
-            pipeline.write_tracks_jsonl(out / name, cycles)
-
-        rows.extend(pipeline.run_delay_eval(config, track_sink=sink))
+        rows.extend(pipeline.run_delay_eval(config, track_sink=sink if args.dump_tracks else None))
     path = out / "delay_eval.csv"
     pipeline.write_csv(path, rows, pipeline.METRIC_COLUMNS)
     print(f"wrote {path} ({len(rows)} rows)")

@@ -22,9 +22,10 @@ from scipy.spatial import cKDTree
 from .scene import RingScan
 
 NOISE = -1
-# The point-level DBSCAN baseline's fixed radius and core size.
+# The point-level DBSCAN baseline's fixed radius and its two core sizes.
 DBSCAN_BASELINE_EPS = 0.3  # m
 DBSCAN_BASELINE_N_MIN = 4
+DBSCAN_BASELINE_DENSE_N_MIN = 8
 # The segment grouping links segments closer than EPSILON_CUSTOM under
 # segment_distances, after two cheap rejection gates: ring indices more
 # than RING_GAP apart, or centroids farther apart than

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import gated_assignment
+from .camera import BED
 from .tracking import class_compatible
 
 DEFAULT_MATCH_GATE = 0.5  # m
 # a bed position estimated from its visible surface sits up to a meter
 # from the geometric center; its scoring gate allows for the extent
 BED_MATCH_GATE = 1.2  # m
+CLASS_MATCH_GATES = {BED: BED_MATCH_GATE}  # scoring gates wider than the default
 
 
 @dataclass
@@ -30,7 +32,7 @@ class FrameScore:
 
 
 def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
-                class_gates=None) -> FrameScore:
+                class_gates=CLASS_MATCH_GATES) -> FrameScore:
     """Score one frame.
 
     ``predictions`` and ``ground_truth`` are sequences of
@@ -44,11 +46,8 @@ def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
     the visible surface of a bed-sized object can sit most of a meter from
     the object center without being a miss.
     """
-    class_gates = class_gates or {}
     cost = np.full((len(predictions), len(ground_truth)), np.inf)
-    gate = np.full(len(ground_truth), d_match)
-    for j, (g_cls, _, _) in enumerate(ground_truth):
-        gate[j] = class_gates.get(g_cls, d_match)
+    gate = [class_gates.get(g_cls, d_match) for g_cls, _, _ in ground_truth]
     for i, (p_cls, px, py) in enumerate(predictions):
         for j, (g_cls, gx, gy) in enumerate(ground_truth):
             if not class_compatible(p_cls, g_cls):
@@ -56,7 +55,7 @@ def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
             d = math.hypot(px - gx, py - gy)
             if d <= gate[j]:
                 cost[i, j] = d
-    pairs, un_pred, un_gt = gated_assignment(cost, max(gate) if len(gate) else d_match)
+    pairs, un_pred, un_gt = gated_assignment(cost, max(gate, default=d_match))
     return FrameScore(
         true_positives=len(pairs),
         false_positives=len(un_pred),

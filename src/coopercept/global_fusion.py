@@ -3,7 +3,7 @@
 Each received object list carries its capture timestamp; comparing it
 with the center clock gives the delay. A node sends each list at its
 capture time (``pipeline.replay_fusion``), so the delay is the channel
-latency plus any clock error; processing latency is ROADMAP item 2. Every
+latency plus any clock error; processing latency is not modelled yet. Every
 object is forward-predicted over that delay with the class-conditioned
 CTRV model before lists from different nodes are associated and combined.
 Fresher contributions carry more weight because each contributor's scalar

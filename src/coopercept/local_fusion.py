@@ -259,17 +259,18 @@ def observation_rank(obj: LabeledObject) -> tuple:
     return obj.source != SOURCE_FUSED, -obj.confidence
 
 
-def suppress_duplicates(objects: list[LabeledObject], order, gate) -> list[LabeledObject]:
-    """Visit ``objects`` in ``order`` and keep each one unless a kept object
-    k is closer than ``gate[i, k]`` (an (n, n) array, or one broadcasting to
-    it); the kept objects come out in visiting order."""
-    positions = np.array([o.position for o in objects]).reshape(-1, 2)
-    near = (pairwise_distances(positions, positions) < gate).tolist()
-    kept: list[int] = []
-    for i in order:
-        if not any(near[i][k] for k in kept):
-            kept.append(i)
-    return [objects[i] for i in kept]
+def suppress_duplicates(objects: list[LabeledObject], gate, kept=()) -> list[LabeledObject]:
+    """Visit ``objects`` in list order and keep each one unless an entry of
+    ``kept`` or an earlier kept one is closer than ``gate`` (a scalar, or
+    ``gate[i, k]`` over the pool ``kept + objects``); only ``objects`` come out."""
+    pool = list(kept) + list(objects)
+    positions = np.array([o.position for o in pool]).reshape(-1, 2)
+    near = (pairwise_distances(positions[len(kept):], positions) < gate).tolist()
+    keep = list(range(len(kept)))
+    for i, row in enumerate(near, start=len(kept)):
+        if not any(row[k] for k in keep):
+            keep.append(i)
+    return [pool[k] for k in keep[len(kept):]]
 
 
 def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObject]:
@@ -289,6 +290,6 @@ def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObj
         held = best.setdefault(id(obj.cluster), obj)
         if observation_rank(obj) < observation_rank(held):
             best[id(obj.cluster)] = obj
-    candidates = list(best.values()) + [o for o in flat if o.cluster is None]
-    gate = np.where(np.arange(len(candidates)) < len(best), 0.0, DEFAULT_DUPLICATE_GATE)
-    return suppress_duplicates(candidates, range(len(candidates)), gate[:, None])
+    kept = list(best.values())
+    camera_only = [o for o in flat if o.cluster is None]
+    return kept + suppress_duplicates(camera_only, DEFAULT_DUPLICATE_GATE, kept)

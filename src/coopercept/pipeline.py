@@ -24,6 +24,7 @@ import numpy as np
 
 from .camera import BED, PERSON
 from .clustering import (
+    DBSCAN_BASELINE_DENSE_N_MIN,
     DBSCAN_BASELINE_EPS,
     DBSCAN_BASELINE_N_MIN,
     ClusterParams,
@@ -31,7 +32,7 @@ from .clustering import (
     clusters_from_labels,
     dbscan_baseline,
 )
-from .evaluation import BED_MATCH_GATE, aggregate, match_frame
+from .evaluation import aggregate, match_frame
 from .global_fusion import CenterNode
 from .local_fusion import (
     SOURCE_CAMERA_ONLY,
@@ -59,12 +60,11 @@ LOCAL_METHODS = {
     METHOD_DBSCAN1: lambda scan, params: clusters_from_labels(scan.points, dbscan_baseline(
         scan.points, eps=DBSCAN_BASELINE_EPS, n_min=DBSCAN_BASELINE_N_MIN)),
     METHOD_DBSCAN2: lambda scan, params: clusters_from_labels(scan.points, dbscan_baseline(
-        scan.points, eps=DBSCAN_BASELINE_EPS, n_min=8)),
+        scan.points, eps=DBSCAN_BASELINE_EPS, n_min=DBSCAN_BASELINE_DENSE_N_MIN)),
     METHOD_HIERARCHICAL: lambda scan, params: cluster_scan(scan, params),
 }
 OBSERVATION_MERGE_RADIUS = 0.45  # m, the dedup gate for occlusion fragments
 BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
-CLASS_MATCH_GATES = {BED: BED_MATCH_GATE}  # scoring gates wider than the default
 
 METRIC_COLUMNS = ("scenario", "node", "method", "delay_ms", "precision",
                   "recall", "avg_de_m", "frames", "config_hash", "seed")
@@ -119,7 +119,6 @@ class NodeRun:
     as the ``(class, x, y)`` tuples :func:`match_frame` scores.
     """
 
-    node_id: int
     messages: list[StampedObjectList]
     predictions: dict[str, list[list[tuple]]]
 
@@ -134,11 +133,11 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[Lab
     order. A kept bed absorbs unlabeled fragments over its whole extent,
     but never a detection positively labeled as a person.
     """
-    bed = np.array([o.class_label == BED for o in labeled], dtype=bool)
-    person = np.array([o.class_label == PERSON for o in labeled], dtype=bool)
-    order = sorted(range(len(labeled)), key=lambda i: observation_rank(labeled[i]))
+    ranked = sorted(labeled, key=observation_rank)
+    bed = np.array([o.class_label == BED for o in ranked], dtype=bool)
+    person = np.array([o.class_label == PERSON for o in ranked], dtype=bool)
     return suppress_duplicates(
-        labeled, order, np.where(bed[None, :] & ~person[:, None], BED_MERGE_RADIUS, radius))
+        ranked, np.where(bed[None, :] & ~person[:, None], BED_MERGE_RADIUS, radius))
 
 
 def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
@@ -170,7 +169,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
     messages = []
     predictions = {method: [] for method in methods}
     for t, world in world_frames:
-        scan = scan_lidar(node.lidar, world, config.room, timestamp=t)
+        scan = scan_lidar(node.lidar, world, config.room)
         scan = filter_roi(scan, roi)
         boxes = [locate_boxes(detect_camera(cam, world, config.detector, rng), cam)
                  for cam, rng in zip(cameras, det_rngs)]
@@ -187,7 +186,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
                     [o for o in labeled if o.source != SOURCE_CAMERA_ONLY],
                     OBSERVATION_MERGE_RADIUS)
                 messages.append(tracker.update(tracked, node.clock.node_time(t)))
-    return NodeRun(node_id=node.node_id, messages=messages, predictions=predictions)
+    return NodeRun(messages=messages, predictions=predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,7 @@ def run_local_eval(config: ScenarioConfig):
         run = run_node(config, node, world_frames,
                        (METHOD_HIERARCHICAL, METHOD_DBSCAN1, METHOD_DBSCAN2))
         for method in (METHOD_DBSCAN1, METHOD_DBSCAN2, METHOD_HIERARCHICAL):
-            scores = [match_frame(predictions, gt, class_gates=CLASS_MATCH_GATES)
+            scores = [match_frame(predictions, gt)
                       for predictions, gt in zip(run.predictions[method], gts)]
             precision, recall, avg_de = aggregate(scores)
             rows.append(_metric_row(config, node=str(node.node_id), method=method,
@@ -260,7 +259,7 @@ def score_cycles(cycles, world_frames, config: ScenarioConfig):
             continue
         predictions = [(tr.class_label, tr.x, tr.y) for tr in tracks]
         gt = interpolate_gt(world_frames, t)
-        scores.append(match_frame(predictions, gt, class_gates=CLASS_MATCH_GATES))
+        scores.append(match_frame(predictions, gt))
     return scores
 
 

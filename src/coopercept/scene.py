@@ -186,7 +186,6 @@ class RingScan:
     sensor that took the scan, the scanning pattern clustering follows.
     """
 
-    timestamp: float
     ring: np.ndarray  # (n,) int
     azimuths: np.ndarray  # (n,)
     ranges: np.ndarray  # (n,)
@@ -431,7 +430,7 @@ def _static_rays(model: LidarModel, room: Room | None) -> _StaticRays:
 
 
 def scan_lidar(model: LidarModel, world: list[WorldObject],
-               static_map: Room | None = None, timestamp: float = 0.0) -> RingScan:
+               static_map: Room | None = None) -> RingScan:
     """Cast one full revolution and return the nearest hit per ray.
 
     Azimuths step k * dphi across (-pi, pi), identical for every ring; a
@@ -474,8 +473,8 @@ def scan_lidar(model: LidarModel, world: list[WorldObject],
                            (origin[1] + t * (cos_e * rays.sin_az))[valid],
                            (origin[2] + t * rays.sin_e[:, None])[valid]], axis=1)
     ring, azimuths = np.broadcast_arrays(np.arange(model.n_rings)[:, None], rays.az)
-    return RingScan(timestamp=timestamp, ring=ring[valid], azimuths=azimuths[valid],
-                    ranges=t[valid], points=points, dphi=model.horizontal_resolution,
+    return RingScan(ring=ring[valid], azimuths=azimuths[valid], ranges=t[valid],
+                    points=points, dphi=model.horizontal_resolution,
                     dtheta=model.vertical_resolution)
 
 
@@ -505,7 +504,7 @@ def detect_camera(camera: CameraModel, world: list[WorldObject],
     ``rng`` is a numpy Generator or a seed for one. Objects behind the
     camera plane are skipped.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     width, height = camera.image_size
     sigma = profile.pixel_noise_sigma
     detections: list[BBox2D] = []

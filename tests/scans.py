@@ -11,13 +11,12 @@ from coopercept.scenarios import BUILTIN_SCENARIOS
 from coopercept.scene import RingScan, scan_lidar
 
 
-def scan_from_rings(rings, timestamp=0.0, dphi=math.radians(0.2), dtheta=math.radians(2.0)):
+def scan_from_rings(rings, dphi=math.radians(0.2), dtheta=math.radians(2.0)):
     """A RingScan of per-ring ``(ring, azimuths, ranges, points)`` tuples,
     concatenated in the given order; a ring without points adds nothing.
     ``dphi``/``dtheta`` are the resolutions of the sensor it stands for."""
     rings = list(rings)
     return RingScan(
-        timestamp=timestamp,
         ring=np.concatenate([np.zeros(0, dtype=int)]
                             + [np.full(len(az), r) for r, az, _, _ in rings]),
         azimuths=np.concatenate([np.zeros(0)]
@@ -42,4 +41,4 @@ def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None)
         rois = [Roi.record(node.lidar, config.room, grid, config.z_band) for node in config.nodes]
         for t, world in simulate_world(config)[::step]:
             for node, roi in zip(config.nodes, rois):
-                yield config, node, t, filter_roi(scan_lidar(node.lidar, world, config.room, t), roi)
+                yield config, node, t, filter_roi(scan_lidar(node.lidar, world, config.room), roi)

@@ -50,7 +50,7 @@ def test_matching_cost_equals_exhaustive_minimum():
 def test_class_agreement():
     gt = [("person", 0.0, 0.0), ("bed", 1.0, 0.0)]
     preds = [("bed", 0.0, 0.0), ("person", 1.0, 0.0)]
-    score = match_frame(preds, gt, d_match=0.5)
+    score = match_frame(preds, gt, d_match=0.5, class_gates={})
     assert score.true_positives == 0
     assert score.false_positives == 2
     assert score.false_negatives == 2

@@ -6,7 +6,7 @@ import pytest
 
 from coopercept import pipeline
 from coopercept.assignment import gated_assignment
-from coopercept.evaluation import DEFAULT_MATCH_GATE, aggregate, match_frame
+from coopercept.evaluation import CLASS_MATCH_GATES, DEFAULT_MATCH_GATE, aggregate, match_frame
 from coopercept.global_fusion import (
     BASE_POSITION_VAR,
     PROCESS_RATE,
@@ -285,7 +285,7 @@ def _id_switches(cycles, frames, config):
     one switch."""
     ids = [o.id for o in frames[0][1]]
     assert all([o.id for o in world] == ids for _, world in frames)  # interpolate_gt's order
-    class_gates = pipeline.CLASS_MATCH_GATES
+    class_gates = CLASS_MATCH_GATES
     last, switches = {}, 0
     for t, tracks in cycles:
         if t < config.settle_s:

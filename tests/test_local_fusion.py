@@ -133,7 +133,7 @@ def assert_filter_matches_oracle(scan, roi):
 
 
 def assert_kept(out, scan, kept):
-    assert (out.timestamp, out.dphi, out.dtheta) == (scan.timestamp, scan.dphi, scan.dtheta)
+    assert (out.dphi, out.dtheta) == (scan.dphi, scan.dtheta)
     assert out.ring.tobytes() == scan.ring[kept].tobytes()
     assert out.azimuths.tobytes() == scan.azimuths[kept].tobytes()
     assert out.ranges.tobytes() == scan.ranges[kept].tobytes()
@@ -150,7 +150,7 @@ def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
         grid = RoiGrid.from_polygon(config.room)
         t, world = simulate_world(config)[15]
         for node in config.nodes:
-            scan = scan_lidar(node.lidar, world, config.room, t)
+            scan = scan_lidar(node.lidar, world, config.room)
             roi = Roi.record(node.lidar, config.room, grid, config.z_band)
             kept += assert_filter_matches_oracle(scan, roi).n_points
     assert kept > 0
@@ -180,7 +180,7 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
             empty_keep[brute_force_filter_roi(empty, grid, config.z_band)] = True
             assert np.array_equal(roi.background_keep, empty_keep)
             for t, world in world_frames:
-                scan = scan_lidar(node.lidar, world, config.room, t)
+                scan = scan_lidar(node.lidar, world, config.room)
                 n = min(scan.n_points, empty.n_points)
                 same = np.zeros(scan.n_points, dtype=bool)
                 same[:n] = (scan.points[:n] == empty.points[:n]).all(axis=1)
@@ -207,7 +207,7 @@ def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
     on = scan.ring == source
     lifted = (40, scan.azimuths[on], scan.ranges[on],
               scan.points[on] + np.array([0.0, 0.0, 10.0]))
-    mixed = scan_from_rings(rings + [lifted], timestamp=1.5)
+    mixed = scan_from_rings(rings + [lifted])
     # against the room's real background, only ring 0 keeps its id and its
     # place, so the other rings have no background ray and take the grid
     roi = Roi.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
@@ -217,7 +217,7 @@ def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
                            lambda p, *a: looked_up.append(len(p)) or roi_keep(p, *a)):
         out = assert_filter_matches_oracle(mixed, roi)
         assert_filter_matches_oracle(scan, roi)
-        empty = assert_filter_matches_oracle(scan_from_rings([], timestamp=3.0), roi)
+        empty = assert_filter_matches_oracle(scan_from_rings([]), roi)
     assert out.n_points > 0 and on.sum() > 0
     assert 40 not in out.ring  # the lifted ring leaves no entry
     assert empty.n_points == 0 and empty.points.shape == (0, 3)
@@ -533,6 +533,39 @@ def test_merge_drops_camera_only_duplicates():
     merged = merge_camera_views([[fused, dup], [far]])
     sources = sorted(o.source for o in merged)
     assert sources == [SOURCE_CAMERA_ONLY, SOURCE_FUSED]
+
+
+def test_merge_screens_camera_only_rows_against_each_other():
+    from coopercept.local_fusion import DEFAULT_DUPLICATE_GATE, LabeledObject
+
+    def camera_only(x, confidence=0.8):
+        return LabeledObject("person", np.array([x, 1.0]), None, SOURCE_CAMERA_ONLY, confidence)
+
+    first = camera_only(3.0)
+    near = camera_only(3.0 + 0.9 * DEFAULT_DUPLICATE_GATE)
+    beyond = camera_only(3.0 + 1.1 * DEFAULT_DUPLICATE_GATE)
+    # no view holds a cluster: the first camera-only row screens the rest
+    merged = merge_camera_views([[first], [near, beyond]])
+    assert merged == [first, beyond]
+    assert merge_camera_views([[], []]) == []
+    assert merge_camera_views([[near], [first]]) == [near]
+
+
+def test_suppress_duplicates_screens_against_kept_but_never_returns_them():
+    from coopercept.local_fusion import LabeledObject, suppress_duplicates
+
+    def at(x):
+        return LabeledObject("person", np.array([x, 0.0]), None, SOURCE_CAMERA_ONLY)
+
+    kept = [at(0.0), at(5.0)]
+    blocked, free, behind_free = at(0.3), at(2.0), at(2.2)
+    assert suppress_duplicates([blocked, free, behind_free], 0.5, kept) == [free]
+    assert suppress_duplicates([], 0.5, kept) == []
+    assert suppress_duplicates(kept, 0.5) == kept
+    # gate[i, k] over the pool [kept[0], a, b]: row i screens objects[i]
+    a, b = at(0.25), at(0.5)
+    assert suppress_duplicates([a, b], np.array([[0.3, 0, 0], [0.3, 0, 0]]), kept[:1]) == [b]
+    assert suppress_duplicates([a, b], np.array([[0.2, 0, 0], [0.2, 0.3, 0]]), kept[:1]) == [a]
 
 
 def test_merge_keeps_best_label_per_cluster_in_first_appearance_order():
