@@ -108,10 +108,13 @@ def project_points(camera: CameraModel, points: np.ndarray):
     degeneracy threshold hold NaN pixels instead of raising.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    hom = np.hstack([pts, np.ones((len(pts), 1))])
+    hom = np.ones((len(pts), 4))
+    hom[:, :3] = pts
     u = hom @ camera.H.T
     depth = u[:, 2]
     ok = np.abs(depth) >= _EPS_DEPTH
+    if ok.all():
+        return u[:, :2] / depth[:, None], depth
     pix = np.full((len(pts), 2), np.nan)
     pix[ok] = u[ok, :2] / depth[ok, None]
     return pix, depth

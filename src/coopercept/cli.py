@@ -99,6 +99,8 @@ def _cmd_bench(args) -> int:
     sizes = sorted(int(s) for s in args.sizes.split(","))
     if any(s < 0 for s in sizes):
         raise CliError("sizes must be >= 0")
+    if args.reps < 1:
+        raise CliError("reps must be >= 1")
     out = _out_dir(args)
     rows = pipeline.run_bench(sizes, repetitions=args.reps, seed=args.seed or 0)
     path = out / "bench.csv"

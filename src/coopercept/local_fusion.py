@@ -1,19 +1,20 @@
 """Per-node fusion stage: ROI point filtering and box-to-cluster association.
 
 The region of interest (:class:`Roi`) is a static binary grid and a z
-band that strip wall and floor returns before clustering, with the ROI's
-decision for every point of one scan of the node's empty room (a per-node
-background, after Wu et al., TRR 2018); a frame's point on a background
-ray at the background's range takes that decision, and only the others,
-mostly objects, are looked up in the grid. Camera detections, carrying
-world positions recovered from their ground-contact pixels, are matched
-to point-cloud clusters by minimum-cost assignment to label the clusters.
+band that strip wall and floor returns before clustering. It also holds
+one range image of the node's empty room and the ROI's decision for each
+of its rays (a per-node background, after Wu et al., TRR 2018). A frame's
+ray at exactly the background's range takes that decision, so only the
+returns whose range changed, mostly objects, are placed as points and
+looked up in the grid. Camera detections, carrying world positions
+recovered from their ground-contact pixels, are matched to point-cloud
+clusters by minimum-cost assignment to label the clusters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .camera import (BED, FOOT, PERSON, UNKNOWN, BBox2D, CameraModel, associate_
                      box_array, overlap_ratios, project_points, recover_ground_position,
                      vanishing_point_z)
 from .clustering import Cluster
-from .scene import LidarModel, RingScan, Room, scan_lidar
+from .scene import LidarModel, RangeImage, RingScan, Room, scan_lidar
 
 SOURCE_FUSED = "fused"
 SOURCE_LIDAR_ONLY = "lidar_only"
@@ -90,45 +91,46 @@ def _roi_keep(points: np.ndarray, grid: RoiGrid, z_band) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Roi:
-    """A node's region of interest: the ground ``grid``, the ``z_band``, one
-    scan of the node's empty room (``background``) and the ROI's keep
-    decision for each of that scan's points (``background_keep``)."""
+    """A node's region of interest: the ground ``grid``, the ``z_band``, a
+    range image of the node's empty room (``background``) and the rays of
+    that image whose return the ROI keeps (``background_kept``, ascending
+    flat ray indices). Only images from the background's sensor can be
+    filtered with it."""
 
     grid: RoiGrid
     z_band: tuple[float, float]
-    background: RingScan
-    background_keep: np.ndarray  # (n,) bool
+    background: RangeImage
+    background_kept: np.ndarray  # (k,) int
 
     @classmethod
     def record(cls, lidar: LidarModel, room: Room, grid: RoiGrid,
                z_band=DEFAULT_Z_BAND) -> "Roi":
-        """Scan ``room`` with nothing in it and decide every point once."""
+        """Scan ``room`` with nothing in it and decide every return once."""
         background = scan_lidar(lidar, [], room)
-        return cls(grid, tuple(z_band), background, _roi_keep(background.points, grid, z_band))
+        rays = np.flatnonzero(np.isfinite(background.ranges))
+        kept = rays[_roi_keep(background.returns(rays).points, grid, z_band)]
+        return cls(grid, tuple(z_band), background, kept)
 
 
-def filter_roi(scan: RingScan, roi: Roi) -> RingScan:
-    """Keep points whose ground cell is marked and whose z is in the band;
-    kept points stay in scan order, so the result is ring-major too.
+def filter_roi(image: RangeImage, roi: Roi) -> RingScan:
+    """The image's returns whose ground cell is marked and whose z is in the
+    band, as a flat ring-major scan (see :meth:`RangeImage.returns`).
 
-    Point k takes the decision of the background's point k when both have
-    the same ring, azimuth and range: the same ray at the same range is
-    the same point. Every other point is looked up in the grid, so the
-    background sets only the cost, never the result (a ray that only one
-    of the two holds shifts the points after it onto the grid). The ROI
-    must be recorded by the scan's own sensor.
+    A ray whose range equals the background's exactly is the same point,
+    so it takes the background's decision. Only the returns whose range
+    changed are placed and looked up in the grid; the other points placed
+    are the kept ones. The background sets only the cost, never the
+    result. Raises ``ValueError`` if the image's sensor is not the one
+    the ROI was recorded with.
     """
-    bg = roi.background
-    n = min(scan.n_points, bg.n_points)
-    same = np.zeros(scan.n_points, dtype=bool)
-    same[:n] = ((scan.ranges[:n] == bg.ranges[:n]) & (scan.azimuths[:n] == bg.azimuths[:n])
-                & (scan.ring[:n] == bg.ring[:n]))
-    keep = np.zeros(scan.n_points, dtype=bool)
-    keep[:n] = roi.background_keep[:n] & same[:n]
-    other = np.flatnonzero(~same)
-    keep[other] = _roi_keep(scan.points[other], roi.grid, roi.z_band)
-    return replace(scan, ring=scan.ring[keep], azimuths=scan.azimuths[keep],
-                   ranges=scan.ranges[keep], points=scan.points[keep])
+    if image.model != roi.background.model:
+        raise ValueError("the image comes from another sensor than the ROI's background")
+    ranges, empty = image.ranges.ravel(), roi.background.ranges.ravel()
+    still = roi.background_kept[ranges[roi.background_kept] == empty[roi.background_kept]]
+    moved = np.flatnonzero(ranges != empty)
+    moved = moved[np.isfinite(ranges[moved])]
+    moved = moved[_roi_keep(image.returns(moved).points, roi.grid, roi.z_band)]
+    return image.returns(np.sort(np.concatenate([still, moved])))
 
 
 @dataclass(eq=False)

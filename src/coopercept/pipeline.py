@@ -169,8 +169,7 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
     messages = []
     predictions = {method: [] for method in methods}
     for t, world in world_frames:
-        scan = scan_lidar(node.lidar, world, config.room)
-        scan = filter_roi(scan, roi)
+        scan = filter_roi(scan_lidar(node.lidar, world, config.room), roi)
         boxes = [locate_boxes(detect_camera(cam, world, config.detector, rng), cam)
                  for cam, rng in zip(cameras, det_rngs)]
 
@@ -304,11 +303,14 @@ def run_bench(sizes, repetitions: int, seed: int):
     The hierarchical pipeline and point-level DBSCAN (``dbscan1``'s radius
     and core size) run alternately on one synthetic ring scan per requested
     size, each timed from the scan to its ``Cluster`` list; ``point_count``
-    is the actual scan size. ``sizes`` must be sorted ascending.
+    is the actual scan size. ``sizes`` must be sorted ascending and
+    ``repetitions`` at least 1, else ``ValueError``.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("sizes must be sorted ascending")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     methods = (("hierarchical", LOCAL_METHODS[METHOD_HIERARCHICAL]),
                ("dbscan", LOCAL_METHODS[METHOD_DBSCAN1]))
     params = ClusterParams()

@@ -6,6 +6,11 @@ a ring-structured LiDAR ray caster that reproduces the anisotropic
 scanning pattern of a mechanical sensor, and a noisy simulated 2D box
 detector standing in for a learned image model.
 
+A scan is a :class:`RangeImage`, one range per (ring, azimuth) ray as a
+spinning sensor reports it; :meth:`RangeImage.returns` places the points
+of its returns as the flat ring-major :class:`RingScan` that clustering
+reads.
+
 All functions are pure given their inputs and an explicit RNG, so frames
 can be generated from multiple threads with separate RNG streams.
 """
@@ -155,6 +160,8 @@ class LidarModel:
         elev = tuple(float(e) for e in self.ring_elevations)
         if any(b <= a for a, b in zip(elev, elev[1:])):
             raise ValueError("ring elevations must be strictly increasing")
+        if elev and not -math.pi / 2.0 < elev[0] <= elev[-1] < math.pi / 2.0:
+            raise ValueError("ring elevations must lie strictly between -pi/2 and pi/2")
         if not self.horizontal_resolution < self.vertical_resolution:
             raise ValueError("horizontal resolution must be finer than vertical")
         object.__setattr__(self, "ring_elevations", elev)
@@ -196,6 +203,42 @@ class RingScan:
     @property
     def n_points(self) -> int:
         return len(self.ranges)
+
+
+@dataclass
+class RangeImage:
+    """One LiDAR revolution as the sensor reports it: one range per ray.
+
+    ``ranges[ring, col]`` is the distance along ring ``ring`` at azimuth
+    ``-pi + col * dphi``, inf where the ray has no return within the
+    sensor's max_range. ``model`` is the sensor that took the image.
+    """
+
+    model: LidarModel
+    ranges: np.ndarray  # (n_rings, n_az)
+
+    @property
+    def n_points(self) -> int:
+        """Number of returns."""
+        return int(np.count_nonzero(np.isfinite(self.ranges)))
+
+    def returns(self, rays: np.ndarray | None = None) -> RingScan:
+        """The returns among ``rays`` (ascending flat ring-major ray indices,
+        ``ring * n_az + col``; every ray for None) as a flat scan, each ring
+        in azimuth order. Point ``k`` is ``origin + ranges[k] * direction``
+        of its ray."""
+        table = _ray_table(self.model)
+        ranges = self.ranges.ravel()
+        if rays is None:
+            rays = np.flatnonzero(np.isfinite(ranges))
+        else:
+            rays = rays[np.isfinite(ranges[rays])]
+        t = ranges[rays]
+        points = np.asarray(self.model.position) + t[:, None] * table.dirs.take(rays, axis=0)
+        ring, col = np.divmod(rays, table.n_az)
+        return RingScan(ring=ring, azimuths=table.az[col], ranges=t, points=points,
+                        dphi=self.model.horizontal_resolution,
+                        dtheta=self.model.vertical_resolution)
 
 
 @dataclass(frozen=True)
@@ -362,10 +405,74 @@ def _ray_floor(origin, dirs, room: Room):
     return np.where(ok & (t > _T_MIN), t, np.inf)
 
 
-def _object_ray_window(origin, obj: WorldObject, n_az: int, n_rings: int,
+def _shape_rows(objs: list[WorldObject]) -> np.ndarray:
+    """(n, 7) rows of x, y, cos(yaw), sin(yaw), the two half axes of the
+    footprint and the height, one per object."""
+    return np.array([(obj.x, obj.y, math.cos(obj.yaw), math.sin(obj.yaw),
+                      obj.footprint[0] * 0.5, obj.footprint[1] * 0.5, obj.height)
+                     for obj in objs]).reshape(-1, 7)
+
+
+@dataclass(frozen=True)
+class _RayTable:
+    """One sensor's rays, ring-major: ray ``k`` is ring ``k // n_az`` at
+    azimuth ``az[k % n_az]``, with unit direction ``dirs[k]``. Casting and
+    point placement both read ``dirs``. Arrays are read-only."""
+
+    az: np.ndarray  # (n_az,)
+    tan_e: np.ndarray  # (n_rings,) slope of each ring
+    dirs: np.ndarray  # (n_rings * n_az, 3)
+
+    @property
+    def n_az(self) -> int:
+        return len(self.az)
+
+
+@functools.lru_cache(maxsize=8)
+def _ray_table(model: LidarModel) -> _RayTable:
+    n_az = int(round(2.0 * math.pi / model.horizontal_resolution))
+    az = -math.pi + np.arange(n_az) * model.horizontal_resolution
+    elev = np.asarray(model.ring_elevations)
+    cos_e = np.cos(elev)[:, None]
+    dirs = np.stack(np.broadcast_arrays(cos_e * np.cos(az), cos_e * np.sin(az),
+                                        np.sin(elev)[:, None]), axis=-1).reshape(-1, 3)
+    table = _RayTable(az=az, tan_e=np.tan(elev), dirs=dirs)
+    for f in fields(table):
+        getattr(table, f.name).flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _static_ranges(model: LidarModel, room: Room | None) -> np.ndarray:
+    """Nearest wall or floor hit per ray within max_range, inf elsewhere or
+    without a map; flat ring-major and read-only."""
+    dirs = _ray_table(model).dirs
+    t = np.full(len(dirs), np.inf)
+    if room is not None:
+        origin = np.asarray(model.position, dtype=float)
+        for a, b in room.edges:
+            t = np.minimum(t, _ray_wall(origin, dirs, a, b, room.wall_height))
+        t = np.minimum(t, _ray_floor(origin, dirs, room))
+        t[t > model.max_range] = np.inf
+    t.flags.writeable = False
+    return t
+
+
+# Height slack of the ring cull, far above the rounding of a ray's height.
+_RING_CULL_SLACK = 1e-6  # m
+
+
+def _object_ray_window(origin, obj: WorldObject, rays: _RayTable,
                        dphi: float) -> np.ndarray | None:
-    """Indices of the rays whose azimuth can graze the object; None means
-    every ray is a candidate (sensor inside the footprint circumradius)."""
+    """Indices of the rays that can graze the object; None means every ray
+    is a candidate (sensor inside the footprint circumradius).
+
+    Every surface point of the object lies within ``radius`` of its center
+    and at a height in [0, height]. The azimuth window holds the columns
+    that can pass within ``radius``; of those, only the rings whose height
+    ``oz + h * tan(e)`` can be in [0, height] somewhere between horizontal
+    distances ``dist - radius`` and ``dist + radius`` are kept.
+    """
     radius = math.hypot(obj.footprint[0], obj.footprint[1]) * 0.5 + 0.05
     dx, dy = obj.x - origin[0], obj.y - origin[1]
     dist = math.hypot(dx, dy)
@@ -373,126 +480,64 @@ def _object_ray_window(origin, obj: WorldObject, n_az: int, n_rings: int,
         return None
     half = int(math.asin(radius / dist) / dphi) + 2
     center = int(round((math.atan2(dy, dx) + math.pi) / dphi))
-    cols = (center + np.arange(-half, half + 1)) % n_az
-    return (np.arange(n_rings)[:, None] * n_az + cols[None, :]).ravel()
-
-
-@dataclass(frozen=True)
-class _StaticRays:
-    """What every revolution of one sensor in one static map shares.
-
-    Rays are ring-major: ray ``k`` is ring ``k // n_az`` at azimuth
-    ``az[k % n_az]``. ``t_static`` is the nearest wall or floor hit per ray,
-    inf without a map or on a miss. Arrays are read-only.
-    """
-
-    az: np.ndarray
-    cos_az: np.ndarray
-    sin_az: np.ndarray
-    cos_e: np.ndarray
-    sin_e: np.ndarray
-    t_static: np.ndarray
-
-    @property
-    def n_az(self) -> int:
-        return len(self.az)
-
-    def directions(self, rays: np.ndarray | None = None) -> np.ndarray:
-        """Unit directions of the given rays (all rays for None)."""
-        if rays is None:
-            rays = np.arange(len(self.t_static))
-        ring, col = np.divmod(rays, self.n_az)
-        dirs = np.empty((len(rays), 3))
-        dirs[:, 0] = self.cos_e[ring] * self.cos_az[col]
-        dirs[:, 1] = self.cos_e[ring] * self.sin_az[col]
-        dirs[:, 2] = self.sin_e[ring]
-        return dirs
-
-
-@functools.lru_cache(maxsize=8)
-def _static_rays(model: LidarModel, room: Room | None) -> _StaticRays:
-    n_az = int(round(2.0 * math.pi / model.horizontal_resolution))
-    az = -math.pi + np.arange(n_az) * model.horizontal_resolution
-    elev = np.asarray(model.ring_elevations)
-    rays = _StaticRays(az=az, cos_az=np.cos(az), sin_az=np.sin(az),
-                       cos_e=np.cos(elev), sin_e=np.sin(elev),
-                       t_static=np.full(model.n_rings * n_az, np.inf))
-    if room is not None:
-        origin = np.asarray(model.position, dtype=float)
-        dirs = rays.directions()
-        t = rays.t_static
-        for a, b in room.edges:
-            t = np.minimum(t, _ray_wall(origin, dirs, a, b, room.wall_height))
-        rays = replace(rays, t_static=np.minimum(t, _ray_floor(origin, dirs, room)))
-    for f in fields(rays):
-        getattr(rays, f.name).flags.writeable = False
-    return rays
+    cols = (center + np.arange(-half, half + 1)) % rays.n_az
+    near = origin[2] + (dist - radius) * rays.tan_e
+    far = origin[2] + (dist + radius) * rays.tan_e
+    reach = ((np.maximum(near, far) >= -_RING_CULL_SLACK)
+             & (np.minimum(near, far) <= obj.height + _RING_CULL_SLACK))
+    return (np.flatnonzero(reach)[:, None] * rays.n_az + cols).ravel()
 
 
 def scan_lidar(model: LidarModel, world: list[WorldObject],
-               static_map: Room | None = None) -> RingScan:
-    """Cast one full revolution and return the nearest hit per ray.
+               static_map: Room | None = None) -> RangeImage:
+    """Cast one full revolution and return the nearest hit per ray as a
+    range image.
 
     Azimuths step k * dphi across (-pi, pi), identical for every ring; a
     physical object spanning the +/-pi seam therefore produces split
     segments, which the segment-level clustering may re-merge. Rays with
-    no surface within max_range produce no point.
+    no surface within max_range hold inf.
 
     The static map is cast once per (model, map) and cached. Each frame
-    casts only the rays that can graze an object and keeps the nearer hit,
-    which is exact.
+    casts only the rays that can graze an object (see
+    :func:`_object_ray_window`) and keeps the nearer hit, which is exact.
     """
     origin = np.asarray(model.position, dtype=float)
-    rays = _static_rays(model, static_map)
-    n_az = rays.n_az
-
-    t = rays.t_static.copy()
+    rays = _ray_table(model)
+    t = _static_ranges(model, static_map).copy()
     for label, cast in ((PERSON, _ray_ellipse_cylinder), (BED, _ray_box)):
         objs = [obj for obj in world if obj.class_label == label]
         if not objs:
             continue
         # One cast for every object of the class, each over its own window.
-        windows = [_object_ray_window(origin, obj, n_az, model.n_rings,
-                                      model.horizontal_resolution) for obj in objs]
+        windows = [_object_ray_window(origin, obj, rays, model.horizontal_resolution)
+                   for obj in objs]
         windows = [np.arange(len(t)) if w is None else w for w in windows]
-        shapes = np.array([(obj.x, obj.y, math.cos(obj.yaw), math.sin(obj.yaw),
-                            obj.footprint[0] * 0.5, obj.footprint[1] * 0.5, obj.height)
-                           for obj in objs])
+        shapes = _shape_rows(objs)
         cand = np.concatenate(windows)
         per_ray = np.repeat(shapes, [len(w) for w in windows], axis=0)
-        t_obj = cast(origin, rays.directions(cand), *per_ray.T)
+        t_obj = cast(origin, rays.dirs.take(cand, axis=0), *per_ray.T)
+        t_obj[t_obj > model.max_range] = np.inf
         np.minimum.at(t, cand, t_obj)  # windows of different objects overlap
-
-    # Ring-major (n_rings, n_az) grids; the direction products match
-    # _StaticRays.directions element for element.
-    t = t.reshape(model.n_rings, n_az)
-    valid = t <= model.max_range
-    cos_e = rays.cos_e[:, None]
-    with np.errstate(invalid="ignore"):  # inf * 0 on rays that hit nothing
-        points = np.stack([(origin[0] + t * (cos_e * rays.cos_az))[valid],
-                           (origin[1] + t * (cos_e * rays.sin_az))[valid],
-                           (origin[2] + t * rays.sin_e[:, None])[valid]], axis=1)
-    ring, azimuths = np.broadcast_arrays(np.arange(model.n_rings)[:, None], rays.az)
-    return RingScan(ring=ring[valid], azimuths=azimuths[valid], ranges=t[valid],
-                    points=points, dphi=model.horizontal_resolution,
-                    dtheta=model.vertical_resolution)
+    return RangeImage(model, t.reshape(model.n_rings, rays.n_az))
 
 
 # ---------------------------------------------------------------------------
 # Simulated 2D detector
 # ---------------------------------------------------------------------------
 
-def _object_corners(obj: WorldObject) -> np.ndarray:
-    """The 8 corners of the object's upright bounding box, world frame."""
-    hx, hy = obj.footprint[0] * 0.5, obj.footprint[1] * 0.5
-    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
-    corners = []
-    for dx, dy in ((hx, hy), (hx, -hy), (-hx, hy), (-hx, -hy)):
-        wx = obj.x + dx * c - dy * s
-        wy = obj.y + dx * s + dy * c
-        corners.append((wx, wy, 0.0))
-        corners.append((wx, wy, obj.height))
-    return np.array(corners)
+def _object_corners(world: list[WorldObject]) -> np.ndarray:
+    """The 8 corners of each object's upright bounding box, world frame;
+    (8 * len(world), 3), object by object."""
+    x, y, c, s, hx, hy, height = (col[:, None] for col in _shape_rows(world).T)
+    dx = np.hstack([hx, hx, -hx, -hx])
+    dy = np.hstack([hy, -hy, hy, -hy])
+    corners = np.empty((len(world), 4, 2, 3))
+    corners[:, :, :, 0] = (x + dx * c - dy * s)[:, :, None]
+    corners[:, :, :, 1] = (y + dx * s + dy * c)[:, :, None]
+    corners[:, :, 0, 2] = 0.0
+    corners[:, :, 1, 2] = height
+    return corners.reshape(-1, 3)
 
 
 def detect_camera(camera: CameraModel, world: list[WorldObject],
@@ -502,19 +547,21 @@ def detect_camera(camera: CameraModel, world: list[WorldObject],
     pixel for persons, and add spurious boxes.
 
     ``rng`` is a numpy Generator or a seed for one. Objects behind the
-    camera plane are skipped.
+    camera plane are skipped. The corners of every object are projected
+    in one call.
     """
     rng = np.random.default_rng(rng)
     width, height = camera.image_size
     sigma = profile.pixel_noise_sigma
     detections: list[BBox2D] = []
 
-    for obj in world:
-        pix, depth = project_points(camera, _object_corners(obj))
-        if depth.min() <= _T_MIN:
-            continue  # (partly) behind the camera plane
-        x_min, y_min = pix.min(axis=0)
-        x_max, y_max = pix.max(axis=0)
+    pix, depth = project_points(camera, _object_corners(world))
+    pix = pix.reshape(-1, 8, 2)
+    lo, hi = pix.min(axis=1), pix.max(axis=1)
+    in_front = depth.reshape(-1, 8).min(axis=1) > _T_MIN  # else (partly) behind the camera
+    for obj, front, (x_min, y_min), (x_max, y_max) in zip(world, in_front, lo, hi):
+        if not front:
+            continue
         cx_box, cy_box = (x_min + x_max) * 0.5, (y_min + y_max) * 0.5
         if not (0.0 <= cx_box < width and 0.0 <= cy_box < height):
             continue
@@ -570,7 +617,7 @@ def make_benchmark_scan(target_points: int, seed: int = 0) -> RingScan:
     that separates the two clustering methods.
     """
     if target_points <= 0:
-        return scan_lidar(LidarModel.uniform((0.0, 0.0, 2.0)), [])  # nothing to hit
+        return scan_lidar(LidarModel.uniform((0.0, 0.0, 2.0)), []).returns()  # nothing to hit
     rng = np.random.default_rng(seed)
     room = Room.rectangle(-12.0, -12.0, 12.0, 12.0)
     objects = []
@@ -593,7 +640,7 @@ def make_benchmark_scan(target_points: int, seed: int = 0) -> RingScan:
     def build(dphi):
         model = LidarModel.uniform((0.0, 0.0, 2.0), n_rings=n_rings,
                                    horizontal_resolution=dphi, max_range=40.0)
-        return scan_lidar(model, objects, room)
+        return scan_lidar(model, objects, room).returns()
 
     scan = build(dphi)
     got = scan.n_points

@@ -3,13 +3,13 @@
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
 exceptions are the fusion-cycle, box-association, segment-grouping,
-wall-distance and tracker oracles. They keep the per-pair (per-edge)
-loops and per-segment (per-track) objects the package replaced, numpy
-calls included, so that their results can be compared bit for bit. They
-call the package's ``gated_assignment``
+wall-distance, detector and tracker oracles. They keep the per-pair
+(per-edge, per-object) loops and per-segment (per-track) objects the
+package replaced, numpy calls included, so that their results can be
+compared bit for bit. They call the package's ``gated_assignment``
 (the box oracle its ``project_points``, the grouping oracle its
-``segment_distances``, the tracker its ``ctrv_step`` and
-``ctrv_jacobian``), as the replaced code did.
+``segment_distances``, the detector its ``_jittered_box``, the tracker
+its ``ctrv_step`` and ``ctrv_jacobian``), as the replaced code did.
 """
 
 import itertools
@@ -21,12 +21,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from coopercept.assignment import gated_assignment
-from coopercept.camera import FOOT_COSINE_THRESHOLD, project_points
+from coopercept.camera import FOOT, FOOT_COSINE_THRESHOLD, PERSON, BBox2D, project_points
 from coopercept.clustering import EPSILON_CUSTOM, segment_distances
 from coopercept.global_fusion import BASE_POSITION_VAR, CONTINUITY_GATE, PROCESS_RATE
 from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
                                      DEFAULT_OVERLAP_WEIGHT)
 from coopercept.motion import ctrv_jacobian, ctrv_step, wrap_angle
+from coopercept.scene import _jittered_box
 from coopercept.tracking import (ASSOCIATION_GATE, INITIAL_VARIANCE, MEASUREMENT_SIGMA,
                                  PROCESS_NOISE_RATE, SPAWN_SUPPRESSION_RADIUS,
                                  YAW_INIT_DISPLACEMENT, StampedObjectList, TrackedObject,
@@ -393,6 +394,72 @@ def brute_force_scan(model, world, room=None):
             np.array([h[1] for h in hits], dtype=float),
             np.array([h[2] for h in hits], dtype=float),
             np.array([h[3] for h in hits], dtype=float).reshape(-1, 3))
+
+
+# -- simulated detector ----------------------------------------------------------
+
+def _project_rows(camera, points):
+    """Pixels and depths of (n, 3) points: one product of all the rows, then
+    a division wherever the depth is not degenerate (NaN pixels elsewhere)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    u = np.hstack([pts, np.ones((len(pts), 1))]) @ camera.H.T
+    depth = u[:, 2]
+    ok = np.abs(depth) >= 1e-12
+    pix = np.full((len(pts), 2), np.nan)
+    pix[ok] = u[ok, :2] / depth[ok, None]
+    return pix, depth
+
+
+def _object_corners(obj):
+    """The 8 corners of the object's upright bounding box, world frame."""
+    hx, hy = obj.footprint[0] * 0.5, obj.footprint[1] * 0.5
+    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+    corners = []
+    for dx, dy in ((hx, hy), (hx, -hy), (-hx, hy), (-hx, -hy)):
+        wx = obj.x + dx * c - dy * s
+        wy = obj.y + dx * s + dy * c
+        corners.append((wx, wy, 0.0))
+        corners.append((wx, wy, obj.height))
+    return np.array(corners)
+
+
+def per_object_detect_camera(camera, world, profile, rng):
+    """The simulated detector with one 8-row corner projection per object
+    and one row per foot, drawing from ``rng`` in the package's order."""
+    rng = np.random.default_rng(rng)
+    width, height = camera.image_size
+    sigma = profile.pixel_noise_sigma
+    detections = []
+    for obj in world:
+        pix, depth = _project_rows(camera, _object_corners(obj))
+        if depth.min() <= T_MIN:
+            continue
+        x_min, y_min = pix.min(axis=0)
+        x_max, y_max = pix.max(axis=0)
+        cx_box, cy_box = (x_min + x_max) * 0.5, (y_min + y_max) * 0.5
+        if not (0.0 <= cx_box < width and 0.0 <= cy_box < height):
+            continue
+        if rng.random() < profile.miss_rate:
+            continue
+        detections.append(_jittered_box(x_min, y_min, x_max, y_max, obj.class_label, rng,
+                                        sigma, confidence=float(rng.uniform(0.7, 1.0))))
+        if obj.class_label == PERSON and rng.random() < profile.foot_detection_rate:
+            ground = _project_rows(camera, [(obj.x, obj.y, 0.0)])[0][0]
+            fw = max(2.0, 0.3 * (x_max - x_min))
+            fh = max(2.0, 0.12 * (y_max - y_min))
+            detections.append(_jittered_box(
+                ground[0] - fw * 0.5, ground[1] - fh, ground[0] + fw * 0.5, ground[1],
+                FOOT, rng, sigma, confidence=float(rng.uniform(0.6, 0.95))))
+    for _ in range(rng.poisson(profile.false_positive_rate)):
+        w = rng.uniform(20.0, 80.0)
+        h = rng.uniform(40.0, 160.0)
+        cx_box = rng.uniform(0.0, width)
+        cy_box = rng.uniform(0.0, height)
+        detections.append(BBox2D(
+            x_min=cx_box - w * 0.5, y_min=cy_box - h * 0.5,
+            x_max=cx_box + w * 0.5, y_max=cy_box + h * 0.5,
+            class_label=PERSON, confidence=float(rng.uniform(0.3, 0.6))))
+    return detections
 
 
 # -- per-ring adaptive-radius DBSCAN -------------------------------------------

@@ -1,4 +1,5 @@
-"""Ring scans for tests: built by hand, or ROI-filtered from the built-ins."""
+"""Ring scans and range images for tests: built by hand, or ROI-filtered
+from the built-ins."""
 
 import math
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 from coopercept.local_fusion import Roi, RoiGrid, filter_roi
 from coopercept.pipeline import simulate_world
 from coopercept.scenarios import BUILTIN_SCENARIOS
-from coopercept.scene import RingScan, scan_lidar
+from coopercept.scene import RangeImage, RingScan, scan_lidar
 
 
 def scan_from_rings(rings, dphi=math.radians(0.2), dtheta=math.radians(2.0)):
@@ -27,6 +28,16 @@ def scan_from_rings(rings, dphi=math.radians(0.2), dtheta=math.radians(2.0)):
                               + [np.asarray(p, dtype=float).reshape(-1, 3)
                                  for _, _, _, p in rings]),
         dphi=dphi, dtheta=dtheta)
+
+
+def image_of(scan, model):
+    """A RangeImage of ``model`` that holds each return of the flat ``scan``
+    at its ray (ring, azimuth) and inf on every other ray."""
+    n_az = round(2.0 * math.pi / model.horizontal_resolution)
+    col = np.rint((scan.azimuths + math.pi) / model.horizontal_resolution).astype(int)
+    ranges = np.full((model.n_rings, n_az), np.inf)
+    ranges[scan.ring, col] = scan.ranges
+    return RangeImage(model, ranges)
 
 
 def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None):

@@ -274,7 +274,7 @@ def test_cluster_scan_seam_and_sparse_rings_match_brute_force():
     # a person straddling the +/-pi seam, split into two segments per ring
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
                                elevation_min=math.radians(-15.0))
-    scan = scan_lidar(lidar, [make_person(1, -4.0, 0.0), make_person(2, 3.0, 1.0)])
+    scan = scan_lidar(lidar, [make_person(1, -4.0, 0.0), make_person(2, 3.0, 1.0)]).returns()
     rings = [(r, scan.azimuths[scan.ring == r], scan.ranges[scan.ring == r],
               scan.points[scan.ring == r]) for r in np.unique(scan.ring).tolist()]
     # rings with fewer than n_min points are all noise
@@ -302,7 +302,7 @@ def test_ring_segments_follow_the_scanning_sensors_resolution():
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16, elevation_min=math.radians(-15.0),
                                horizontal_resolution=fine)
     scan = scan_lidar(lidar, [make_person(1, 4.0, 0.0), make_person(2, 4.0, 0.9),
-                              make_bed(3, -6.0, 1.0, yaw=0.3)])
+                              make_bed(3, -6.0, 1.0, yaw=0.3)]).returns()
     assert (scan.dphi, scan.dtheta) == (fine, lidar.vertical_resolution)
     got = scan_segments(scan, PARAMS)
     assert got == oracle_segments(scan, PARAMS, dphi=fine)
@@ -450,7 +450,7 @@ def test_flanking_scene_counts():
     # the geometry where no single point-level radius works: small radius
     # shatters rings apart, large radius swallows persons into the bed
     lidar, objects = flanking_scene()
-    scan = scan_lidar(lidar, objects)
+    scan = scan_lidar(lidar, objects).returns()
     points = scan.points
 
     hier = cluster_scan(scan, PARAMS)
@@ -498,7 +498,7 @@ def test_dbscan_matches_brute_force():
 
 def test_partition_property():
     lidar, objects = flanking_scene()
-    scan = scan_lidar(lidar, objects)
+    scan = scan_lidar(lidar, objects).returns()
     clusters = cluster_scan(scan, PARAMS)
     counts = sum(len(c.points) for c in clusters)
     # every clustered point appears exactly once across clusters
@@ -514,7 +514,7 @@ def test_methods_agree_on_isolated_object():
     params = ClusterParams(n_min=8)
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=16,
                                elevation_min=math.radians(-15.0))
-    scan = scan_lidar(lidar, [make_person(1, 4.0, 0.0)])
+    scan = scan_lidar(lidar, [make_person(1, 4.0, 0.0)]).returns()
     hier = cluster_scan(scan, params)
     labels = dbscan_baseline(scan.points, eps=0.3, n_min=8)
     base = clusters_from_labels(scan.points, labels)
@@ -564,7 +564,7 @@ def test_clusters_from_labels_order_ties_gaps_and_noise():
 
 def test_cluster_invariants():
     lidar, objects = flanking_scene()
-    scan = scan_lidar(lidar, objects)
+    scan = scan_lidar(lidar, objects).returns()
     for cluster in cluster_scan(scan, PARAMS):
         assert np.allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-12)
 

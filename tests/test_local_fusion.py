@@ -20,7 +20,7 @@ from coopercept.local_fusion import (
     filter_roi,
     merge_camera_views,
 )
-from coopercept.scene import LidarModel, Room, make_person, scan_lidar
+from coopercept.scene import LidarModel, RangeImage, Room, make_person, scan_lidar
 from coopercept.assignment import gated_assignment
 
 from oracles import (
@@ -32,7 +32,7 @@ from oracles import (
     brute_force_merge_views,
     per_edge_wall_distances,
 )
-from scans import scan_from_rings
+from scans import image_of
 
 
 def all_true_grid(extent=10.0, cell=0.5):
@@ -69,26 +69,27 @@ def fake_cluster(x, y, z=0.9, spread=0.1):
 # -- ROI filtering -----------------------------------------------------------
 
 def test_all_true_grid_wide_band_is_identity():
-    scan, room = room_scan()
-    out = filter_roi(scan, Roi.record(ROOM_LIDAR, room, all_true_grid(), (-10.0, 10.0)))
-    assert out.n_points == scan.n_points
+    image, room = room_scan()
+    out = filter_roi(image, Roi.record(ROOM_LIDAR, room, all_true_grid(), (-10.0, 10.0)))
+    scan = image.returns()
+    assert out.n_points == scan.n_points == image.n_points
     assert np.array_equal(scan.ring, out.ring)
     assert np.array_equal(scan.points, out.points)
     assert np.array_equal(scan.azimuths, out.azimuths)
 
 
 def test_all_false_grid_empties_scan():
-    scan, room = room_scan()
+    image, room = room_scan()
     grid = all_true_grid()
     grid.mask[:] = False
-    out = filter_roi(scan, Roi.record(ROOM_LIDAR, room, grid, (-10.0, 10.0)))
+    out = filter_roi(image, Roi.record(ROOM_LIDAR, room, grid, (-10.0, 10.0)))
     assert out.n_points == 0
 
 
 def test_walls_and_floor_removed_person_kept():
-    scan, room = room_scan()
+    image, room = room_scan()
     grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
-    out = filter_roi(scan, Roi.record(ROOM_LIDAR, room, grid, (0.1, 2.2)))
+    out = filter_roi(image, Roi.record(ROOM_LIDAR, room, grid, (0.1, 2.2)))
     pts = out.points
     assert len(pts) > 0
     # everything that survives sits near the person, not on walls or floor
@@ -96,7 +97,7 @@ def test_walls_and_floor_removed_person_kept():
     assert np.all(np.abs(pts[:, 1] - 0.5) < 1.0)
     assert np.all(pts[:, 2] >= 0.1)
     # and the wall/floor returns were actually there before filtering
-    assert scan.n_points > 4 * len(pts)
+    assert image.n_points > 4 * len(pts)
 
 
 def test_roi_grid_matches_per_edge_wall_loop_on_concave_room():
@@ -116,17 +117,18 @@ def test_roi_grid_matches_per_edge_wall_loop_on_concave_room():
 
 
 def test_filter_roi_idempotent():
-    scan, room = room_scan()
+    image, room = room_scan()
     roi = Roi.record(ROOM_LIDAR, room, RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3))
-    once = filter_roi(scan, roi)
-    twice = filter_roi(once, roi)
+    once = filter_roi(image, roi)
+    twice = filter_roi(image_of(once, ROOM_LIDAR), roi)
     assert once.n_points == twice.n_points
     assert np.array_equal(once.ring, twice.ring)
     assert np.array_equal(once.points, twice.points)
 
 
-def assert_filter_matches_oracle(scan, roi):
-    out = filter_roi(scan, roi)
+def assert_filter_matches_oracle(image, roi):
+    scan = image.returns()
+    out = filter_roi(image, roi)
     kept = np.asarray(brute_force_filter_roi(scan, roi.grid, roi.z_band), dtype=int)
     assert_kept(out, scan, kept)
     return out
@@ -150,9 +152,9 @@ def test_filter_roi_matches_per_ring_oracle_on_builtin_scans():
         grid = RoiGrid.from_polygon(config.room)
         t, world = simulate_world(config)[15]
         for node in config.nodes:
-            scan = scan_lidar(node.lidar, world, config.room)
+            image = scan_lidar(node.lidar, world, config.room)
             roi = Roi.record(node.lidar, config.room, grid, config.z_band)
-            kept += assert_filter_matches_oracle(scan, roi).n_points
+            kept += assert_filter_matches_oracle(image, roi).n_points
     assert kept > 0
 
 
@@ -161,8 +163,8 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
     moves detector noise and channel latency, not the walks, the room or
     the sensors, so the seeds share their scans: the test checks that and
     filters each scan once. The oracle is a function of a point's
-    coordinates alone, so each frame evaluates it only on the rows that
-    differ from the empty room's row at the same index."""
+    coordinates alone, so each frame evaluates it only on the returns that
+    differ from the empty room's return on the same ray."""
     from coopercept.pipeline import simulate_world
     from coopercept.scenarios import BUILTIN_SCENARIOS
 
@@ -175,21 +177,23 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
         assert simulate_world(build(2411)) == world_frames
         for node in config.nodes:
             roi = Roi.record(node.lidar, config.room, grid, config.z_band)
-            empty = roi.background
+            empty = roi.background.returns()
+            empty_rays = np.flatnonzero(np.isfinite(roi.background.ranges))
             empty_keep = np.zeros(empty.n_points, dtype=bool)
             empty_keep[brute_force_filter_roi(empty, grid, config.z_band)] = True
-            assert np.array_equal(roi.background_keep, empty_keep)
+            assert np.array_equal(roi.background_kept, empty_rays[empty_keep])
+            empty_at = np.full(roi.background.ranges.size, -1)  # ray -> background return
+            empty_at[empty_rays] = np.arange(empty.n_points)
             for t, world in world_frames:
-                scan = scan_lidar(node.lidar, world, config.room)
-                n = min(scan.n_points, empty.n_points)
-                same = np.zeros(scan.n_points, dtype=bool)
-                same[:n] = (scan.points[:n] == empty.points[:n]).all(axis=1)
-                keep = np.zeros(scan.n_points, dtype=bool)
-                keep[:n] = empty_keep[:n] & same[:n]
+                image = scan_lidar(node.lidar, world, config.room)
+                scan = image.returns()
+                j = empty_at[np.flatnonzero(np.isfinite(image.ranges))]
+                same = (j >= 0) & (scan.points == empty.points[j]).all(axis=1)
+                keep = same & empty_keep[j]
                 other = np.flatnonzero(~same)
                 moved = replace(scan, points=scan.points[other])
                 keep[other[brute_force_filter_roi(moved, grid, config.z_band)]] = True
-                assert_kept(filter_roi(scan, roi), scan, np.flatnonzero(keep))
+                assert_kept(filter_roi(image, roi), scan, np.flatnonzero(keep))
                 frames += 1
                 from_background += int(same.sum())
     assert frames == 3 * 2 * 600
@@ -197,35 +201,45 @@ def test_background_filter_matches_oracle_on_every_builtin_frame():
 
 
 def test_filter_roi_matches_per_ring_oracle_on_empty_and_dropped_rings():
-    scan, room = room_scan()
+    # walls low enough that the upward rays miss the far walls, so the
+    # empty room has rays without a return
+    room = Room.rectangle(-6.0, -6.0, 6.0, 6.0, wall_height=2.0)
     grid = RoiGrid.from_polygon(room, cell_size=0.1, margin=0.3)
-    # every ring of the scan, with ids 2k (non-contiguous), then a ring
-    # lifted above the z band
-    rings = [(2 * r, scan.azimuths[scan.ring == r], scan.ranges[scan.ring == r],
-              scan.points[scan.ring == r]) for r in np.unique(scan.ring)]
-    source = np.bincount(scan.ring).argmax()
-    on = scan.ring == source
-    lifted = (40, scan.azimuths[on], scan.ranges[on],
-              scan.points[on] + np.array([0.0, 0.0, 10.0]))
-    mixed = scan_from_rings(rings + [lifted])
-    # against the room's real background, only ring 0 keeps its id and its
-    # place, so the other rings have no background ray and take the grid
     roi = Roi.record(ROOM_LIDAR, room, grid, (0.1, 2.2))
+    image = scan_lidar(ROOM_LIDAR, [make_person(1, 3.0, 0.5)], room)
+    ranges = image.ranges.copy()
+    missing = ~np.isfinite(ranges)
+    assert missing.any() and not missing.all()
+    ranges[missing] = 3.0  # rays the empty room lacks gain a return
+    ranges[2] = np.inf  # ring 2 loses every return
+    ranges[4] *= 2.0  # ring 4 returns from twice as far, below the floor
+    mixed = RangeImage(ROOM_LIDAR, ranges)
     looked_up = []
     roi_keep = local_fusion._roi_keep
     with mock.patch.object(local_fusion, "_roi_keep",
                            lambda p, *a: looked_up.append(len(p)) or roi_keep(p, *a)):
         out = assert_filter_matches_oracle(mixed, roi)
-        assert_filter_matches_oracle(scan, roi)
-        empty = assert_filter_matches_oracle(scan_from_rings([]), roi)
-    assert out.n_points > 0 and on.sum() > 0
-    assert 40 not in out.ring  # the lifted ring leaves no entry
+        assert_filter_matches_oracle(image, roi)
+        empty = assert_filter_matches_oracle(RangeImage(ROOM_LIDAR, np.full_like(ranges, np.inf)),
+                                             roi)
+    assert out.n_points > 0 and 2 not in out.ring and 4 not in out.ring
     assert empty.n_points == 0 and empty.points.shape == (0, 3)
-    assert scan.n_points == roi.background.n_points
-    unmoved = scan.ranges == roi.background.ranges  # the person moves some rays
-    unmoved_ring0 = int((unmoved & (scan.ring == 0)).sum())
-    assert unmoved_ring0 > 0 and not unmoved.all()
-    assert looked_up == [mixed.n_points - unmoved_ring0, int((~unmoved).sum()), 0]
+    # only returns on rays whose range changed are placed and looked up
+    unmoved = image.ranges == roi.background.ranges  # the person moves some rays
+    assert unmoved.any() and not unmoved.all()
+    changed = (ranges != roi.background.ranges) & np.isfinite(ranges)
+    assert looked_up == [int(changed.sum()),
+                         int((~unmoved & np.isfinite(image.ranges)).sum()), 0]
+
+
+def test_filter_roi_rejects_an_image_of_another_sensor():
+    image, room = room_scan()
+    roi = Roi.record(ROOM_LIDAR, room, RoiGrid.from_polygon(room))
+    assert filter_roi(RangeImage(replace(ROOM_LIDAR), image.ranges), roi).n_points > 0
+    for other in (replace(ROOM_LIDAR, position=(0.0, 0.0, 1.7)),
+                  replace(ROOM_LIDAR, max_range=20.0)):
+        with pytest.raises(ValueError, match="another sensor"):
+            filter_roi(RangeImage(other, image.ranges), roi)
 
 
 def test_points_outside_grid_extent_dropped():

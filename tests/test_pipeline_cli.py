@@ -567,6 +567,23 @@ def test_cli_bench_writes_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_cli_bench_rejects_reps_below_one(tmp_path, capsys):
+    for reps, message in (("0", "reps must be >= 1"), ("-2", "reps must be >= 1")):
+        rc = main(["bench", "--sizes", "1000", "--reps", reps, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+    rc = main(["bench", "--sizes=-5,1000", "--reps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "error: sizes must be >= 0"
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_run_bench_rejects_fewer_than_one_repetition():
+    for reps in (0, -1):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            pipeline.run_bench([1000], repetitions=reps, seed=0)
+
+
 def test_cli_dump_names_keep_fractional_delays_apart(tmp_path):
     data = replace(nine_pedestrians(), delay_grid_ms=(50.2, 50.7)).to_dict()
     path = tmp_path / "scenario.yaml"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coopercept import scene
 from coopercept.camera import CameraModel, project_points, recover_ground_position
 from coopercept.local_fusion import locate_boxes
 from coopercept.scene import (
@@ -17,7 +18,8 @@ from coopercept.scene import (
     simulate_step,
 )
 
-from oracles import brute_force_scan, per_edge_wall_distances, scalar_ctrv_iterate
+from oracles import (brute_force_scan, per_edge_wall_distances, per_object_detect_camera,
+                     scalar_ctrv_iterate)
 
 
 def overhead_camera():
@@ -151,7 +153,7 @@ def test_intra_ring_spacing_on_cylinder():
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=3,
                                elevation_min=math.radians(-2.0))
     person = make_person(1, 5.0, 0.0, height=1.8)
-    scan = scan_lidar(lidar, [person])
+    scan = scan_lidar(lidar, [person]).returns()
     ring = np.flatnonzero(np.bincount(scan.ring) > 10)[0]
     # central part of the arc (away from grazing edges)
     pts = scan.points[scan.ring == ring][3:-3]
@@ -166,7 +168,7 @@ def test_inter_ring_spacing_on_wall():
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=2,
                                elevation_min=math.radians(-1.0))
     room = Room.rectangle(-1.0, -8.0, 10.0, 8.0, wall_height=3.0)
-    scan = scan_lidar(lidar, [], static_map=room)
+    scan = scan_lidar(lidar, [], static_map=room).returns()
     r0, r1 = ({round(a, 6): p for a, p in zip(scan.azimuths[on], scan.points[on])}
               for on in (scan.ring == 0, scan.ring == 1))
     shared = sorted(set(r0) & set(r1))
@@ -184,7 +186,7 @@ def test_point_geometry_consistency():
                                elevation_min=math.radians(-11.0))
     room = Room.rectangle(-6.0, -6.0, 6.0, 6.0)
     world = [make_person(1, 3.0, 1.0), make_bed(2, -2.0, -3.0)]
-    scan = scan_lidar(lidar, world, room)
+    scan = scan_lidar(lidar, world, room).returns()
     origin = np.array(lidar.position)
     assert np.all(np.diff(scan.ring) >= 0)
     for ring in np.unique(scan.ring):
@@ -207,7 +209,7 @@ def test_scanning_anisotropy_ratio():
     lidar = LidarModel.uniform((0.0, 0.0, 1.5), n_rings=4,
                                elevation_min=math.radians(-3.0))
     room = Room.rectangle(-1.0, -10.0, 8.0, 10.0, wall_height=4.0)
-    scan = scan_lidar(lidar, [], static_map=room)
+    scan = scan_lidar(lidar, [], static_map=room).returns()
     front = [(scan.azimuths[scan.ring == r], scan.points[scan.ring == r])
              for r in np.unique(scan.ring)]
     # use columns near azimuth 0 on the x=8 wall
@@ -232,7 +234,7 @@ def test_occlusion_nearest_hit():
                                elevation_min=math.radians(-8.0))
     near = make_person(1, 3.0, 0.0)
     far = make_person(2, 6.0, 0.0)
-    scan = scan_lidar(lidar, [near, far])
+    scan = scan_lidar(lidar, [near, far]).returns()
     pts = scan.points
     # straight-ahead rays must stop at the near person
     central = pts[np.abs(np.arctan2(pts[:, 1], pts[:, 0])) < 0.02]
@@ -271,7 +273,7 @@ def test_scan_matches_brute_force_over_walk():
     sensors = [coarse_lidar(node.lidar.position) for node in config.nodes]
     for _, world in frames:
         for lidar in sensors:
-            scan = scan_lidar(lidar, world, config.room)
+            scan = scan_lidar(lidar, world, config.room).returns()
             assert_scan_bitwise(scan, brute_force_scan(lidar, world, config.room))
 
 
@@ -283,7 +285,7 @@ def test_scan_matches_brute_force_with_sensor_inside_object():
     world = [make_person(1, 0.15, 0.1, yaw=0.3, height=1.8),
              make_bed(2, 2.5, -1.0, yaw=0.7), make_person(3, -3.0, 2.0)]
     for step in range(3):
-        scan = scan_lidar(lidar, world, room)
+        scan = scan_lidar(lidar, world, room).returns()
         assert_scan_bitwise(scan, brute_force_scan(lidar, world, room))
         world = simulate_step(world, 0.1, room)
 
@@ -292,9 +294,54 @@ def test_scan_without_static_map_matches_brute_force():
     lidar = coarse_lidar((0.0, 0.0, 1.5), n_rings=8, elevation_min=-15.0, step=4.0)
     world = [make_person(1, 3.0, 0.0), make_person(2, -4.0, 0.05, yaw=1.0),
              make_bed(3, 0.5, 5.0, yaw=0.2)]
-    scan = scan_lidar(lidar, world)
+    scan = scan_lidar(lidar, world).returns()
     assert scan.n_points > 0
     assert_scan_bitwise(scan, brute_force_scan(lidar, world))
+
+
+def test_lidar_rings_must_point_below_vertical():
+    # the ray cull measures each ring's horizontal reach with cos(e) > 0
+    assert coarse_lidar((0.0, 0.0, 1.0), n_rings=2, elevation_min=-89.0, step=178.0).n_rings == 2
+    for elevation_min, step in ((-90.0, 6.0), (80.0, 10.0), (-100.0, 6.0)):
+        with pytest.raises(ValueError, match="between -pi/2 and pi/2"):
+            coarse_lidar((0.0, 0.0, 1.0), n_rings=2, elevation_min=elevation_min, step=step)
+
+
+def test_scan_matches_brute_force_on_random_scenes():
+    """Random sensors and scenes against the unculled ray-by-ray caster.
+    Sensor heights fall below bed tops (0.8-1.2 m), between the classes,
+    inside the persons' 1.4-2.0 m and above both; each trial places one
+    object within 1.5 m, often with the sensor inside its circumradius,
+    one at 1.5-4 m and one at 4-10 m, of either class; every other trial
+    adds a room."""
+    rng = np.random.default_rng(2411)
+    room = Room.rectangle(-11.0, -11.0, 11.0, 11.0)
+    cast = culled = 0
+    for trial in range(24):
+        height = (0.3, 1.0, 1.3, 1.6, 1.95, 3.0)[trial % 6]
+        lidar = coarse_lidar((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), height),
+                             n_rings=int(rng.integers(2, 9)),
+                             elevation_min=rng.uniform(-40.0, 5.0),
+                             step=rng.uniform(2.0, 9.0), dphi=1.0)
+        world = []
+        for k, (lo, hi) in enumerate(((0.2, 1.5), (1.5, 4.0), (4.0, 10.0))):
+            r, a = rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi)
+            x, y = lidar.position[0] + r * math.cos(a), lidar.position[1] + r * math.sin(a)
+            yaw = rng.uniform(-math.pi, math.pi)
+            world.append(make_person(k, x, y, yaw=yaw, height=rng.uniform(1.4, 2.0))
+                         if rng.random() < 0.6 else
+                         make_bed(k, x, y, yaw=yaw, height=rng.uniform(0.8, 1.2)))
+        static = room if trial % 2 else None
+        assert_scan_bitwise(scan_lidar(lidar, world, static).returns(),
+                            brute_force_scan(lidar, world, static))
+        rays = scene._ray_table(lidar)
+        for obj in world:
+            window = scene._object_ray_window(np.array(lidar.position), obj, rays,
+                                              lidar.horizontal_resolution)
+            if window is not None:
+                cast += 1
+                culled += len(np.unique(window // rays.n_az)) < lidar.n_rings
+    assert cast > 40 and culled > 20  # the ring cull acted on many objects
 
 
 def test_writing_to_a_scan_leaves_the_next_scan_unchanged():
@@ -303,8 +350,10 @@ def test_writing_to_a_scan_leaves_the_next_scan_unchanged():
     world = [make_person(1, 2.0, 1.0)]
     expected = brute_force_scan(lidar, world, room)
     for _ in range(2):
-        scan = scan_lidar(lidar, world, room)
+        image = scan_lidar(lidar, world, room)
+        scan = image.returns()
         assert_scan_bitwise(scan, expected)
+        image.ranges[:] = 1.0
         scan.ring[:] = -1
         scan.azimuths[:] = 0.0
         scan.ranges[:] = -1.0
@@ -381,3 +430,29 @@ def test_detection_determinism():
     b = detect_camera(cam, world, profile, rng=np.random.default_rng(11))
     assert [(x.x_min, x.y_min, x.x_max, x.y_max, x.class_label) for x in a] == \
         [(x.x_min, x.y_min, x.x_max, x.y_max, x.class_label) for x in b]
+
+
+def test_batched_detector_matches_per_object_oracle_on_builtin_frames():
+    # each camera's generator is seeded as run_node seeds it
+    from dataclasses import replace
+
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    camera_frames = boxes = 0
+    for build in BUILTIN_SCENARIOS.values():
+        for seed in (7, 2411):
+            config = replace(build(seed), duration_s=5.0)
+            frames = simulate_world(config)
+            for node in config.nodes:
+                for i, placement in enumerate(node.cameras):
+                    cam = placement.build()
+                    rng, ref = (np.random.default_rng([seed, node.node_id, i]) for _ in "ab")
+                    for _, world in frames:
+                        got = detect_camera(cam, world, config.detector, rng)
+                        assert got == per_object_detect_camera(cam, world, config.detector, ref)
+                        assert rng.bit_generator.state == ref.bit_generator.state
+                        camera_frames += 1
+                        boxes += len(got)
+    assert camera_frames == 3 * 2 * 2 * 2 * 50
+    assert boxes > 5 * camera_frames
