@@ -108,8 +108,9 @@ def project_points(camera: CameraModel, points: np.ndarray):
     degeneracy threshold hold NaN pixels instead of raising.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    hom = np.ones((len(pts), 4))
+    hom = np.empty((len(pts), 4))
     hom[:, :3] = pts
+    hom[:, 3] = 1.0
     u = hom @ camera.H.T
     depth = u[:, 2]
     ok = np.abs(depth) >= _EPS_DEPTH
@@ -128,26 +129,28 @@ def vanishing_point_z(camera: CameraModel) -> np.ndarray:
     return np.array([H[0, 2] / H[2, 2], H[1, 2] / H[2, 2]])
 
 
-def recover_ground_position(camera: CameraModel, pixel, z_w: float) -> np.ndarray:
-    """Invert the projection on the horizontal plane z = z_w.
+def recover_ground_positions(camera: CameraModel, pixels, z_w: float) -> np.ndarray:
+    """Invert the projection on the horizontal plane z = z_w for each row
+    of the (n, 2) ``pixels``; (n, 2) world xy.
 
     Solves the 2x2 linear system obtained by eliminating the projective
-    scale from the projection equations, in closed form.
+    scale from the projection equations, in closed form, for every pixel
+    at once. Raises ``CameraGeometryError`` if any system is singular.
     """
     h = camera.H
-    x_p, y_p = (float(v) for v in pixel)
-    a11 = h[2, 0] * x_p - h[0, 0]
-    a12 = h[2, 1] * x_p - h[0, 1]
-    a21 = h[2, 0] * y_p - h[1, 0]
-    a22 = h[2, 1] * y_p - h[1, 1]
-    b1 = (h[0, 2] - h[2, 2] * x_p) * z_w + h[0, 3] - h[2, 3] * x_p
-    b2 = (h[1, 2] - h[2, 2] * y_p) * z_w + h[1, 3] - h[2, 3] * y_p
+    pix = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    # row r of a pixel's system: a_r1 = h[2, 0] * p_r - h[r, 0],
+    # a_r2 = h[2, 1] * p_r - h[r, 1] and
+    # b_r = (h[r, 2] - h[2, 2] * p_r) * z_w + h[r, 3] - h[2, 3] * p_r
+    (a11, a12), (a21, a22) = (pix[:, :, None] * h[2, :2] - h[:2, :2]).transpose(1, 2, 0)
+    b1, b2 = ((h[:2, 2] - h[2, 2] * pix) * z_w + h[:2, 3] - h[2, 3] * pix).T
     det = a11 * a22 - a12 * a21
-    if abs(det) < _EPS_DEPTH:
+    if (np.abs(det) < _EPS_DEPTH).any():
         raise CameraGeometryError(f"degenerate view of plane z = {z_w}")
-    x_w = (b1 * a22 - b2 * a12) / det
-    y_w = (b2 * a11 - b1 * a21) / det
-    return np.array([x_w, y_w])
+    xy = np.empty_like(pix)
+    xy[:, 0] = (b1 * a22 - b2 * a12) / det
+    xy[:, 1] = (b2 * a11 - b1 * a21) / det
+    return xy
 
 
 def box_array(boxes: list[BBox2D]) -> np.ndarray:
@@ -169,9 +172,10 @@ def overlap_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(hit, iw * ih / np.minimum(area_a[:, None], area_b[None, :]), 0.0)
 
 
-def associate_foot_to_parent(feet: list[BBox2D], parents: list[BBox2D],
-                             v_z: np.ndarray) -> list[tuple[int, int]]:
-    """Pair ground-contact boxes with parent boxes.
+def associate_foot_to_parent(feet: np.ndarray, parents: np.ndarray, v_z: np.ndarray,
+                             overlap: np.ndarray) -> list[tuple[int, int]]:
+    """Pair ground-contact boxes with parent boxes, both as box arrays
+    (see :func:`box_array`), given their ``overlap_ratios(feet, parents)``.
 
     Score = overlap ratio + cosine of the angle between the rays from the
     vanishing point to the two box centers; assignment maximizes total
@@ -179,19 +183,17 @@ def associate_foot_to_parent(feet: list[BBox2D], parents: list[BBox2D],
     ``FOOT_COSINE_THRESHOLD`` is rejected, so each returned pair has real
     geometric support. A ray of zero length has cosine 0.
     """
-    if not feet or not parents:
+    if not len(feet) or not len(parents):
         return []
     v_z = np.asarray(v_z, dtype=float)
-    ray_f = np.array([f.center for f in feet]) - v_z
-    ray_p = np.array([p.center for p in parents]) - v_z
+    # box centers, as BBox2D.center computes them
+    ray_f = (feet[:, :2] + feet[:, 2:]) * 0.5 - v_z
+    ray_p = (parents[:, :2] + parents[:, 2:]) * 0.5 - v_z
     # vecdot runs numpy's dot loop, so each entry equals the 1-D ``a @ b``
-    norm_f = np.sqrt(np.vecdot(ray_f, ray_f))
-    norm_p = np.sqrt(np.vecdot(ray_p, ray_p))
-    dots = np.vecdot(ray_f[:, None, :], ray_p[None, :, :])
-    nonzero = (norm_f[:, None] != 0.0) & (norm_p[None, :] != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosine = np.where(nonzero, dots / (norm_f[:, None] * norm_p[None, :]), 0.0)
-    overlap = overlap_ratios(box_array(feet), box_array(parents))
+    norms = np.sqrt(np.vecdot(ray_f, ray_f))[:, None] * np.sqrt(np.vecdot(ray_p, ray_p))
+    nonzero = norms != 0.0  # pixel rays are 0 or far too long for the product to underflow
+    cosine = np.where(nonzero, np.vecdot(ray_f[:, None, :], ray_p) / np.where(nonzero, norms, 1.0),
+                      0.0)
     rows, cols = linear_sum_assignment(-(overlap + cosine))
     pairs = []
     for i, j in zip(rows, cols):

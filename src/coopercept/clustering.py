@@ -8,6 +8,9 @@ then groups the resulting per-ring segments with a normalized distance
 that combines centroid separation (in units of the local inter-ring
 spacing) and azimuth-interval overlap. A segment is the ascending scan
 indices of its points, and a :class:`Cluster` is nothing but its points.
+Both stages run as whole-scan array passes over flat segments: one
+``members`` array of scan indices grouped segment by segment, and the
+``bounds`` where each segment starts, with no loop per ring or segment.
 A plain point-level DBSCAN is kept as the comparison baseline.
 """
 
@@ -33,6 +36,8 @@ DBSCAN_BASELINE_DENSE_N_MIN = 8
 EPSILON_CUSTOM = 1.5
 RING_GAP = 3
 MAX_CENTROID_DISTANCE = 1.0  # m
+# Azimuth shifts that bring an interval next to the other across the seam.
+_SEAM_SHIFTS = np.array([-2.0 * math.pi, 0.0, 2.0 * math.pi])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,13 @@ def adaptive_epsilon(s, n_min: int, dphi: float) -> np.ndarray:
 
 
 def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
+    """First stage as one index array per segment: a view of
+    :func:`_flat_segments`, in its order."""
+    members, bounds = _flat_segments(scan, params)
+    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _flat_segments(scan: RingScan, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
     """First stage: DBSCAN within each ring with a range-adaptive radius.
 
     ``scan`` is laid out as :class:`~coopercept.scene.RingScan` states.
@@ -79,43 +91,52 @@ def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
     ``adaptive_epsilon(s, n_min, scan.dphi)`` (Euclidean, 3D). Points not
     density-reachable from any core point are dropped as noise. The scan
     is labelled as one point set whose candidate neighbors never leave
-    their own ring, so the result equals clustering each ring alone. Each
-    segment is the ascending scan indices of its points; segments come out
-    by ring, then azimuth. Raises ``ValueError`` for points that are not
-    ring-major or not sorted by strictly increasing azimuth within their
-    ring.
+    their own ring, so the result equals clustering each ring alone.
+    Returns the segments flat: segment k is the ascending scan indices
+    ``members[bounds[k]:bounds[k + 1]]``, and segments come by ring, then
+    azimuth. Raises ``ValueError`` for points that are not ring-major or
+    not sorted by strictly increasing azimuth within their ring.
     """
     if scan.n_points == 0:
-        return []
-    ring_step = np.diff(scan.ring)
-    if (ring_step < 0).any() or (np.diff(scan.azimuths)[ring_step == 0] <= 0.0).any():
+        return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    keys = scan.ring + 1j * scan.azimuths  # complex values order as (real, imag) pairs
+    if not (keys[1:] > keys[:-1]).all():
         raise ValueError("ring points must be ring-major and sorted by strictly "
                          "increasing azimuth")
-    bounds = np.concatenate(([0], np.flatnonzero(ring_step) + 1, [scan.n_points]))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(scan.ring)) + 1))
     radii = adaptive_epsilon(scan.ranges, params.n_min, scan.dphi)
-    labels = _adaptive_dbscan_labels(scan.azimuths, scan.ranges, scan.points,
-                                     radii, params.n_min, bounds)
-    return _label_groups(labels)
+    labels = _adaptive_dbscan_labels(keys, scan.ranges, scan.points, radii, params.n_min,
+                                     starts)
+    # Members grouped by label, ascending within each (one stable sort),
+    # then the groups reordered by their lowest member.
+    members = np.flatnonzero(labels >= 0)
+    by_label = members[np.argsort(labels[members], kind="stable")]
+    sizes = np.bincount(labels[members])
+    label_start = np.cumsum(sizes) - sizes
+    order = np.argsort(by_label[label_start])
+    bounds = np.concatenate(([0], np.cumsum(sizes[order])))
+    shift = np.repeat(label_start[order] - bounds[:-1], sizes[order])
+    return by_label[shift + np.arange(len(members))], bounds
 
 
-def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
-                            points: np.ndarray, radii: np.ndarray,
-                            n_min: int, bounds: np.ndarray) -> np.ndarray:
+def _adaptive_dbscan_labels(keys: np.ndarray, ranges: np.ndarray, points: np.ndarray,
+                            radii: np.ndarray, n_min: int, starts: np.ndarray) -> np.ndarray:
     """DBSCAN with a per-point radius: j neighbors i when d(i, j) <= r_i.
 
     A point is core when its (asymmetric) neighborhood, itself included,
     holds at least ``n_min`` points. Two cores share a cluster when either
     reaches the other; borders attach to their nearest reaching core.
 
-    Points form rings ``bounds[k]:bounds[k + 1]``, each sorted by azimuth;
-    only points of one ring are neighbors. Candidate neighbors come from
-    an azimuth window around each point (3D distance between ring points
-    grows at least like the chord at the ring's closest range, so the
-    window provably covers the radius), then an exact distance test; the
-    azimuth seam is a segment boundary.
+    ``keys`` holds each point's ring + 1j * azimuth; points are sorted by
+    it, ring k starting at ``starts[k]``, and only points of one ring are
+    neighbors. Candidate neighbors come from an azimuth window around
+    each point (3D distance between ring points grows at least like the
+    chord at the ring's closest range, so the window provably covers the
+    radius), then an exact distance test; the azimuth seam is a segment
+    boundary.
     """
     n = len(points)
-    starts, lengths = bounds[:-1], np.diff(bounds)
+    lengths = np.diff(np.append(starts, n))
 
     # Window half-width around point i, sized so that every unordered pair
     # with d <= max(r_i, r_j) lies in the lower point's right-hand window:
@@ -127,10 +148,9 @@ def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
                        / np.maximum(np.maximum.reduceat(ranges, starts), 1e-9), 0.5)
     r_sym = radii / (1.0 - np.repeat(slope, lengths))
     floor = np.maximum(ranges - r_sym, 1e-6)
-    reach = azimuths + 2.0 * np.arcsin(np.minimum(1.0, r_sym / floor))
-    hi = np.empty(n, dtype=np.intp)
-    for a, b in zip(starts, bounds[1:]):  # the window ends with its ring
-        hi[a:b] = a + np.searchsorted(azimuths[a:b], reach[a:b], side="right")
+    reach = keys.imag + 2.0 * np.arcsin(np.minimum(1.0, r_sym / floor))
+    # one search over the (ring, azimuth) keys ends each window with its ring
+    hi = np.searchsorted(keys, keys.real + 1j * reach, side="right")
     width = hi - np.arange(n) - 1  # right-hand neighbors only
 
     # Ragged (i, i+1 .. hi_i) ranges flattened into (src, dst) pairs.
@@ -143,7 +163,7 @@ def _adaptive_dbscan_labels(azimuths: np.ndarray, ranges: np.ndarray,
     rough = np.abs(ranges[src] - ranges[dst]) <= r_pair
     src, dst, r_pair = src[rough], dst[rough], r_pair[rough]
 
-    delta = points[src] - points[dst]
+    delta = points.take(src, axis=0) - points.take(dst, axis=0)  # take gathers rows fastest
     d_sq = np.einsum("ij,ij->i", delta, delta)
     keep = d_sq <= r_pair ** 2
     src, dst, d_sq = src[keep], dst[keep], d_sq[keep]
@@ -210,7 +230,6 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     intersecting each interval with the +/-2pi shifted copies of the other
     covers the wrapped cases.
     """
-    n = len(ring)
     width = np.maximum(end - start, dphi)
 
     dx = centroid[:, None, 0] - centroid[None, :, 0]
@@ -222,56 +241,55 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     feasible &= d <= MAX_CENTROID_DISTANCE
 
     d_norm = d / (np.minimum(mean_range[:, None], mean_range[None, :]) * dtheta)
-    overlap = np.full((n, n), -np.inf)
-    for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-        cand = (np.minimum(end[:, None], end[None, :] + shift)
-                - np.maximum(start[:, None], start[None, :] + shift))
-        overlap = np.maximum(overlap, cand)
-    overlap = np.maximum(overlap, 0.0)
+    overlap = np.maximum(np.max(np.minimum(end[:, None], end + _SEAM_SHIFTS)
+                                - np.maximum(start[:, None], start + _SEAM_SHIFTS), axis=0), 0.0)
     phi_norm = 1.0 - overlap / np.minimum(width[:, None], width[None, :])
     return np.where(feasible, d_norm + phi_norm, np.inf)
 
 
 def cluster_segments(scan: RingScan, segments: list[np.ndarray]) -> list[Cluster]:
-    """Second stage: single-linkage grouping of the segments of ``scan``.
+    """Second stage over a list of index arrays, a view of
+    :func:`_group_segments`: ``segments`` are ascending scan indices in
+    (ring, azimuth start) order, as :func:`ring_segments` returns them."""
+    sizes = [len(g) for g in segments]
+    return _group_segments(scan, np.concatenate([np.zeros(0, dtype=np.intp)] + segments),
+                           np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
 
-    Precondition: ``segments`` are ascending scan indices in (ring, azimuth
-    start) order, as :func:`ring_segments` returns them. Clusters are the
-    connected components under ``segment_distances < EPSILON_CUSTOM``, in
-    order of their first segment, each holding its segments' points in
-    segment order. The metric runs on dense segment-by-segment arrays,
-    which is where the two-stage scheme gets its speed: segments are far
-    fewer than points.
+
+def _group_segments(scan: RingScan, members: np.ndarray, bounds: np.ndarray) -> list[Cluster]:
+    """Second stage: single-linkage grouping of the flat segments of
+    ``scan``, laid out as :func:`_flat_segments` returns them.
+
+    Clusters are the connected components under ``segment_distances <
+    EPSILON_CUSTOM``, in order of their first segment, each holding its
+    segments' points in segment order. The metric runs on dense
+    segment-by-segment arrays, which is where the two-stage scheme gets
+    its speed: segments are far fewer than points. Segment features are
+    summed per segment with ``reduceat``, whose order may differ from a
+    per-segment ``add.reduce`` in the last bit; each Cluster's own
+    centroid comes from its own points.
     """
-    if not segments:
+    if len(bounds) == 1:
         return []
     # azimuths increase within a ring, so a segment's first and last points
-    # bound its interval; add.reduce over the count is what mean() computes,
-    # without its wrapper's overhead
-    first, last = np.array([(g[0], g[-1]) for g in segments]).T
-    centroid = np.array([np.add.reduce(scan.points[g], axis=0) / len(g) for g in segments])
-    mean_range = np.array([np.add.reduce(scan.ranges[g]) / len(g) for g in segments])
+    # bound its interval
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    first, last = members[starts], members[bounds[1:] - 1]
+    centroid = np.add.reduceat(scan.points.take(members, axis=0), starts, axis=0) / sizes[:, None]
+    mean_range = np.add.reduceat(scan.ranges[members], starts) / sizes
     linked = segment_distances(scan.ring[first], centroid, mean_range, scan.azimuths[first],
                                scan.azimuths[last], scan.dphi, scan.dtheta) < EPSILON_CUSTOM
-    groups = _label_groups(_components(len(segments), *np.nonzero(np.triu(linked, k=1))))
-    return [Cluster(scan.points[np.concatenate([segments[k] for k in g])]) for g in groups]
+    # components are numbered in order of their lowest segment; one stable
+    # sort of the members by component keeps segment order within each
+    component = np.repeat(_components(len(sizes), *np.nonzero(np.triu(linked, k=1))), sizes)
+    points = scan.points.take(members[np.argsort(component, kind="stable")], axis=0)
+    ends = np.cumsum(np.bincount(component)).tolist()
+    return [Cluster(points[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def cluster_scan(scan: RingScan, params: ClusterParams) -> list[Cluster]:
     """Full hierarchical pipeline over a :class:`~coopercept.scene.RingScan`."""
-    return cluster_segments(scan, ring_segments(scan, params))
-
-
-def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
-    """Indices of each label >= 0, ascending; groups in order of their
-    lowest index."""
-    members = np.flatnonzero(labels >= 0)
-    if len(members) == 0:
-        return []
-    members = members[np.argsort(labels[members], kind="stable")]
-    groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
-    groups.sort(key=lambda g: g[0])
-    return groups
+    return _group_segments(scan, *_flat_segments(scan, params))
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

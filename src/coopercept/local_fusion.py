@@ -13,6 +13,8 @@ clusters by minimum-cost assignment to label the clusters.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .assignment import gated_assignment, pairwise_distances
 from .camera import (BED, FOOT, PERSON, UNKNOWN, BBox2D, CameraModel, associate_foot_to_parent,
-                     box_array, overlap_ratios, project_points, recover_ground_position,
+                     box_array, overlap_ratios, project_points, recover_ground_positions,
                      vanishing_point_z)
 from .clustering import Cluster
 from .scene import LidarModel, RangeImage, RingScan, Room, scan_lidar
@@ -112,6 +114,17 @@ class Roi:
         return cls(grid, tuple(z_band), background, kept)
 
 
+@functools.lru_cache(maxsize=8)
+def room_roi(lidar: LidarModel, room: Room, z_band: tuple[float, float]) -> Roi:
+    """The ROI of ``room``'s default grid for ``lidar`` and ``z_band``,
+    recorded once per (sensor, room, band) and shared, so its arrays are
+    read-only."""
+    roi = Roi.record(lidar, room, RoiGrid.from_polygon(room), z_band)
+    for array in (roi.grid.mask, roi.background.ranges, roi.background_kept):
+        array.flags.writeable = False
+    return roi
+
+
 def filter_roi(image: RangeImage, roi: Roi) -> RingScan:
     """The image's returns whose ground cell is marked and whose z is in the
     band, as a flat ring-major scan (see :meth:`RangeImage.returns`).
@@ -154,41 +167,48 @@ class LabeledObject:
 
 
 def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[PositionedBox]:
-    """Attach world positions to person/bed boxes.
+    """Attach world positions to person/bed boxes, persons first.
 
     Feet pair with parent person boxes via the vanishing-point association;
     a matched foot's bottom-center pixel is inverted on the floor plane
-    (z=0). Persons without a foot fall back to their own bottom-center,
-    as do beds. Multiple feet on one parent average their ground pixels.
+    (z=0). An unmatched foot joins the first matched parent it overlaps:
+    a second foot is extra evidence, and the parent's feet average their
+    ground pixels, its matched foot first. Persons without a foot fall
+    back to their own bottom-center, as do beds. The feet x persons
+    overlap is computed once, and every position comes from one
+    :func:`~coopercept.camera.recover_ground_positions` solve.
     """
-    people = [d for d in detections if d.class_label == PERSON]
-    feet = [d for d in detections if d.class_label == FOOT]
-    beds = [d for d in detections if d.class_label == BED]
-
-    ground_pixel = {i: p.bottom_center for i, p in enumerate(people)}
+    boxes = box_array(detections)
+    # bottom centers: (x_min + x_max) / 2, and (y_max + y_max) / 2 is
+    # y_max exactly (columns ::3 are x_min and y_max)
+    pixels = (boxes[:, 2:] + boxes[:, ::3]) * 0.5
+    kinds = [d.class_label for d in detections]
+    people = [i for i, kind in enumerate(kinds) if kind == PERSON]
+    feet = [i for i, kind in enumerate(kinds) if kind == FOOT]
+    located = people + [i for i, kind in enumerate(kinds) if kind == BED]
+    ground = pixels[located]
     if feet and people:
-        v_z = vanishing_point_z(camera)
-        pairs = associate_foot_to_parent(feet, people, v_z)
-        matched_feet = {f for f, _ in pairs}
-        foot_pixels: dict[int, list[np.ndarray]] = {}
-        for foot_i, person_j in pairs:
-            foot_pixels.setdefault(person_j, []).append(feet[foot_i].bottom_center)
-        # A second foot on an already matched parent is extra evidence.
-        overlap = overlap_ratios(box_array(feet), box_array(people))
-        for foot_i, foot in enumerate(feet):
-            if foot_i in matched_feet:
-                continue
-            for person_j in range(len(people)):
-                if person_j in foot_pixels and overlap[foot_i, person_j] > 0.0:
-                    foot_pixels[person_j].append(foot.bottom_center)
-                    break
-        for person_j, pixels in foot_pixels.items():
-            ground_pixel[person_j] = np.mean(pixels, axis=0)
-
-    return ([PositionedBox(p, recover_ground_position(camera, ground_pixel[i], z_w=0.0))
-             for i, p in enumerate(people)]
-            + [PositionedBox(b, recover_ground_position(camera, b.bottom_center, z_w=0.0))
-               for b in beds])
+        foot_boxes, person_boxes = boxes[feet], boxes[people]
+        overlap = overlap_ratios(foot_boxes, person_boxes)
+        pairs = associate_foot_to_parent(foot_boxes, person_boxes, vanishing_point_z(camera),
+                                         overlap)
+        foot, parent = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        foot_pixels = pixels[feet]
+        ground[parent] = foot_pixels[foot]
+        if len(pairs) < len(feet):  # an unmatched foot joins its first overlapped parent
+            matched = np.zeros(len(people), dtype=bool)
+            matched[parent] = True
+            joins = (overlap > 0.0) & matched
+            joins[foot] = False
+            extra = np.flatnonzero(joins.any(axis=1))
+            owner = joins[extra].argmax(axis=1)
+            # sum each parent's feet in np.mean's order, its matched foot
+            # first (add.at adds its rows one by one), over their count;
+            # a count of 1 divides exactly
+            np.add.at(ground, owner, foot_pixels[extra])
+            ground[:len(people)] /= 1 + np.bincount(owner, minlength=len(people))[:, None]
+    positions = recover_ground_positions(camera, ground, z_w=0.0)
+    return [PositionedBox(detections[i], p) for i, p in zip(located, positions)]
 
 
 def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster],
@@ -203,28 +223,26 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
     every box, and a box of zero width or height is widened to 1 px from
     its minimum corner. Matched clusters take the box class at the cluster
     centroid; leftover clusters come out unknown, leftover boxes
-    camera-only at their recovered position.
+    camera-only at their recovered position. Each call builds its box,
+    position and centroid arrays once, projects every cluster point in
+    one call and bounds all clusters with one reduceat per corner.
     """
     overlap = np.zeros((len(boxes), len(clusters)))
     if boxes and clusters:
-        # one projection for the whole cluster list; bounds per cluster
-        # over its in-front points
+        # one projection for the whole cluster list; a cluster's box bounds
+        # its in-front points, and is NaN (overlapping nothing) without one
         pix, depth = project_points(camera, np.concatenate([c.points for c in clusters]))
-        front = depth > 1e-6
-        counts = np.array([len(c.points) for c in clusters])
-        n_front = np.add.reduceat(front.astype(np.intp), np.cumsum(counts) - counts)
-        seen = n_front > 0
-        if seen.any():
-            pix = pix[front]
-            front_starts = (np.cumsum(n_front) - n_front)[seen]
-            lo = np.minimum.reduceat(pix, front_starts, axis=0)
-            hi = np.maximum.reduceat(pix, front_starts, axis=0)
-            flat = ~((lo[:, 0] < hi[:, 0]) & (lo[:, 1] < hi[:, 1]))
-            hi[flat] = lo[flat] + 1.0
-            overlap[:, seen] = overlap_ratios(box_array([pb.box for pb in boxes]),
-                                              np.hstack([lo, hi]))
+        pix[depth <= 1e-6] = np.nan
+        starts = list(itertools.accumulate((len(c.points) for c in clusters[:-1]), initial=0))
+        cluster_boxes = np.empty((len(clusters), 4))
+        lo, hi = cluster_boxes[:, :2], cluster_boxes[:, 2:]
+        np.fmin.reduceat(pix, starts, axis=0, out=lo)
+        np.fmax.reduceat(pix, starts, axis=0, out=hi)
+        flat = ~((lo[:, 0] < hi[:, 0]) & (lo[:, 1] < hi[:, 1]))
+        hi[flat] = lo[flat] + 1.0
+        overlap = overlap_ratios(box_array([pb.box for pb in boxes]), cluster_boxes)
     dist = pairwise_distances(np.array([pb.position for pb in boxes]).reshape(-1, 2),
-                              np.array([c.centroid[:2] for c in clusters]).reshape(-1, 2))
+                              np.array([c.centroid for c in clusters]).reshape(-1, 3)[:, :2])
     cost = DEFAULT_OVERLAP_WEIGHT * (1.0 - overlap) + DEFAULT_DISTANCE_WEIGHT * dist
 
     pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)

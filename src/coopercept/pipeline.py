@@ -37,13 +37,12 @@ from .global_fusion import CenterNode
 from .local_fusion import (
     SOURCE_CAMERA_ONLY,
     LabeledObject,
-    Roi,
-    RoiGrid,
     filter_roi,
     locate_boxes,
     associate_boxes_clusters,
     merge_camera_views,
     observation_rank,
+    room_roi,
     suppress_duplicates,
 )
 from .scene import WorldObject, detect_camera, make_benchmark_scan, scan_lidar, simulate_step
@@ -144,24 +143,24 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
              methods: tuple[str, ...] = (METHOD_HIERARCHICAL,)) -> NodeRun:
     """Run one sensor node's full local pipeline over all frames.
 
-    The node first records its :class:`~coopercept.local_fusion.Roi` (the
-    config's grid and z band, and a scan of the empty room that is not one
-    of the frames). Each frame is then scanned, ROI-filtered, detected and
-    ground-located once; every method in ``methods`` clusters that one
-    scan and labels its clusters from the same boxes. Deduplication and
-    the tracker run once per frame on the labels of ``methods[0]``, so
-    ``messages`` is that method's stream. Detector RNG streams are derived
-    from (seed, node, camera) only, so the detections do not depend on the
-    methods asked for. Raises ``ValueError`` for a bare string, no methods
-    or an unknown name.
+    The node takes its :class:`~coopercept.local_fusion.Roi` from
+    :func:`~coopercept.local_fusion.room_roi` (the config's room grid and
+    z band, and a scan of the empty room that is not one of the frames),
+    recorded once per sensor, room and band. Each frame is then scanned,
+    ROI-filtered, detected and ground-located once; every method in
+    ``methods`` clusters that one scan and labels its clusters from the
+    same boxes. Deduplication and the tracker run once per frame on the
+    labels of ``methods[0]``, so ``messages`` is that method's stream.
+    Detector RNG streams are derived from (seed, node, camera) only, so
+    the detections do not depend on the methods asked for. Raises
+    ``ValueError`` for a bare string, no methods or an unknown name.
     """
     if isinstance(methods, str) or not methods or \
             any(m not in LOCAL_METHODS for m in methods):
         raise ValueError(f"methods must be a non-empty tuple of {sorted(LOCAL_METHODS)}, "
                          f"got {methods!r}")
     cameras = [m.build() for m in node.cameras]
-    roi = Roi.record(node.lidar, config.room, RoiGrid.from_polygon(config.room),
-                     config.z_band)
+    roi = room_roi(node.lidar, config.room, config.z_band)
     tracker = Tracker(node.node_id, config.tracker)
     det_rngs = [np.random.default_rng([config.seed, node.node_id, i])
                 for i in range(len(cameras))]

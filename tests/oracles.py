@@ -2,12 +2,13 @@
 
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
-exceptions are the fusion-cycle, box-association, segment-grouping,
-wall-distance, detector and tracker oracles. They keep the per-pair
-(per-edge, per-object) loops and per-segment (per-track) objects the
-package replaced, numpy calls included, so that their results can be
-compared bit for bit. They call the package's ``gated_assignment``
-(the box oracle its ``project_points``, the grouping oracle its
+exceptions are the fusion-cycle, box-association, ground-localization,
+segment-grouping, wall-distance, detector and tracker oracles. They keep
+the per-pair (per-box, per-edge, per-object) loops and per-segment
+(per-track) objects the package replaced, numpy calls included, so that
+their results can be compared bit for bit. They call the package's
+``gated_assignment`` (the box oracle its ``project_points``, the
+ground oracle its ``vanishing_point_z``, the grouping oracle its
 ``segment_distances``, the detector its ``_jittered_box``, the tracker
 its ``ctrv_step`` and ``ctrv_jacobian``), as the replaced code did.
 """
@@ -21,11 +22,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from coopercept.assignment import gated_assignment
-from coopercept.camera import FOOT, FOOT_COSINE_THRESHOLD, PERSON, BBox2D, project_points
+from coopercept.camera import (_EPS_DEPTH, BED, FOOT, FOOT_COSINE_THRESHOLD, PERSON, BBox2D,
+                               CameraGeometryError, project_points, vanishing_point_z)
 from coopercept.clustering import EPSILON_CUSTOM, segment_distances
 from coopercept.global_fusion import BASE_POSITION_VAR, CONTINUITY_GATE, PROCESS_RATE
 from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
-                                     DEFAULT_OVERLAP_WEIGHT)
+                                     DEFAULT_OVERLAP_WEIGHT, PositionedBox)
 from coopercept.motion import ctrv_jacobian, ctrv_step, wrap_angle
 from coopercept.scene import _jittered_box
 from coopercept.tracking import (ASSOCIATION_GATE, INITIAL_VARIANCE, MEASUREMENT_SIGMA,
@@ -649,6 +651,57 @@ def brute_force_foot_to_parent(feet, parents, v_z):
     rows, cols = linear_sum_assignment(-(overlap + cosine))
     return [(int(i), int(j)) for i, j in zip(rows, cols)
             if not (overlap[i, j] == 0.0 and cosine[i, j] < FOOT_COSINE_THRESHOLD)]
+
+
+# -- ground localization, one box at a time -------------------------------------
+
+def scalar_recover_ground_position(camera, pixel, z_w):
+    """The floor inversion of one pixel on the plane z = z_w, in the
+    closed form and operation order the package used per box."""
+    h = camera.H
+    x_p, y_p = (float(v) for v in pixel)
+    a11 = h[2, 0] * x_p - h[0, 0]
+    a12 = h[2, 1] * x_p - h[0, 1]
+    a21 = h[2, 0] * y_p - h[1, 0]
+    a22 = h[2, 1] * y_p - h[1, 1]
+    b1 = (h[0, 2] - h[2, 2] * x_p) * z_w + h[0, 3] - h[2, 3] * x_p
+    b2 = (h[1, 2] - h[2, 2] * y_p) * z_w + h[1, 3] - h[2, 3] * y_p
+    det = a11 * a22 - a12 * a21
+    if abs(det) < _EPS_DEPTH:
+        raise CameraGeometryError(f"degenerate view of plane z = {z_w}")
+    return np.array([(b1 * a22 - b2 * a12) / det, (b2 * a11 - b1 * a21) / det])
+
+
+def per_box_locate_boxes(detections, camera):
+    """Ground positions of person and bed boxes, persons first, one box
+    at a time: feet paired by :func:`brute_force_foot_to_parent`, a
+    parent's foot pixels collected in a list (its matched foot, then each
+    unmatched foot that overlaps it and no lower matched parent) and
+    averaged with ``np.mean``, and one :func:`scalar_recover_ground_position`
+    per box. Returns ``PositionedBox`` objects."""
+    people = [d for d in detections if d.class_label == PERSON]
+    feet = [d for d in detections if d.class_label == FOOT]
+    beds = [d for d in detections if d.class_label == BED]
+    ground_pixel = {i: p.bottom_center for i, p in enumerate(people)}
+    if feet and people:
+        pairs = brute_force_foot_to_parent(feet, people, vanishing_point_z(camera))
+        matched_feet = {f for f, _ in pairs}
+        foot_pixels = {}
+        for foot_i, person_j in pairs:
+            foot_pixels.setdefault(person_j, []).append(feet[foot_i].bottom_center)
+        for foot_i, foot in enumerate(feet):
+            if foot_i in matched_feet:
+                continue
+            for person_j in range(len(people)):
+                if person_j in foot_pixels and overlap_ratio(foot, people[person_j]) > 0.0:
+                    foot_pixels[person_j].append(foot.bottom_center)
+                    break
+        for person_j, pixels in foot_pixels.items():
+            ground_pixel[person_j] = np.mean(pixels, axis=0)
+    return ([PositionedBox(p, scalar_recover_ground_position(camera, ground_pixel[i], 0.0))
+             for i, p in enumerate(people)]
+            + [PositionedBox(b, scalar_recover_ground_position(camera, b.bottom_center, 0.0))
+               for b in beds])
 
 
 def _cluster_pixel_box(cluster, camera):

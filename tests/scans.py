@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from coopercept.local_fusion import Roi, RoiGrid, filter_roi
+from coopercept.local_fusion import filter_roi, room_roi
 from coopercept.pipeline import simulate_world
 from coopercept.scenarios import BUILTIN_SCENARIOS
 from coopercept.scene import RangeImage, RingScan, scan_lidar
@@ -48,8 +48,7 @@ def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None)
         config = BUILTIN_SCENARIOS[name]()
         if duration_s is not None:
             config = replace(config, duration_s=duration_s)
-        grid = RoiGrid.from_polygon(config.room)
-        rois = [Roi.record(node.lidar, config.room, grid, config.z_band) for node in config.nodes]
+        rois = [room_roi(node.lidar, config.room, config.z_band) for node in config.nodes]
         for t, world in simulate_world(config)[::step]:
             for node, roi in zip(config.nodes, rois):
                 yield config, node, t, filter_roi(scan_lidar(node.lidar, world, config.room), roi)

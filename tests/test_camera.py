@@ -11,11 +11,18 @@ from coopercept.camera import (
     box_array,
     overlap_ratios,
     project_points,
-    recover_ground_position,
+    recover_ground_positions,
     vanishing_point_z,
 )
 
-from oracles import brute_force_assignment, brute_force_foot_to_parent, overlap_ratio
+from oracles import (brute_force_assignment, brute_force_foot_to_parent, overlap_ratio,
+                     scalar_recover_ground_position)
+
+
+def pair_feet(feet, parents, v_z):
+    """associate_foot_to_parent on two BBox2D lists, given their overlap."""
+    f, p = box_array(feet), box_array(parents)
+    return associate_foot_to_parent(f, p, v_z, overlap_ratios(f, p))
 
 
 def simple_camera(f=100.0, cx=320.0, cy=240.0):
@@ -118,7 +125,7 @@ def test_ground_recovery_round_trip():
                                 K=np.array([[450.0, 0, 640], [0, 460.0, 360], [0, 0, 1.0]]),
                                 image_size=(1280, 720))
     pix = project_one(cam, (2.0, 3.0, 0.0))
-    rec = recover_ground_position(cam, pix, z_w=0.0)
+    rec, = recover_ground_positions(cam, [pix], z_w=0.0)
     assert np.allclose(rec, [2.0, 3.0], atol=1e-6)
 
 
@@ -127,7 +134,7 @@ def test_ground_recovery_overhead_camera():
     K = np.array([[500.0, 0, 320], [0, 500.0, 240], [0, 0, 1.0]])
     cam = CameraModel.from_pose((0.0, 0.0, 5.0), yaw=0.0, pitch=math.pi / 2.0,
                                 K=K, image_size=(640, 480))
-    rec = recover_ground_position(cam, (320.0, 240.0), z_w=0.0)
+    rec, = recover_ground_positions(cam, [(320.0, 240.0)], z_w=0.0)
     assert np.allclose(rec, [0.0, 0.0], atol=1e-9)
 
 
@@ -150,9 +157,24 @@ def test_ground_recovery_matches_linear_solver():
         if abs(np.linalg.det(A)) < 1e-6:
             continue
         expected = np.linalg.solve(A, b)
-        got = recover_ground_position(cam, pix, z_w)
+        got, = recover_ground_positions(cam, [pix], z_w)
         assert np.allclose(got, expected, atol=1e-9)
         checked += 1
+
+
+def test_ground_recovery_of_many_pixels_matches_per_pixel_solve():
+    rng = np.random.default_rng(19)
+    solved = 0
+    for _ in range(100):
+        cam = random_camera(rng)
+        pixels = rng.uniform(0.0, 1000.0, size=(int(rng.integers(0, 12)), 2))
+        z_w = rng.uniform(-1.0, 1.0)
+        got = recover_ground_positions(cam, pixels, z_w)
+        assert got.shape == (len(pixels), 2)
+        assert got.tobytes() == b"".join(
+            scalar_recover_ground_position(cam, p, z_w).tobytes() for p in pixels)
+        solved += len(pixels)
+    assert solved > 400
 
 
 def test_ground_recovery_degenerate_view():
@@ -162,7 +184,15 @@ def test_ground_recovery_degenerate_view():
                   [0.0, 0.0, 0.0, 1.0]])
     cam = CameraModel(H=H, image_size=(10, 10))
     with pytest.raises(CameraGeometryError):
-        recover_ground_position(cam, (0.0, 0.0), z_w=0.0)
+        recover_ground_positions(cam, [(0.0, 0.0)], z_w=0.0)
+    # here det = 1 - x: one singular system among solvable ones fails
+    # the whole solve
+    cam = CameraModel(H=np.array([[1.0, 0.0, 0.0, 0.0],
+                                  [0.0, 1.0, 0.0, 0.0],
+                                  [1.0, 0.0, 0.0, 1.0]]), image_size=(10, 10))
+    assert recover_ground_positions(cam, [(2.0, 3.0), (3.0, 4.0)], z_w=0.0).shape == (2, 2)
+    with pytest.raises(CameraGeometryError):
+        recover_ground_positions(cam, [(2.0, 3.0), (1.0, 5.0)], z_w=0.0)
 
 
 def test_overlap_ratio_rectangle_arithmetic():
@@ -205,7 +235,7 @@ def test_foot_inside_person_matches():
     person = BBox2D(100, 50, 160, 250, "person")
     foot = BBox2D(120, 230, 140, 250, "foot")
     v_z = np.array([130.0, 500.0])  # below the image: looking-down geometry
-    pairs = associate_foot_to_parent([foot], [person], v_z)
+    pairs = pair_feet([foot], [person], v_z)
     assert pairs == [(0, 0)]
 
 
@@ -216,7 +246,7 @@ def test_two_feet_two_persons_hungarian_beats_naive():
     f0 = BBox2D(305, 230, 325, 250, "foot")  # belongs to p1
     f1 = BBox2D(110, 230, 130, 250, "foot")  # belongs to p0
     v_z = np.array([230.0, 1500.0])
-    pairs = associate_foot_to_parent([f0, f1], [p0, p1], v_z)
+    pairs = pair_feet([f0, f1], [p0, p1], v_z)
     assert pairs == brute_force_foot_to_parent([f0, f1], [p0, p1], v_z)
 
     score = np.zeros((2, 2))
@@ -235,7 +265,7 @@ def test_unmatched_disjoint_low_cosine_foot():
     person = BBox2D(100, 50, 160, 250, "person")
     stray = BBox2D(600, 60, 620, 80, "foot")  # no overlap, wrong direction
     v_z = np.array([130.0, 800.0])
-    pairs = associate_foot_to_parent([stray], [person], v_z)
+    pairs = pair_feet([stray], [person], v_z)
     assert pairs == []
 
 
@@ -243,7 +273,7 @@ def test_partial_matching_shape():
     persons = [BBox2D(i * 100, 50, i * 100 + 60, 250, "person") for i in range(3)]
     feet = [BBox2D(i * 100 + 20, 230, i * 100 + 40, 250, "foot") for i in range(5)]
     v_z = np.array([150.0, 2000.0])
-    pairs = associate_foot_to_parent(feet, persons, v_z)
+    pairs = pair_feet(feet, persons, v_z)
     assert len({i for i, _ in pairs}) == len(pairs)  # each foot at most once
     assert len({j for _, j in pairs}) == len(pairs)  # each parent at most once
 
@@ -269,7 +299,7 @@ def test_foot_to_parent_matches_per_pair_oracle():
         v_z = rng.uniform(-200.0, 2000.0, size=2)
         if feet and rng.random() < 0.3:
             v_z = feet[0].center  # a ray of zero length: cosine 0
-        pairs = associate_foot_to_parent(feet, persons, v_z)
+        pairs = pair_feet(feet, persons, v_z)
         assert pairs == brute_force_foot_to_parent(feet, persons, v_z)
         paired += len(pairs)
     assert paired > 50

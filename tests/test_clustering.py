@@ -20,7 +20,11 @@ from coopercept.clustering import (
     ring_segments,
     segment_distances,
 )
-from coopercept.scene import LidarModel, make_bed, make_person, scan_lidar
+from coopercept.local_fusion import filter_roi, room_roi
+from coopercept.pipeline import simulate_world
+from coopercept.scenarios import BUILTIN_SCENARIOS
+from coopercept.scene import (LidarModel, RangeImage, make_bed, make_benchmark_scan, make_person,
+                              scan_lidar)
 
 from oracles import (
     brute_force_cluster_segments,
@@ -444,6 +448,49 @@ def test_cluster_scan_matches_object_path_oracle_on_builtin_frames():
                 [(pts.tobytes(), centroid.tobytes()) for pts, centroid in want]
             clusters += len(got)
     assert clusters > 1000
+
+
+def brute_force_clusters(scan, params):
+    """(points, centroid) bytes of every cluster of ``scan`` from the
+    brute-force first stage, ring by ring, and the object-path grouping."""
+    segments = []
+    for ring_index in np.unique(scan.ring).tolist():
+        on = np.flatnonzero(scan.ring == ring_index)
+        labels = brute_force_ring_dbscan(scan.azimuths[on], scan.ranges[on], scan.points[on],
+                                         params.n_min, scan.dphi)
+        segments.extend(on[labels == cid] for cid in range(labels.max() + 1))
+    return [(pts.tobytes(), centroid.tobytes())
+            for pts, centroid in brute_force_cluster_segments(scan, segments)]
+
+
+def jittered_builtin_scans(sigma, seed, step):
+    """Every ``step``-th frame of the built-ins over 4 s, both nodes: each
+    range image with N(0, sigma) noise on every return, then ROI-filtered."""
+    rng = np.random.default_rng(seed)
+    for build in BUILTIN_SCENARIOS.values():
+        config = replace(build(), duration_s=4.0)
+        for _, world in simulate_world(config)[::step]:
+            for node in config.nodes:
+                image = scan_lidar(node.lidar, world, config.room)
+                noisy = image.ranges + rng.normal(0.0, sigma, size=image.ranges.shape)
+                yield filter_roi(RangeImage(image.model, noisy),
+                                 room_roi(node.lidar, config.room, config.z_band))
+
+
+def test_cluster_scan_matches_brute_force_on_noisy_and_large_scans():
+    """Segment features come from one reduceat per feature, whose sums
+    may differ from a per-segment add.reduce in the last bit; the
+    clusters must not."""
+    scans = [scan for sigma in (0.02, 0.05) for seed in (7, 2411)
+             for scan in jittered_builtin_scans(sigma, seed, step=10)]
+    scans += [make_benchmark_scan(1000), make_benchmark_scan(5000)]
+    clusters = 0
+    for scan in scans:
+        got = [(c.points.tobytes(), c.centroid.tobytes()) for c in cluster_scan(scan, PARAMS)]
+        assert got == brute_force_clusters(scan, PARAMS)
+        clusters += len(got)
+    assert len(scans) == 2 * 2 * 3 * 4 * 2 + 2
+    assert clusters > 500
 
 
 def test_flanking_scene_counts():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from coopercept import local_fusion
-from coopercept.camera import UNKNOWN, BBox2D, CameraModel, project_points
+from coopercept.camera import (UNKNOWN, BBox2D, CameraGeometryError, CameraModel, project_points,
+                               vanishing_point_z)
 from coopercept.clustering import ClusterParams, cluster_scan
 from coopercept.local_fusion import (
     DEFAULT_COST_GATE,
@@ -18,9 +19,10 @@ from coopercept.local_fusion import (
     RoiGrid,
     associate_boxes_clusters,
     filter_roi,
+    locate_boxes,
     merge_camera_views,
 )
-from coopercept.scene import LidarModel, RangeImage, Room, make_person, scan_lidar
+from coopercept.scene import LidarModel, RangeImage, Room, detect_camera, make_person, scan_lidar
 from coopercept.assignment import gated_assignment
 
 from oracles import (
@@ -30,6 +32,8 @@ from oracles import (
     brute_force_foot_to_parent,
     brute_force_gated_matching,
     brute_force_merge_views,
+    overlap_ratio,
+    per_box_locate_boxes,
     per_edge_wall_distances,
 )
 from scans import image_of
@@ -471,9 +475,11 @@ def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch):
         box_calls.append((boxes, clusters, camera, out))
         return out
 
-    def record_feet(feet, parents, v_z):
-        pairs = real_feet(feet, parents, v_z)
-        foot_calls.append((feet, parents, v_z, pairs))
+    def record_feet(feet, parents, v_z, overlap):
+        pairs = real_feet(feet, parents, v_z, overlap)
+        foot_calls.append(([BBox2D(*row, "foot") for row in feet.tolist()],
+                           [BBox2D(*row, "person") for row in parents.tolist()],
+                           v_z, overlap, pairs))
         return pairs
 
     def record_cost(cost, gate):
@@ -497,9 +503,94 @@ def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch):
     assert sources == {SOURCE_FUSED, SOURCE_LIDAR_ONLY, SOURCE_CAMERA_ONLY}
 
     assert len(foot_calls) > 200
-    for feet, parents, v_z, pairs in foot_calls:
+    for feet, parents, v_z, overlap, pairs in foot_calls:
+        assert overlap.tolist() == [[overlap_ratio(f, p) for p in parents] for f in feet]
         assert pairs == brute_force_foot_to_parent(feet, parents, v_z)
     assert sum(len(pairs) for *_, pairs in foot_calls) > 500
+
+
+# -- ground localization vs the per-box oracle ---------------------------------
+
+def located_rows(located):
+    """(box identity, class, position bytes) of each located box."""
+    return [(id(pb.box), pb.box.class_label, pb.position.tobytes()) for pb in located]
+
+
+def assert_located_like_oracle(detections, camera):
+    got = locate_boxes(detections, camera)
+    assert located_rows(got) == located_rows(per_box_locate_boxes(detections, camera))
+    return got
+
+
+def test_locate_boxes_matches_per_box_oracle_on_builtin_camera_frames():
+    """Every camera-frame of the built-ins over 5 s at seeds 7 and 2411,
+    each camera's detector stream drawn as run_node draws it."""
+    from coopercept.pipeline import simulate_world
+    from coopercept.scenarios import BUILTIN_SCENARIOS
+
+    frames = located = 0
+    for build in BUILTIN_SCENARIOS.values():
+        for seed in (7, 2411):
+            config = replace(build(seed), duration_s=5.0)
+            world_frames = simulate_world(config)
+            for node in config.nodes:
+                for k, mount in enumerate(node.cameras):
+                    camera = mount.build()
+                    rng = np.random.default_rng([config.seed, node.node_id, k])
+                    for _, world in world_frames:
+                        detections = detect_camera(camera, world, config.detector, rng)
+                        located += len(assert_located_like_oracle(detections, camera))
+                        frames += 1
+    assert frames == 3 * 2 * 2 * 2 * 50
+    assert located > 5 * frames
+
+
+def test_locate_boxes_matches_per_box_oracle_with_extra_feet():
+    # crowds of feet on few persons, so that unmatched feet join matched
+    # parents, one to three at a time, in any order against their match
+    cam = side_camera()
+    rng = np.random.default_rng(43)
+    extra_feet = 0
+    for _ in range(300):
+        people = []
+        for x in rng.uniform(100.0, 1100.0, size=int(rng.integers(0, 4))):
+            y = rng.uniform(100.0, 300.0)
+            people.append(BBox2D(x, y, x + rng.uniform(40.0, 90.0), y + rng.uniform(150.0, 350.0),
+                                 "person"))
+        feet = []
+        for person in people:
+            for _ in range(int(rng.integers(0, 4))):
+                x = rng.uniform(person.x_min - 10.0, person.x_max - 10.0)
+                y = rng.uniform(person.y_max - 30.0, person.y_max - 5.0)
+                feet.append(BBox2D(x, y, x + 20.0, y + 15.0, "foot"))
+        beds = [BBox2D(500.0, 400.0, 800.0, rng.uniform(450.0, 700.0), "bed")] \
+            if rng.random() < 0.3 else []
+        detections = people + feet + beds
+        order = rng.permutation(len(detections))
+        assert_located_like_oracle([detections[k] for k in order], cam)
+        if people and feet:
+            pairs = brute_force_foot_to_parent(feet, people, vanishing_point_z(cam))
+            matched = {j for _, j in pairs}
+            extra_feet += sum(
+                any(j in matched and overlap_ratio(foot, person) > 0.0
+                    for j, person in enumerate(people))
+                for i, foot in enumerate(feet) if i not in {f for f, _ in pairs})
+    assert extra_feet > 100
+
+
+def test_locate_boxes_raises_on_a_degenerate_view():
+    # proportional rows: the floor system of every pixel is singular, and
+    # h33 = 0 leaves no vertical vanishing point
+    cam = CameraModel(H=np.array([[1.0, 2.0, 0.0, 0.0],
+                                  [2.0, 4.0, 0.0, 0.0],
+                                  [0.0, 0.0, 0.0, 1.0]]), image_size=(10, 10))
+    person, bed = BBox2D(1.0, 1.0, 3.0, 5.0, "person"), BBox2D(4.0, 1.0, 9.0, 3.0, "bed")
+    foot = BBox2D(1.5, 4.0, 2.5, 5.0, "foot")
+    for detections in ([person], [bed], [person, bed], [person, foot]):
+        for locate in (locate_boxes, per_box_locate_boxes):
+            with pytest.raises(CameraGeometryError):
+                locate(detections, cam)
+    assert locate_boxes([foot], cam) == per_box_locate_boxes([foot], cam) == []
 
 
 # -- gated assignment vs exhaustive search ------------------------------------

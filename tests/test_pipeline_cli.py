@@ -11,6 +11,7 @@ import yaml
 from coopercept import pipeline
 from coopercept.cli import main
 from coopercept.global_fusion import FusionParams
+from coopercept.local_fusion import room_roi
 from coopercept.scenarios import ScenarioConfig, bed_and_three, nine_pedestrians
 from coopercept.tracking import Tracker, TrackerConfig
 from coopercept.transport import ClockModel, encode
@@ -185,6 +186,24 @@ def test_run_node_scans_filters_and_tracks_once_per_frame(monkeypatch):
             counts.clear()
             pipeline.run_node(config, node, frames, *extra)
             assert counts == node_frame_calls(node, methods, 15)
+
+
+def test_run_node_calls_share_one_read_only_roi_per_sensor_and_room(monkeypatch):
+    rois = []
+    real_filter = pipeline.filter_roi
+    monkeypatch.setattr(pipeline, "filter_roi",
+                        lambda image, roi: rois.append(roi) or real_filter(image, roi))
+    config = small(duration_s=0.3)
+    frames = pipeline.simulate_world(config)
+    node, other = config.nodes[:2]
+    pipeline.run_node(config, node, frames)
+    pipeline.run_node(replace(config, seed=config.seed + 1), node, frames, ALL_METHODS)
+    assert len(rois) == 6 and all(roi is rois[0] for roi in rois)
+    assert rois[0] is room_roi(node.lidar, config.room, config.z_band)
+    assert room_roi(other.lidar, config.room, config.z_band) is not rois[0]
+    for array in (rois[0].grid.mask, rois[0].background.ranges, rois[0].background_kept):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 # -- duplicate suppression before the tracker ---------------------------------

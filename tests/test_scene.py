@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopercept import scene
-from coopercept.camera import CameraModel, project_points, recover_ground_position
+from coopercept.camera import CameraModel, project_points, recover_ground_positions
 from coopercept.local_fusion import locate_boxes
 from coopercept.scene import (
     DetectorProfile,
@@ -403,7 +403,7 @@ def test_foot_box_round_trips_to_ground_position():
     # the person box's own bottom center recovers a different point, so
     # the position above comes from the foot
     person_box, = (b for b in boxes if b.class_label == "person")
-    own = recover_ground_position(cam, person_box.bottom_center, z_w=0.0)
+    own, = recover_ground_positions(cam, [person_box.bottom_center], z_w=0.0)
     assert not np.allclose(own, [5.0, 0.5], atol=1e-6)
 
 
