@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -22,14 +24,12 @@ def gated_assignment(cost: np.ndarray, gate: float):
     if n_rows == 0 or n_cols == 0:
         return [], list(range(n_rows)), list(range(n_cols))
     feasible = np.isfinite(cost) & (cost <= gate)
-    work = np.where(feasible, cost, _BIG)
-    rows, cols = linear_sum_assignment(work)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if feasible[r, c]]
-    matched_r = {r for r, _ in pairs}
-    matched_c = {c for _, c in pairs}
-    unmatched_rows = [r for r in range(n_rows) if r not in matched_r]
-    unmatched_cols = [c for c in range(n_cols) if c not in matched_c]
-    return pairs, unmatched_rows, unmatched_cols
+    rows, cols = linear_sum_assignment(np.where(feasible, cost, _BIG))
+    keep = feasible[rows, cols]
+    rows, cols = rows[keep].tolist(), cols[keep].tolist()
+    matched_r, matched_c = set(rows), set(cols)
+    return (list(zip(rows, cols)), [r for r in range(n_rows) if r not in matched_r],
+            [c for c in range(n_cols) if c not in matched_c])
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,3 +38,21 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     each entry equals ``np.linalg.norm(a[i] - b[j])``."""
     d = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.vecdot(d, d))
+
+
+def gated_costs(rows, columns, gate) -> np.ndarray:
+    """Cost matrix of the distances from each ``(key, x, y)`` row to each
+    ``(label, x, y)`` column, inf where a distance exceeds ``gate(key,
+    label)``; ``gate`` runs once per distinct key and label, and ``-inf``
+    bars the pair. Each entry is ``math.hypot`` of the differences, as in
+    a loop over the pairs."""
+    labels = {label for label, _, _ in columns}
+    row_gates = {}
+    flat = []
+    for key, x, y in rows:
+        gates = row_gates.get(key)
+        if gates is None:
+            gates = row_gates[key] = {label: gate(key, label) for label in labels}
+        flat += [d if (d := math.hypot(x - cx, y - cy)) <= gates[label] else math.inf
+                 for label, cx, cy in columns]
+    return np.array(flat).reshape(len(rows), len(columns))

@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .assignment import gated_assignment
+from .assignment import gated_assignment, gated_costs
 from .camera import BED
 from .tracking import class_compatible
 
@@ -46,16 +44,9 @@ def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
     the visible surface of a bed-sized object can sit most of a meter from
     the object center without being a miss.
     """
-    cost = np.full((len(predictions), len(ground_truth)), np.inf)
-    gate = [class_gates.get(g_cls, d_match) for g_cls, _, _ in ground_truth]
-    for i, (p_cls, px, py) in enumerate(predictions):
-        for j, (g_cls, gx, gy) in enumerate(ground_truth):
-            if not class_compatible(p_cls, g_cls):
-                continue
-            d = math.hypot(px - gx, py - gy)
-            if d <= gate[j]:
-                cost[i, j] = d
-    pairs, un_pred, un_gt = gated_assignment(cost, max(gate, default=d_match))
+    cost = gated_costs(predictions, ground_truth, lambda p_cls, g_cls: class_gates.get(
+        g_cls, d_match) if class_compatible(p_cls, g_cls) else -math.inf)
+    pairs, un_pred, un_gt = gated_assignment(cost, math.inf)
     return FrameScore(
         true_positives=len(pairs),
         false_positives=len(un_pred),

@@ -14,14 +14,25 @@ uniform. In both, a list older than ``max_compensation`` is left out of
 the cycle, and global ids carry over by a gated assignment to the
 previous cycle's tracks predicted over the cycle interval.
 
-The cycle works on Python floats and ``math``: its arrays would hold one
-to a few elements, where numpy's per-call overhead is most of the cost,
-and the center's own processing time adds to the delay it compensates.
-Only the cost matrices stay arrays, for the assignment. The result is the
-same as the numpy form's to the bit: sums are left folds from 0.0 in group
-order, which equal numpy's ``add.reduce`` for up to seven terms (it
-switches to unrolled partial sums at eight), a mean is that sum over the
-count as in ``np.mean``, and a group holds at most one object per node.
+The center's own processing time adds to the delay it compensates, and a
+cycle holds a few objects per node, where numpy's per-call overhead would
+be most of the cost. So the cycle works on Python floats and ``math``:
+records are slot dataclasses built by position (the wire's objects are
+tuples), and each gated cost matrix (cross-node, id carry-over, scoring)
+is one list of ``math.hypot`` distances, with the class rule decided once
+per row key and label (``assignment.gated_costs``), made an array once for
+the solver. The result is the numpy form's to the bit: sums are left folds
+from 0.0 in group order, which equal numpy's ``add.reduce`` for up to
+seven terms (it switches to unrolled partial sums at eight), a mean is
+that sum over the count as in ``np.mean``, and a group holds at most one
+object per node. Tried and dropped: numpy gate matrices with an
+``np.hypot`` prefilter and a ``math.hypot`` recheck were exact but slower
+(``np.hypot`` differs in the last bit for 11,636 of 2,000,000 normal
+pairs); skipping the solver when every row and column has at most one
+feasible entry cost more than it saved; passing states through at the
+baseline's zero interval is inexact, as ``ctrv_advance`` wraps a yaw of
+-pi, which the wire keeps, to pi; a pure-Python port of scipy's solver was
+exact but about 14 times slower per call, so ``scipy.optimize`` stays.
 """
 
 from __future__ import annotations
@@ -30,12 +41,10 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .assignment import gated_assignment
+from .assignment import gated_assignment, gated_costs
 from .camera import BED, PERSON, UNKNOWN
 from .motion import ctrv_advance, wrap_angle
-from .tracking import StampedObjectList, TrackedObject, class_compatible
+from .tracking import StampedObjectList, class_compatible
 
 log = logging.getLogger(__name__)
 
@@ -67,13 +76,21 @@ class FusionParams:
             return self.distance_gate * self.bed_gate_scale
         return self.distance_gate
 
+    def group_gate(self, classes, label: str) -> float:
+        """Gate between a group of member ``classes`` and an object ``label``:
+        the widest of their gates, or -inf unless every member admits the label."""
+        if not all(class_compatible(c, label) for c in classes):
+            return -math.inf
+        return max(self.gate_for(label), max(self.gate_for(c) for c in classes))
 
-@dataclass
+
+@dataclass(slots=True)
 class CompensatedObject:
     """A reported object forward-predicted to the fusion time."""
 
     node_id: int
-    source: TrackedObject
+    track_id: int
+    class_label: str
     x: float
     y: float
     yaw: float
@@ -82,12 +99,8 @@ class CompensatedObject:
     fusion_var: float  # scalar weighting variance (base + rate * dt)
     delay_ms: float
 
-    @property
-    def class_label(self) -> str:
-        return self.source.class_label
 
-
-@dataclass
+@dataclass(slots=True)
 class GlobalTrack:
     """Fused center-node object."""
 
@@ -128,17 +141,11 @@ def compensate_delay(message: StampedObjectList, now: float,
 
     delay_ms = delay * 1e3
     unknown_rate = PROCESS_RATE[UNKNOWN]
-    out = []
-    for obj in message.objects:
-        x, y, yaw, v_x, omega_z = ctrv_advance(obj.x, obj.y, obj.yaw, obj.v_x,
-                                               obj.omega_z, dt)
-        out.append(CompensatedObject(
-            node_id=message.node_id, source=obj,
-            x=x, y=y, yaw=yaw, v_x=v_x, omega_z=omega_z,
-            fusion_var=BASE_POSITION_VAR + PROCESS_RATE.get(obj.class_label, unknown_rate) * dt,
-            delay_ms=delay_ms,
-        ))
-    return out
+    return [CompensatedObject(message.node_id, track_id, label,
+                              *ctrv_advance(x, y, yaw, v_x, omega_z, dt),
+                              BASE_POSITION_VAR + PROCESS_RATE.get(label, unknown_rate) * dt,
+                              delay_ms)
+            for track_id, label, x, y, yaw, v_x, omega_z in message.objects]
 
 
 def _fold(terms: list[float]) -> float:
@@ -165,24 +172,15 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
         if not groups:
             groups = [[o] for o in objs]
             continue
-        labels = [o.class_label for o in objs]
-        distinct = set(labels)
-        cost = np.full((len(groups), len(objs)), np.inf)
-        for i, group in enumerate(groups):
-            gx = _fold([m.x for m in group]) / len(group)
-            gy = _fold([m.y for m in group]) / len(group)
-            classes = {m.class_label for m in group}
-            group_gate = max(params.gate_for(c) for c in classes)
-            # the gate for each object label every member's class admits
-            gates = {label: max(params.gate_for(label), group_gate) for label in distinct
-                     if all(class_compatible(c, label) for c in classes)}
-            for j, obj in enumerate(objs):
-                gate = gates.get(labels[j])
-                if gate is None:
-                    continue
-                d = math.hypot(gx - obj.x, gy - obj.y)
-                if d <= gate:
-                    cost[i, j] = d
+        rows = []
+        for group in groups:
+            gx = gy = 0.0  # left folds, as in _fold
+            for m in group:
+                gx += m.x
+                gy += m.y
+            rows.append((frozenset([m.class_label for m in group]),
+                         gx / len(group), gy / len(group)))
+        cost = gated_costs(rows, [(o.class_label, o.x, o.y) for o in objs], params.group_gate)
         pairs, _, un_objs = gated_assignment(cost, math.inf)
         for i, j in pairs:
             groups[i].append(objs[j])
@@ -191,8 +189,9 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
     return groups
 
 
-def _combine(group: list[CompensatedObject]):
-    """Inverse-variance scalar-weighted combination.
+def _combine(group: list[CompensatedObject]) -> GlobalTrack:
+    """Inverse-variance scalar-weighted combination, as a track with no id
+    yet.
 
     The per-contributor variance grows with the compensated interval, so
     fresher messages weigh more. Equal intervals, the baseline's zero ones
@@ -209,33 +208,24 @@ def _combine(group: list[CompensatedObject]):
         omega += wi * m.omega_z
         sin_yaw += wi * math.sin(m.yaw)
         cos_yaw += wi * math.cos(m.yaw)
-    yaw = math.atan2(sin_yaw, cos_yaw)
     labels = [m.class_label for m in group if m.class_label != UNKNOWN]
-    label = labels[0] if labels else UNKNOWN
-    return x, y, wrap_angle(yaw), v, omega, label, w
+    return GlobalTrack(-1, labels[0] if labels else UNKNOWN,
+                       x, y, wrap_angle(math.atan2(sin_yaw, cos_yaw)), v, omega,
+                       tuple(sorted([(m.node_id, m.track_id) for m in group])),
+                       max([m.delay_ms for m in group]), tuple(w))
 
 
 def _fuse_groups(groups: list[list[CompensatedObject]], previous: list[GlobalTrack],
                  dt: float, next_gid: int):
-    tracks: list[GlobalTrack] = []
-    for group in groups:
-        x, y, yaw, v, omega, label, w = _combine(group)
-        tracks.append(GlobalTrack(
-            global_id=-1,
-            class_label=label,
-            x=x, y=y, yaw=yaw, v_x=v, omega_z=omega,
-            contributors=tuple(sorted((m.node_id, m.source.track_id) for m in group)),
-            staleness_ms=max(m.delay_ms for m in group),
-            weights=tuple(w),
-        ))
+    tracks = [_combine(group) for group in groups]
 
     # Ids carry over from previous tracks predicted over the cycle interval.
-    cost = np.full((len(previous), len(tracks)), np.inf)
-    for i, prev in enumerate(previous):
+    rows = []
+    for prev in previous:
         px, py, _, _, _ = ctrv_advance(prev.x, prev.y, prev.yaw, prev.v_x, prev.omega_z, dt)
-        for j, track in enumerate(tracks):
-            if class_compatible(prev.class_label, track.class_label):
-                cost[i, j] = math.hypot(px - track.x, py - track.y)
+        rows.append((prev.class_label, px, py))
+    cost = gated_costs(rows, [(t.class_label, t.x, t.y) for t in tracks],
+                       lambda a, b: CONTINUITY_GATE if class_compatible(a, b) else -math.inf)
     pairs, _, unmatched = gated_assignment(cost, CONTINUITY_GATE)
     for i, j in pairs:
         tracks[j].global_id = previous[i].global_id

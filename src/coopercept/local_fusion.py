@@ -143,7 +143,8 @@ def filter_roi(image: RangeImage, roi: Roi) -> RingScan:
     moved = np.flatnonzero(ranges != empty)
     moved = moved[np.isfinite(ranges[moved])]
     moved = moved[_roi_keep(image.returns(moved).points, roi.grid, roi.z_band)]
-    return image.returns(np.sort(np.concatenate([still, moved])))
+    # moved is ascending; only kept background returns need merging in
+    return image.returns(np.sort(np.concatenate([still, moved])) if len(still) else moved)
 
 
 @dataclass(eq=False)

@@ -120,14 +120,14 @@ class Room:
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
         j = len(poly) - 1
-        for i in range(len(poly)):
-            xi, yi = poly[i]
-            xj, yj = poly[j]
-            crosses = (yi > y) != (yj > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(poly)):
+                xi, yi = poly[i]
+                xj, yj = poly[j]
+                crosses = (yi > y) != (yj > y)
                 x_at = (xj - xi) * (y - yi) / (yj - yi) + xi
-            inside ^= crosses & (x < x_at)
-            j = i
+                inside ^= crosses & (x < x_at)
+                j = i
         return inside if np.ndim(xy) > 1 else inside[0]
 
     def wall_distances(self, xy) -> np.ndarray:
@@ -287,13 +287,19 @@ def simulate_step(world: list[WorldObject], dt: float,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    out = []
+    steps = []
     for obj in world:
         omega, wp_idx = (obj.yaw_rate, obj.waypoint_index)
         if obj.waypoints:
             omega, wp_idx = _waypoint_control(obj)
         x, y, yaw, _, _ = ctrv_advance(obj.x, obj.y, obj.yaw, obj.speed, omega, dt)
-        if room is not None and not room.contains((x, y)):
+        steps.append((x, y, yaw, omega, wp_idx))
+    # one containment test per step: a call costs about as much for 1 point as for 9
+    inside = [True] * len(world) if room is None else room.contains(
+        np.array([s[:2] for s in steps]).reshape(-1, 2))
+    out = []
+    for obj, (x, y, yaw, omega, wp_idx), ok in zip(world, steps, inside):
+        if not ok:
             yaw = _reflect_heading(room, obj.x, obj.y, obj.yaw)
             log.debug("object %d reflected at wall near (%.2f, %.2f)", obj.id, x, y)
             x, y = obj.x, obj.y

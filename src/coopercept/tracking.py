@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +72,9 @@ class TrackState:
     yaw_initialized: bool = False
 
 
-@dataclass(frozen=True)
-class TrackedObject:
-    """Wire-facing snapshot of one confirmed track."""
+class TrackedObject(NamedTuple):
+    """Wire-facing snapshot of one confirmed track. A tuple, because the
+    center builds one per object of every list it decodes."""
 
     track_id: int
     class_label: str

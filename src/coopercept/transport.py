@@ -77,17 +77,13 @@ def decode(frame: bytes) -> StampedObjectList:
         raise FrameError(f"payload size {len(payload)} != expected {expected} "
                          f"for {count} objects")
     objects = []
-    offset = _HEADER.size
-    for _ in range(count):
-        track_id, code, x, y, yaw, v, omega = _RECORD.unpack_from(payload, offset)
-        offset += _RECORD.size
+    for track_id, code, x, y, yaw, v, omega in _RECORD.iter_unpack(payload[_HEADER.size:]):
         name = _CLASS_NAMES.get(code)
         if name is None:
             raise FrameError(f"unknown class code {code}")
         if not all(map(math.isfinite, (x, y, yaw, v, omega))):
             raise FrameError(f"track {track_id}: non-finite state")
-        objects.append(TrackedObject(track_id=track_id, class_label=name,
-                                     x=x, y=y, yaw=yaw, v_x=v, omega_z=omega))
+        objects.append(TrackedObject(track_id, name, x, y, yaw, v, omega))
     return StampedObjectList(node_id=node_id, capture_timestamp=ts_us / 1e6,
                              objects=tuple(objects))
 

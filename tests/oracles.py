@@ -2,15 +2,16 @@
 
 Everything here is deliberately brute-force and written with plain Python
 arithmetic so the results do not share code paths with the package. The
-exceptions are the fusion-cycle, box-association, ground-localization,
-segment-grouping, wall-distance, detector and tracker oracles. They keep
-the per-pair (per-box, per-edge, per-object) loops and per-segment
-(per-track) objects the package replaced, numpy calls included, so that
-their results can be compared bit for bit. They call the package's
-``gated_assignment`` (the box oracle its ``project_points``, the
-ground oracle its ``vanishing_point_z``, the grouping oracle its
-``segment_distances``, the detector its ``_jittered_box``, the tracker
-its ``ctrv_step`` and ``ctrv_jacobian``), as the replaced code did.
+exceptions are the fusion-cycle, scoring, wire-decode, box-association,
+ground-localization, segment-grouping, wall-distance, detector and
+tracker oracles. They keep the per-pair (per-record, per-box, per-edge,
+per-object) loops and per-segment (per-track) objects the package
+replaced, numpy calls included, so that their results can be compared bit
+for bit. They call the package's ``gated_assignment`` (the box oracle its
+``project_points``, the ground oracle its ``vanishing_point_z``, the
+grouping oracle its ``segment_distances``, the detector its
+``_jittered_box``, the tracker its ``ctrv_step`` and ``ctrv_jacobian``),
+as the replaced code did.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from coopercept.camera import (_EPS_DEPTH, BED, FOOT, FOOT_COSINE_THRESHOLD, PER
                                CameraGeometryError, project_points, vanishing_point_z)
 from coopercept.clustering import EPSILON_CUSTOM, segment_distances
 from coopercept.global_fusion import BASE_POSITION_VAR, CONTINUITY_GATE, PROCESS_RATE
+from coopercept.evaluation import FrameScore
 from coopercept.local_fusion import (DEFAULT_COST_GATE, DEFAULT_DISTANCE_WEIGHT,
                                      DEFAULT_OVERLAP_WEIGHT, PositionedBox)
 from coopercept.motion import ctrv_jacobian, ctrv_step, wrap_angle
@@ -34,6 +36,8 @@ from coopercept.tracking import (ASSOCIATION_GATE, INITIAL_VARIANCE, MEASUREMENT
                                  PROCESS_NOISE_RATE, SPAWN_SUPPRESSION_RADIUS,
                                  YAW_INIT_DISPLACEMENT, StampedObjectList, TrackedObject,
                                  TrackerConfig)
+from coopercept.transport import (_CLASS_NAMES, _HEADER, _LENGTH, _RECORD, MAGIC, VERSION,
+                                  FrameError)
 
 
 def brute_force_dbscan(points, eps, n_min):
@@ -861,6 +865,66 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
         tracks[j].global_id = next_gid
         next_gid += 1
     return tracks, next_gid
+
+
+# -- scoring ---------------------------------------------------------------------------
+
+def per_pair_match_frame(predictions, ground_truth, d_match, class_gates):
+    """Frame scoring one (prediction, ground truth) pair at a time: an inf
+    matrix filled entry by entry with the ``math.hypot`` distance where the
+    classes agree (or the prediction is unknown) and the distance is within
+    the ground truth's gate, the package's ``gated_assignment`` at the
+    widest gate, and the matched np.float64 costs summed by ``sum``.
+    Returns ``(FrameScore, pairs)``."""
+    cost = np.full((len(predictions), len(ground_truth)), np.inf)
+    gates = [class_gates.get(g_cls, d_match) for g_cls, _, _ in ground_truth]
+    for i, (p_cls, px, py) in enumerate(predictions):
+        for j, (g_cls, gx, gy) in enumerate(ground_truth):
+            d = math.hypot(px - gx, py - gy)
+            if _class_compatible(p_cls, g_cls) and d <= gates[j]:
+                cost[i, j] = d
+    pairs, un_pred, un_gt = gated_assignment(cost, max(gates, default=d_match))
+    return FrameScore(len(pairs), len(un_pred), len(un_gt),
+                      float(sum(cost[i, j] for i, j in pairs))), pairs
+
+
+# -- wire decode --------------------------------------------------------------------
+
+def record_by_record_decode(frame):
+    """The wire decoder reading one record at a time with ``unpack_from``
+    and building each object by keyword: the same list as
+    ``transport.decode``, or the same ``FrameError``."""
+    if len(frame) < _LENGTH.size:
+        raise FrameError("frame shorter than length prefix")
+    (length,) = _LENGTH.unpack_from(frame, 0)
+    payload = frame[_LENGTH.size:]
+    if len(payload) != length:
+        raise FrameError(f"frame length {len(payload)} != declared {length}")
+    if len(payload) < _HEADER.size:
+        raise FrameError("payload shorter than header")
+    magic, version, node_id, ts_us, count = _HEADER.unpack_from(payload, 0)
+    if magic != MAGIC:
+        raise FrameError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise FrameError(f"unsupported version {version}")
+    expected = _HEADER.size + count * _RECORD.size
+    if len(payload) != expected:
+        raise FrameError(f"payload size {len(payload)} != expected {expected} "
+                         f"for {count} objects")
+    objects = []
+    offset = _HEADER.size
+    for _ in range(count):
+        track_id, code, x, y, yaw, v, omega = _RECORD.unpack_from(payload, offset)
+        offset += _RECORD.size
+        name = _CLASS_NAMES.get(code)
+        if name is None:
+            raise FrameError(f"unknown class code {code}")
+        if not all(map(math.isfinite, (x, y, yaw, v, omega))):
+            raise FrameError(f"track {track_id}: non-finite state")
+        objects.append(TrackedObject(track_id=track_id, class_label=name,
+                                     x=x, y=y, yaw=yaw, v_x=v, omega_z=omega))
+    return StampedObjectList(node_id=node_id, capture_timestamp=ts_us / 1e6,
+                             objects=tuple(objects))
 
 
 # -- node tracker -------------------------------------------------------------------

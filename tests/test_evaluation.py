@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from coopercept.evaluation import FrameScore, aggregate, match_frame
+from coopercept.evaluation import CLASS_MATCH_GATES, FrameScore, aggregate, match_frame
 from coopercept.pipeline import BENCH_COLUMNS, run_bench
 
-from oracles import brute_force_gated_matching
+from oracles import brute_force_gated_matching, per_pair_match_frame
 
 
 def test_perfect_predictions():
@@ -45,6 +46,28 @@ def test_matching_cost_equals_exhaustive_minimum():
         count, total = brute_force_gated_matching(cost, gate)
         assert score.true_positives == count
         assert score.sum_matched_distance == pytest.approx(total, abs=1e-9)
+
+
+def test_match_frame_matches_per_pair_oracle_bit_for_bit():
+    rng = np.random.default_rng(1234)
+    gate_sets = ((0.5, CLASS_MATCH_GATES), (0.5, {}), (0.8, {"person": 0.3, "bed": 1.5}))
+    for _ in range(1500):
+        anchors = rng.uniform(-4.0, 4.0, size=(int(rng.integers(0, 9)), 2))
+        gt = [(("person", "bed")[int(rng.random() < 0.2)], float(x), float(y))
+              for x, y in anchors]
+        preds = [(("person", "bed", "unknown")[int(rng.integers(3))],
+                  float(x + rng.normal(0.0, 0.5)), float(y + rng.normal(0.0, 0.5)))
+                 for x, y in anchors if rng.random() < 0.8]
+        preds += [preds[-1]] if preds and rng.random() < 0.2 else []  # an exact duplicate
+        # one gate away along x, exactly so wherever x + gate - x rounds back to the gate
+        preds += [("unknown", x + float(rng.choice([0.3, 0.5, 0.8, 1.2, 1.5])), y)
+                  for _, x, y in gt if rng.random() < 0.3]
+        preds += [("person", float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+                  for _ in range(int(rng.integers(0, 3)))]
+        for d_match, class_gates in gate_sets:
+            got = match_frame(preds, gt, d_match, class_gates)
+            want, _ = per_pair_match_frame(preds, gt, d_match, class_gates)
+            assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
 
 
 def test_class_agreement():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from coopercept import pipeline
-from coopercept.assignment import gated_assignment
 from coopercept.evaluation import CLASS_MATCH_GATES, DEFAULT_MATCH_GATE, aggregate, match_frame
 from coopercept.global_fusion import (
     BASE_POSITION_VAR,
@@ -16,8 +15,9 @@ from coopercept.global_fusion import (
     compensate_delay,
 )
 from coopercept.tracking import StampedObjectList, TrackedObject
+from coopercept.transport import ClockModel, SimulatedNetwork
 
-from oracles import brute_force_fuse_cycle, scalar_ctrv_iterate
+from oracles import brute_force_fuse_cycle, per_pair_match_frame, scalar_ctrv_iterate
 
 
 def tracked(track_id=1, label="person", x=0.0, y=0.0, yaw=0.0, v=0.0, omega=0.0):
@@ -285,24 +285,16 @@ def _id_switches(cycles, frames, config):
     one switch."""
     ids = [o.id for o in frames[0][1]]
     assert all([o.id for o in world] == ids for _, world in frames)  # interpolate_gt's order
-    class_gates = CLASS_MATCH_GATES
     last, switches = {}, 0
     for t, tracks in cycles:
         if t < config.settle_s:
             continue
         predictions = [(tr.class_label, tr.x, tr.y) for tr in tracks]
         gt = pipeline.interpolate_gt(frames, t)
-        gates = [class_gates.get(g_cls, DEFAULT_MATCH_GATE) for g_cls, _, _ in gt]
-        cost = np.full((len(predictions), len(gt)), np.inf)
-        for i, (p_cls, px, py) in enumerate(predictions):
-            for j, (g_cls, gx, gy) in enumerate(gt):
-                d = math.hypot(px - gx, py - gy)
-                if p_cls in ("unknown", g_cls) and d <= gates[j]:
-                    cost[i, j] = d
-        pairs, _, _ = gated_assignment(cost, max(gates, default=DEFAULT_MATCH_GATE))
-        score = match_frame(predictions, gt, DEFAULT_MATCH_GATE, class_gates)
-        assert len(pairs) == score.true_positives
-        assert float(sum(cost[i, j] for i, j in pairs)) == score.sum_matched_distance
+        want, pairs = per_pair_match_frame(predictions, gt, DEFAULT_MATCH_GATE,
+                                           CLASS_MATCH_GATES)
+        got = match_frame(predictions, gt, DEFAULT_MATCH_GATE, CLASS_MATCH_GATES)
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
         for i, j in pairs:
             gid = tracks[i].global_id
             switches += last.get(ids[j], gid) != gid
@@ -406,3 +398,72 @@ def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware):
                                                     previous, previous_now, next_gid)
             previous, previous_now = want, now
             assert [_track_fields(t) for t in got] == [_track_fields(t) for t in want]
+
+
+# The channel grid of the center_replay benchmark: the ideal channel, then
+# every mean delay with 8 and 40 ms jitter.
+REPLAY_GRID = [(0.0, 0.0)] + [(d, j) for d in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
+                              for j in (8.0, 40.0)]
+
+
+def _replay_checked(monkeypatch, streams, times, delay_ms, jitter_ms, config, delay_aware):
+    """``pipeline.replay_fusion`` with every cycle's GlobalTracks checked
+    bit for bit against ``brute_force_fuse_cycle`` on the lists the center
+    holds; returns the number of cycles checked."""
+    checked = []
+
+    class Checked(CenterNode):
+        def fuse_cycle(self, now):
+            got = super().fuse_cycle(now)
+            previous, previous_now, next_gid = checked[-1] if checked else ([], 0.0, 1)
+            latest = [self._latest[nid] for nid in sorted(self._latest)]
+            want, next_gid = brute_force_fuse_cycle(latest, now, self.params, self.delay_aware,
+                                                    previous, previous_now, next_gid)
+            assert [_track_fields(t) for t in got] == [_track_fields(t) for t in want], now
+            checked.append((want, now, next_gid))
+            return got
+
+    monkeypatch.setattr(pipeline, "CenterNode", Checked)
+    net_seed = [config.seed, round(delay_ms * 1000), round(jitter_ms * 1000)]
+    pipeline.replay_fusion(streams, times, delay_ms, jitter_ms, net_seed, config, delay_aware)
+    return len(checked)
+
+
+def _recorded(builtin_node_runs, labels):
+    runs = [(config, frames, {nid: stream for nid, (_, stream) in nodes.items()})
+            for label, config, frames, nodes in builtin_node_runs if label in labels]
+    assert len(runs) == len(labels)
+    return runs
+
+
+@pytest.mark.parametrize("delay_aware", (False, True))
+def test_fuse_cycle_matches_numpy_oracle_on_recorded_streams(builtin_node_runs, monkeypatch,
+                                                             delay_aware):
+    labels = ("nine_pedestrians/7", "nine_pedestrians/2411", "bed_and_three/7",
+              "bed_and_three/2411")
+    for config, frames, streams in _recorded(builtin_node_runs, labels):
+        times = [t for t, _ in frames]
+        for delay_ms, jitter_ms in REPLAY_GRID:
+            assert _replay_checked(monkeypatch, streams, times, delay_ms, jitter_ms, config,
+                                   delay_aware) == len(times)
+
+
+@pytest.mark.parametrize("delay_aware", (False, True))
+def test_fuse_cycle_matches_numpy_oracle_under_loss_and_clock_skew(builtin_node_runs,
+                                                                   monkeypatch, delay_aware):
+    fast = ClockModel(offset_ms=150.0)
+    for config, frames, streams in _recorded(builtin_node_runs,
+                                             ("nine_pedestrians/7", "bed_and_three/2411")):
+        times = [t for t, _ in frames]
+        with monkeypatch.context() as lossy:  # 30% of the frames never arrive
+            lossy.setattr(pipeline, "SimulatedNetwork", lambda latency, seed: SimulatedNetwork(
+                latency, seed=seed, drop_probability=0.3))
+            assert _replay_checked(lossy, streams, times, 100.0, 40.0, config,
+                                   delay_aware) == len(times)
+        # node 2's clock runs 150 ms ahead: its stamps do, and it sends by them
+        skewed = {**streams, 2: [dataclasses.replace(m, capture_timestamp=fast.node_time(
+            m.capture_timestamp)) for m in streams[2]]}
+        nodes = [dataclasses.replace(n, clock=fast) if n.node_id == 2 else n
+                 for n in config.nodes]
+        assert _replay_checked(monkeypatch, skewed, times, 50.0, 8.0,
+                               dataclasses.replace(config, nodes=nodes), delay_aware) == len(times)

@@ -15,6 +15,8 @@ from coopercept.transport import (
     sample_latency,
 )
 
+from oracles import record_by_record_decode
+
 
 def random_message(rng, node_id=None, n_objects=None) -> StampedObjectList:
     node_id = int(rng.integers(0, 60000)) if node_id is None else node_id
@@ -44,7 +46,7 @@ def test_decode_rejects_non_finite_fields(field, value):
     from dataclasses import replace
 
     msg = random_message(np.random.default_rng(3), n_objects=3)
-    bad = replace(msg, objects=(msg.objects[0], replace(msg.objects[1], **{field: value}),
+    bad = replace(msg, objects=(msg.objects[0], msg.objects[1]._replace(**{field: value}),
                                 msg.objects[2]))
     with pytest.raises(FrameError):
         decode(encode(bad))
@@ -141,6 +143,47 @@ def test_garbage_never_raises_anything_but_frame_error():
             decode(blob)
         except FrameError:
             pass
+
+
+def _decoded(decoder, frame):
+    try:
+        return decoder(frame)
+    except FrameError as error:
+        return f"FrameError: {error}"
+
+
+def test_decode_matches_record_by_record_oracle():
+    rng = np.random.default_rng(2024)
+    corpus = []
+    for _ in range(400):
+        frame = bytearray(encode(random_message(rng)))
+        corpus.append(bytes(frame))
+        head = 4 + struct.calcsize("<4sHHqI")
+        n_records = (len(frame) - head) // 45
+        for _ in range(3):
+            bad = bytearray(frame)
+            kind = int(rng.integers(5))
+            if kind == 0:  # any byte flipped: prefix, header, id, class or state
+                bad[int(rng.integers(len(bad)))] ^= int(rng.integers(1, 256))
+            elif kind == 1 and n_records:  # an unknown class code
+                bad[head + 45 * int(rng.integers(n_records)) + 4] = int(rng.integers(3, 256))
+            elif kind == 2 and n_records:  # one state field not finite
+                offset = head + 45 * int(rng.integers(n_records)) + 5 + 8 * int(rng.integers(5))
+                bad[offset:offset + 8] = struct.pack("<d", [math.nan, math.inf, -math.inf][
+                    int(rng.integers(3))])
+            elif kind == 3:  # truncated, with the length prefix still claiming it all
+                bad = bad[:int(rng.integers(len(bad)))]
+            else:  # one record too many or too few for the header's count
+                bad = bad[:-45] if n_records and rng.random() < 0.5 else bad + bad[-45:]
+                bad[:4] = struct.pack("<I", len(bad) - 4)
+            corpus.append(bytes(bad))
+    corpus += [rng.bytes(int(rng.integers(0, 200))) for _ in range(200)]
+    outcomes = [_decoded(decode, frame) for frame in corpus]
+    assert outcomes == [_decoded(record_by_record_decode, frame) for frame in corpus]
+    errors = [o for o in outcomes if isinstance(o, str)]
+    for reason in ("unknown class code", "non-finite state", "!= declared", "!= expected"):
+        assert any(reason in e for e in errors), reason
+    assert len(errors) < len(outcomes) - 400  # intact frames decode, and some mutated ones
 
 
 # -- simulated network -----------------------------------------------------------
