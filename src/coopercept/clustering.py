@@ -170,12 +170,13 @@ def _adaptive_dbscan_labels(keys: np.ndarray, ranges: np.ndarray, points: np.nda
 
     le_fwd = d_sq <= radii[src] ** 2  # dst is in src's neighborhood
     le_bwd = d_sq <= radii[dst] ** 2  # src is in dst's neighborhood
-    return _dbscan_labels(n, src, dst, le_fwd, le_bwd, n_min, lambda k: d_sq[k])
+    return _dbscan_labels(n, src, dst, le_fwd, le_bwd, (n_min,), lambda k: d_sq[k])[0]
 
 
 def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarray,
-                   reach_bwd: np.ndarray, n_min: int, border_key) -> np.ndarray:
-    """DBSCAN labels of ``n`` points from their candidate neighbor pairs.
+                   reach_bwd: np.ndarray, n_mins, border_key) -> list[np.ndarray]:
+    """DBSCAN labels of ``n`` points from their candidate neighbor pairs,
+    one label array per core size in ``n_mins``.
 
     Each unordered pair ``(src[k], dst[k])`` appears once and at least one
     of its points reaches the other: ``reach_fwd[k]`` says dst lies in
@@ -185,31 +186,30 @@ def _dbscan_labels(n: int, src: np.ndarray, dst: np.ndarray, reach_fwd: np.ndarr
     reaching it whose pair has the smallest ``border_key(pair_indices)``,
     ties going to the lower core index.
     """
-    labels = np.full(n, NOISE, dtype=int)
     counts = np.ones(n, dtype=int)  # each point sees itself
     counts += np.bincount(src[reach_fwd], minlength=n)
     counts += np.bincount(dst[reach_bwd], minlength=n)
-    core = counts >= n_min
-    if not core.any():
-        return labels
+    out = []
+    for core in (counts >= n_min for n_min in n_mins):
+        labels = np.full(n, NOISE, dtype=int)
+        out.append(labels)
+        core_src, core_dst = core[src], core[dst]
+        cc_mask = core_src & core_dst
+        core_idx = np.flatnonzero(core)
+        remap = np.full(n, -1, dtype=int)
+        remap[core_idx] = np.arange(len(core_idx))
+        labels[core_idx] = _components(len(core_idx), remap[src[cc_mask]], remap[dst[cc_mask]])
 
-    core_src, core_dst = core[src], core[dst]
-    cc_mask = core_src & core_dst
-    core_idx = np.flatnonzero(core)
-    remap = np.full(n, -1, dtype=int)
-    remap[core_idx] = np.arange(len(core_idx))
-    labels[core_idx] = _components(len(core_idx), remap[src[cc_mask]], remap[dst[cc_mask]])
-
-    fwd = np.flatnonzero(core_src & ~core_dst & reach_fwd)
-    bwd = np.flatnonzero(core_dst & ~core_src & reach_bwd)
-    anchor = np.concatenate([src[fwd], dst[bwd]])
-    border = np.concatenate([dst[fwd], src[bwd]])
-    if len(border):
-        order = np.lexsort((anchor, border_key(np.concatenate([fwd, bwd]))))
-        border, anchor = border[order], anchor[order]
-        _, first = np.unique(border, return_index=True)  # nearest core per border
-        labels[border[first]] = labels[anchor[first]]
-    return labels
+        fwd = np.flatnonzero(core_src & ~core_dst & reach_fwd)
+        bwd = np.flatnonzero(core_dst & ~core_src & reach_bwd)
+        anchor = np.concatenate([src[fwd], dst[bwd]])
+        border = np.concatenate([dst[fwd], src[bwd]])
+        if len(border):
+            order = np.lexsort((anchor, border_key(np.concatenate([fwd, bwd]))))
+            border, anchor = border[order], anchor[order]
+            _, first = np.unique(border, return_index=True)  # nearest core per border
+            labels[border[first]] = labels[anchor[first]]
+    return out
 
 
 def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.ndarray,
@@ -327,13 +327,16 @@ def _hook(root: np.ndarray, src: np.ndarray, dst: np.ndarray, a: np.ndarray,
     return src[live], dst[live], a[live], b[live]
 
 
-def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
+def dbscan_baseline(points: np.ndarray, eps: float, n_mins) -> list[np.ndarray]:
     """Point-level DBSCAN with a fixed Euclidean radius.
 
-    Returns per-point labels (NOISE = -1). Core points are those with at
-    least ``n_min`` neighbors within ``eps`` (the point itself included);
-    clusters are connected components of cores, and border points attach
-    to their nearest core neighbor.
+    Returns per-point labels (NOISE = -1) for each core size in ``n_mins``.
+    Core points are those with at least ``n_min`` neighbors within ``eps``
+    (the point itself included); clusters are connected components of
+    cores, and border points attach to their nearest core neighbor. The
+    neighborhoods do not depend on the core size, so all share one search;
+    each takes the distances of its own few border pairs, which is cheaper
+    than caching them across core sizes.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -344,7 +347,7 @@ def dbscan_baseline(points: np.ndarray, eps: float, n_min: int) -> np.ndarray:
     src, dst = tree.query_pairs(eps, output_type="ndarray").T.copy()
     mutual = np.ones(len(src), dtype=bool)  # a fixed radius reaches both ways
     return _dbscan_labels(
-        len(points), src, dst, mutual, mutual, n_min,
+        len(points), src, dst, mutual, mutual, n_mins,
         lambda k: np.linalg.norm(points.take(dst[k], axis=0) - points.take(src[k], axis=0),
                                  axis=1))
 

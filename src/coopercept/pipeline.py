@@ -8,8 +8,8 @@ ground truth. Local perception is independent of transport delay, so each
 scenario's node pipelines run once and their output streams are reused
 across the delay grid. Within a node-frame, sensing (scan, ROI filter,
 detection, ground localization) is shared by every clustering method
-compared; only the first method's labels feed the tracker and the
-published message stream.
+compared, and the DBSCAN baselines share one neighbour search. Only
+the first method's labels feed the tracker, which local eval skips.
 """
 
 from __future__ import annotations
@@ -53,15 +53,9 @@ from .transport import LatencyModel, SimulatedNetwork
 METHOD_HIERARCHICAL = "hierarchical"
 METHOD_DBSCAN1 = "dbscan1"
 METHOD_DBSCAN2 = "dbscan2"
-# (scan, ClusterParams) -> clusters. Each entry looks its functions up in
-# this module when called, so a wrapper set on this module sees each call.
-LOCAL_METHODS = {
-    METHOD_DBSCAN1: lambda scan, params: clusters_from_labels(scan.points, dbscan_baseline(
-        scan.points, eps=DBSCAN_BASELINE_EPS, n_min=DBSCAN_BASELINE_N_MIN)),
-    METHOD_DBSCAN2: lambda scan, params: clusters_from_labels(scan.points, dbscan_baseline(
-        scan.points, eps=DBSCAN_BASELINE_EPS, n_min=DBSCAN_BASELINE_DENSE_N_MIN)),
-    METHOD_HIERARCHICAL: lambda scan, params: cluster_scan(scan, params),
-}
+# Each method's DBSCAN core size; the hierarchical method has none.
+LOCAL_METHODS = {METHOD_DBSCAN1: DBSCAN_BASELINE_N_MIN,
+                 METHOD_DBSCAN2: DBSCAN_BASELINE_DENSE_N_MIN, METHOD_HIERARCHICAL: None}
 OBSERVATION_MERGE_RADIUS = 0.45  # m, the dedup gate for occlusion fragments
 BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
 
@@ -113,13 +107,25 @@ def interpolate_gt(frames, t: float):
 class NodeRun:
     """One node's per-frame outputs over a scenario.
 
-    ``messages`` is the tracker stream of the first method run;
-    ``predictions[method]`` holds, per frame, that method's labeled objects
-    as the ``(class, x, y)`` tuples :func:`match_frame` scores.
+    ``messages`` is the tracker stream of the first method run (empty
+    untracked); ``predictions[method]`` holds, per frame, that method's
+    labeled objects as the ``(class, x, y)`` tuples :func:`match_frame` scores.
     """
 
     messages: list[StampedObjectList]
     predictions: dict[str, list[list[tuple]]]
+
+
+def cluster_methods(scan, params: ClusterParams, methods) -> list[list]:
+    """Each method's clusters of one scan, the DBSCAN methods' from one
+    :func:`dbscan_baseline` search. Stages are looked up in this module
+    when called, so a wrapper set on this module sees each call."""
+    dbscans = [m for m in methods if LOCAL_METHODS[m]]
+    labels = dbscan_baseline(scan.points, DBSCAN_BASELINE_EPS,
+                             [LOCAL_METHODS[m] for m in dbscans]) if dbscans else []
+    by_method = dict(zip(dbscans, labels))
+    return [clusters_from_labels(scan.points, by_method[m]) if m in by_method
+            else cluster_scan(scan, params) for m in methods]
 
 
 def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[LabeledObject]:
@@ -140,7 +146,7 @@ def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[Lab
 
 
 def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
-             methods: tuple[str, ...] = (METHOD_HIERARCHICAL,)) -> NodeRun:
+             methods: tuple[str, ...] = (METHOD_HIERARCHICAL,), *, track=True) -> NodeRun:
     """Run one sensor node's full local pipeline over all frames.
 
     The node takes its :class:`~coopercept.local_fusion.Roi` from
@@ -148,9 +154,10 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
     z band, and a scan of the empty room that is not one of the frames),
     recorded once per sensor, room and band. Each frame is then scanned,
     ROI-filtered, detected and ground-located once; every method in
-    ``methods`` clusters that one scan and labels its clusters from the
-    same boxes. Deduplication and the tracker run once per frame on the
-    labels of ``methods[0]``, so ``messages`` is that method's stream.
+    ``methods`` clusters that one scan (:func:`cluster_methods`) and
+    labels its clusters from the same boxes. Unless ``track`` is False,
+    deduplication and the tracker run once per frame on the labels of
+    ``methods[0]``, so ``messages`` is that method's stream.
     Detector RNG streams are derived from (seed, node, camera) only, so
     the detections do not depend on the methods asked for. Raises
     ``ValueError`` for a bare string, no methods or an unknown name.
@@ -172,13 +179,13 @@ def run_node(config: ScenarioConfig, node: NodePlacement, world_frames,
         boxes = [locate_boxes(detect_camera(cam, world, config.detector, rng), cam)
                  for cam, rng in zip(cameras, det_rngs)]
 
-        for i, method in enumerate(methods):
-            clusters = LOCAL_METHODS[method](scan, config.cluster_params)
+        clustered = cluster_methods(scan, config.cluster_params, methods)
+        for i, (method, clusters) in enumerate(zip(methods, clustered)):
             labeled = merge_camera_views([associate_boxes_clusters(b, clusters, cam)
                                           for b, cam in zip(boxes, cameras)])
-            predictions[method].append([(o.class_label, o.position[0], o.position[1])
+            predictions[method].append([(o.class_label, *o.position.tolist())
                                         for o in labeled])
-            if i == 0:
+            if i == 0 and track:
                 # camera-only labels carry no cluster position: not tracked
                 tracked = _dedup_observations(
                     [o for o in labeled if o.source != SOURCE_CAMERA_ONLY],
@@ -195,8 +202,8 @@ def run_local_eval(config: ScenarioConfig):
     """Per-node comparison of the clustering methods on identical frames.
 
     One ``run_node`` call per node runs all three methods over one scan
-    and one detection pass per frame; hierarchical clustering, the
-    paper's method, drives the tracker.
+    and one detection pass per frame, untracked: only the labeled
+    objects are scored.
 
     Returns metric rows (dicts in METRIC_COLUMNS order): per node,
     dbscan1, dbscan2, then hierarchical. Raises ``ValueError`` if the run has no frame.
@@ -208,11 +215,9 @@ def run_local_eval(config: ScenarioConfig):
     gts = [[(o.class_label, o.x, o.y) for o in world] for _, world in world_frames]
     rows = []
     for node in config.nodes:
-        run = run_node(config, node, world_frames,
-                       (METHOD_HIERARCHICAL, METHOD_DBSCAN1, METHOD_DBSCAN2))
-        for method in (METHOD_DBSCAN1, METHOD_DBSCAN2, METHOD_HIERARCHICAL):
-            scores = [match_frame(predictions, gt)
-                      for predictions, gt in zip(run.predictions[method], gts)]
+        run = run_node(config, node, world_frames, tuple(LOCAL_METHODS), track=False)
+        for method, frames in run.predictions.items():
+            scores = [match_frame(predictions, gt) for predictions, gt in zip(frames, gts)]
             precision, recall, avg_de = aggregate(scores)
             rows.append(_metric_row(config, node=str(node.node_id), method=method,
                                     delay_ms="", precision=precision, recall=recall,
@@ -299,8 +304,8 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
 def run_bench(sizes, repetitions: int, seed: int):
     """Clustering runtime comparison rows (BENCH_COLUMNS order).
 
-    The hierarchical pipeline and point-level DBSCAN (``dbscan1``'s radius
-    and core size) run alternately on one synthetic ring scan per requested
+    The hierarchical pipeline and point-level DBSCAN (one ``dbscan1``
+    search) run alternately on one synthetic ring scan per requested
     size, each timed from the scan to its ``Cluster`` list; ``point_count``
     is the actual scan size. ``sizes`` must be sorted ascending and
     ``repetitions`` at least 1, else ``ValueError``.
@@ -310,8 +315,7 @@ def run_bench(sizes, repetitions: int, seed: int):
         raise ValueError("sizes must be sorted ascending")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    methods = (("hierarchical", LOCAL_METHODS[METHOD_HIERARCHICAL]),
-               ("dbscan", LOCAL_METHODS[METHOD_DBSCAN1]))
+    methods = (("hierarchical", METHOD_HIERARCHICAL), ("dbscan", METHOD_DBSCAN1))
     params = ClusterParams()
     rows = []
     for target in sizes:
@@ -320,7 +324,7 @@ def run_bench(sizes, repetitions: int, seed: int):
         for _ in range(repetitions):
             for name, method in methods:
                 t0 = time.perf_counter()
-                method(scan, params)
+                cluster_methods(scan, params, (method,))
                 samples[name].append((time.perf_counter() - t0) * 1e3)
         for name, _ in methods:
             rows.append({

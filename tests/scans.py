@@ -40,12 +40,12 @@ def image_of(scan, model):
     return RangeImage(model, ranges)
 
 
-def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None):
+def builtin_roi_scans(step, scenarios=tuple(BUILTIN_SCENARIOS), duration_s=None, seed=7):
     """``(config, node, t, scan)`` for every ``step``-th frame of the named
-    built-in scenarios, at their own duration or ``duration_s``: each
-    node's scan of the frame, ROI-filtered as ``run_node`` filters it."""
+    built-in scenarios at ``seed``, at their own duration or ``duration_s``:
+    each node's scan of the frame, ROI-filtered as ``run_node`` filters it."""
     for name in scenarios:
-        config = BUILTIN_SCENARIOS[name]()
+        config = BUILTIN_SCENARIOS[name](seed)
         if duration_s is not None:
             config = replace(config, duration_s=duration_s)
         rois = [room_roi(node.lidar, config.room, config.z_band) for node in config.nodes]

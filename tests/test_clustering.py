@@ -8,6 +8,9 @@ import pytest
 from coopercept import clustering
 from coopercept.clustering import (
     Cluster,
+    DBSCAN_BASELINE_DENSE_N_MIN,
+    DBSCAN_BASELINE_EPS,
+    DBSCAN_BASELINE_N_MIN,
     EPSILON_CUSTOM,
     MAX_CENTROID_DISTANCE,
     RING_GAP,
@@ -503,10 +506,10 @@ def test_flanking_scene_counts():
     hier = cluster_scan(scan, PARAMS)
     assert len(hier) == 3
 
-    labels_small = dbscan_baseline(points, eps=0.25, n_min=4)
+    labels_small, = dbscan_baseline(points, eps=0.25, n_mins=(4,))
     assert labels_small.max() + 1 >= 4
 
-    labels_large = dbscan_baseline(points, eps=0.5, n_min=4)
+    labels_large, = dbscan_baseline(points, eps=0.5, n_mins=(4,))
     assert labels_large.max() + 1 <= 2
 
 
@@ -514,14 +517,14 @@ def test_flanking_scene_counts():
 
 def test_two_points_far_apart_are_noise():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    labels = dbscan_baseline(pts, eps=0.5, n_min=2)
+    labels, = dbscan_baseline(pts, eps=0.5, n_mins=(2,))
     assert list(labels) == [-1, -1]
 
 
 def test_dense_grid_single_cluster():
     g = np.arange(10) * 0.1
     pts = np.array([[x, y, 0.0] for x in g for y in g])
-    labels = dbscan_baseline(pts, eps=0.2, n_min=4)
+    labels, = dbscan_baseline(pts, eps=0.2, n_mins=(4,))
     assert labels.min() == 0
     assert labels.max() == 0
 
@@ -538,9 +541,55 @@ def test_dbscan_matches_brute_force():
         ])
         eps = rng.uniform(0.2, 0.8)
         n_min = int(rng.integers(2, 8))
-        got = dbscan_baseline(pts, eps, n_min)
+        got, = dbscan_baseline(pts, eps, (n_min,))
         expected = brute_force_dbscan(pts, eps, n_min)
         assert labelings_equal(got, expected), f"trial {trial} diverged"
+
+
+def random_clumps(rng, n):
+    """``n`` points scattered about four random centers; at radii of
+    0.2-0.8 m they hold core, border and noise points."""
+    centers = rng.uniform(-5.0, 5.0, size=(4, 3))
+    return centers[rng.integers(0, 4, size=n)] + rng.normal(0.0, 0.3, size=(n, 3))
+
+
+def test_dbscan_core_sizes_share_one_search_and_each_matches_brute_force(monkeypatch):
+    searches = []
+    tree = clustering.cKDTree
+    monkeypatch.setattr(clustering, "cKDTree", lambda *a, **k: searches.append(1) or tree(*a, **k))
+    rng = np.random.default_rng(23)
+    for n_mins in ((2,), (8, 4), (4, 4)):
+        for trial in range(8):
+            pts = random_clumps(rng, int(rng.integers(20, 300)))
+            eps = rng.uniform(0.2, 0.8)
+            del searches[:]
+            got = dbscan_baseline(pts, eps, n_mins)
+            assert len(searches) == 1 and len(got) == len(n_mins)
+            for labels, n_min in zip(got, n_mins):
+                assert labelings_equal(labels, brute_force_dbscan(pts, eps, n_min)), \
+                    (n_mins, trial, n_min)
+    a, b = dbscan_baseline(pts, eps, (4, 4))
+    assert a is not b and np.array_equal(a, b)
+    for labels in dbscan_baseline(np.zeros((0, 3)), 0.3, (4, 8)):
+        assert labels.shape == (0,) and labelings_equal(labels, brute_force_dbscan(
+            np.zeros((0, 3)), 0.3, 4))
+    assert dbscan_baseline(pts, 0.3, ()) == []
+
+
+@pytest.mark.parametrize("seed", [7, 2411])
+def test_dbscan_baselines_match_brute_force_on_builtin_frames(seed):
+    """Both baselines' core sizes from one search on every 5th frame of
+    the built-ins' first second; the brute force's distance matrix makes
+    each call cost about 0.1 s on these scans."""
+    n_mins = (DBSCAN_BASELINE_N_MIN, DBSCAN_BASELINE_DENSE_N_MIN)
+    clustered = 0
+    for _, _, _, scan in builtin_roi_scans(5, duration_s=1.0, seed=seed):
+        got = dbscan_baseline(scan.points, DBSCAN_BASELINE_EPS, n_mins)
+        for labels, n_min in zip(got, n_mins):
+            assert labelings_equal(labels, brute_force_dbscan(scan.points, DBSCAN_BASELINE_EPS,
+                                                              n_min))
+            clustered += labels.max() + 1
+    assert clustered > 100
 
 
 def test_partition_property():
@@ -563,7 +612,7 @@ def test_methods_agree_on_isolated_object():
                                elevation_min=math.radians(-15.0))
     scan = scan_lidar(lidar, [make_person(1, 4.0, 0.0)]).returns()
     hier = cluster_scan(scan, params)
-    labels = dbscan_baseline(scan.points, eps=0.3, n_min=8)
+    labels, = dbscan_baseline(scan.points, eps=0.3, n_mins=(8,))
     base = clusters_from_labels(scan.points, labels)
     assert len(hier) == 1
     assert len(base) == 1
@@ -589,8 +638,8 @@ def test_clusters_from_labels_matches_per_label_oracle_on_builtin_scans(monkeypa
     monkeypatch.setattr(pipeline, "clusters_from_labels", assert_clusters_match_per_label_oracle)
     clusters = 0
     for config, _, _, scan in builtin_roi_scans(25):
-        for method in (pipeline.METHOD_DBSCAN1, pipeline.METHOD_DBSCAN2):
-            clusters += len(pipeline.LOCAL_METHODS[method](scan, config.cluster_params))
+        clusters += sum(map(len, pipeline.cluster_methods(
+            scan, config.cluster_params, (pipeline.METHOD_DBSCAN1, pipeline.METHOD_DBSCAN2))))
     assert clusters > 100
 
 
@@ -684,7 +733,7 @@ def test_components_match_scipy_on_graphs_from_builtin_frames(monkeypatch):
     kinds = Counter()
     for config, _, _, scan in builtin_roi_scans(40):
         for kind, run in (
-                ("dbscan core", lambda: dbscan_baseline(scan.points, 0.3, 4)),
+                ("dbscan core", lambda: dbscan_baseline(scan.points, 0.3, (4,))),
                 ("ring", lambda: ring_segments(scan, config.cluster_params)),
                 ("segment", lambda: cluster_scan(scan, config.cluster_params))):
             del graphs[:]

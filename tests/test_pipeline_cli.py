@@ -108,6 +108,19 @@ def test_detections_identical_across_methods():
         assert camera_only[m] == camera_only[ALL_METHODS[0]]
 
 
+def test_untracked_run_node_predicts_as_the_tracked_call_and_streams_nothing():
+    config = small(bed_and_three, duration_s=2.0)
+    frames = pipeline.simulate_world(config)
+    for node in config.nodes:
+        for methods in (ALL_METHODS, (pipeline.METHOD_DBSCAN2, pipeline.METHOD_HIERARCHICAL)):
+            tracked = pipeline.run_node(config, node, frames, methods)
+            untracked = pipeline.run_node(config, node, frames, methods, track=False)
+            assert len(tracked.messages) == len(frames) and untracked.messages == []
+            assert repr(untracked.predictions) == repr(tracked.predictions)
+            objects = [p for frame in untracked.predictions[methods[0]] for p in frame]
+            assert objects and all(type(x) is float for _, *xy in objects for x in xy)
+
+
 def test_run_node_rejects_bad_methods_before_any_frame(monkeypatch):
     config = small(duration_s=1.0)
     frames = pipeline.simulate_world(config)
@@ -146,30 +159,33 @@ def count_node_stage_calls(monkeypatch):
     return counts
 
 
-def node_frame_calls(node, methods, frames):
+def node_frame_calls(node, methods, frames, track=True):
     """The calls ``frames`` node-frames of ``run_node`` make to each name:
-    sensing, dedup and tracking once per frame and detection once per
-    camera; clustering, association and merging once per method."""
+    sensing once per frame and detection once per camera; one DBSCAN
+    neighbour search per frame for all DBSCAN methods; labelling,
+    association and merging once per method; dedup and tracking once per
+    frame when tracked, else never."""
     cameras = len(node.cameras)
     dbscans = sum(m != pipeline.METHOD_HIERARCHICAL for m in methods)
     return Counter({
-        "scan_lidar": frames, "filter_roi": frames, "_dedup_observations": frames,
-        "Tracker.update": frames, "detect_camera": cameras * frames,
+        "scan_lidar": frames, "filter_roi": frames, "_dedup_observations": track * frames,
+        "Tracker.update": track * frames, "detect_camera": cameras * frames,
         "locate_boxes": cameras * frames,
         "associate_boxes_clusters": cameras * len(methods) * frames,
         "merge_camera_views": len(methods) * frames,
         "cluster_scan": (pipeline.METHOD_HIERARCHICAL in methods) * frames,
-        "dbscan_baseline": dbscans * frames, "clusters_from_labels": dbscans * frames,
+        "dbscan_baseline": (dbscans > 0) * frames, "clusters_from_labels": dbscans * frames,
     })
 
 
-def test_local_eval_senses_and_tracks_once_per_node_frame(monkeypatch):
+def test_local_eval_senses_and_searches_once_per_node_frame_untracked(monkeypatch):
     counts = count_node_stage_calls(monkeypatch)
     config = small(duration_s=2.0)
     rows = pipeline.run_local_eval(config)
     assert len(rows) == len(config.nodes) * len(ALL_METHODS)
-    assert counts == sum((node_frame_calls(node, ALL_METHODS, 20) for node in config.nodes),
-                         Counter())
+    assert counts == sum((node_frame_calls(node, ALL_METHODS, 20, track=False)
+                          for node in config.nodes), Counter())
+    assert counts["Tracker.update"] == counts["_dedup_observations"] == 0
 
 
 def test_run_node_scans_filters_and_tracks_once_per_frame(monkeypatch):
@@ -180,12 +196,13 @@ def test_run_node_scans_filters_and_tracks_once_per_frame(monkeypatch):
     counts = count_node_stage_calls(monkeypatch)
     config = small(duration_s=1.5)
     frames = pipeline.simulate_world(config)
-    for extra in ((), (ALL_METHODS,)):  # the default method, then all three
+    # the default call, then all three methods, then all three untracked
+    for extra, kw in (((), {}), ((ALL_METHODS,), {}), ((ALL_METHODS,), {"track": False})):
         methods = extra[0] if extra else (pipeline.METHOD_HIERARCHICAL,)
         for node in config.nodes:
             counts.clear()
-            pipeline.run_node(config, node, frames, *extra)
-            assert counts == node_frame_calls(node, methods, 15)
+            pipeline.run_node(config, node, frames, *extra, **kw)
+            assert counts == node_frame_calls(node, methods, 15, **kw)
 
 
 def test_run_node_calls_share_one_read_only_roi_per_sensor_and_room(monkeypatch):
