@@ -3,7 +3,6 @@
 Subcommands:
   local-eval   per-node clustering comparison (three configurations)
   delay-eval   two-node delay grid, baseline vs delay-aware fusion
-  bench        clustering runtime comparison CSV
   simulate     dump ground-truth frames as JSONL
 
 Scenarios come from a YAML config file or one of the built-in names.
@@ -95,20 +94,6 @@ def _cmd_delay_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = sorted(int(s) for s in args.sizes.split(","))
-    if any(s < 0 for s in sizes):
-        raise CliError("sizes must be >= 0")
-    if args.reps < 1:
-        raise CliError("reps must be >= 1")
-    out = _out_dir(args)
-    rows = pipeline.run_bench(sizes, repetitions=args.reps, seed=args.seed or 0)
-    path = out / "bench.csv"
-    pipeline.write_csv(path, rows, pipeline.BENCH_COLUMNS)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 0
-
-
 def _cmd_simulate(args) -> int:
     configs = _load_scenarios(args)
     out = _out_dir(args)
@@ -135,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-tracks", action="store_true",
                    help="also write per-cycle global track JSONL files")
     p.set_defaults(func=_cmd_delay_eval)
-
-    p = sub.add_parser("bench", help="clustering runtime comparison")
-    p.add_argument("--sizes", default="5000,20000,50000",
-                   help="comma-separated target point counts")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("simulate", help="dump ground-truth frames as JSONL")
     _add_scenario_args(p)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .local_fusion import (
     room_roi,
     suppress_duplicates,
 )
-from .scene import WorldObject, detect_camera, make_benchmark_scan, scan_lidar, simulate_step
+from .scene import WorldObject, detect_camera, scan_lidar, simulate_step
 from .scenarios import NodePlacement, ScenarioConfig
 from .tracking import StampedObjectList, Tracker
 from .transport import LatencyModel, SimulatedNetwork
@@ -61,7 +60,6 @@ BED_MERGE_RADIUS = 1.4  # m, the dedup gate around a kept bed
 
 METRIC_COLUMNS = ("scenario", "node", "method", "delay_ms", "precision",
                   "recall", "avg_de_m", "frames", "config_hash", "seed")
-BENCH_COLUMNS = ("point_count", "method", "mean_ms", "p95_ms", "config_hash", "seed")
 
 
 def simulate_world(config: ScenarioConfig) -> list[tuple[float, list[WorldObject]]]:
@@ -298,43 +296,6 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
                                     delay_ms=_fmt_float(delay_ms),
                                     precision=precision, recall=recall,
                                     avg_de=avg_de, frames=len(scores)))
-    return rows
-
-
-def run_bench(sizes, repetitions: int, seed: int):
-    """Clustering runtime comparison rows (BENCH_COLUMNS order).
-
-    The hierarchical pipeline and point-level DBSCAN (one ``dbscan1``
-    search) run alternately on one synthetic ring scan per requested
-    size, each timed from the scan to its ``Cluster`` list; ``point_count``
-    is the actual scan size. ``sizes`` must be sorted ascending and
-    ``repetitions`` at least 1, else ``ValueError``.
-    """
-    sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError("sizes must be sorted ascending")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    methods = (("hierarchical", METHOD_HIERARCHICAL), ("dbscan", METHOD_DBSCAN1))
-    params = ClusterParams()
-    rows = []
-    for target in sizes:
-        scan = make_benchmark_scan(target, seed=seed)
-        samples = {name: [] for name, _ in methods}
-        for _ in range(repetitions):
-            for name, method in methods:
-                t0 = time.perf_counter()
-                cluster_methods(scan, params, (method,))
-                samples[name].append((time.perf_counter() - t0) * 1e3)
-        for name, _ in methods:
-            rows.append({
-                "point_count": str(scan.n_points),
-                "method": name,
-                "mean_ms": _fmt_float(np.mean(samples[name])),
-                "p95_ms": _fmt_float(np.percentile(samples[name], 95.0)),
-                "config_hash": f"bench-{seed}",
-                "seed": str(seed),
-            })
     return rows
 
 

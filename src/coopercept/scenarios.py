@@ -96,8 +96,8 @@ class ScenarioConfig:
         if not all(0 <= i <= MAX_NODE_ID for i in ids):
             raise ValueError(f"node ids must be in 0..{MAX_NODE_ID} (the wire header's "
                              f"uint16), got {ids}")
-        if self.frame_rate_hz <= 0.0 or self.duration_s <= 0.0:
-            raise ValueError(f"frame_rate_hz and duration_s must be > 0, got "
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.frame_rate_hz, self.duration_s)):
+            raise ValueError(f"frame_rate_hz and duration_s must be finite and > 0, got "
                              f"{self.frame_rate_hz} and {self.duration_s}")
         for delay_ms in self.delay_grid_ms:  # the channels run_delay_eval builds
             try:
@@ -197,6 +197,8 @@ def _from_data(tp, data, where: str):
     # bool is a subclass of int, but no field takes one
     if not isinstance(data, kinds) or isinstance(data, bool):
         raise ValueError(f"{where}: expected {tp.__name__}, got {data!r}")
+    if tp is float and not math.isfinite(data):
+        raise ValueError(f"{where}: expected a finite float, got {data!r}")
     return tp(data)
 
 

@@ -609,47 +609,3 @@ def _jittered_box(x_min, y_min, x_max, y_max, label, rng, sigma, confidence) -> 
             y_min, y_max = y_max - 0.5, y_min + 0.5
     return BBox2D(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max,
                   class_label=label, confidence=confidence)
-
-
-# ---------------------------------------------------------------------------
-# Benchmark scan generation
-# ---------------------------------------------------------------------------
-
-def make_benchmark_scan(target_points: int, seed: int = 0) -> RingScan:
-    """Ring-structured scan of roughly ``target_points`` hits.
-
-    A crowded room is scanned with the azimuth resolution solved to land
-    near the requested point count, preserving the anisotropic geometry
-    that separates the two clustering methods.
-    """
-    if target_points <= 0:
-        return scan_lidar(LidarModel.uniform((0.0, 0.0, 2.0)), []).returns()  # nothing to hit
-    rng = np.random.default_rng(seed)
-    room = Room.rectangle(-12.0, -12.0, 12.0, 12.0)
-    objects = []
-    for i in range(12):
-        r = rng.uniform(2.5, 10.5)
-        a = rng.uniform(-math.pi, math.pi)
-        objects.append(make_person(i, r * math.cos(a), r * math.sin(a),
-                                   yaw=rng.uniform(-math.pi, math.pi)))
-    objects.append(make_bed(100, 6.0, 1.5, yaw=0.4))
-    objects.append(make_bed(101, -5.0, -6.0, yaw=-1.0))
-
-    n_rings = 16
-    dtheta = math.radians(2.0)
-    dphi = n_rings * 2.0 * math.pi / target_points
-    if dphi >= 0.9 * dtheta:
-        # tiny scans: drop rings instead of breaking the anisotropy premise
-        dphi = 0.45 * dtheta
-        n_rings = max(2, round(target_points * dphi / (2.0 * math.pi)))
-
-    def build(dphi):
-        model = LidarModel.uniform((0.0, 0.0, 2.0), n_rings=n_rings,
-                                   horizontal_resolution=dphi, max_range=40.0)
-        return scan_lidar(model, objects, room).returns()
-
-    scan = build(dphi)
-    got = scan.n_points
-    if got and abs(got - target_points) / target_points > 0.02:
-        scan = build(dphi * got / target_points)
-    return scan

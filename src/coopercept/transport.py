@@ -126,6 +126,8 @@ class ClockModel:
     def __post_init__(self):
         if abs(self.offset_ms) > MAX_CLOCK_OFFSET_MS:
             raise ValueError(f"clock offset exceeds {MAX_CLOCK_OFFSET_MS} ms")
+        if not 1.0 + self.drift_ppm * 1e-6 > 0.0:  # a clock must run forward
+            raise ValueError(f"drift_ppm must be > -1e6, got {self.drift_ppm}")
 
     def node_time(self, global_time: float) -> float:
         return global_time + self.offset_ms * 1e-3 + self.drift_ppm * 1e-6 * global_time

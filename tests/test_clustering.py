@@ -26,8 +26,7 @@ from coopercept.clustering import (
 from coopercept.local_fusion import filter_roi, room_roi
 from coopercept.pipeline import simulate_world
 from coopercept.scenarios import BUILTIN_SCENARIOS
-from coopercept.scene import (LidarModel, RangeImage, make_bed, make_benchmark_scan, make_person,
-                              scan_lidar)
+from coopercept.scene import LidarModel, RangeImage, make_bed, make_person, scan_lidar
 
 from oracles import (
     brute_force_cluster_segments,
@@ -37,7 +36,7 @@ from oracles import (
     labelings_equal,
     scalar_segment_distance,
 )
-from scans import builtin_roi_scans, scan_from_rings
+from scans import builtin_roi_scans, make_benchmark_scan, scan_from_rings
 
 PARAMS = ClusterParams()
 # the resolutions of LidarModel.uniform, the built-in scenes' sensor
@@ -641,6 +640,9 @@ def test_clusters_from_labels_matches_per_label_oracle_on_builtin_scans(monkeypa
         clusters += sum(map(len, pipeline.cluster_methods(
             scan, config.cluster_params, (pipeline.METHOD_DBSCAN1, pipeline.METHOD_DBSCAN2))))
     assert clusters > 100
+    # a scan with no returns gives every method no clusters
+    assert pipeline.cluster_methods(scan_from_rings([]), PARAMS,
+                                    tuple(pipeline.LOCAL_METHODS)) == [[], [], []]
 
 
 def test_clusters_from_labels_order_ties_gaps_and_noise():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from coopercept.evaluation import CLASS_MATCH_GATES, FrameScore, aggregate, match_frame
-from coopercept.pipeline import BENCH_COLUMNS, run_bench
 
 from oracles import brute_force_gated_matching, per_pair_match_frame
 
@@ -135,27 +134,3 @@ def test_avg_de_bounded_by_gate():
 def test_aggregate_requires_frames():
     with pytest.raises(ValueError):
         aggregate([])
-
-
-def test_benchmark_zero_size_no_crash():
-    rows = run_bench([0], repetitions=1, seed=0)
-    assert [r["method"] for r in rows] == ["hierarchical", "dbscan"]
-    for row in rows:
-        assert tuple(row) == BENCH_COLUMNS
-        assert row["point_count"] == "0"
-        assert float(row["mean_ms"]) < 50.0
-
-
-def test_benchmark_rows_shape():
-    rows = run_bench([2000, 5000], repetitions=2, seed=1)
-    assert len(rows) == 4
-    assert [r["method"] for r in rows] == ["hierarchical", "dbscan"] * 2
-    counts = [int(r["point_count"]) for r in rows]
-    assert counts[0] == counts[1] < counts[2] == counts[3]
-    for row in rows:
-        assert (row["config_hash"], row["seed"]) == ("bench-1", "1")
-        mean_ms, p95_ms = float(row["mean_ms"]), float(row["p95_ms"])
-        assert mean_ms > 0.0
-        assert p95_ms >= mean_ms * 0.5
-    with pytest.raises(ValueError, match="sorted ascending"):
-        run_bench([5000, 2000], repetitions=1, seed=1)

@@ -565,10 +565,19 @@ def test_cli_rejects_node_ids_the_wire_cannot_carry(tmp_path, capsys):
 
 
 def test_cli_config_errors_name_file_and_key(tmp_path, capsys, monkeypatch):
-    # both are rejected when the config loads, before any node pipeline runs
+    # each is rejected when the config loads, before any node pipeline runs
     monkeypatch.setattr(pipeline, "run_node", lambda *a, **k: pytest.fail("pipeline ran"))
     path = tmp_path / "bad.yaml"
     for edit, message in (
+            # YAML's .nan and .inf: a NaN jitter scored every run, and an
+            # infinite duration overflowed the frame count
+            (lambda d: d.update(jitter_ms=math.nan),
+             f"error: {path}.jitter_ms: expected a finite float, got nan"),
+            (lambda d: d.update(duration_s=math.inf),
+             f"error: {path}.duration_s: expected a finite float, got inf"),
+            # ClockModel.global_time divides by 1 + drift_ppm * 1e-6
+            (lambda d: d["nodes"][0]["clock"].update(drift_ppm=-1e6),
+             f"error: {path}.nodes[0].clock: drift_ppm must be > -1e6, got -1000000.0"),
             (lambda d: d.update(jitter_ms=-1.0),
              f"error: {path}: delay_grid_ms entry 50.0 with jitter_ms -1.0: "
              "latency std must be >= 0"),
@@ -585,6 +594,16 @@ def test_cli_config_errors_name_file_and_key(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.strip() == message
 
 
+def test_cli_rejects_non_finite_duration(tmp_path, capsys):
+    for value in ("inf", "nan"):
+        rc = main(["simulate", "--scenario", "four_pedestrians", "--duration", value,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == \
+            f"error: frame_rate_hz and duration_s must be finite and > 0, got 10.0 and {value}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_malformed_config(tmp_path):
     bad = tmp_path / "bad.yaml"
     for text in ("name: x\nseed: 1\n",  # missing required sections
@@ -592,32 +611,6 @@ def test_cli_malformed_config(tmp_path):
         bad.write_text(text)
         rc = main(["local-eval", "--config", str(bad), "--out", str(tmp_path)])
         assert rc != 0
-
-
-def test_cli_bench_writes_csv(tmp_path):
-    rc = main(["bench", "--sizes", "500,1500", "--reps", "1",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "bench.csv").read_text().splitlines()
-    assert lines[0] == "point_count,method,mean_ms,p95_ms,config_hash,seed"
-    assert len(lines) == 5
-
-
-def test_cli_bench_rejects_reps_below_one(tmp_path, capsys):
-    for reps, message in (("0", "reps must be >= 1"), ("-2", "reps must be >= 1")):
-        rc = main(["bench", "--sizes", "1000", "--reps", reps, "--out", str(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err.strip() == f"error: {message}"
-    rc = main(["bench", "--sizes=-5,1000", "--reps", "1", "--out", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err.strip() == "error: sizes must be >= 0"
-    assert not (tmp_path / "bench.csv").exists()
-
-
-def test_run_bench_rejects_fewer_than_one_repetition():
-    for reps in (0, -1):
-        with pytest.raises(ValueError, match="repetitions must be >= 1"):
-            pipeline.run_bench([1000], repetitions=reps, seed=0)
 
 
 def test_cli_dump_names_keep_fractional_delays_apart(tmp_path):

@@ -12,7 +12,6 @@ from coopercept.scene import (
     Room,
     detect_camera,
     make_bed,
-    make_benchmark_scan,
     make_person,
     scan_lidar,
     simulate_step,
@@ -240,12 +239,6 @@ def test_occlusion_nearest_hit():
     central = pts[np.abs(np.arctan2(pts[:, 1], pts[:, 0])) < 0.02]
     assert len(central) > 0
     assert np.all(np.linalg.norm(central[:, :2], axis=1) < 4.0)
-
-
-def test_benchmark_scan_size_control():
-    scan = make_benchmark_scan(20000, seed=1)
-    assert abs(scan.n_points - 20000) / 20000 < 0.05
-    assert make_benchmark_scan(0).n_points == 0
 
 
 def coarse_lidar(position, n_rings=6, elevation_min=-25.0, step=6.0, dphi=0.75):
