@@ -10,12 +10,14 @@ from scipy.optimize import linear_sum_assignment
 _BIG = 1e12
 
 
-def gated_assignment(cost: np.ndarray, gate: float):
-    """Assignment where pairs with cost > gate (or inf) are infeasible.
+def gated_assignment(cost: np.ndarray):
+    """Assignment over the pairs whose cost is finite: each caller writes
+    its gate into the cost as inf, so this is the one feasibility rule.
 
     Infeasible entries are lifted to a large constant so the solver first
     maximizes the number of feasible pairs, then minimizes their total
-    cost; lifted pairs are dropped afterwards.
+    cost; lifted pairs are dropped afterwards. This module is the only
+    caller of scipy's solver.
 
     Returns ``(pairs, unmatched_rows, unmatched_cols)``.
     """
@@ -23,7 +25,7 @@ def gated_assignment(cost: np.ndarray, gate: float):
     n_rows, n_cols = cost.shape
     if n_rows == 0 or n_cols == 0:
         return [], list(range(n_rows)), list(range(n_cols))
-    feasible = np.isfinite(cost) & (cost <= gate)
+    feasible = np.isfinite(cost)
     rows, cols = linear_sum_assignment(np.where(feasible, cost, _BIG))
     keep = feasible[rows, cols]
     rows, cols = rows[keep].tolist(), cols[keep].tolist()

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+from .assignment import gated_assignment
 
 PERSON = "person"
 FOOT = "foot"
@@ -183,8 +184,6 @@ def associate_foot_to_parent(feet: np.ndarray, parents: np.ndarray, v_z: np.ndar
     ``FOOT_COSINE_THRESHOLD`` is rejected, so each returned pair has real
     geometric support. A ray of zero length has cosine 0.
     """
-    if not len(feet) or not len(parents):
-        return []
     v_z = np.asarray(v_z, dtype=float)
     # box centers, as BBox2D.center computes them
     ray_f = (feet[:, :2] + feet[:, 2:]) * 0.5 - v_z
@@ -194,10 +193,7 @@ def associate_foot_to_parent(feet: np.ndarray, parents: np.ndarray, v_z: np.ndar
     nonzero = norms != 0.0  # pixel rays are 0 or far too long for the product to underflow
     cosine = np.where(nonzero, np.vecdot(ray_f[:, None, :], ray_p) / np.where(nonzero, norms, 1.0),
                       0.0)
-    rows, cols = linear_sum_assignment(-(overlap + cosine))
-    pairs = []
-    for i, j in zip(rows, cols):
-        if overlap[i, j] == 0.0 and cosine[i, j] < FOOT_COSINE_THRESHOLD:
-            continue
-        pairs.append((int(i), int(j)))
-    return pairs
+    # every score is finite, so every pair is feasible to the solver
+    pairs, _, _ = gated_assignment(-(overlap + cosine))
+    return [(i, j) for i, j in pairs
+            if not (overlap[i, j] == 0.0 and cosine[i, j] < FOOT_COSINE_THRESHOLD)]

@@ -41,10 +41,13 @@ def _load_scenarios(args) -> list[ScenarioConfig]:
     else:
         raise CliError(f"unknown scenario {args.scenario!r}; "
                        f"choose from {sorted(BUILTIN_SCENARIOS)} or 'all'")
-    if args.seed is not None:
-        configs = [replace(c, seed=args.seed) for c in configs]
-    if getattr(args, "duration", None) is not None:
-        configs = [replace(c, duration_s=args.duration) for c in configs]
+    for flag, field in (("seed", "seed"), ("duration", "duration_s")):
+        value = getattr(args, flag)
+        if value is not None:
+            try:
+                configs = [replace(c, **{field: value}) for c in configs]
+            except ValueError as exc:
+                raise CliError(f"--{flag}: {exc}") from None
     return configs
 
 

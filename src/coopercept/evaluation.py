@@ -46,7 +46,7 @@ def match_frame(predictions, ground_truth, d_match: float = DEFAULT_MATCH_GATE,
     """
     cost = gated_costs(predictions, ground_truth, lambda p_cls, g_cls: class_gates.get(
         g_cls, d_match) if class_compatible(p_cls, g_cls) else -math.inf)
-    pairs, un_pred, un_gt = gated_assignment(cost, math.inf)
+    pairs, un_pred, un_gt = gated_assignment(cost)
     return FrameScore(
         true_positives=len(pairs),
         false_positives=len(un_pred),

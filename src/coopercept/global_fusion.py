@@ -11,28 +11,30 @@ weighting variance grows with the compensated interval at its class's
 process-noise rate. The delay-ignorant baseline compensates over a zero
 interval, so its contributors' variances are equal and their weights
 uniform. In both, a list older than ``max_compensation`` is left out of
-the cycle, and global ids carry over by a gated assignment to the
-previous cycle's tracks predicted over the cycle interval.
+the cycle, and global ids carry over by an assignment, gated by
+``CONTINUITY_GATE``, to the previous cycle's tracks predicted over the
+cycle interval.
 
 The center's own processing time adds to the delay it compensates, and a
 cycle holds a few objects per node, where numpy's per-call overhead would
 be most of the cost. So the cycle works on Python floats and ``math``:
 records are slot dataclasses built by position (the wire's objects are
 tuples), and each gated cost matrix (cross-node, id carry-over, scoring)
-is one list of ``math.hypot`` distances, with the class rule decided once
-per row key and label (``assignment.gated_costs``), made an array once for
-the solver. The result is the numpy form's to the bit: sums are left folds
-from 0.0 in group order, which equal numpy's ``add.reduce`` for up to
-seven terms (it switches to unrolled partial sums at eight), a mean is
-that sum over the count as in ``np.mean``, and a group holds at most one
-object per node. Tried and dropped: numpy gate matrices with an
-``np.hypot`` prefilter and a ``math.hypot`` recheck were exact but slower
-(``np.hypot`` differs in the last bit for 11,636 of 2,000,000 normal
-pairs); skipping the solver when every row and column has at most one
-feasible entry cost more than it saved; passing states through at the
-baseline's zero interval is inexact, as ``ctrv_advance`` wraps a yaw of
--pi, which the wire keeps, to pi; a pure-Python port of scipy's solver was
-exact but about 14 times slower per call, so ``scipy.optimize`` stays.
+is one list of ``math.hypot`` distances, inf past a gate that the class
+rule decides once per row key and label (``assignment.gated_costs``), made
+an array once for the solver, whose feasible pairs are its finite entries.
+The result is the numpy form's to the bit: sums are left folds from 0.0 in
+group order, which equal numpy's ``add.reduce`` for up to seven terms (it
+switches to unrolled partial sums at eight), a mean is that sum over the
+count as in ``np.mean``, and a group holds at most one object per node.
+Tried and dropped: numpy gate matrices with an ``np.hypot`` prefilter and
+a ``math.hypot`` recheck were exact but slower (``np.hypot`` differs in
+the last bit for 11,636 of 2,000,000 normal pairs); skipping the solver
+when every row and column has at most one feasible entry cost more than it
+saved; passing states through at the baseline's zero interval is inexact,
+as ``ctrv_advance`` wraps a yaw of -pi, which the wire keeps, to pi; a
+pure-Python port of scipy's solver was exact but about 14 times slower per
+call, so ``scipy.optimize`` stays behind ``assignment.gated_assignment``.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
 
     Nodes are merged one at a time with a gated minimum-cost assignment
     between current group positions and the next node's objects; at most
-    one contribution per node can land in a group. The gate is class
-    dependent (wider for the bed's extent).
+    one contribution per node can land in a group. The gate, written into
+    the cost, is class dependent (wider for the bed's extent).
     """
     groups: list[list[CompensatedObject]] = []
     for objs in per_node:
@@ -181,7 +183,7 @@ def _associate_across_nodes(per_node: list[list[CompensatedObject]],
             rows.append((frozenset([m.class_label for m in group]),
                          gx / len(group), gy / len(group)))
         cost = gated_costs(rows, [(o.class_label, o.x, o.y) for o in objs], params.group_gate)
-        pairs, _, un_objs = gated_assignment(cost, math.inf)
+        pairs, _, un_objs = gated_assignment(cost)
         for i, j in pairs:
             groups[i].append(objs[j])
         for j in un_objs:
@@ -226,7 +228,7 @@ def _fuse_groups(groups: list[list[CompensatedObject]], previous: list[GlobalTra
         rows.append((prev.class_label, px, py))
     cost = gated_costs(rows, [(t.class_label, t.x, t.y) for t in tracks],
                        lambda a, b: CONTINUITY_GATE if class_compatible(a, b) else -math.inf)
-    pairs, _, unmatched = gated_assignment(cost, CONTINUITY_GATE)
+    pairs, _, unmatched = gated_assignment(cost)
     for i, j in pairs:
         tracks[j].global_id = previous[i].global_id
     for j in unmatched:

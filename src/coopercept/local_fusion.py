@@ -222,7 +222,8 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
     cluster's box is the pixel bounds of its points in front of the camera
     (depth above 1e-6); a cluster with no such point has overlap 0 with
     every box, and a box of zero width or height is widened to 1 px from
-    its minimum corner. Matched clusters take the box class at the cluster
+    its minimum corner. A pair costing more than ``DEFAULT_COST_GATE`` costs
+    inf instead. Matched clusters take the box class at the cluster
     centroid; leftover clusters come out unknown, leftover boxes
     camera-only at their recovered position. Each call builds its box,
     position and centroid arrays once, projects every cluster point in
@@ -245,32 +246,15 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
     dist = pairwise_distances(np.array([pb.position for pb in boxes]).reshape(-1, 2),
                               np.array([c.centroid for c in clusters]).reshape(-1, 3)[:, :2])
     cost = DEFAULT_OVERLAP_WEIGHT * (1.0 - overlap) + DEFAULT_DISTANCE_WEIGHT * dist
+    cost = np.where(cost <= DEFAULT_COST_GATE, cost, np.inf)
 
-    pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)
-    out = []
-    for i, j in pairs:
-        out.append(LabeledObject(
-            class_label=boxes[i].box.class_label,
-            position=clusters[j].centroid[:2].copy(),
-            cluster=clusters[j],
-            source=SOURCE_FUSED,
-            confidence=boxes[i].box.confidence,
-        ))
-    for j in un_clusters:
-        out.append(LabeledObject(
-            class_label=UNKNOWN,
-            position=clusters[j].centroid[:2].copy(),
-            cluster=clusters[j],
-            source=SOURCE_LIDAR_ONLY,
-        ))
-    for i in un_boxes:
-        out.append(LabeledObject(
-            class_label=boxes[i].box.class_label,
-            position=boxes[i].position.copy(),
-            cluster=None,
-            source=SOURCE_CAMERA_ONLY,
-            confidence=boxes[i].box.confidence,
-        ))
+    pairs, un_boxes, un_clusters = gated_assignment(cost)
+    out = [LabeledObject(boxes[i].box.class_label, clusters[j].centroid[:2].copy(), clusters[j],
+                         SOURCE_FUSED, boxes[i].box.confidence) for i, j in pairs]
+    out += [LabeledObject(UNKNOWN, clusters[j].centroid[:2].copy(), clusters[j], SOURCE_LIDAR_ONLY)
+            for j in un_clusters]
+    out += [LabeledObject(boxes[i].box.class_label, boxes[i].position.copy(), None,
+                          SOURCE_CAMERA_ONLY, boxes[i].box.confidence) for i in un_boxes]
     return out
 
 

@@ -211,13 +211,14 @@ def run_local_eval(config: ScenarioConfig):
         raise ValueError(f"duration_s={config.duration_s} at frame_rate_hz="
                          f"{config.frame_rate_hz} gives no frame to evaluate")
     gts = [[(o.class_label, o.x, o.y) for o in world] for _, world in world_frames]
+    stamp = config.config_hash()
     rows = []
     for node in config.nodes:
         run = run_node(config, node, world_frames, tuple(LOCAL_METHODS), track=False)
         for method, frames in run.predictions.items():
             scores = [match_frame(predictions, gt) for predictions, gt in zip(frames, gts)]
             precision, recall, avg_de = aggregate(scores)
-            rows.append(_metric_row(config, node=str(node.node_id), method=method,
+            rows.append(_metric_row(config, stamp, node=str(node.node_id), method=method,
                                     delay_ms="", precision=precision, recall=recall,
                                     avg_de=avg_de, frames=len(scores)))
     return rows
@@ -281,6 +282,7 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
     for node in config.nodes:
         messages_by_node[node.node_id] = run_node(config, node, world_frames).messages
 
+    stamp = config.config_hash()
     rows = []
     for delay_ms in config.delay_grid_ms:
         net_seed = [config.seed, int(round(delay_ms * 1000))]
@@ -292,7 +294,7 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
                 track_sink(config.name, delay_ms, method, cycles)
             scores = score_cycles(cycles, world_frames, config)
             precision, recall, avg_de = aggregate(scores)
-            rows.append(_metric_row(config, node="", method=method,
+            rows.append(_metric_row(config, stamp, node="", method=method,
                                     delay_ms=_fmt_float(delay_ms),
                                     precision=precision, recall=recall,
                                     avg_de=avg_de, frames=len(scores)))
@@ -310,7 +312,7 @@ def _fmt_float(x) -> str:
     return repr(x)
 
 
-def _metric_row(config: ScenarioConfig, node, method, delay_ms,
+def _metric_row(config: ScenarioConfig, config_hash: str, node, method, delay_ms,
                 precision, recall, avg_de, frames) -> dict:
     return {
         "scenario": config.name,
@@ -321,7 +323,7 @@ def _metric_row(config: ScenarioConfig, node, method, delay_ms,
         "recall": _fmt_float(recall),
         "avg_de_m": _fmt_float(avg_de),
         "frames": str(frames),
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash,
         "seed": str(config.seed),
     }
 

@@ -88,6 +88,10 @@ class ScenarioConfig:
     settle_s: float = 1.0  # cycles before this are not scored
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.z_band[0] < self.z_band[1]:  # an empty band keeps no LiDAR point
+            raise ValueError(f"z_band must run from low to high, got {self.z_band}")
         if not self.nodes:
             raise ValueError("scenario needs at least one node")
         ids = [n.node_id for n in self.nodes]

@@ -3,7 +3,8 @@
 An extended recursive Gaussian filter over the CTRV state observes object
 positions only; velocity and turn rate fall out of the filter and feed the
 center node's delay compensation. Association is minimum-cost on position
-distance with a hard class gate, so a confirmed track can never flip
+distance; a pair of incompatible classes or farther apart than
+``ASSOCIATION_GATE`` costs inf, so a confirmed track can never flip
 between person and bed.
 
 The filter runs on all tracks at once, as stacked (k, 5) means and
@@ -155,8 +156,9 @@ class Tracker:
         compatible = class_compatible(
             np.array([t.class_label for t in self.tracks], dtype=str)[:, None],
             np.array([o.class_label for o in observations], dtype=str))
-        cost = np.where(compatible, pairwise_distances(means[:, :2], obs_pos), np.inf)
-        pairs, un_tracks, un_obs = gated_assignment(cost, ASSOCIATION_GATE)
+        dist = pairwise_distances(means[:, :2], obs_pos)
+        cost = np.where(compatible & (dist <= ASSOCIATION_GATE), dist, np.inf)
+        pairs, un_tracks, un_obs = gated_assignment(cost)
 
         if pairs:
             rows, cols = (list(k) for k in zip(*pairs))

@@ -38,3 +38,20 @@ def builtin_node_runs():
                     nodes[node.node_id] = (trackers[-1].calls, messages)
                 out.append((f"{name}/{seed}", config, frames, nodes))
     return out
+
+
+@pytest.fixture
+def solver_costs(monkeypatch):
+    """``record(module)`` wraps the module's ``gated_assignment`` for the
+    test and returns the list it fills with the shape and bytes of every
+    cost handed to it, so that a package path and its oracle can be
+    compared entry for entry."""
+    def record(module):
+        costs, solve = [], module.gated_assignment
+
+        def recorded(cost):
+            costs.append((cost.shape, cost.tobytes()))
+            return solve(cost)
+        monkeypatch.setattr(module, "gated_assignment", recorded)
+        return costs
+    return record

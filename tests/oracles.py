@@ -7,7 +7,8 @@ ground-localization, segment-grouping, wall-distance, detector and
 tracker oracles. They keep the per-pair (per-record, per-box, per-edge,
 per-object) loops and per-segment (per-track) objects the package
 replaced, numpy calls included, so that their results can be compared bit
-for bit. They call the package's ``gated_assignment`` (the box oracle its
+for bit. They write each gate into their cost as inf, as the package
+does, and call its ``gated_assignment`` (the box oracle its
 ``project_points``, the ground oracle its ``vanishing_point_z``, the
 grouping oracle its ``segment_distances``, the detector its
 ``_jittered_box``, the tracker its ``ctrv_step`` and ``ctrv_jacobian``),
@@ -183,6 +184,21 @@ def brute_force_assignment(cost):
     if transposed and best[1] is not None:
         best = (best[0], [(j, i) for i, j in best[1]])
     return best
+
+
+def two_mask_gated_assignment(cost, gate):
+    """Gated assignment by the rule the package used while callers passed
+    their gate apart from the cost: a pair is feasible when its cost is
+    finite and at most ``gate``, and the solver gets every other entry as
+    1e12. Returns ``(pairs, unmatched_rows, unmatched_cols, solver_matrix)``."""
+    cost = np.asarray(cost, dtype=float)
+    feasible = np.isfinite(cost) & (cost <= gate)
+    matrix = np.where(feasible, cost, 1e12)
+    rows, cols = linear_sum_assignment(matrix)
+    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if feasible[i, j]]
+    matched_rows, matched_cols = {i for i, _ in pairs}, {j for _, j in pairs}
+    return (pairs, [i for i in range(cost.shape[0]) if i not in matched_rows],
+            [j for j in range(cost.shape[1]) if j not in matched_cols], matrix)
 
 
 def brute_force_gated_matching(cost, gate):
@@ -724,14 +740,17 @@ def _cluster_pixel_box(cluster, camera):
 
 def brute_force_association_cost(boxes, clusters, camera):
     """Box-to-cluster cost filled one (box, cluster) pair at a time: one
-    projection per cluster, scalar overlap, ``np.linalg.norm`` distance."""
+    projection per cluster, scalar overlap, ``np.linalg.norm`` distance,
+    and inf for a pair that costs more than ``DEFAULT_COST_GATE``."""
     cluster_boxes = [_cluster_pixel_box(c, camera) for c in clusters]
     cost = np.full((len(boxes), len(clusters)), np.inf)
     for i, pb in enumerate(boxes):
         for j, cl in enumerate(clusters):
             dist = float(np.linalg.norm(pb.position - cl.centroid[:2]))
             ov = overlap_ratio(pb.box, cluster_boxes[j]) if cluster_boxes[j] else 0.0
-            cost[i, j] = DEFAULT_OVERLAP_WEIGHT * (1.0 - ov) + DEFAULT_DISTANCE_WEIGHT * dist
+            c = DEFAULT_OVERLAP_WEIGHT * (1.0 - ov) + DEFAULT_DISTANCE_WEIGHT * dist
+            if c <= DEFAULT_COST_GATE:
+                cost[i, j] = c
     return cost
 
 
@@ -740,7 +759,7 @@ def brute_force_associate_boxes_clusters(boxes, clusters, camera):
     Returns ``(class_label, source, confidence, position, cluster)`` per
     labelled object, in the package's output order."""
     cost = brute_force_association_cost(boxes, clusters, camera)
-    pairs, un_boxes, un_clusters = gated_assignment(cost, DEFAULT_COST_GATE)
+    pairs, un_boxes, un_clusters = gated_assignment(cost)
     out = [(boxes[i].box.class_label, "fused", boxes[i].box.confidence,
             clusters[j].centroid[:2], clusters[j]) for i, j in pairs]
     out += [("unknown", "lidar_only", 1.0, clusters[j].centroid[:2], clusters[j])
@@ -823,7 +842,7 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
                 d = math.hypot(gx - obj.x, gy - obj.y)
                 if d <= gate:
                     cost[i, j] = d
-        pairs, _, un_objs = gated_assignment(cost, math.inf)
+        pairs, _, un_objs = gated_assignment(cost)
         for i, j in pairs:
             groups[i].append(objs[j])
         for j in un_objs:
@@ -857,8 +876,10 @@ def brute_force_fuse_cycle(messages, now, params, delay_aware, previous, previou
                                  now - previous_now)
         for j, track in enumerate(tracks):
             if _class_compatible(prev.class_label, track.class_label):
-                cost[i, j] = math.hypot(float(state[0]) - track.x, float(state[1]) - track.y)
-    pairs, _, unmatched = gated_assignment(cost, CONTINUITY_GATE)
+                d = math.hypot(float(state[0]) - track.x, float(state[1]) - track.y)
+                if d <= CONTINUITY_GATE:
+                    cost[i, j] = d
+    pairs, _, unmatched = gated_assignment(cost)
     for i, j in pairs:
         tracks[j].global_id = previous[i].global_id
     for j in unmatched:
@@ -873,8 +894,8 @@ def per_pair_match_frame(predictions, ground_truth, d_match, class_gates):
     """Frame scoring one (prediction, ground truth) pair at a time: an inf
     matrix filled entry by entry with the ``math.hypot`` distance where the
     classes agree (or the prediction is unknown) and the distance is within
-    the ground truth's gate, the package's ``gated_assignment`` at the
-    widest gate, and the matched np.float64 costs summed by ``sum``.
+    the ground truth's gate, the package's ``gated_assignment``, and the
+    matched np.float64 costs summed by ``sum``.
     Returns ``(FrameScore, pairs)``."""
     cost = np.full((len(predictions), len(ground_truth)), np.inf)
     gates = [class_gates.get(g_cls, d_match) for g_cls, _, _ in ground_truth]
@@ -883,7 +904,7 @@ def per_pair_match_frame(predictions, ground_truth, d_match, class_gates):
             d = math.hypot(px - gx, py - gy)
             if _class_compatible(p_cls, g_cls) and d <= gates[j]:
                 cost[i, j] = d
-    pairs, un_pred, un_gt = gated_assignment(cost, max(gates, default=d_match))
+    pairs, un_pred, un_gt = gated_assignment(cost)
     return FrameScore(len(pairs), len(un_pred), len(un_gt),
                       float(sum(cost[i, j] for i, j in pairs))), pairs
 
@@ -1028,8 +1049,10 @@ class PerTrackTracker:
             for j, obs in enumerate(observations):
                 if not _class_compatible(track.class_label, obs.class_label):
                     continue
-                cost[i, j] = float(np.linalg.norm(track.mean[:2] - obs.position))
-        pairs, un_tracks, un_obs = gated_assignment(cost, ASSOCIATION_GATE)
+                d = float(np.linalg.norm(track.mean[:2] - obs.position))
+                if d <= ASSOCIATION_GATE:
+                    cost[i, j] = d
+        pairs, un_tracks, un_obs = gated_assignment(cost)
 
         for i, j in pairs:
             self._update_track(self.tracks[i], observations[j], timestamp)

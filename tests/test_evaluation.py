@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from coopercept import evaluation
 from coopercept.evaluation import CLASS_MATCH_GATES, FrameScore, aggregate, match_frame
 
+import oracles
 from oracles import brute_force_gated_matching, per_pair_match_frame
 
 
@@ -47,7 +49,8 @@ def test_matching_cost_equals_exhaustive_minimum():
         assert score.sum_matched_distance == pytest.approx(total, abs=1e-9)
 
 
-def test_match_frame_matches_per_pair_oracle_bit_for_bit():
+def test_match_frame_matches_per_pair_oracle_bit_for_bit(solver_costs):
+    costs, oracle_costs = solver_costs(evaluation), solver_costs(oracles)
     rng = np.random.default_rng(1234)
     gate_sets = ((0.5, CLASS_MATCH_GATES), (0.5, {}), (0.8, {"person": 0.3, "bed": 1.5}))
     for _ in range(1500):
@@ -67,6 +70,7 @@ def test_match_frame_matches_per_pair_oracle_bit_for_bit():
             got = match_frame(preds, gt, d_match, class_gates)
             want, _ = per_pair_match_frame(preds, gt, d_match, class_gates)
             assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+    assert costs == oracle_costs and len(costs) == 4500
 
 
 def test_class_agreement():

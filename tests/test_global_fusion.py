@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coopercept import pipeline
+from coopercept import global_fusion, pipeline
 from coopercept.evaluation import CLASS_MATCH_GATES, DEFAULT_MATCH_GATE, aggregate, match_frame
 from coopercept.global_fusion import (
     BASE_POSITION_VAR,
@@ -17,6 +17,7 @@ from coopercept.global_fusion import (
 from coopercept.tracking import StampedObjectList, TrackedObject
 from coopercept.transport import ClockModel, SimulatedNetwork
 
+import oracles
 from oracles import brute_force_fuse_cycle, per_pair_match_frame, scalar_ctrv_iterate
 
 
@@ -374,8 +375,9 @@ def _track_fields(track):
 
 @pytest.mark.parametrize("n_nodes", (2, 3, 4))
 @pytest.mark.parametrize("delay_aware", (True, False))
-def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware):
+def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware, solver_costs):
     params = FusionParams()
+    costs, oracle_costs = solver_costs(global_fusion), solver_costs(oracles)
     rng = np.random.default_rng(100 * n_nodes + delay_aware)
     for _ in range(15):
         center = CenterNode(params, delay_aware=delay_aware)
@@ -398,6 +400,9 @@ def test_fuse_cycle_matches_numpy_oracle_bit_for_bit(n_nodes, delay_aware):
                                                     previous, previous_now, next_gid)
             previous, previous_now = want, now
             assert [_track_fields(t) for t in got] == [_track_fields(t) for t in want]
+    # an id carry-over per cycle, and a cross-node merge per node after the
+    # first with objects
+    assert costs == oracle_costs and len(costs) > 15 * 8
 
 
 # The channel grid of the center_replay benchmark: the ideal channel, then

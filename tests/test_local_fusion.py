@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from coopercept import local_fusion
+from coopercept import assignment, local_fusion
 from coopercept.camera import (UNKNOWN, BBox2D, CameraGeometryError, CameraModel, project_points,
                                vanishing_point_z)
 from coopercept.clustering import ClusterParams, cluster_scan
@@ -35,6 +36,7 @@ from oracles import (
     overlap_ratio,
     per_box_locate_boxes,
     per_edge_wall_distances,
+    two_mask_gated_assignment,
 )
 from scans import image_of
 
@@ -454,21 +456,21 @@ def test_cost_equal_to_gate_is_matched_and_one_ulp_above_is_not():
     out = assert_association_matches_oracle([at_gate], [behind], cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
     past = PositionedBox(box=box, position=np.array([-3.0, np.nextafter(1.3, 2.0)]))
-    assert brute_force_association_cost([past], [behind], cam)[0, 0] > DEFAULT_COST_GATE
+    assert 1.0 + float(np.linalg.norm(past.position - behind.centroid[:2])) > DEFAULT_COST_GATE
+    assert brute_force_association_cost([past], [behind], cam)[0, 0] == math.inf
     out = assert_association_matches_oracle([past], [behind], cam)
     assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]
 
 
-def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch):
+def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch, solver_costs):
     from dataclasses import replace
 
     from coopercept import pipeline
     from coopercept.scenarios import BUILTIN_SCENARIOS
 
-    box_calls, foot_calls, costs = [], [], []
+    box_calls, foot_calls = [], []
     real_associate = pipeline.associate_boxes_clusters
     real_feet = local_fusion.associate_foot_to_parent
-    real_gated = local_fusion.gated_assignment
 
     def record_boxes(boxes, clusters, camera):
         out = real_associate(boxes, clusters, camera)
@@ -482,24 +484,22 @@ def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch):
                            v_z, overlap, pairs))
         return pairs
 
-    def record_cost(cost, gate):
-        costs.append(cost)
-        return real_gated(cost, gate)
-
     monkeypatch.setattr(pipeline, "associate_boxes_clusters", record_boxes)
     monkeypatch.setattr(local_fusion, "associate_foot_to_parent", record_feet)
-    monkeypatch.setattr(local_fusion, "gated_assignment", record_cost)
+    costs = solver_costs(local_fusion)
     for build in BUILTIN_SCENARIOS.values():
         pipeline.run_local_eval(replace(build(), duration_s=2.0))
     assert len(box_calls) == len(costs) == 720  # scenes x frames x nodes x methods x cameras
 
-    entries, sources = 0, set()
+    entries, gated, sources = 0, 0, set()
     for (boxes, clusters, camera, out), cost in zip(box_calls, costs):
-        assert cost.tobytes() == brute_force_association_cost(boxes, clusters, camera).tobytes()
+        want = brute_force_association_cost(boxes, clusters, camera)
+        assert cost == (want.shape, want.tobytes())
         assert labeled_rows(out, clusters) == oracle_rows(boxes, clusters, camera)
-        entries += cost.size
+        entries += want.size
+        gated += np.isinf(want).sum()
         sources.update(o.source for o in out)
-    assert entries > 40000
+    assert entries > 40000 and 0 < gated < entries
     assert sources == {SOURCE_FUSED, SOURCE_LIDAR_ONLY, SOURCE_CAMERA_ONLY}
 
     assert len(foot_calls) > 200
@@ -596,18 +596,34 @@ def test_locate_boxes_raises_on_a_degenerate_view():
 # -- gated assignment vs exhaustive search ------------------------------------
 
 def test_gated_assignment_matches_exhaustive():
+    """A caller's gate written into the cost as inf gives the pairs, and the
+    solver the matrix, of the former rule that took the gate apart from
+    the cost, for raw costs holding NaN, +-inf and entries at the gate."""
     rng = np.random.default_rng(12)
+    solve = mock.patch.object(assignment, "linear_sum_assignment",
+                              wraps=assignment.linear_sum_assignment)
+    seen = Counter()
     for _ in range(300):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
-        cost = rng.uniform(0.0, 2.0, size=(rows, cols))
-        cost[rng.random(size=cost.shape) < 0.2] = np.inf
         gate = float(rng.uniform(0.5, 1.8))
-        pairs, _, _ = gated_assignment(cost, gate)
-        got = (len(pairs), sum(cost[i, j] for i, j in pairs))
-        want = brute_force_gated_matching(cost, gate)
-        assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1], abs=1e-9)
+        raw = rng.uniform(0.0, 2.0, size=(rows, cols))
+        # about 15% of the entries sit at the gate, 5% each are NaN, inf and -inf
+        mark = rng.random(size=raw.shape)
+        raw[mark < 0.15] = gate
+        for k, value in enumerate((np.nan, np.inf, -np.inf)):
+            raw[(mark >= 0.15 + 0.05 * k) & (mark < 0.2 + 0.05 * k)] = value
+        with solve as solver:
+            got = gated_assignment(np.where(raw <= gate, raw, np.inf))
+        *want, matrix = two_mask_gated_assignment(raw, gate)
+        assert got == tuple(want)
+        assert solver.call_args.args[0].tobytes() == matrix.tobytes()
+        count, total = brute_force_gated_matching(raw, gate)
+        assert len(got[0]) == count
+        assert sum(raw[i, j] for i, j in got[0]) == pytest.approx(total, abs=1e-9)
+        seen.update(str(v) for v in raw.ravel().tolist() if not math.isfinite(v))
+        seen["matched at the gate"] += sum(raw[i, j] == gate for i, j in got[0])
+    assert min(seen.values()) > 50 and len(seen) == 4
 
 
 # -- camera view merging ------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -449,6 +450,20 @@ def test_config_rejects_bad_input(tmp_path):
             pytest.fail(f"edit {k} was accepted")
 
 
+def test_config_rejects_negative_seed_and_empty_z_band():
+    # numpy's generators reject a negative seed only once the world is
+    # simulated, and a z_band from high to low silently keeps no LiDAR point
+    for field, value, message in (
+            ("seed", -3, "seed must be >= 0, got -3"),
+            ("z_band", (2.2, 0.1), "z_band must run from low to high, got (2.2, 0.1)"),
+            ("z_band", (1.0, 1.0), "z_band must run from low to high, got (1.0, 1.0)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(nine_pedestrians(), **{field: value})
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        nine_pedestrians(seed=-1)
+    assert nine_pedestrians(seed=0).seed == 0
+
+
 def test_config_rejects_removed_keys(tmp_path):
     # settings that nothing read, or that the sensor states itself
     edits = [
@@ -575,6 +590,9 @@ def test_cli_config_errors_name_file_and_key(tmp_path, capsys, monkeypatch):
              f"error: {path}.jitter_ms: expected a finite float, got nan"),
             (lambda d: d.update(duration_s=math.inf),
              f"error: {path}.duration_s: expected a finite float, got inf"),
+            (lambda d: d.update(seed=-3), f"error: {path}: seed must be >= 0, got -3"),
+            (lambda d: d.update(z_band=[2.2, 0.1]),
+             f"error: {path}: z_band must run from low to high, got (2.2, 0.1)"),
             # ClockModel.global_time divides by 1 + drift_ppm * 1e-6
             (lambda d: d["nodes"][0]["clock"].update(drift_ppm=-1e6),
              f"error: {path}.nodes[0].clock: drift_ppm must be > -1e6, got -1000000.0"),
@@ -598,9 +616,26 @@ def test_cli_rejects_non_finite_duration(tmp_path, capsys):
     for value in ("inf", "nan"):
         rc = main(["simulate", "--scenario", "four_pedestrians", "--duration", value,
                    "--out", str(tmp_path)])
-        assert rc == 1
-        assert capsys.readouterr().err.strip() == \
-            f"error: frame_rate_hz and duration_s must be finite and > 0, got 10.0 and {value}"
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == ("error: --duration: frame_rate_hz and "
+                                                   f"duration_s must be finite and > 0, got "
+                                                   f"10.0 and {value}")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "local-eval", "delay-eval"])
+def test_cli_rejects_negative_seed_and_duration_naming_the_flag(command, tmp_path, capsys,
+                                                                 monkeypatch):
+    # exit 2 before the world is simulated, as the same values in a YAML file
+    monkeypatch.setattr(pipeline, "simulate_world", lambda *a: pytest.fail("the world ran"))
+    for flag, value, message in (
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--seed", "-3", "seed must be >= 0, got -3"),
+            ("--duration", "-1",
+             "frame_rate_hz and duration_s must be finite and > 0, got 10.0 and -1.0")):
+        rc = main([command, "--scenario", "four_pedestrians", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == f"error: {flag}: {message}"
     assert not list(tmp_path.iterdir())
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coopercept import tracking
 from coopercept.camera import UNKNOWN
 from coopercept.local_fusion import LabeledObject, SOURCE_FUSED, SOURCE_LIDAR_ONLY
 from coopercept.tracking import (
@@ -12,6 +13,7 @@ from coopercept.tracking import (
     TrackerConfig,
 )
 
+import oracles
 from oracles import PerTrackTracker, scalar_ctrv_iterate
 
 
@@ -196,8 +198,9 @@ def builtin_tracker_inputs(builtin_node_runs):
             for node_id, (calls, _) in nodes.items()]
 
 
-def test_tracker_matches_per_track_oracle_bit_for_bit(builtin_tracker_inputs):
+def test_tracker_matches_per_track_oracle_bit_for_bit(builtin_tracker_inputs, solver_costs):
     assert len(builtin_tracker_inputs) == 12  # 3 scenarios x 2 seeds x 2 nodes
+    costs, oracle_costs = solver_costs(tracking), solver_costs(oracles)
     for label, node_id, config, calls in builtin_tracker_inputs:
         tracker, oracle = Tracker(node_id, config), PerTrackTracker(node_id, config)
         for k, (observations, t) in enumerate(calls):
@@ -205,6 +208,7 @@ def test_tracker_matches_per_track_oracle_bit_for_bit(builtin_tracker_inputs):
             assert repr(got) == repr(want), (label, node_id, k)
             assert [s.covariance.tobytes() for s in tracker.tracks] == \
                 [s.covariance.tobytes() for s in oracle.tracks], (label, node_id, k)
+    assert costs == oracle_costs and len(costs) > 500
 
 
 def test_covariance_psd_after_every_update_on_builtin_streams(builtin_tracker_inputs):
