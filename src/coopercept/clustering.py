@@ -7,11 +7,12 @@ here first clusters each ring on its own with a range-adaptive radius,
 then groups the resulting per-ring segments with a normalized distance
 that combines centroid separation (in units of the local inter-ring
 spacing) and azimuth-interval overlap. A segment is the ascending scan
-indices of its points, and a :class:`Cluster` is nothing but its points.
-Both stages run as whole-scan array passes over flat segments: one
-``members`` array of scan indices grouped segment by segment, and the
-``bounds`` where each segment starts, with no loop per ring or segment.
-A plain point-level DBSCAN is kept as the comparison baseline.
+indices of its points. Both stages run as whole-scan array passes over
+flat segments: one ``members`` array of scan indices grouped segment by
+segment, and the ``bounds`` where each segment starts, with no loop per
+ring or segment. A scan's clusters come out flat the same way, as one
+:class:`Clusters` record of grouped points. A plain point-level DBSCAN is
+kept as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -58,14 +59,24 @@ class ClusterParams:
 
 
 @dataclass(eq=False)
-class Cluster:
-    """A group of scan points treated as one physical object."""
+class Clusters:
+    """A scan's clusters, each a group of points treated as one physical
+    object: cluster k is ``points[bounds[k]:bounds[k + 1]]`` and its
+    centroid is ``centroids[k]``, the mean of its points. ``len()`` is the
+    number of clusters."""
 
-    points: np.ndarray  # (n, 3)
-    centroid: np.ndarray = field(init=False)
+    points: np.ndarray  # (n, 3), grouped cluster by cluster
+    bounds: np.ndarray  # (k + 1,) int, where each cluster starts, then n
+    centroids: np.ndarray = field(init=False)  # (k, 3)
 
     def __post_init__(self):
-        self.centroid = np.add.reduce(self.points, axis=0) / len(self.points)  # mean()
+        # add.reduce per cluster, as mean() sums (reduceat's order differs)
+        edges = self.bounds.tolist()
+        sums = [np.add.reduce(self.points[a:b], axis=0) for a, b in zip(edges, edges[1:])]
+        self.centroids = np.array(sums).reshape(-1, 3) / np.diff(self.bounds)[:, None]
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
 
 
 def adaptive_epsilon(s, n_min: int, dphi: float) -> np.ndarray:
@@ -74,13 +85,6 @@ def adaptive_epsilon(s, n_min: int, dphi: float) -> np.ndarray:
     if np.any(s <= 0.0):
         raise ValueError(f"range must be > 0, got {s.min()}")
     return n_min * dphi * s
-
-
-def ring_segments(scan: RingScan, params: ClusterParams) -> list[np.ndarray]:
-    """First stage as one index array per segment: a view of
-    :func:`_flat_segments`, in its order."""
-    members, bounds = _flat_segments(scan, params)
-    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _flat_segments(scan: RingScan, params: ClusterParams) -> tuple[np.ndarray, np.ndarray]:
@@ -247,16 +251,7 @@ def segment_distances(ring: np.ndarray, centroid: np.ndarray, mean_range: np.nda
     return np.where(feasible, d_norm + phi_norm, np.inf)
 
 
-def cluster_segments(scan: RingScan, segments: list[np.ndarray]) -> list[Cluster]:
-    """Second stage over a list of index arrays, a view of
-    :func:`_group_segments`: ``segments`` are ascending scan indices in
-    (ring, azimuth start) order, as :func:`ring_segments` returns them."""
-    sizes = [len(g) for g in segments]
-    return _group_segments(scan, np.concatenate([np.zeros(0, dtype=np.intp)] + segments),
-                           np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
-
-
-def _group_segments(scan: RingScan, members: np.ndarray, bounds: np.ndarray) -> list[Cluster]:
+def _group_segments(scan: RingScan, members: np.ndarray, bounds: np.ndarray) -> Clusters:
     """Second stage: single-linkage grouping of the flat segments of
     ``scan``, laid out as :func:`_flat_segments` returns them.
 
@@ -266,11 +261,11 @@ def _group_segments(scan: RingScan, members: np.ndarray, bounds: np.ndarray) -> 
     segment-by-segment arrays, which is where the two-stage scheme gets
     its speed: segments are far fewer than points. Segment features are
     summed per segment with ``reduceat``, whose order may differ from a
-    per-segment ``add.reduce`` in the last bit; each Cluster's own
-    centroid comes from its own points.
+    per-segment ``add.reduce`` in the last bit; each cluster's centroid
+    comes from its own points.
     """
     if len(bounds) == 1:
-        return []
+        return Clusters(scan.points[:0], bounds)
     # azimuths increase within a ring, so a segment's first and last points
     # bound its interval
     starts, sizes = bounds[:-1], np.diff(bounds)
@@ -283,11 +278,10 @@ def _group_segments(scan: RingScan, members: np.ndarray, bounds: np.ndarray) -> 
     # sort of the members by component keeps segment order within each
     component = np.repeat(_components(len(sizes), *np.nonzero(np.triu(linked, k=1))), sizes)
     points = scan.points.take(members[np.argsort(component, kind="stable")], axis=0)
-    ends = np.cumsum(np.bincount(component)).tolist()
-    return [Cluster(points[a:b]) for a, b in zip([0] + ends, ends)]
+    return Clusters(points, np.concatenate(([0], np.cumsum(np.bincount(component)))))
 
 
-def cluster_scan(scan: RingScan, params: ClusterParams) -> list[Cluster]:
+def cluster_scan(scan: RingScan, params: ClusterParams) -> Clusters:
     """Full hierarchical pipeline over a :class:`~coopercept.scene.RingScan`."""
     return _group_segments(scan, *_flat_segments(scan, params))
 
@@ -352,8 +346,8 @@ def dbscan_baseline(points: np.ndarray, eps: float, n_mins) -> list[np.ndarray]:
                                  axis=1))
 
 
-def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> list[Cluster]:
-    """Wrap labeled points as Clusters.
+def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> Clusters:
+    """Group labeled points as Clusters.
 
     Clusters come in label order, noise (negative labels) is dropped, and
     each cluster's points are in stable azimuth order.
@@ -361,10 +355,9 @@ def clusters_from_labels(points: np.ndarray, labels: np.ndarray) -> list[Cluster
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     labels = np.asarray(labels)
     members = np.flatnonzero(labels >= 0)
-    if len(members) == 0:
-        return []
     pts = points.take(members, axis=0)  # take gathers rows about 3x faster than indexing
     # stable: ties keep point order
     order = np.lexsort((np.arctan2(pts[:, 1], pts[:, 0]), labels[members]))
-    cuts = np.flatnonzero(np.diff(labels[members][order])) + 1
-    return [Cluster(p) for p in np.split(pts.take(order, axis=0), cuts)]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(labels[members][order])) + 1,
+                             [len(members)]))
+    return Clusters(pts.take(order, axis=0), bounds if len(members) else bounds[:1])

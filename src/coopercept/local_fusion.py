@@ -14,7 +14,6 @@ clusters by minimum-cost assignment to label the clusters.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .assignment import gated_assignment, pairwise_distances
 from .camera import (BED, FOOT, PERSON, UNKNOWN, BBox2D, CameraModel, associate_foot_to_parent,
                      box_array, overlap_ratios, project_points, recover_ground_positions,
                      vanishing_point_z)
-from .clustering import Cluster
+from .clustering import Clusters
 from .scene import LidarModel, RangeImage, RingScan, Room, scan_lidar
 
 SOURCE_FUSED = "fused"
@@ -158,11 +157,13 @@ class PositionedBox:
 
 @dataclass(eq=False)
 class LabeledObject:
-    """Classified, localized output of the per-node fusion stage."""
+    """Classified, localized output of the per-node fusion stage; ``cluster``
+    is the labeled cluster's index in the frame's
+    :class:`~coopercept.clustering.Clusters`, None for a camera-only object."""
 
     class_label: str
     position: np.ndarray  # (2,) world xy
-    cluster: Cluster | None
+    cluster: int | None
     source: str
     confidence: float = 1.0
 
@@ -212,7 +213,7 @@ def locate_boxes(detections: list[BBox2D], camera: CameraModel) -> list[Position
     return [PositionedBox(detections[i], p) for i, p in zip(located, positions)]
 
 
-def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster],
+def associate_boxes_clusters(boxes: list[PositionedBox], clusters: Clusters,
                              camera: CameraModel) -> list[LabeledObject]:
     """Label clusters with camera classes by minimum-cost assignment.
 
@@ -225,33 +226,33 @@ def associate_boxes_clusters(boxes: list[PositionedBox], clusters: list[Cluster]
     its minimum corner. A pair costing more than ``DEFAULT_COST_GATE`` costs
     inf instead. Matched clusters take the box class at the cluster
     centroid; leftover clusters come out unknown, leftover boxes
-    camera-only at their recovered position. Each call builds its box,
-    position and centroid arrays once, projects every cluster point in
-    one call and bounds all clusters with one reduceat per corner.
+    camera-only at their recovered position. Each call builds its box and
+    position arrays once, projects the record's grouped points in one call
+    and bounds all clusters with one reduceat per corner.
     """
     overlap = np.zeros((len(boxes), len(clusters)))
     if boxes and clusters:
-        # one projection for the whole cluster list; a cluster's box bounds
-        # its in-front points, and is NaN (overlapping nothing) without one
-        pix, depth = project_points(camera, np.concatenate([c.points for c in clusters]))
+        # a cluster's box bounds its in-front points, and is NaN
+        # (overlapping nothing) without one
+        pix, depth = project_points(camera, clusters.points)
         pix[depth <= 1e-6] = np.nan
-        starts = list(itertools.accumulate((len(c.points) for c in clusters[:-1]), initial=0))
         cluster_boxes = np.empty((len(clusters), 4))
         lo, hi = cluster_boxes[:, :2], cluster_boxes[:, 2:]
-        np.fmin.reduceat(pix, starts, axis=0, out=lo)
-        np.fmax.reduceat(pix, starts, axis=0, out=hi)
+        np.fmin.reduceat(pix, clusters.bounds[:-1], axis=0, out=lo)
+        np.fmax.reduceat(pix, clusters.bounds[:-1], axis=0, out=hi)
         flat = ~((lo[:, 0] < hi[:, 0]) & (lo[:, 1] < hi[:, 1]))
         hi[flat] = lo[flat] + 1.0
         overlap = overlap_ratios(box_array([pb.box for pb in boxes]), cluster_boxes)
+    centroids = clusters.centroids
     dist = pairwise_distances(np.array([pb.position for pb in boxes]).reshape(-1, 2),
-                              np.array([c.centroid for c in clusters]).reshape(-1, 3)[:, :2])
+                              centroids[:, :2])
     cost = DEFAULT_OVERLAP_WEIGHT * (1.0 - overlap) + DEFAULT_DISTANCE_WEIGHT * dist
     cost = np.where(cost <= DEFAULT_COST_GATE, cost, np.inf)
 
     pairs, un_boxes, un_clusters = gated_assignment(cost)
-    out = [LabeledObject(boxes[i].box.class_label, clusters[j].centroid[:2].copy(), clusters[j],
-                         SOURCE_FUSED, boxes[i].box.confidence) for i, j in pairs]
-    out += [LabeledObject(UNKNOWN, clusters[j].centroid[:2].copy(), clusters[j], SOURCE_LIDAR_ONLY)
+    out = [LabeledObject(boxes[i].box.class_label, centroids[j, :2].copy(), j, SOURCE_FUSED,
+                         boxes[i].box.confidence) for i, j in pairs]
+    out += [LabeledObject(UNKNOWN, centroids[j, :2].copy(), j, SOURCE_LIDAR_ONLY)
             for j in un_clusters]
     out += [LabeledObject(boxes[i].box.class_label, boxes[i].position.copy(), None,
                           SOURCE_CAMERA_ONLY, boxes[i].box.confidence) for i in un_boxes]
@@ -281,10 +282,11 @@ def suppress_duplicates(objects: list[LabeledObject], gate, kept=()) -> list[Lab
 def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObject]:
     """Combine association results from the node's cameras.
 
-    Precondition: every view labels the same cluster list, so objects that
-    carry the same ``Cluster`` are views of the same physical object. Each
-    cluster keeps its first best label by :func:`observation_rank`, in order
-    of first appearance, and all of them are kept. A camera-only detection
+    Precondition: every view labels the same frame's
+    :class:`~coopercept.clustering.Clusters`, so objects that carry the
+    same cluster index are views of the same physical object. Each cluster
+    keeps its first best label by :func:`observation_rank`, in order of
+    first appearance, and all of them are kept. A camera-only detection
     within the duplicate gate of a kept one is dropped.
     """
     flat = [o for view in per_camera for o in view]
@@ -292,9 +294,9 @@ def merge_camera_views(per_camera: list[list[LabeledObject]]) -> list[LabeledObj
     for obj in flat:
         if obj.cluster is None:
             continue
-        held = best.setdefault(id(obj.cluster), obj)
+        held = best.setdefault(obj.cluster, obj)
         if observation_rank(obj) < observation_rank(held):
-            best[id(obj.cluster)] = obj
+            best[obj.cluster] = obj
     kept = list(best.values())
     camera_only = [o for o in flat if o.cluster is None]
     return kept + suppress_duplicates(camera_only, DEFAULT_DUPLICATE_GATE, kept)

@@ -27,6 +27,7 @@ from .clustering import (
     DBSCAN_BASELINE_EPS,
     DBSCAN_BASELINE_N_MIN,
     ClusterParams,
+    Clusters,
     cluster_scan,
     clusters_from_labels,
     dbscan_baseline,
@@ -114,7 +115,7 @@ class NodeRun:
     predictions: dict[str, list[list[tuple]]]
 
 
-def cluster_methods(scan, params: ClusterParams, methods) -> list[list]:
+def cluster_methods(scan, params: ClusterParams, methods) -> list[Clusters]:
     """Each method's clusters of one scan, the DBSCAN methods' from one
     :func:`dbscan_baseline` search. Stages are looked up in this module
     when called, so a wrapper set on this module sees each call."""
@@ -129,9 +130,11 @@ def cluster_methods(scan, params: ClusterParams, methods) -> list[list]:
 def _dedup_observations(labeled: list[LabeledObject], radius: float) -> list[LabeledObject]:
     """Collapse near-coincident observations of one physical object.
 
-    Occlusion can split a cluster into fragments that all survive camera
-    association; feeding them all to the tracker births duplicate tracks.
-    Every observation carries a cluster; they are visited in
+    Occlusion can split an object into cluster fragments that all survive
+    camera association; feeding them all to the tracker births duplicate
+    tracks. Each observation labels a distinct cluster of the frame (it
+    carries that cluster's index), so duplicates are told by position
+    alone; they are visited in
     :func:`~coopercept.local_fusion.observation_rank` order, ties in list
     order. A kept bed absorbs unlabeled fragments over its whole extent,
     but never a detection positively labeled as a person.
@@ -295,7 +298,7 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
             scores = score_cycles(cycles, world_frames, config)
             precision, recall, avg_de = aggregate(scores)
             rows.append(_metric_row(config, stamp, node="", method=method,
-                                    delay_ms=_fmt_float(delay_ms),
+                                    delay_ms=repr(float(delay_ms)),
                                     precision=precision, recall=recall,
                                     avg_de=avg_de, frames=len(scores)))
     return rows
@@ -305,13 +308,6 @@ def run_delay_eval(config: ScenarioConfig, track_sink=None):
 # Output files
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
-
-
 def _metric_row(config: ScenarioConfig, config_hash: str, node, method, delay_ms,
                 precision, recall, avg_de, frames) -> dict:
     return {
@@ -319,9 +315,9 @@ def _metric_row(config: ScenarioConfig, config_hash: str, node, method, delay_ms
         "node": node,
         "method": method,
         "delay_ms": delay_ms,
-        "precision": _fmt_float(precision),
-        "recall": _fmt_float(recall),
-        "avg_de_m": _fmt_float(avg_de),
+        "precision": repr(float(precision)),
+        "recall": repr(float(recall)),
+        "avg_de_m": repr(float(avg_de)),
         "frames": str(frames),
         "config_hash": config_hash,
         "seed": str(config.seed),

@@ -97,6 +97,9 @@ class ScenarioConfig:
         ids = [n.node_id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"node ids must be unique, got {ids}")
+        object_ids = [o.id for o in self.objects]  # ground truth is matched by id
+        if len(set(object_ids)) != len(object_ids):
+            raise ValueError(f"object ids must be unique, got {object_ids}")
         if not all(0 <= i <= MAX_NODE_ID for i in ids):
             raise ValueError(f"node ids must be in 0..{MAX_NODE_ID} (the wire header's "
                              f"uint16), got {ids}")

@@ -69,10 +69,6 @@ class WorldObject:
                 f"{self.class_label} height {self.height} outside [{lo}, {hi}] m"
             )
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 def make_person(obj_id, x, y, yaw=0.0, speed=0.0, yaw_rate=0.0, height=1.7, waypoints=()):
     return WorldObject(

@@ -56,6 +56,11 @@ class TrackerConfig:
     n_confirm: int = 3
     m_miss: int = 5
 
+    def __post_init__(self):  # a track is born with one hit, dropped past m_miss misses
+        if self.n_confirm < 1 or self.m_miss < 0:
+            raise ValueError(f"n_confirm must be >= 1 and m_miss >= 0, got {self.n_confirm} "
+                             f"and {self.m_miss}")
+
 
 @dataclass(eq=False)
 class TrackState:

@@ -12,7 +12,10 @@ does, and call its ``gated_assignment`` (the box oracle its
 ``project_points``, the ground oracle its ``vanishing_point_z``, the
 grouping oracle its ``segment_distances``, the detector its
 ``_jittered_box``, the tracker its ``ctrv_step`` and ``ctrv_jacobian``),
-as the replaced code did.
+as the replaced code did. The cell-grid DBSCAN oracle is array code, so
+that it can check whole runs; it shares no step with the package's
+search and is itself checked against the brute force. Cluster oracles
+take each cluster's points and compute its mean themselves.
 """
 
 import itertools
@@ -80,6 +83,67 @@ def brute_force_dbscan(points, eps, n_min):
     return np.array(labels)
 
 
+def cell_grid_dbscan(points, eps, n_min):
+    """DBSCAN with :func:`brute_force_dbscan`'s rules, its neighbours found
+    through a grid of cubic cells instead of a distance matrix or a tree.
+
+    Points are binned into cells a hair wider than ``eps``, so that
+    rounding in ``points / size`` never puts two points within ``eps``
+    more than one cell apart; every pair of points in the same or
+    adjacent cells (27 per point) is a candidate, and the brute force's
+    exact test ``np.linalg.norm(p_i - p_j) <= eps`` decides it. Core
+    points count themselves; cores that are neighbours share a cluster,
+    clusters numbered in order of their lowest core; a border point joins
+    its nearest core neighbour, ties to the lowest index.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    labels = np.full(n, -1)
+    if n == 0:
+        return labels
+    cell = np.floor(points / (eps * (1.0 + 1e-9))).astype(np.int64)
+    cell += 1 - cell.min(axis=0)  # every neighbour cell has coordinates >= 0
+    dims = cell.max(axis=0) + 2
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    src, dst = [], []
+    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3):
+        target = key + (dx * dims[1] + dy) * dims[2] + dz
+        lo = np.searchsorted(sorted_key, target, side="left")
+        count = np.searchsorted(sorted_key, target, side="right") - lo
+        first = np.repeat(lo - (np.cumsum(count) - count), count)
+        src.append(np.repeat(np.arange(n), count))
+        dst.append(order[first + np.arange(count.sum())])
+    src, dst = np.concatenate(src), np.concatenate(dst)  # each ordered pair once
+    dist = np.linalg.norm(points[src] - points[dst], axis=1)
+    near = dist <= eps
+    src, dst, dist = src[near], dst[near], dist[near]
+
+    core = np.bincount(src, minlength=n) >= n_min
+    link = core[src] & core[dst]
+    graph = sparse.coo_matrix((np.ones(link.sum()), (src[link], dst[link])), shape=(n, n))
+    component = connected_components(graph, directed=False)[1]
+    labels[core] = np.unique(component[core], return_inverse=True)[1]
+    border = ~core[src] & core[dst]
+    src, dst, dist = src[border], dst[border], dist[border]
+    pick = np.lexsort((dst, dist, src))  # per border point: nearest, then lowest core
+    src, dst = src[pick], dst[pick]
+    first = np.unique(src, return_index=True)[1]
+    labels[src[first]] = labels[dst[first]]
+    return labels
+
+
+def points_by_cluster(clusters):
+    """The points of each cluster of a
+    :class:`~coopercept.clustering.Clusters` record, as a list."""
+    edges = clusters.bounds.tolist()
+    return [clusters.points[a:b] for a, b in zip(edges, edges[1:])]
+
+
 def brute_force_clusters_from_labels(points, labels):
     """One cluster per label >= 0, in label order, from a scan of the
     points per label; each cluster's points in stable azimuth order.
@@ -100,20 +164,19 @@ def brute_force_cluster_segments(scan, segments):
     """Second-stage grouping as one object per segment.
 
     Each segment (scan indices) becomes a record of its own points with
-    the features computed from them: ring, centroid and mean range by
-    ``add.reduce`` over the count, and the azimuth interval as the min and
-    max. The records are sorted by (ring, azimuth start), any input order
-    allowed, linked where ``segment_distances`` is below
-    ``EPSILON_CUSTOM``, and joined by union-find into groups in order of
-    their lowest record. Returns ``(points, centroid)`` per cluster, the
-    points stacked record by record.
+    the features computed from them: ring, centroid and mean range as
+    means, and the azimuth interval as the min and max. The records are
+    sorted by (ring, azimuth start), any input order allowed, linked where
+    ``segment_distances`` is below ``EPSILON_CUSTOM``, and joined by
+    union-find into groups in order of their lowest record. Returns
+    ``(points, centroid)`` per cluster, the points stacked record by
+    record and the centroid their mean.
     """
     records = []
     for g in segments:
         pts, az, ranges = scan.points[g], scan.azimuths[g], scan.ranges[g]
         records.append(SimpleNamespace(
-            ring=int(scan.ring[g[0]]), points=pts,
-            centroid=np.add.reduce(pts, axis=0) / len(pts),
+            ring=int(scan.ring[g[0]]), points=pts, centroid=np.mean(pts, axis=0),
             mean_range=float(np.add.reduce(ranges) / len(ranges)),
             start=float(az.min()), end=float(az.max())))
     records.sort(key=lambda r: (r.ring, r.start))
@@ -139,7 +202,7 @@ def brute_force_cluster_segments(scan, segments):
     out = []
     for members in groups.values():
         points = np.vstack([r.points for r in members])
-        out.append((points, np.add.reduce(points, axis=0) / len(points)))
+        out.append((points, np.mean(points, axis=0)))
     return out
 
 
@@ -558,22 +621,24 @@ def brute_force_filter_roi(scan, grid, z_band):
     return kept
 
 
-def brute_force_merge_views(per_camera, duplicate_gate=0.5):
+def brute_force_merge_views(per_camera, view_clusters, duplicate_gate=0.5):
     """Merge camera views of possibly different clusterings, by point.
 
-    Objects whose clusters share a point row are one physical object; the
-    groups come in order of their lowest object. Each group keeps its best
-    label (fused, then LiDAR-only, then the higher confidence, ties to the
-    lower object) at the centroid of the union of its point rows, taken in
-    object order. A camera-only object within ``duplicate_gate`` of a kept
-    object is dropped.
+    ``view_clusters[v]`` lists the points of each cluster that view v's
+    cluster indices refer to. Objects whose clusters share a point row are
+    one physical object; the groups come in order of their lowest object.
+    Each group keeps its best label (fused, then LiDAR-only, then the
+    higher confidence, ties to the lower object) at the mean of the union
+    of its point rows, taken in object order. A camera-only object within
+    ``duplicate_gate`` of a kept object is dropped.
 
     Returns ``(class_label, source, confidence, position, points)`` per
     kept object; ``points`` is None for a camera-only object.
     """
     flat = [o for view in per_camera for o in view]
-    clustered = [o for o in flat if o.cluster is not None]
-    rows = [[p.tobytes() for p in o.cluster.points] for o in clustered]
+    clustered = [(o, view_clusters[v][o.cluster]) for v, view in enumerate(per_camera)
+                 for o in view if o.cluster is not None]
+    rows = [[p.tobytes() for p in points] for _, points in clustered]
     row_sets = [set(r) for r in rows]
     parent = list(range(len(clustered)))
 
@@ -593,17 +658,17 @@ def brute_force_merge_views(per_camera, duplicate_gate=0.5):
     rank = {"fused": 0, "lidar_only": 1}
     kept = []
     for members in groups.values():
-        best = min((clustered[i] for i in members),
+        best = min((clustered[i][0] for i in members),
                    key=lambda o: (rank.get(o.source, 2), -o.confidence))
         seen, union = set(), []
         for i in members:
-            for row, point in zip(rows[i], clustered[i].cluster.points):
+            for row, point in zip(rows[i], clustered[i][1]):
                 if row not in seen:
                     seen.add(row)
                     union.append(point)
         points = np.array(union)
-        centroid = np.add.reduce(points, axis=0) / len(points)  # as Cluster computes it
-        kept.append((best.class_label, best.source, best.confidence, centroid[:2], points))
+        kept.append((best.class_label, best.source, best.confidence,
+                     np.mean(points, axis=0)[:2], points))
     for obj in flat:
         if obj.cluster is None and not any(
                 np.linalg.norm(obj.position - k[3]) < duplicate_gate for k in kept):
@@ -724,10 +789,10 @@ def per_box_locate_boxes(detections, camera):
                for b in beds])
 
 
-def _cluster_pixel_box(cluster, camera):
-    """Pixel bounds of the cluster's points in front of the camera, a zero
+def _cluster_pixel_box(points, camera):
+    """Pixel bounds of a cluster's points in front of the camera, a zero
     width or height widened to 1 px; None when no point is in front."""
-    pix, depth = project_points(camera, cluster.points)
+    pix, depth = project_points(camera, points)
     pix = pix[depth > 1e-6]
     if len(pix) == 0:
         return None
@@ -739,14 +804,16 @@ def _cluster_pixel_box(cluster, camera):
 
 
 def brute_force_association_cost(boxes, clusters, camera):
-    """Box-to-cluster cost filled one (box, cluster) pair at a time: one
-    projection per cluster, scalar overlap, ``np.linalg.norm`` distance,
-    and inf for a pair that costs more than ``DEFAULT_COST_GATE``."""
-    cluster_boxes = [_cluster_pixel_box(c, camera) for c in clusters]
+    """Box-to-cluster cost filled one (box, cluster) pair at a time, each
+    cluster given as its points: one projection per cluster, scalar
+    overlap, ``np.linalg.norm`` distance to the mean of the points, and
+    inf for a pair that costs more than ``DEFAULT_COST_GATE``."""
+    cluster_boxes = [_cluster_pixel_box(points, camera) for points in clusters]
+    centroids = [np.mean(points, axis=0) for points in clusters]
     cost = np.full((len(boxes), len(clusters)), np.inf)
     for i, pb in enumerate(boxes):
-        for j, cl in enumerate(clusters):
-            dist = float(np.linalg.norm(pb.position - cl.centroid[:2]))
+        for j, centroid in enumerate(centroids):
+            dist = float(np.linalg.norm(pb.position - centroid[:2]))
             ov = overlap_ratio(pb.box, cluster_boxes[j]) if cluster_boxes[j] else 0.0
             c = DEFAULT_OVERLAP_WEIGHT * (1.0 - ov) + DEFAULT_DISTANCE_WEIGHT * dist
             if c <= DEFAULT_COST_GATE:
@@ -755,14 +822,15 @@ def brute_force_association_cost(boxes, clusters, camera):
 
 
 def brute_force_associate_boxes_clusters(boxes, clusters, camera):
-    """Box-to-cluster labelling from :func:`brute_force_association_cost`.
-    Returns ``(class_label, source, confidence, position, cluster)`` per
-    labelled object, in the package's output order."""
+    """Box-to-cluster labelling from :func:`brute_force_association_cost`,
+    each cluster given as its points. Returns ``(class_label, source,
+    confidence, position, cluster index)`` per labelled object, in the
+    package's output order."""
     cost = brute_force_association_cost(boxes, clusters, camera)
     pairs, un_boxes, un_clusters = gated_assignment(cost)
     out = [(boxes[i].box.class_label, "fused", boxes[i].box.confidence,
-            clusters[j].centroid[:2], clusters[j]) for i, j in pairs]
-    out += [("unknown", "lidar_only", 1.0, clusters[j].centroid[:2], clusters[j])
+            np.mean(clusters[j], axis=0)[:2], j) for i, j in pairs]
+    out += [("unknown", "lidar_only", 1.0, np.mean(clusters[j], axis=0)[:2], j)
             for j in un_clusters]
     out += [(boxes[i].box.class_label, "camera_only", boxes[i].box.confidence,
              boxes[i].position, None) for i in un_boxes]

@@ -7,7 +7,6 @@ import pytest
 
 from coopercept import clustering
 from coopercept.clustering import (
-    Cluster,
     DBSCAN_BASELINE_DENSE_N_MIN,
     DBSCAN_BASELINE_EPS,
     DBSCAN_BASELINE_N_MIN,
@@ -15,12 +14,13 @@ from coopercept.clustering import (
     MAX_CENTROID_DISTANCE,
     RING_GAP,
     ClusterParams,
+    Clusters,
+    _flat_segments,
+    _group_segments,
     adaptive_epsilon,
     cluster_scan,
-    cluster_segments,
     clusters_from_labels,
     dbscan_baseline,
-    ring_segments,
     segment_distances,
 )
 from coopercept.local_fusion import filter_roi, room_roi
@@ -33,7 +33,9 @@ from oracles import (
     brute_force_clusters_from_labels,
     brute_force_dbscan,
     brute_force_ring_dbscan,
+    cell_grid_dbscan,
     labelings_equal,
+    points_by_cluster,
     scalar_segment_distance,
 )
 from scans import builtin_roi_scans, make_benchmark_scan, scan_from_rings
@@ -42,6 +44,20 @@ PARAMS = ClusterParams()
 # the resolutions of LidarModel.uniform, the built-in scenes' sensor
 DPHI = math.radians(0.2)
 DTHETA = math.radians(2.0)
+
+
+def segment_list(scan, params):
+    """The first stage's segments of ``scan``, one index array each, in
+    its order."""
+    members, bounds = _flat_segments(scan, params)
+    edges = bounds.tolist()
+    return [members[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def cluster_rows(clusters):
+    """(points bytes, centroid bytes) of each cluster of a Clusters record."""
+    return [(points.tobytes(), centroid.tobytes())
+            for points, centroid in zip(points_by_cluster(clusters), clusters.centroids)]
 
 
 def ring_on_arc(radius, phi_start, phi_stop, step, z=0.0):
@@ -99,7 +115,7 @@ def test_adaptive_epsilon_rejects_nonpositive_range():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     ranges[3] = 0.0
     with pytest.raises(ValueError):
-        ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
+        _flat_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
 
 
 def test_adaptive_epsilon_linear_in_range():
@@ -116,9 +132,9 @@ def test_adaptive_epsilon_linear_in_range():
 def test_wall_arc_single_segment():
     # consecutive spacing 5*dphi is well inside eps(5) = n_min*dphi*5
     az, ranges, pts = ring_on_arc(5.0, -0.3, 0.3, DPHI)
-    segments = ring_segments(scan_from_rings([(2, az, ranges, pts)]), PARAMS)
-    assert len(segments) == 1
-    assert np.array_equal(segments[0], np.arange(len(pts)))
+    members, bounds = _flat_segments(scan_from_rings([(2, az, ranges, pts)]), PARAMS)
+    assert bounds.tolist() == [0, len(pts)]
+    assert np.array_equal(members, np.arange(len(pts)))
 
 
 def test_azimuth_gap_splits_segments():
@@ -130,24 +146,24 @@ def test_azimuth_gap_splits_segments():
     az = np.concatenate([az1, az2])
     ranges = np.concatenate([r1, r2])
     pts = np.vstack([p1, p2])
-    segments = ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
-    assert [len(g) for g in segments] == [len(az1), len(az2)]
+    _, bounds = _flat_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
+    assert np.diff(bounds).tolist() == [len(az1), len(az2)]
 
 
 def test_fewer_than_n_min_points_all_noise():
     az, ranges, pts = ring_on_arc(5.0, 0.0, DPHI * (PARAMS.n_min - 1), DPHI)
     assert len(az) == PARAMS.n_min - 1
-    segments = ring_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
-    assert segments == []
+    members, bounds = _flat_segments(scan_from_rings([(0, az, ranges, pts)]), PARAMS)
+    assert len(members) == 0 and bounds.tolist() == [0]
 
 
 def test_unsorted_azimuths_rejected():
     az, ranges, pts = ring_on_arc(5.0, 0.0, 0.1, DPHI)
     with pytest.raises(ValueError):
-        ring_segments(scan_from_rings([(0, az[::-1], ranges, pts)]), PARAMS)
+        _flat_segments(scan_from_rings([(0, az[::-1], ranges, pts)]), PARAMS)
     # each ring sorted, but the rings out of order
     with pytest.raises(ValueError):
-        ring_segments(scan_from_rings([(1, az, ranges, pts), (0, az, ranges, pts)]), PARAMS)
+        _flat_segments(scan_from_rings([(1, az, ranges, pts), (0, az, ranges, pts)]), PARAMS)
 
 
 # -- segment metric ----------------------------------------------------------
@@ -259,9 +275,9 @@ def oracle_segments(scan, params, dphi=None):
 
 
 def scan_segments(scan, params):
-    """(ring, azimuth bytes) of every segment ``ring_segments`` finds."""
+    """(ring, azimuth bytes) of every segment the first stage finds."""
     return sorted((int(scan.ring[g[0]]), scan.azimuths[g].tobytes())
-                  for g in ring_segments(scan, params))
+                  for g in segment_list(scan, params))
 
 
 def test_cluster_scan_segments_match_per_ring_brute_force():
@@ -324,19 +340,24 @@ def cluster_points(scan, groups, expected):
             for members in expected]
 
 
+def grouped(scan, groups):
+    """Point bytes of each cluster the second stage makes of ``groups``,
+    ascending scan indices in (ring, azimuth start) order."""
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    members = np.concatenate([np.zeros(0, dtype=np.intp)] + groups)
+    return [p.tobytes() for p in points_by_cluster(_group_segments(scan, members, bounds))]
+
+
 def test_single_segment_single_cluster():
     scan, groups = arc_scan([(0, 0.0, 0.0)])
-    clusters = cluster_segments(scan, groups)
-    assert [c.points.tobytes() for c in clusters] == [scan.points.tobytes()]
-    assert cluster_segments(scan, []) == []
+    assert grouped(scan, groups) == [scan.points.tobytes()]
+    assert grouped(scan, []) == []
 
 
 def test_mutually_inf_segments_stay_apart():
     scan, groups = arc_scan([(ring * (RING_GAP + 2), 0.0, 3.0 * ring)
                              for ring in range(3)])
-    clusters = cluster_segments(scan, groups)
-    assert [c.points.tobytes() for c in clusters] == \
-        cluster_points(scan, groups, [[0], [1], [2]])
+    assert grouped(scan, groups) == cluster_points(scan, groups, [[0], [1], [2]])
 
 
 def test_cluster_segments_chains_groups_by_lowest_member():
@@ -351,26 +372,21 @@ def test_cluster_segments_chains_groups_by_lowest_member():
         < EPSILON_CUSTOM
     assert {(i, j) for i, j in zip(*np.nonzero(np.triu(linked, k=1)))} == \
         {(0, 5), (1, 4), (3, 4)}
-    clusters = cluster_segments(scan, groups)
-    assert [c.points.tobytes() for c in clusters] == \
-        cluster_points(scan, groups, [[0, 5], [1, 3, 4], [2]])
+    assert grouped(scan, groups) == cluster_points(scan, groups, [[0, 5], [1, 3, 4], [2]])
 
 
 def test_cluster_segments_group_and_member_order():
     # (ring, start) order a=0, b=1, c=2, d=3, e=4; links a-c, b-e
     scan, groups = arc_scan([(0, 0.0, 0.0), (0, 1.0, 0.0), (1, 0.0, 0.1),
                              (1, 2.0, 0.0), (2, 1.0, 0.2)])
-    clusters = cluster_segments(scan, groups)
-    assert [c.points.tobytes() for c in clusters] == \
-        cluster_points(scan, groups, [[0, 2], [1, 4], [3]])
+    assert grouped(scan, groups) == cluster_points(scan, groups, [[0, 2], [1, 4], [3]])
 
 
 def test_cluster_segments_ring_gap_and_interleaved_segments():
     # the same arc on two rings, 0.1 m apart: only the ring gap parts them
     for ring, expected in ((RING_GAP, [[0, 1]]), (RING_GAP + 1, [[0], [1]])):
         scan, groups = arc_scan([(0, 0.0, 0.0), (ring, 0.0, 0.1)])
-        assert [c.points.tobytes() for c in cluster_segments(scan, groups)] == \
-            cluster_points(scan, groups, expected)
+        assert grouped(scan, groups) == cluster_points(scan, groups, expected)
     # two segments of one ring interleaved in azimuth, at 5 and 5.1 m: the
     # cluster holds the first segment's points, then the second's
     az, _, _ = ring_on_arc(5.0, 0.0, 0.1, DPHI)
@@ -378,17 +394,16 @@ def test_cluster_segments_ring_gap_and_interleaved_segments():
     pts = np.stack([ranges * np.cos(az), ranges * np.sin(az), np.zeros(len(az))], axis=1)
     scan = scan_from_rings([(0, az, ranges, pts)])
     groups = [np.arange(0, len(az), 2), np.arange(1, len(az), 2)]
-    assert [c.points.tobytes() for c in cluster_segments(scan, groups)] == \
-        cluster_points(scan, groups, [[0, 1]])
+    assert grouped(scan, groups) == cluster_points(scan, groups, [[0, 1]])
 
 
 def test_cluster_segments_scale_by_the_scans_ring_spacing():
     # the same arc on rings 0 and 1, 0.1 m apart at 5 m: 0.1 / (5 * 2 deg)
     # links them, 0.1 / (5 * 0.5 deg) does not
     scan, groups = arc_scan([(0, 0.0, 0.0), (1, 0.0, 0.1)])
-    assert len(cluster_segments(scan, groups)) == 1
+    assert len(grouped(scan, groups)) == 1
     fine = replace(scan, dtheta=math.radians(0.5))
-    assert len(cluster_segments(fine, groups)) == 2
+    assert len(grouped(fine, groups)) == 2
 
 
 def random_ring_scan(rng):
@@ -416,7 +431,8 @@ def test_ring_segments_partition_non_noise_points_in_ring_then_azimuth_order():
     for _ in range(40):
         scan = random_ring_scan(rng)
         params = ClusterParams(n_min=int(rng.integers(2, 6)))
-        segments = ring_segments(scan, params)
+        members, bounds = _flat_segments(scan, params)
+        segments = segment_list(scan, params)
         clustered = []
         for ring_index in np.unique(scan.ring).tolist():
             on = np.flatnonzero(scan.ring == ring_index)
@@ -424,7 +440,7 @@ def test_ring_segments_partition_non_noise_points_in_ring_then_azimuth_order():
                                              scan.points[on], params.n_min, scan.dphi)
             clustered.extend(on[labels >= 0].tolist())
         # the groups partition the non-noise points
-        members = np.concatenate([np.zeros(0, dtype=int)] + segments)
+        assert bounds[0] == 0 and bounds[-1] == len(members) and (np.diff(bounds) > 0).all()
         assert sorted(members.tolist()) == sorted(clustered)
         assert len(set(members.tolist())) == len(members)
         for g in segments:
@@ -442,11 +458,11 @@ def test_cluster_scan_matches_object_path_oracle_on_builtin_frames():
     for config, _, _, scan in builtin_roi_scans(1, duration_s=4.0):
         for params in (config.cluster_params, ClusterParams(n_min=8)):
             got = cluster_scan(scan, params)
-            segments = ring_segments(scan, params)
+            segments = segment_list(scan, params)
             # the oracle sorts its segments itself
             shuffled = [segments[k] for k in rng.permutation(len(segments))]
             want = brute_force_cluster_segments(scan, shuffled)
-            assert [(c.points.tobytes(), c.centroid.tobytes()) for c in got] == \
+            assert cluster_rows(got) == \
                 [(pts.tobytes(), centroid.tobytes()) for pts, centroid in want]
             clusters += len(got)
     assert clusters > 1000
@@ -488,7 +504,7 @@ def test_cluster_scan_matches_brute_force_on_noisy_and_large_scans():
     scans += [make_benchmark_scan(1000), make_benchmark_scan(5000)]
     clusters = 0
     for scan in scans:
-        got = [(c.points.tobytes(), c.centroid.tobytes()) for c in cluster_scan(scan, PARAMS)]
+        got = cluster_rows(cluster_scan(scan, PARAMS))
         assert got == brute_force_clusters(scan, PARAMS)
         clusters += len(got)
     assert len(scans) == 2 * 2 * 3 * 4 * 2 + 2
@@ -543,6 +559,32 @@ def test_dbscan_matches_brute_force():
         got, = dbscan_baseline(pts, eps, (n_min,))
         expected = brute_force_dbscan(pts, eps, n_min)
         assert labelings_equal(got, expected), f"trial {trial} diverged"
+        assert np.array_equal(cell_grid_dbscan(pts, eps, n_min), expected)
+
+
+def test_cell_grid_dbscan_matches_brute_force_at_cell_boundaries():
+    """Lattices whose spacing is eps, so that neighbours at distance eps
+    (or one rounding off it) sit in adjacent cells, some points moved
+    one ulp across a cell's face, and every point shifted by a fraction
+    of a cell."""
+    rng = np.random.default_rng(31)
+    pairs_at_eps = 0
+    for eps in (0.25, 0.3, 0.1):
+        axis = np.arange(-3, 4) * eps
+        lattice = np.stack(np.meshgrid(axis, axis, axis[:3], indexing="ij"), axis=-1)
+        lattice = lattice.reshape(-1, 3)
+        for trial in range(6):
+            pts = lattice[rng.random(len(lattice)) < 0.6].copy()
+            nudge = rng.random(pts.shape) < 0.2
+            pts[nudge] = np.nextafter(pts[nudge], rng.choice([-1.0, 1.0], size=nudge.sum()))
+            pts += [0.0, 0.5 * eps, eps * 1e-3][trial % 3]
+            for n_min in (2, 4, 7):
+                expected = brute_force_dbscan(pts, eps, n_min)
+                assert np.array_equal(cell_grid_dbscan(pts, eps, n_min), expected), (eps, trial)
+            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+            pairs_at_eps += int((np.abs(d - eps) <= 1e-12).sum())
+    assert pairs_at_eps > 1000
+    assert cell_grid_dbscan(np.zeros((0, 3)), 0.3, 4).shape == (0,)
 
 
 def random_clumps(rng, n):
@@ -585,22 +627,44 @@ def test_dbscan_baselines_match_brute_force_on_builtin_frames(seed):
     for _, _, _, scan in builtin_roi_scans(5, duration_s=1.0, seed=seed):
         got = dbscan_baseline(scan.points, DBSCAN_BASELINE_EPS, n_mins)
         for labels, n_min in zip(got, n_mins):
-            assert labelings_equal(labels, brute_force_dbscan(scan.points, DBSCAN_BASELINE_EPS,
-                                                              n_min))
+            expected = brute_force_dbscan(scan.points, DBSCAN_BASELINE_EPS, n_min)
+            assert labelings_equal(labels, expected)
+            # the cell-grid oracle that checks the longer runs below
+            assert np.array_equal(cell_grid_dbscan(scan.points, DBSCAN_BASELINE_EPS, n_min),
+                                  expected)
             clustered += labels.max() + 1
     assert clustered > 100
+
+
+def test_dbscan_baselines_and_their_clusters_match_cell_grid_oracle_over_builtin_runs():
+    """Every 5th frame of the built-ins' full 10 s: each core size's labels
+    from the one search, label for label, and the Clusters made of them."""
+    n_mins = (DBSCAN_BASELINE_N_MIN, DBSCAN_BASELINE_DENSE_N_MIN)
+    scans = clusters = 0
+    for _, _, _, scan in builtin_roi_scans(5, duration_s=10.0):
+        got = dbscan_baseline(scan.points, DBSCAN_BASELINE_EPS, n_mins)
+        for labels, n_min in zip(got, n_mins):
+            expected = cell_grid_dbscan(scan.points, DBSCAN_BASELINE_EPS, n_min)
+            assert np.array_equal(labels, expected)
+            want = brute_force_clusters_from_labels(scan.points, expected)
+            assert cluster_rows(clusters_from_labels(scan.points, labels)) == \
+                [(pts.tobytes(), np.mean(pts, axis=0).tobytes()) for pts in want]
+            clusters += len(want)
+        scans += 1
+    assert scans == 3 * 20 * 2
+    assert clusters > 1000
 
 
 def test_partition_property():
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects).returns()
     clusters = cluster_scan(scan, PARAMS)
-    counts = sum(len(c.points) for c in clusters)
-    # every clustered point appears exactly once across clusters
-    all_pts = np.vstack([c.points for c in clusters])
-    assert counts == len(all_pts)
+    bounds, all_pts = clusters.bounds, clusters.points
+    # the bounds cut the points into non-empty clusters, and every
+    # clustered point appears exactly once across them
+    assert bounds[0] == 0 and bounds[-1] == len(all_pts) and (np.diff(bounds) > 0).all()
     assert len(np.unique(np.round(all_pts, 9), axis=0)) == len(all_pts)
-    assert counts <= scan.n_points
+    assert len(all_pts) <= scan.n_points
 
 
 def test_methods_agree_on_isolated_object():
@@ -616,17 +680,15 @@ def test_methods_agree_on_isolated_object():
     assert len(hier) == 1
     assert len(base) == 1
     key = lambda pts: set(map(tuple, np.round(pts, 9)))
-    assert key(hier[0].points) == key(base[0].points)
+    assert key(hier.points) == key(base.points)
 
 
 def assert_clusters_match_per_label_oracle(points, labels):
     got = clusters_from_labels(points, labels)
     want = brute_force_clusters_from_labels(points, labels)
-    assert len(got) == len(want)
-    for cluster, pts in zip(got, want):
-        assert cluster.points.tobytes() == pts.tobytes()
-        assert cluster.centroid.tobytes() == \
-            (np.add.reduce(pts, axis=0) / len(pts)).tobytes()
+    assert isinstance(got, Clusters)
+    assert cluster_rows(got) == [(pts.tobytes(), np.mean(pts, axis=0).tobytes())
+                                 for pts in want]
     return got
 
 
@@ -641,8 +703,9 @@ def test_clusters_from_labels_matches_per_label_oracle_on_builtin_scans(monkeypa
             scan, config.cluster_params, (pipeline.METHOD_DBSCAN1, pipeline.METHOD_DBSCAN2))))
     assert clusters > 100
     # a scan with no returns gives every method no clusters
-    assert pipeline.cluster_methods(scan_from_rings([]), PARAMS,
-                                    tuple(pipeline.LOCAL_METHODS)) == [[], [], []]
+    empty = pipeline.cluster_methods(scan_from_rings([]), PARAMS, tuple(pipeline.LOCAL_METHODS))
+    assert [len(c) for c in empty] == [0, 0, 0]
+    assert all(isinstance(c, Clusters) and c.centroids.shape == (0, 3) for c in empty)
 
 
 def test_clusters_from_labels_order_ties_gaps_and_noise():
@@ -653,26 +716,38 @@ def test_clusters_from_labels_order_ties_gaps_and_noise():
     labels = rng.choice([-1, 0, 2, 3, 7], size=60)
     got = assert_clusters_match_per_label_oracle(points, labels)
     assert len(got) == 4  # labels 1 and 4-6 are unused
-    assert assert_clusters_match_per_label_oracle(points, np.full(60, -1)) == []
-    assert assert_clusters_match_per_label_oracle(np.zeros((0, 3)),
-                                                  np.zeros(0, dtype=int)) == []
-    one, = assert_clusters_match_per_label_oracle(points[:1], np.array([4]))
-    assert one.points.tobytes() == points[0].tobytes()
+    assert len(assert_clusters_match_per_label_oracle(points, np.full(60, -1))) == 0
+    assert len(assert_clusters_match_per_label_oracle(np.zeros((0, 3)),
+                                                      np.zeros(0, dtype=int))) == 0
+    one = assert_clusters_match_per_label_oracle(points[:1], np.array([4]))
+    assert len(one) == 1 and one.points.tobytes() == points[0].tobytes()
 
 
 def test_cluster_invariants():
     lidar, objects = flanking_scene()
     scan = scan_lidar(lidar, objects).returns()
-    for cluster in cluster_scan(scan, PARAMS):
-        assert np.allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-12)
+    clusters = cluster_scan(scan, PARAMS)
+    assert isinstance(clusters, Clusters) and len(clusters) == len(clusters.centroids) == 3
+    for points, centroid in zip(points_by_cluster(clusters), clusters.centroids):
+        assert centroid.tobytes() == np.mean(points, axis=0).tobytes()
 
 
-def test_clusters_compare_by_identity():
-    points = np.arange(12.0).reshape(4, 3)
-    cluster = Cluster(points)
-    assert cluster == cluster
-    assert (Cluster(points) == Cluster(points.copy())) is False
-    assert cluster in [Cluster(points), cluster]
+def test_clusters_record_cuts_points_at_its_bounds():
+    points = np.arange(18.0).reshape(6, 3)
+    clusters = Clusters(points, np.array([0, 1, 4, 6]))
+    assert len(clusters) == 3
+    assert clusters.centroids.tolist() == [[0.0, 1.0, 2.0], [6.0, 7.0, 8.0], [13.5, 14.5, 15.5]]
+    # each centroid sums its own cluster's points in order, as mean() does
+    rng = np.random.default_rng(8)
+    points = rng.normal(0.0, 5.0, size=(400, 3))
+    bounds = np.concatenate(([0], np.sort(rng.choice(np.arange(1, 400), 40, replace=False)),
+                             [400]))
+    clusters = Clusters(points, bounds)
+    assert len(clusters) == 41
+    assert clusters.centroids.tobytes() == np.array(
+        [np.mean(p, axis=0) for p in np.split(points, bounds[1:-1])]).tobytes()
+    empty = Clusters(np.zeros((0, 3)), np.zeros(1, dtype=np.intp))
+    assert len(empty) == 0 and not empty and empty.centroids.shape == (0, 3)
 
 
 # -- connected components ------------------------------------------------------
@@ -736,7 +811,7 @@ def test_components_match_scipy_on_graphs_from_builtin_frames(monkeypatch):
     for config, _, _, scan in builtin_roi_scans(40):
         for kind, run in (
                 ("dbscan core", lambda: dbscan_baseline(scan.points, 0.3, (4,))),
-                ("ring", lambda: ring_segments(scan, config.cluster_params)),
+                ("ring", lambda: _flat_segments(scan, config.cluster_params)),
                 ("segment", lambda: cluster_scan(scan, config.cluster_params))):
             del graphs[:]
             run()

@@ -9,7 +9,7 @@ import pytest
 from coopercept import assignment, local_fusion
 from coopercept.camera import (UNKNOWN, BBox2D, CameraGeometryError, CameraModel, project_points,
                                vanishing_point_z)
-from coopercept.clustering import ClusterParams, cluster_scan
+from coopercept.clustering import Clusters
 from coopercept.local_fusion import (
     DEFAULT_COST_GATE,
     SOURCE_CAMERA_ONLY,
@@ -35,6 +35,7 @@ from oracles import (
     brute_force_merge_views,
     overlap_ratio,
     per_box_locate_boxes,
+    points_by_cluster,
     per_edge_wall_distances,
     two_mask_gated_assignment,
 )
@@ -64,12 +65,17 @@ def side_camera():
 
 
 def fake_cluster(x, y, z=0.9, spread=0.1):
-    """A small synthetic cluster centered at (x, y, z)."""
-    from coopercept.clustering import Cluster
-
+    """The points of a small synthetic cluster centered at (x, y, z)."""
     offs = np.array([[-spread, 0.0, -spread], [spread, 0.0, spread],
                      [0.0, -spread, 0.0], [0.0, spread, 0.0]])
-    return Cluster(np.array([x, y, z]) + offs)
+    return np.array([x, y, z]) + offs
+
+
+def clusters_of(*points):
+    """One Clusters record of the given (n, 3) point arrays, in order."""
+    sizes = [len(p) for p in points]
+    return Clusters(np.concatenate([np.zeros((0, 3))] + [np.asarray(p, float) for p in points]),
+                    np.cumsum([0] + sizes))
 
 
 # -- ROI filtering -----------------------------------------------------------
@@ -256,9 +262,9 @@ def test_points_outside_grid_extent_dropped():
 
 # -- box-to-cluster association ---------------------------------------------
 
-def box_over(cluster, camera, label="person"):
-    """A camera box 8 px around the pixel bounds of the cluster's points."""
-    pix, _ = project_points(camera, cluster.points)
+def box_over(points, camera, label="person"):
+    """A camera box 8 px around the pixel bounds of a cluster's points."""
+    pix, _ = project_points(camera, points)
     (x_min, y_min), (x_max, y_max) = pix.min(axis=0), pix.max(axis=0)
     pad = 8.0
     return BBox2D(x_min - pad, y_min - pad, x_max + pad, y_max + pad, label,
@@ -267,14 +273,14 @@ def box_over(cluster, camera, label="person"):
 
 def test_direct_match():
     cam = side_camera()
-    cluster = fake_cluster(4.0, 0.0)
-    pb = PositionedBox(box=box_over(cluster, cam),
-                       position=cluster.centroid[:2].copy())
-    out = associate_boxes_clusters([pb], [cluster], cam)
+    points = fake_cluster(4.0, 0.0)
+    pb = PositionedBox(box=box_over(points, cam), position=points.mean(axis=0)[:2])
+    out = associate_boxes_clusters([pb], clusters_of(points), cam)
     assert len(out) == 1
     assert out[0].source == SOURCE_FUSED
     assert out[0].class_label == "person"
-    assert np.array_equal(out[0].position, cluster.centroid[:2])
+    assert out[0].cluster == 0
+    assert np.array_equal(out[0].position, points.mean(axis=0)[:2])
 
 
 def test_crossed_pair_resolved_optimally():
@@ -284,12 +290,12 @@ def test_crossed_pair_resolved_optimally():
     # boxes listed in swapped order with slightly offset estimates
     b0 = PositionedBox(box=box_over(c1, cam), position=np.array([4.0, 0.22]))
     b1 = PositionedBox(box=box_over(c0, cam), position=np.array([4.0, -0.22]))
-    out = associate_boxes_clusters([b0, b1], [c0, c1], cam)
-    fused = {id(o.cluster): o for o in out if o.source == SOURCE_FUSED}
+    out = associate_boxes_clusters([b0, b1], clusters_of(c0, c1), cam)
+    fused = {o.cluster: o for o in out if o.source == SOURCE_FUSED}
     assert len(fused) == 2
     # the distance-minimizing pairing puts b0 on c1 and b1 on c0
-    assert np.allclose(fused[id(c1)].position, c1.centroid[:2])
-    assert np.allclose(fused[id(c0)].position, c0.centroid[:2])
+    assert np.allclose(fused[1].position, c1.mean(axis=0)[:2])
+    assert np.allclose(fused[0].position, c0.mean(axis=0)[:2])
 
 
 def test_three_boxes_two_clusters_leftover_camera_only():
@@ -302,7 +308,7 @@ def test_three_boxes_two_clusters_leftover_camera_only():
         PositionedBox(box=BBox2D(30, 30, 90, 160, "person", 0.4),
                       position=np.array([5.5, 2.5])),
     ]
-    out = associate_boxes_clusters(boxes, [c0, c1], cam)
+    out = associate_boxes_clusters(boxes, clusters_of(c0, c1), cam)
     by_source = {}
     for o in out:
         by_source.setdefault(o.source, []).append(o)
@@ -313,54 +319,45 @@ def test_three_boxes_two_clusters_leftover_camera_only():
 
 def test_unmatched_cluster_becomes_unknown():
     cam = side_camera()
-    cluster = fake_cluster(4.0, 0.0)
-    out = associate_boxes_clusters([], [cluster], cam)
+    out = associate_boxes_clusters([], clusters_of(fake_cluster(4.0, 0.0)), cam)
     assert len(out) == 1
     assert out[0].class_label == UNKNOWN
     assert out[0].source == SOURCE_LIDAR_ONLY
+    assert out[0].cluster == 0
 
 
 def test_no_duplicate_assignment():
     cam = side_camera()
     rng = np.random.default_rng(4)
     clusters = [fake_cluster(4.0 + i, rng.uniform(-1, 1)) for i in range(4)]
-    boxes = [PositionedBox(box=box_over(c, cam), position=c.centroid[:2] + rng.normal(0, 0.05, 2))
+    boxes = [PositionedBox(box=box_over(c, cam),
+                           position=c.mean(axis=0)[:2] + rng.normal(0, 0.05, 2))
              for c in clusters[:3]]
-    out = associate_boxes_clusters(boxes, clusters, cam)
-    fused_clusters = [id(o.cluster) for o in out if o.cluster is not None]
-    assert len(fused_clusters) == len(set(fused_clusters))
+    out = associate_boxes_clusters(boxes, clusters_of(*clusters), cam)
+    labelled = [o.cluster for o in out if o.cluster is not None]
+    assert sorted(labelled) == [0, 1, 2, 3]
 
 
 def test_fused_position_is_cluster_centroid_exactly():
     cam = side_camera()
-    cluster = fake_cluster(3.5, 0.8)
-    pb = PositionedBox(box=box_over(cluster, cam),
+    points = fake_cluster(3.5, 0.8)
+    pb = PositionedBox(box=box_over(points, cam),
                        position=np.array([3.55, 0.82]))
-    out = associate_boxes_clusters([pb], [cluster], cam)
+    out = associate_boxes_clusters([pb], clusters_of(points), cam)
     fused = [o for o in out if o.source == SOURCE_FUSED]
-    assert np.array_equal(fused[0].position, cluster.centroid[:2])
+    assert fused[0].position.tobytes() == np.mean(points, axis=0)[:2].tobytes()
 
 
-def point_cluster(points):
-    """A one-segment cluster over the given (n, 3) points."""
-    from coopercept.clustering import clusters_from_labels
-
-    return clusters_from_labels(np.asarray(points, dtype=float), np.zeros(len(points), int))[0]
-
-
-def labeled_rows(out, clusters):
-    """Comparable rows of association output: cluster as its list index."""
-    index = {id(c): k for k, c in enumerate(clusters)}
-    return [(o.class_label, o.source, o.confidence, o.position.tobytes(),
-             None if o.cluster is None else index[id(o.cluster)]) for o in out]
+def labeled_rows(out):
+    """Comparable rows of association output."""
+    return [(o.class_label, o.source, o.confidence, o.position.tobytes(), o.cluster)
+            for o in out]
 
 
 def oracle_rows(boxes, clusters, camera):
-    index = {id(c): k for k, c in enumerate(clusters)}
-    return [(label, source, confidence, position.tobytes(),
-             None if cluster is None else index[id(cluster)])
+    return [(label, source, confidence, position.tobytes(), cluster)
             for label, source, confidence, position, cluster
-            in brute_force_associate_boxes_clusters(boxes, clusters, camera)]
+            in brute_force_associate_boxes_clusters(boxes, points_by_cluster(clusters), camera)]
 
 
 def assert_association_matches_oracle(boxes, clusters, camera):
@@ -369,23 +366,25 @@ def assert_association_matches_oracle(boxes, clusters, camera):
     with mock.patch.object(local_fusion, "gated_assignment", wraps=gated_assignment) as solver:
         out = associate_boxes_clusters(boxes, clusters, camera)
     cost = solver.call_args.args[0]
-    assert cost.tobytes() == brute_force_association_cost(boxes, clusters, camera).tobytes()
-    assert labeled_rows(out, clusters) == oracle_rows(boxes, clusters, camera)
+    want = brute_force_association_cost(boxes, points_by_cluster(clusters), camera)
+    assert cost.tobytes() == want.tobytes()
+    assert labeled_rows(out) == oracle_rows(boxes, clusters, camera)
     return out
 
 
 def test_cluster_behind_camera_has_zero_overlap():
     cam = side_camera()  # at the origin, looking along +x
     behind = fake_cluster(-3.0, 0.0)
-    assert (project_points(cam, behind.points)[1] <= 1e-6).all()
+    assert (project_points(cam, behind)[1] <= 1e-6).all()
+    center = behind.mean(axis=0)[:2]
     box = BBox2D(0.0, 0.0, 1280.0, 720.0, "person", 0.8)  # the whole image
-    near = PositionedBox(box=box, position=behind.centroid[:2] + [0.5, 0.0])
+    near = PositionedBox(box=box, position=center + [0.5, 0.0])
     cost = brute_force_association_cost([near], [behind], cam)
-    assert cost[0, 0] == 1.0 + float(np.linalg.norm(near.position - behind.centroid[:2]))
-    out = assert_association_matches_oracle([near], [behind], cam)
+    assert cost[0, 0] == 1.0 + float(np.linalg.norm(near.position - center))
+    out = assert_association_matches_oracle([near], clusters_of(behind), cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
-    far = PositionedBox(box=box, position=behind.centroid[:2] + [0.9, 0.0])
-    out = assert_association_matches_oracle([far], [behind], cam)
+    far = PositionedBox(box=box, position=center + [0.9, 0.0])
+    out = assert_association_matches_oracle([far], clusters_of(behind), cam)
     assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]
 
 
@@ -398,8 +397,8 @@ def test_cluster_partly_behind_camera_bounds_its_front_points():
     down = np.cross(forward, right)
     grazing = np.array([0.0, 0.0, 2.4]) + 5e-7 * forward + 0.5 * (right - down)
     back = np.array([[-2.0, 0.0, 1.0], [-2.5, 0.5, 1.0], grazing])
-    cluster = point_cluster(np.vstack([front, back]))
-    pix, depth = project_points(cam, cluster.points)
+    points = np.vstack([front, back])
+    pix, depth = project_points(cam, points)
     assert (depth > 1e-6).any() and (depth <= 0.0).any()
     assert ((depth > 0.0) & (depth <= 1e-6)).sum() == 1  # the grazing point
     lo, hi = pix[depth > 1e-6].min(axis=0), pix[depth > 1e-6].max(axis=0)
@@ -408,57 +407,56 @@ def test_cluster_partly_behind_camera_bounds_its_front_points():
     assert (pix[depth <= 1e-6, 0] > hi[0]).any() and (pix[depth <= 1e-6, 1] < lo[1]).all()
     inside = BBox2D(lo[0], lo[1], hi[0], hi[1], "person", 0.9)
     above = BBox2D(hi[0] + 5.0, lo[1] - 300.0, hi[0] + 100.0, lo[1] - 10.0, "person", 0.9)
-    position = cluster.centroid[:2] + [0.0, 0.3]
+    position = points.mean(axis=0)[:2] + [0.0, 0.3]
     boxes = [PositionedBox(box=b, position=position) for b in (inside, above)]
-    dist = float(np.linalg.norm(position - cluster.centroid[:2]))
-    cost = brute_force_association_cost(boxes, [cluster], cam)
+    dist = float(np.linalg.norm(position - points.mean(axis=0)[:2]))
+    cost = brute_force_association_cost(boxes, [points], cam)
     assert cost.tolist() == [[dist], [1.0 + dist]]  # overlap 1, then 0
-    assert_association_matches_oracle(boxes, [cluster], cam)
+    assert_association_matches_oracle(boxes, clusters_of(points), cam)
 
 
 def test_single_point_cluster_gets_a_one_pixel_box():
     cam = side_camera()
-    cluster = point_cluster([[3.0, 0.4, 1.0]])
-    (u, v), = project_points(cam, cluster.points)[0]
+    points = np.array([[3.0, 0.4, 1.0]])
+    (u, v), = project_points(cam, points)[0]
     # the widened 1 px box lies inside this box, so the overlap is 1
     box = BBox2D(u - 5.0, v - 5.0, u + 5.0, v + 5.0, "person", 0.7)
     pb = PositionedBox(box=box, position=np.array([3.0, 1.0]))
-    cost = brute_force_association_cost([pb], [cluster], cam)
-    assert cost[0, 0] == float(np.linalg.norm(pb.position - cluster.centroid[:2]))
-    out = assert_association_matches_oracle([pb], [cluster], cam)
+    cost = brute_force_association_cost([pb], [points], cam)
+    assert cost[0, 0] == float(np.linalg.norm(pb.position - points[0, :2]))
+    out = assert_association_matches_oracle([pb], clusters_of(points), cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
     # a box that only touches the 1 px box's far corner does not overlap
     corner = BBox2D(u + 1.0, v + 1.0, u + 9.0, v + 9.0, "person", 0.7)
     pb = PositionedBox(box=corner, position=np.array([3.0, 1.0]))
-    assert brute_force_association_cost([pb], [cluster], cam)[0, 0] == 1.0 + cost[0, 0]
-    assert_association_matches_oracle([pb], [cluster], cam)
+    assert brute_force_association_cost([pb], [points], cam)[0, 0] == 1.0 + cost[0, 0]
+    assert_association_matches_oracle([pb], clusters_of(points), cam)
 
 
 def test_association_with_no_boxes_or_no_clusters():
     cam = side_camera()
-    clusters = [fake_cluster(4.0, 0.0), fake_cluster(5.0, 1.0)]
-    boxes = [PositionedBox(box=box_over(c, cam), position=c.centroid[:2].copy())
-             for c in clusters]
-    assert associate_boxes_clusters([], [], cam) == []
-    out = assert_association_matches_oracle([], clusters, cam)
+    points = [fake_cluster(4.0, 0.0), fake_cluster(5.0, 1.0)]
+    boxes = [PositionedBox(box=box_over(p, cam), position=p.mean(axis=0)[:2]) for p in points]
+    assert associate_boxes_clusters([], clusters_of(), cam) == []
+    out = assert_association_matches_oracle([], clusters_of(*points), cam)
     assert [o.source for o in out] == [SOURCE_LIDAR_ONLY] * 2
-    out = assert_association_matches_oracle(boxes, [], cam)
+    out = assert_association_matches_oracle(boxes, clusters_of(), cam)
     assert [o.source for o in out] == [SOURCE_CAMERA_ONLY] * 2
     assert [o.position.tobytes() for o in out] == [b.position.tobytes() for b in boxes]
 
 
 def test_cost_equal_to_gate_is_matched_and_one_ulp_above_is_not():
     cam = side_camera()
-    behind = point_cluster([[-3.0, 0.5, 1.0]])  # overlap 0: cost is 1 + distance
+    behind = np.array([[-3.0, 0.5, 1.0]])  # overlap 0: cost is 1 + distance
     box = BBox2D(0.0, 0.0, 100.0, 100.0, "person", 0.9)
     at_gate = PositionedBox(box=box, position=np.array([-3.0, 1.3]))
     assert brute_force_association_cost([at_gate], [behind], cam)[0, 0] == DEFAULT_COST_GATE
-    out = assert_association_matches_oracle([at_gate], [behind], cam)
+    out = assert_association_matches_oracle([at_gate], clusters_of(behind), cam)
     assert [o.source for o in out] == [SOURCE_FUSED]
     past = PositionedBox(box=box, position=np.array([-3.0, np.nextafter(1.3, 2.0)]))
-    assert 1.0 + float(np.linalg.norm(past.position - behind.centroid[:2])) > DEFAULT_COST_GATE
+    assert 1.0 + float(np.linalg.norm(past.position - behind[0, :2])) > DEFAULT_COST_GATE
     assert brute_force_association_cost([past], [behind], cam)[0, 0] == math.inf
-    out = assert_association_matches_oracle([past], [behind], cam)
+    out = assert_association_matches_oracle([past], clusters_of(behind), cam)
     assert sorted(o.source for o in out) == [SOURCE_CAMERA_ONLY, SOURCE_LIDAR_ONLY]
 
 
@@ -493,9 +491,9 @@ def test_association_matches_per_pair_oracle_on_builtin_frames(monkeypatch, solv
 
     entries, gated, sources = 0, 0, set()
     for (boxes, clusters, camera, out), cost in zip(box_calls, costs):
-        want = brute_force_association_cost(boxes, clusters, camera)
+        want = brute_force_association_cost(boxes, points_by_cluster(clusters), camera)
         assert cost == (want.shape, want.tobytes())
-        assert labeled_rows(out, clusters) == oracle_rows(boxes, clusters, camera)
+        assert labeled_rows(out) == oracle_rows(boxes, clusters, camera)
         entries += want.size
         gated += np.isinf(want).sum()
         sources.update(o.source for o in out)
@@ -629,13 +627,11 @@ def test_gated_assignment_matches_exhaustive():
 # -- camera view merging ------------------------------------------------------
 
 def test_merge_prefers_fused_label_for_same_cluster():
-    cluster = fake_cluster(4.0, 0.0)
     from coopercept.local_fusion import LabeledObject
 
-    lidar_only = LabeledObject(UNKNOWN, cluster.centroid[:2], cluster,
-                               SOURCE_LIDAR_ONLY)
-    fused = LabeledObject("person", cluster.centroid[:2], cluster,
-                          SOURCE_FUSED, confidence=0.9)
+    center = np.array([4.0, 0.0])
+    lidar_only = LabeledObject(UNKNOWN, center, 0, SOURCE_LIDAR_ONLY)
+    fused = LabeledObject("person", center, 0, SOURCE_FUSED, confidence=0.9)
     merged = merge_camera_views([[lidar_only], [fused]])
     assert len(merged) == 1
     assert merged[0].source == SOURCE_FUSED
@@ -644,13 +640,10 @@ def test_merge_prefers_fused_label_for_same_cluster():
 def test_merge_drops_camera_only_duplicates():
     from coopercept.local_fusion import LabeledObject
 
-    cluster = fake_cluster(4.0, 0.0)
-    fused = LabeledObject("person", cluster.centroid[:2], cluster,
-                          SOURCE_FUSED, confidence=0.9)
-    dup = LabeledObject("person", cluster.centroid[:2] + 0.1, None,
-                        SOURCE_CAMERA_ONLY, confidence=0.5)
-    far = LabeledObject("person", cluster.centroid[:2] + 3.0, None,
-                        SOURCE_CAMERA_ONLY, confidence=0.5)
+    center = np.array([4.0, 0.0])
+    fused = LabeledObject("person", center, 0, SOURCE_FUSED, confidence=0.9)
+    dup = LabeledObject("person", center + 0.1, None, SOURCE_CAMERA_ONLY, confidence=0.5)
+    far = LabeledObject("person", center + 3.0, None, SOURCE_CAMERA_ONLY, confidence=0.5)
     merged = merge_camera_views([[fused, dup], [far]])
     sources = sorted(o.source for o in merged)
     assert sources == [SOURCE_CAMERA_ONLY, SOURCE_FUSED]
@@ -692,11 +685,13 @@ def test_suppress_duplicates_screens_against_kept_but_never_returns_them():
 def test_merge_keeps_best_label_per_cluster_in_first_appearance_order():
     from coopercept.local_fusion import LabeledObject
 
-    c1, c2, c3 = (fake_cluster(x, 0.0) for x in (2.0, 4.0, 6.0))
+    clusters = clusters_of(*(fake_cluster(x, 0.0) for x in (2.0, 4.0, 6.0)))
+    c1, c2, c3 = range(3)
 
     def labeled(cluster, source=SOURCE_LIDAR_ONLY, confidence=1.0):
         label = UNKNOWN if source == SOURCE_LIDAR_ONLY else "person"
-        return LabeledObject(label, cluster.centroid[:2], cluster, source, confidence)
+        return LabeledObject(label, clusters.centroids[cluster, :2].copy(), cluster, source,
+                             confidence)
 
     first_c2 = labeled(c2)
     best_c1 = labeled(c1, SOURCE_FUSED, 0.9)
@@ -707,12 +702,10 @@ def test_merge_keeps_best_label_per_cluster_in_first_appearance_order():
         [best_c3, best_c1, labeled(c2)],
     ])
     assert [o.cluster for o in merged] == [c2, c1, c3]
-    assert all(o.cluster is c for o, c in zip(merged, (c2, c1, c3)))
     assert [o.source for o in merged] == [SOURCE_LIDAR_ONLY, SOURCE_FUSED, SOURCE_FUSED]
     assert [o.confidence for o in merged] == [1.0, 0.9, 0.7]
     assert merged[0] is first_c2  # ties keep the first view's label
-    for o in merged:
-        assert o.position.tobytes() == o.cluster.centroid[:2].tobytes()
+    assert merged[1:] == [best_c1, best_c3]
 
 
 def test_merge_matches_shared_segment_oracle_on_builtin_views(monkeypatch):
@@ -721,28 +714,35 @@ def test_merge_matches_shared_segment_oracle_on_builtin_views(monkeypatch):
     from coopercept import pipeline
     from coopercept.scenarios import BUILTIN_SCENARIOS
 
-    recorded = []
+    recorded, views = [], []
     real_merge = pipeline.merge_camera_views
+    real_associate = pipeline.associate_boxes_clusters
+
+    def record_views(boxes, clusters, camera):
+        views.append(points_by_cluster(clusters))
+        return real_associate(boxes, clusters, camera)
 
     def record(per_camera, *args, **kwargs):
-        recorded.append(per_camera)
+        # each view's clusters, in the order the views were associated
+        recorded.append((per_camera, views[-len(per_camera):]))
         return real_merge(per_camera, *args, **kwargs)
 
+    monkeypatch.setattr(pipeline, "associate_boxes_clusters", record_views)
     monkeypatch.setattr(pipeline, "merge_camera_views", record)
     for build in BUILTIN_SCENARIOS.values():
         pipeline.run_local_eval(replace(build(), duration_s=2.0))
     assert len(recorded) == 3 * 20 * 2 * 3  # scenes x frames x nodes x methods
 
     relabelled = 0  # clusters that more than one view labelled
-    for per_camera in recorded:
+    for per_camera, view_clusters in recorded:
         got = [(o.class_label, o.source, o.confidence, o.position.tobytes(),
-                None if o.cluster is None else o.cluster.points.tobytes())
+                None if o.cluster is None else view_clusters[0][o.cluster].tobytes())
                for o in merge_camera_views(per_camera)]
         want = [(label, source, confidence, position.tobytes(),
                  None if points is None else points.tobytes())
                 for label, source, confidence, position, points
-                in brute_force_merge_views(per_camera)]
+                in brute_force_merge_views(per_camera, view_clusters)]
         assert got == want
-        ids = [id(o.cluster) for view in per_camera for o in view if o.cluster is not None]
+        ids = [o.cluster for view in per_camera for o in view if o.cluster is not None]
         relabelled += len(ids) - len(set(ids))
     assert relabelled > 1000

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -13,7 +14,8 @@ from coopercept import pipeline
 from coopercept.cli import main
 from coopercept.global_fusion import FusionParams
 from coopercept.local_fusion import room_roi
-from coopercept.scenarios import ScenarioConfig, bed_and_three, nine_pedestrians
+from coopercept.scenarios import (ScenarioConfig, bed_and_three, four_pedestrians,
+                                  nine_pedestrians)
 from coopercept.tracking import Tracker, TrackerConfig
 from coopercept.transport import ClockModel, encode
 
@@ -226,12 +228,14 @@ def test_run_node_calls_share_one_read_only_roi_per_sensor_and_room(monkeypatch)
 
 # -- duplicate suppression before the tracker ---------------------------------
 
+_cluster_index = itertools.count()
+
+
 def observation(label, x, y, source="fused", confidence=1.0):
-    from coopercept.clustering import Cluster
+    """A labeled observation of a cluster of its own."""
     from coopercept.local_fusion import LabeledObject
 
-    return LabeledObject(label, np.array([x, y]), Cluster(np.array([[x, y, 0.9]])),
-                         source, confidence)
+    return LabeledObject(label, np.array([x, y]), next(_cluster_index), source, confidence)
 
 
 def dedup(labeled):
@@ -464,6 +468,18 @@ def test_config_rejects_negative_seed_and_empty_z_band():
     assert nine_pedestrians(seed=0).seed == 0
 
 
+def test_config_rejects_duplicate_object_ids():
+    # ground truth takes each object's next position by id, so two walkers
+    # sharing one were scored at one of their positions
+    config = four_pedestrians()
+    first, second, *rest = config.objects
+    with pytest.raises(ValueError, match=r"^object ids must be unique, got \[1, 1, 3, 4\]$"):
+        replace(config, objects=[first, replace(second, id=first.id), *rest])
+    frames = pipeline.simulate_world(replace(config, duration_s=1.0))
+    gt = pipeline.interpolate_gt(frames, 0.5)
+    assert len({(x, y) for _, x, y in gt}) == len(gt) == 4
+
+
 def test_config_rejects_removed_keys(tmp_path):
     # settings that nothing read, or that the sensor states itself
     edits = [
@@ -602,7 +618,15 @@ def test_cli_config_errors_name_file_and_key(tmp_path, capsys, monkeypatch):
             (lambda d: d["fusion"].update(max_compensation=-0.1),
              f"error: {path}.fusion: max_compensation must be > 0, got -0.1"),
             (lambda d: d["fusion"].update(max_compensation=0.0),
-             f"error: {path}.fusion: max_compensation must be > 0, got 0.0")):
+             f"error: {path}.fusion: max_compensation must be > 0, got 0.0"),
+            # interpolate_gt took the next frame of the last object of an id
+            (lambda d: d["objects"][1].update(id=1),
+             f"error: {path}: object ids must be unique, got [1, 1, 3, 4, 5, 6, 7, 8, 9]"),
+            # m_miss = -1 dropped every track in the update that made it
+            (lambda d: d["tracker"].update(m_miss=-1),
+             f"error: {path}.tracker: n_confirm must be >= 1 and m_miss >= 0, got 3 and -1"),
+            (lambda d: d["tracker"].update(n_confirm=0),
+             f"error: {path}.tracker: n_confirm must be >= 1 and m_miss >= 0, got 0 and 5")):
         data = nine_pedestrians().to_dict()
         edit(data)
         path.write_text(yaml.safe_dump(data, sort_keys=False))

@@ -40,6 +40,22 @@ def coasting(state):
 
 # -- prediction ---------------------------------------------------------------
 
+def test_tracker_config_rejects_counts_out_of_range():
+    # m_miss = -1 dropped every track in the update that made it, so no
+    # list ever held an object
+    for kwargs, got in (({"m_miss": -1}, "3 and -1"), ({"n_confirm": 0}, "0 and 5"),
+                        ({"n_confirm": -2, "m_miss": 4}, "-2 and 4")):
+        with pytest.raises(ValueError,
+                           match=f"^n_confirm must be >= 1 and m_miss >= 0, got {got}$"):
+            TrackerConfig(**kwargs)
+    # the least settings still track, and drop a track on its first miss
+    tracker = Tracker(node_id=1, config=TrackerConfig(n_confirm=1, m_miss=0))
+    for t in (0.0, 0.1):
+        out = tracker.update([obs(1.0, 2.0)], t)
+    assert len(out.objects) == 1
+    assert tracker.update([], 0.2).objects == () and tracker.tracks == []
+
+
 def test_predict_zero_dt_identity():
     state = fresh_state(1.0, 2.0, 0.3, 1.5, -0.2)
     before = state.mean.copy()
